@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QuadraticForm, bar, bar_symmetrize, build_form, dynamical_matrix, metric, quadratic_matrix
+from .core import QuadraticForm, bar, bar_symmetrize, build_form, dynamical_matrix, metric_signs, quadratic_matrix
 from .errors import DegenerateGap, NotDegenerate
 from .spectral import Tolerances, eigen_pairs
 
@@ -304,12 +304,12 @@ def bcs_jordan_form(p: BcsParams, tol: Tolerances = Tolerances()) -> JordanDecou
     if p.delta < 0:
         # gauge b_+ -> -b_+ maps delta -> -delta; absorb the sign into the
         # plus-mode decoupled operators so the coefficient stays 2*delta
-        gauge = np.diag([-1.0, 1.0, -1.0, 1.0])
-        w_s = gauge @ base @ gauge
+        gauge = np.array([-1.0, 1.0, -1.0, 1.0])
+        w_s = gauge[:, None] * base * gauge
     else:
         w_s = base
-    m = metric(2)
-    w_inv = m @ bar(w_s) @ m
+    signs = metric_signs(2)
+    w_inv = signs[:, None] * bar(w_s) * signs
     r_bs_p, r_bs_m, r_bb_p, r_bb_m = w_inv
     k_pair = quadratic_matrix(r_bb_m, r_bb_p)
     k_imb = quadratic_matrix(r_bb_p, r_bs_p) - quadratic_matrix(r_bb_m, r_bs_m)

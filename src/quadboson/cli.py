@@ -22,6 +22,7 @@ so identical inputs and flags give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import bcs as bcs_mod
 from . import evolution, formio, normal_modes, oracle, spectral
-from .core import bar_vector, dynamical_matrix
+from .core import bar_vector, dynamical_matrix, metric_signs
 from .errors import (
     BadRange,
     DimensionCap,
@@ -59,18 +60,19 @@ def _fmt(x) -> str:
 
 def _parse_range(spec: str):
     """'a:b:n' -> inclusive grid; a plain number -> fixed value."""
-    if ":" not in spec:
-        try:
-            return float(spec)
-        except ValueError:
-            raise BadRange(f"cannot parse {spec!r} as a number") from None
     parts = spec.split(":")
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise BadRange(f"range must be min:max:steps, got {spec!r}")
     try:
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        values = [float(x) for x in parts[:2]]
+        steps = int(parts[2]) if len(parts) == 3 else None
     except ValueError:
-        raise BadRange(f"range must be min:max:steps, got {spec!r}") from None
+        raise BadRange(f"cannot parse {spec!r} as a number or min:max:steps") from None
+    if not np.all(np.isfinite(values)):
+        raise BadRange(f"{spec!r} holds a non-finite number")
+    if steps is None:
+        return values[0]
+    lo, hi = values
     if steps < 2:
         raise BadRange(f"need at least 2 steps, got {steps}")
     if not lo < hi:
@@ -91,39 +93,36 @@ def _tolerances(args) -> spectral.Tolerances:
     return spectral.Tolerances(eig=args.tol_eig)
 
 
-def _mode_table(form, report, tol):
-    """Per-mode rows: frequency, hermitian flag, norm residual."""
-    rows = []
+def _mode_table(report, bt, tol):
+    """Per-mode rows: frequency, hermitian flag, norm residual (None without ``bt``)."""
     residuals = [None] * len(report.mode_frequencies)
-    hermitian = [bool(abs(l.imag) <= tol.eig * max(1.0, abs(l)))
-                 for l in report.mode_frequencies]
-    if report.diagonalizable:
-        try:
-            pairs, bt = spectral.decompose(form, tol)
-            n = bt.n_modes
-            mdiag = np.concatenate([np.ones(n), -np.ones(n)])
-            for i in range(n):
-                c = bar_vector(bt.W[:, n + i]) @ (mdiag * bt.W[:, i])
-                residuals[i] = float(abs(c - 1.0))
-        except (NullNorm, NotDiagonalizable):
-            pass
-    for i, lam in enumerate(report.mode_frequencies):
-        rows.append({
-            "lambda": [lam.real, lam.imag],
-            "hermitian": hermitian[i],
-            "norm_residual": residuals[i],
-        })
-    return rows
+    if bt is not None:
+        n = bt.n_modes
+        mdiag = metric_signs(n)
+        for i in range(n):
+            c = bar_vector(bt.W[:, n + i]) @ (mdiag * bt.W[:, i])
+            residuals[i] = float(abs(c - 1.0))
+    return [{"lambda": [lam.real, lam.imag],
+             "hermitian": bool(abs(lam.imag) <= tol.eig * max(1.0, abs(lam))),
+             "norm_residual": res}
+            for lam, res in zip(report.mode_frequencies, residuals)]
 
 
 def cmd_analyze(args) -> int:
     tol = _tolerances(args)
     form = formio.load_form(args.input, tol_struct=args.tol_struct)
     report = spectral.classify(form, tol)
+    bt = None
+    if report.diagonalizable:
+        try:
+            bt = spectral.normalize_pairs(report.pairs, tol)
+        except NullNorm:
+            if args.emit_modes:
+                raise
     doc = report.to_dict()
     doc["input_digest"] = formio.form_digest(args.input)
     doc["n_modes"] = form.n_modes
-    doc["mode_table"] = _mode_table(form, report, tol)
+    doc["mode_table"] = _mode_table(report, bt, tol)
     doc["thresholds"] = None
     warnings = list(doc["warnings"])
     if not report.diagonalizable:
@@ -133,10 +132,8 @@ def cmd_analyze(args) -> int:
                 np.abs(freqs.imag) <= args.tol_eig * max(1.0, np.abs(freqs).max())):
             warnings.append("eigenvalues all real and non-zero")
     doc["warnings"] = warnings
-    if args.emit_modes and report.diagonalizable:
-        pairs, bt = spectral.decompose(form, tol)
-        lams = [p.lam for p in pairs]
-        df = normal_modes.diagonal_form(bt, lams, tol)
+    if args.emit_modes and bt is not None:
+        df = normal_modes.diagonal_form(bt, report.mode_frequencies, tol)
         inv = normal_modes.invariants(bt)
         doc["diagonal_form"] = df.to_dict()
         doc["invariants"] = [[[[v.real, v.imag] for v in row] for row in k]
@@ -187,20 +184,9 @@ def cmd_sweep(args) -> int:
             f"sweep needs one or two ranged parameters, got {len(ranges)}"
         )
     order = [n for n in ("delta", "kappa", "gamma") if n in ranges]
-    grids = [ranges[n] for n in order]
-    points = []
-    if len(grids) == 1:
-        for v in grids[0]:
-            vals = dict(fixed)
-            vals[order[0]] = float(v)
-            points.append(vals)
-    else:
-        for v0 in grids[0]:
-            for v1 in grids[1]:
-                vals = dict(fixed)
-                vals[order[0]] = float(v0)
-                vals[order[1]] = float(v1)
-                points.append(vals)
+    # first ranged parameter outermost
+    points = [{**fixed, **{name: float(v) for name, v in zip(order, combo)}}
+              for combo in itertools.product(*(ranges[n] for n in order))]
     tasks = [(args.epsilon, v["gamma"], v["delta"], v["kappa"], args.tol_eig)
              for v in points]
     if args.jobs > 1:

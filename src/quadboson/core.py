@@ -26,9 +26,14 @@ DEFAULT_TOL_STRUCT = 1e-12
 # ---------------------------------------------------------------------------
 # structural constants
 
+def metric_signs(n_modes: int) -> np.ndarray:
+    """Diagonal (+1..+1, -1..-1) of M, so M X = signs[:, None] * X and X M = X * signs."""
+    return np.concatenate([np.ones(n_modes), -np.ones(n_modes)])
+
+
 def metric(n_modes: int) -> np.ndarray:
     """Commutation metric M = diag(+1..+1, -1..-1), shape (2n, 2n)."""
-    return np.diag(np.concatenate([np.ones(n_modes), -np.ones(n_modes)]))
+    return np.diag(metric_signs(n_modes))
 
 
 def block_swap(n_modes: int) -> np.ndarray:
@@ -55,14 +60,13 @@ def coord_metric(n_modes: int) -> np.ndarray:
 
 
 def bar(matrix: np.ndarray) -> np.ndarray:
-    """Bar involution Mbar = T M^t T (transpose conjugated by the block swap).
+    """Bar involution Mbar = T M^t T, the transpose with both axes half-rolled.
 
     No complex conjugation is involved.  For the operator vector Z the bar
     coincides with the adjoint; for a general transform it does not.
     """
     half = matrix.shape[0] // 2
-    swap = block_swap(half)
-    return swap @ matrix.T @ swap
+    return np.roll(matrix.T, (half, half), axis=(0, 1))
 
 
 def bar_vector(vec: np.ndarray) -> np.ndarray:
@@ -209,12 +213,11 @@ def extended_matrix(form: QuadraticForm) -> ExtendedMatrix:
 def dynamical_matrix(form: QuadraticForm) -> DynamicalMatrix:
     """Assemble M @ Hmat, the generator of i dZ/dt = (M Hmat) Z.
 
-    Computed as the exact metric product of :func:`extended_matrix`'s output,
-    so the two share floating-point entries up to sign.
+    Computed as a row sign flip of :func:`extended_matrix`'s output, so the
+    two share floating-point entries up to sign.
     """
     h = extended_matrix(form).matrix
-    ht = metric(form.n_modes) @ h
-    return DynamicalMatrix(form.n_modes, _freeze(ht))
+    return DynamicalMatrix(form.n_modes, _freeze(metric_signs(form.n_modes)[:, None] * h))
 
 
 def coordinate_form(form: QuadraticForm) -> CoordinateForm:

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg as sla
 
-from .core import DynamicalMatrix, bar, metric
+from .core import DynamicalMatrix, bar, metric_signs
 from .errors import Overflow, StepTooLarge
 from .normal_modes import DiagonalForm
 from .spectral import Tolerances, spectrum_structure
@@ -79,9 +79,9 @@ def propagate(dyn: DynamicalMatrix, t: complex) -> Propagator:
             f"propagator entries reach {peak:.3e} at t={t}; "
             f"the guard is {_ENTRY_GUARD:.0e}"
         )
-    m = metric(dyn.n_modes)
+    signs = metric_signs(dyn.n_modes)
     ubar = bar(u)
-    sym = float(np.linalg.norm(u @ m @ ubar - m, 2))
+    sym = float(np.linalg.norm((u * signs) @ ubar - np.diag(signs), 2))
     adj = float(np.linalg.norm(ubar - u.conj().T, 2))
     return Propagator(complex(t), u, sym, adj)
 

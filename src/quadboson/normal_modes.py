@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import bar_symmetrize, coord_map, coord_metric, quadratic_matrix
+from .core import bar_symmetrize, coord_map, coord_metric, metric_signs, quadratic_matrix
 from .errors import NotDiagonalizable
 from .spectral import BogoliubovTransform, ModePair, Tolerances
 
@@ -60,9 +60,7 @@ class DiagonalForm:
 
     def commutator_matrix(self) -> np.ndarray:
         """Matrix of [b'_i, b'bar_j]; the identity when the transform is exact."""
-        n = self.n_modes
-        mdiag = np.concatenate([np.ones(n), -np.ones(n)])
-        return self.extract_b @ (mdiag[:, None] * self.extract_bbar.T)
+        return self.extract_b @ (metric_signs(self.n_modes)[:, None] * self.extract_bbar.T)
 
     def mode_invariant(self, i: int) -> np.ndarray:
         """K_i with b'bar_i b'_i = Z+ K_i Z."""
@@ -148,9 +146,8 @@ def diagonal_form(bt: BogoliubovTransform, lambdas,
     n = bt.n_modes
     if lambdas.size != n:
         raise ValueError(f"expected {n} mode frequencies, got {lambdas.size}")
-    mdiag = np.concatenate([np.ones(n), -np.ones(n)])
     extract_b = bt.W_inv[:n].copy()
-    extract_bbar = (mdiag[:, None] * bt.W[:, :n]).T.copy()
+    extract_bbar = (metric_signs(n)[:, None] * bt.W[:, :n]).T.copy()
     scale = max(np.abs(lambdas).max(), 1.0)
     herm = np.abs(lambdas.imag) <= tol.eig * scale
     zero = np.abs(lambdas) <= tol.eig * scale
@@ -198,8 +195,8 @@ def invariants(bt: BogoliubovTransform) -> InvariantSet:
     """
     _check_transform(bt)
     n = bt.n_modes
-    mdiag = np.concatenate([np.ones(n), -np.ones(n)])
-    ks = np.stack([np.outer(mdiag * bt.W[:, i], bt.W_inv[i]) for i in range(n)])
+    # K_i = outer(M w_i, row i of W^-1), all modes at once
+    ks = (metric_signs(n)[:, None] * bt.W[:, :n]).T[:, :, None] * bt.W_inv[:n, None, :]
     return InvariantSet(ks)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import QuadraticForm
 from .errors import DimensionCap, WrongRegime
-from .spectral import StabilityClass, Tolerances, classify, decompose
+from .spectral import StabilityClass, Tolerances, classify
 
 DEFAULT_DIM_CAP = 20000
 
@@ -146,8 +146,7 @@ def fock_spectrum_check(form: QuadraticForm, n_max: int, k_levels: int,
             f"form classifies as {report.classification.value}; the lattice "
             "comparison needs a positive definite form"
         )
-    pairs, _ = decompose(form, tol)
-    lams = np.array([p.lam.real for p in pairs])
+    lams = report.mode_frequencies.real
     budget = n_max // 2
     energies = []
     for occ in product(range(budget + 1), repeat=form.n_modes):
@@ -156,10 +155,11 @@ def fock_spectrum_check(form: QuadraticForm, n_max: int, k_levels: int,
     predicted = np.sort(np.array(energies))
     k = min(k_levels, predicted.size)
     predicted = predicted[:k]
-    trunc = fock_hamiltonian(form, n_max, dim_cap)
-    observed = np.linalg.eigvalsh(trunc.H_matrix)[:k]
-    trend_cuts = sorted({max(2, n_max - 4), max(2, n_max - 2), n_max})
-    trend = [(m, fock_ground_energy(form, m, dim_cap)) for m in trend_cuts]
+    levels = np.linalg.eigvalsh(fock_hamiltonian(form, n_max, dim_cap).H_matrix)
+    observed = levels[:k]
+    trend_cuts = sorted({min(max(2, n_max - d), n_max) for d in (4, 2, 0)})
+    trend = [(m, float(levels[0]) if m == n_max else fock_ground_energy(form, m, dim_cap))
+             for m in trend_cuts]
     return FockSpectrumReport(
         n_max=n_max,
         predicted=predicted,

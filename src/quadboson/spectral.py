@@ -32,10 +32,9 @@ from .core import (
     DynamicalMatrix,
     bar,
     bar_vector,
-    block_swap,
     dynamical_matrix,
     extended_matrix,
-    metric,
+    metric_signs,
 )
 from .errors import NotDiagonalizable, NullNorm, PairingFailure, WrongRegime
 
@@ -128,12 +127,18 @@ class BogoliubovTransform:
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """Regime verdict of :func:`classify`.  ``pairs`` are the raw mode pairs of
+    its eigensolve in ``mode_frequencies`` order, left out of :meth:`to_dict`;
+    :func:`normalize_pairs` turns them into the transform without solving again.
+    """
+
     classification: StabilityClass
     h_eigenvalues: np.ndarray
     mode_frequencies: np.ndarray
     diagonalizable: bool
     zero_mode_count: int
     diagnostics: EigenDiagnostics
+    pairs: list = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
         """Flat document form: tag, [re, im] frequencies, spectra, diagnostics."""
@@ -298,7 +303,7 @@ def _match_clusters(clusters, cluster_tol: float):
     return groups
 
 
-def _real_branch_pairs(vecs_plus, value, mdiag, swap, tol, diags):
+def _real_branch_pairs(vecs_plus, value, mdiag, tol, diags):
     """Pairs from one real eigenvalue cluster (or a self-paired zero cluster).
 
     The M-Gram matrix on the eigenspace is diagonalized; positive directions
@@ -324,10 +329,9 @@ def _real_branch_pairs(vecs_plus, value, mdiag, swap, tol, diags):
                 "results may be ill-conditioned (near-defective input)"
             )
         if d[k] >= 0:
-            out.append((ModePair(value, w, swap @ w.conj(), ok, True), d[k]))
+            out.append((ModePair(value, w, bar_vector(w.conj()), ok, True), d[k]))
         else:
-            wp = swap @ w.conj()
-            out.append((ModePair(-value, wp, w, ok, True), d[k]))
+            out.append((ModePair(-value, bar_vector(w.conj()), w, ok, True), d[k]))
     return out
 
 
@@ -384,8 +388,7 @@ def eigen_pairs(dyn: DynamicalMatrix, tol: Tolerances = Tolerances()):
         cannot produce.
     """
     n = dyn.n_modes
-    mdiag = np.concatenate([np.ones(n), -np.ones(n)])
-    swap = block_swap(n)
+    mdiag = metric_signs(n)
     evals, vecs, clusters, cluster_tol, scale, residual = _analyze(dyn.matrix, tol)
     diags = EigenDiagnostics(eig_residual=residual, cluster_tol=cluster_tol, scale=scale)
     diags.clusters = [c for c, _ in clusters]
@@ -406,7 +409,7 @@ def eigen_pairs(dyn: DynamicalMatrix, tol: Tolerances = Tolerances()):
                                           vecs[:, idx_a[-1 - k]], False, False))
                 continue
             graded = _real_branch_pairs(vecs[:, idx_a], complex(info_a.value.real),
-                                        mdiag, swap, tol, diags)
+                                        mdiag, tol, diags)
             # every positive-norm direction yields one mode; its partner is
             # the conjugate image living in the same eigenspace
             kept = [p for p, d in graded if d >= 0]
@@ -431,7 +434,7 @@ def eigen_pairs(dyn: DynamicalMatrix, tol: Tolerances = Tolerances()):
             continue
         if abs(info_a.value.imag) <= im_tol:
             pairs.extend(p for p, _ in _real_branch_pairs(
-                vecs[:, idx_a], complex(info_a.value.real), mdiag, swap, tol, diags))
+                vecs[:, idx_a], complex(info_a.value.real), mdiag, tol, diags))
         else:
             pairs.extend(_complex_branch_pairs(vecs[:, idx_a], vecs[:, idx_b],
                                                complex(info_a.value), mdiag, tol, diags))
@@ -466,8 +469,7 @@ def normalize_pairs(pairs, tol: Tolerances = Tolerances()) -> BogoliubovTransfor
     n = two_n // 2
     if len(pairs) != n:
         raise PairingFailure(f"need {n} pairs for {two_n}-dimensional vectors, got {len(pairs)}")
-    mdiag = np.concatenate([np.ones(n), -np.ones(n)])
-    swap = block_swap(n)
+    mdiag = metric_signs(n)
     cols_plus = np.zeros((two_n, n), dtype=complex)
     cols_minus = np.zeros((two_n, n), dtype=complex)
 
@@ -484,7 +486,7 @@ def normalize_pairs(pairs, tol: Tolerances = Tolerances()) -> BogoliubovTransfor
                 )
             w = p.w_plus / np.sqrt(c)
             cols_plus[:, i] = w
-            cols_minus[:, i] = swap @ w.conj()
+            cols_minus[:, i] = bar_vector(w.conj())
         else:
             c = bar_vector(p.w_minus) @ (mdiag * p.w_plus)
             if abs(c) <= tol.null * np.linalg.norm(p.w_plus) * np.linalg.norm(p.w_minus):
@@ -512,20 +514,22 @@ def normalize_pairs(pairs, tol: Tolerances = Tolerances()) -> BogoliubovTransfor
                 and abs(lams[j] - target) <= max(tol.pair, _CLUSTER_SAFETY) * max(1.0, abs(target))]
         if len(cand) == 1:
             j = cand[0]
-            cols_plus[:, j] = 1j * (swap @ cols_plus[:, i].conj())
-            cols_minus[:, j] = 1j * (swap @ cols_minus[:, i].conj())
+            cols_plus[:, j] = 1j * bar_vector(cols_plus[:, i].conj())
+            cols_minus[:, j] = 1j * bar_vector(cols_minus[:, i].conj())
             linked.update((i, j))
 
     w_full = np.concatenate([cols_plus, cols_minus], axis=1)
     w_bar = bar(w_full)
-    m_full = metric(n)
-    w_inv = m_full @ w_bar @ m_full
-    residual = np.linalg.norm(w_full @ m_full @ w_bar - m_full, 2)
-    return BogoliubovTransform(w_full, w_inv, float(residual))
+    w_inv = mdiag[:, None] * w_bar * mdiag
+    defect = (w_full * mdiag) @ w_bar - np.diag(mdiag)
+    return BogoliubovTransform(w_full, w_inv, float(np.linalg.norm(defect, 2)))
 
 
 def decompose(form: QuadraticForm, tol: Tolerances = Tolerances()):
     """Full pipeline: (pairs, transform) for a diagonalizable form.
+
+    A caller holding the form's :class:`StabilityReport` should call
+    :func:`normalize_pairs` on ``report.pairs`` instead of solving again.
 
     Raises
     ------
@@ -580,6 +584,7 @@ def classify(form: QuadraticForm, tol: Tolerances = Tolerances()) -> StabilityRe
         diagonalizable=diagonalizable,
         zero_mode_count=zero_modes,
         diagnostics=diags,
+        pairs=pairs,
     )
 
 
@@ -603,5 +608,5 @@ def sqrt_metric_spectrum(form: QuadraticForm, tol: Tolerances = Tolerances()) ->
             f"form is not positive semidefinite (min eigenvalue {w.min():.3e})"
         )
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    sandwich = root @ metric(form.n_modes) @ root
+    sandwich = (root * metric_signs(form.n_modes)) @ root
     return np.linalg.eigvalsh(sandwich)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import quadboson as qb
+from quadboson import spectral
 from quadboson.cli import main
 
 from conftest import bcs
@@ -57,6 +58,33 @@ def test_analyze_emit_modes(capsys, form_file):
     assert code == 0
     assert "diagonal_form" in doc and "invariants" in doc
     assert len(doc["invariants"]) == 2
+
+
+def _count_eigensolves(monkeypatch):
+    calls = []
+    eig = spectral.sla.eig
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eig(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.sla, "eig", counted)
+    return calls
+
+
+def test_analyze_emit_modes_solves_once(capsys, monkeypatch, form_file):
+    calls = _count_eigensolves(monkeypatch)
+    code, _, _ = run(capsys, "analyze", form_file, "--emit-modes")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_oracle_solves_once(capsys, monkeypatch, form_file):
+    calls = _count_eigensolves(monkeypatch)
+    code, _, _ = run(capsys, "oracle", "--input", form_file, "--nmax", "6",
+                     "--levels", "3")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_analyze_csv_deterministic(capsys, form_file):
@@ -130,6 +158,11 @@ def test_sweep_bad_ranges(capsys):
     code, _, err = run(capsys, "sweep", "--delta", "0:1:3", "--kappa", "0:0.1:3",
                        "--gamma", "0.1:0.2:3")
     assert code == 2  # three ranged
+    for argv in (("sweep", "--delta", "0:inf:3"),
+                 ("sweep", "--delta", "0:1:3", "--kappa", "nan"),
+                 ("bcs", "--sweep", "0:inf:3")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "finite" in err
 
 
 def test_evolve_identity_row(capsys, form_file):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import quadboson as qb
+from quadboson.core import metric_signs
 from quadboson.errors import DimensionMismatch, StructureViolation
 
 from conftest import multiset_dev, random_form
@@ -96,6 +97,17 @@ def test_dynamical_is_exact_metric_product():
     h = qb.extended_matrix(form).matrix
     ht = qb.dynamical_matrix(form).matrix
     assert np.array_equal(ht, qb.metric(3) @ h)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_sign_flips_and_half_roll_match_dense_products(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))
+    t, m = qb.block_swap(n), qb.metric(n)
+    assert np.array_equal(qb.bar(x), t @ x.T @ t)
+    signs = metric_signs(n)
+    assert np.array_equal(signs[:, None] * x, m @ x)
+    assert np.array_equal(x * signs, x @ m)
 
 
 @settings(max_examples=30, deadline=None)

@@ -60,6 +60,16 @@ def test_spectrum_check_bcs_lattice():
     assert trend[0] >= trend[-1] - 1e-13
 
 
+def test_spectrum_check_trend_stays_at_or_below_cutoff():
+    # n_max = 1 needs dimension 4; no trend cutoff may exceed it
+    form = qb.bcs_form(bcs(0.5))
+    report = qb.fock_spectrum_check(form, 1, 2, dim_cap=5)
+    assert report.ground_trend == [(1, report.observed[0])]
+    report = qb.fock_spectrum_check(form, 6, 3)
+    assert [m for m, _ in report.ground_trend] == [2, 4, 6]
+    assert report.ground_trend[-1][1] == qb.fock_ground_energy(form, 6)
+
+
 def test_spectrum_check_single_mode_exact():
     report = qb.fock_spectrum_check(qb.build_form([[1.0]], [[0.0]]), 10, 4)
     assert report.max_deviation <= 1e-12
