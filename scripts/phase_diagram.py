@@ -16,14 +16,10 @@ import quadboson as qb
 
 
 def sweep(epsilon, gamma, kappa, deltas):
-    rows = []
-    for d in deltas:
-        p = qb.BcsParams(epsilon, gamma, float(d), kappa)
-        report = qb.classify(qb.bcs_form(p))
-        rows.append((float(d), kappa, report.classification.value,
-                     float(np.abs(report.mode_frequencies.imag).max()),
-                     float(report.h_eigenvalues.min())))
-    return rows
+    return [(p.delta, p.kappa, report.classification.value,
+             float(np.abs(report.mode_frequencies.imag).max()),
+             float(report.h_eigenvalues.min()))
+            for p, report in qb.bcs_sweep(epsilon, [gamma], deltas, [kappa])]
 
 
 def boundaries(rows):

@@ -62,6 +62,7 @@ from .bcs import (
     bcs_lambda,
     bcs_lambda_formula,
     bcs_sigma,
+    bcs_sweep,
     bcs_thresholds,
     bcs_transform,
     bcs_uv,

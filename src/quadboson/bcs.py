@@ -22,13 +22,14 @@ Regimes at kappa = 0 (delta >= 0):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import QuadraticForm, bar, bar_symmetrize, build_form, dynamical_matrix, metric_signs, quadratic_matrix
 from .errors import DegenerateGap, NotDegenerate
-from .spectral import Tolerances, eigen_pairs
+from .spectral import StabilityReport, Tolerances, classify, eigen_pairs
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,24 @@ def bcs_form(p: BcsParams) -> QuadraticForm:
                   [p.kappa, p.epsilon - p.gamma]], dtype=complex)
     b = np.array([[0.0, p.delta], [p.delta, 0.0]], dtype=complex)
     return build_form(a, b)
+
+
+def bcs_sweep(epsilon: float, gammas, deltas, kappas,
+              tol: Tolerances = Tolerances()) -> list[tuple[BcsParams, StabilityReport]]:
+    """Classify the model at every point of the grid deltas x kappas x gammas.
+
+    delta is the outermost axis, then kappa, then gamma; a fixed parameter
+    is a length-1 array.  Every point is built, and so validated, before
+    the first solve.  Returns (params, report) pairs in grid order.
+
+    Raises
+    ------
+    ValueError
+        Some grid point is not a valid :class:`BcsParams`.
+    """
+    grid = [BcsParams(epsilon, float(g), float(d), float(k))
+            for d, k, g in itertools.product(deltas, kappas, gammas)]
+    return [(p, classify(bcs_form(p), tol)) for p in grid]
 
 
 def bcs_sigma(p: BcsParams) -> np.ndarray:

@@ -22,10 +22,8 @@ so identical inputs and flags give byte-identical output.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -157,57 +155,35 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _sweep_point(task):
-    eps, gam, delta, kappa, tol_eig = task
-    tol = spectral.Tolerances(eig=tol_eig)
-    params = bcs_mod.BcsParams(eps, gam, delta, kappa)
-    report = spectral.classify(bcs_mod.bcs_form(params), tol)
-    freqs = report.mode_frequencies
-    return (
-        CLASS_CODES[report.classification],
-        float(np.abs(freqs.imag).max()),
-        float(report.h_eigenvalues.min()),
-    )
+def _bcs_sweep(args, gammas, deltas, kappas):
+    """:func:`bcs.bcs_sweep` with an invalid model parameter reported as a bad range."""
+    try:
+        return bcs_mod.bcs_sweep(args.epsilon, gammas, deltas, kappas, _tolerances(args))
+    except np.linalg.LinAlgError:  # a ValueError too, but a failed solve is no bad range
+        raise
+    except ValueError as exc:
+        raise BadRange(str(exc)) from None
 
 
 def cmd_sweep(args) -> int:
-    fixed = {}
-    ranges = {}
-    for name in ("delta", "kappa", "gamma"):
-        parsed = _parse_range(getattr(args, name))
-        if isinstance(parsed, float):
-            fixed[name] = parsed
-        else:
-            ranges[name] = parsed
-    if not 1 <= len(ranges) <= 2:
-        raise BadRange(
-            f"sweep needs one or two ranged parameters, got {len(ranges)}"
-        )
-    order = [n for n in ("delta", "kappa", "gamma") if n in ranges]
-    # first ranged parameter outermost
-    points = [{**fixed, **{name: float(v) for name, v in zip(order, combo)}}
-              for combo in itertools.product(*(ranges[n] for n in order))]
-    tasks = [(args.epsilon, v["gamma"], v["delta"], v["kappa"], args.tol_eig)
-             for v in points]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_point, tasks, chunksize=16))
-    else:
-        results = [_sweep_point(t) for t in tasks]
-    header = "epsilon,gamma,delta,kappa,class_code,max_im_lambda,min_sigma"
+    axes = {name: _parse_range(getattr(args, name)) for name in ("delta", "kappa", "gamma")}
+    ranged = sum(not isinstance(v, float) for v in axes.values())
+    if not 1 <= ranged <= 2:
+        raise BadRange(f"sweep needs one or two ranged parameters, got {ranged}")
+    # a fixed value is a length-1 axis, so the first ranged parameter is outermost
+    points = _bcs_sweep(args, *(np.atleast_1d(axes[n]) for n in ("gamma", "delta", "kappa")))
+    rows = [(p, CLASS_CODES[r.classification], float(np.abs(r.mode_frequencies.imag).max()),
+             float(r.h_eigenvalues.min())) for p, r in points]
     if args.format == "doc":
-        docs = []
-        for v, (code, max_im, min_sig) in zip(points, results):
-            docs.append({"epsilon": args.epsilon, "gamma": v["gamma"],
-                         "delta": v["delta"], "kappa": v["kappa"],
-                         "class_code": code, "max_im_lambda": max_im,
-                         "min_sigma": min_sig})
+        docs = [{"epsilon": p.epsilon, "gamma": p.gamma, "delta": p.delta, "kappa": p.kappa,
+                 "class_code": code, "max_im_lambda": max_im, "min_sigma": min_sig}
+                for p, code, max_im, min_sig in rows]
         _emit([json.dumps(docs, indent=2, sort_keys=True)], args.out)
         return 0
-    lines = [header]
-    for v, (code, max_im, min_sig) in zip(points, results):
-        lines.append(f"{_fmt(args.epsilon)},{_fmt(v['gamma'])},{_fmt(v['delta'])},"
-                     f"{_fmt(v['kappa'])},{code},{_fmt(max_im)},{_fmt(min_sig)}")
+    lines = ["epsilon,gamma,delta,kappa,class_code,max_im_lambda,min_sigma"]
+    for p, code, max_im, min_sig in rows:
+        lines.append(f"{_fmt(p.epsilon)},{_fmt(p.gamma)},{_fmt(p.delta)},"
+                     f"{_fmt(p.kappa)},{code},{_fmt(max_im)},{_fmt(min_sig)}")
     _emit(lines, args.out)
     return 0
 
@@ -251,30 +227,21 @@ def _sigma_columns(p: bcs_mod.BcsParams) -> np.ndarray:
 
 
 def cmd_bcs(args) -> int:
-    tol = _tolerances(args)
-    try:
-        base = bcs_mod.BcsParams(args.epsilon, args.gamma, args.delta, args.kappa)
-    except ValueError as exc:
-        raise BadRange(str(exc)) from None
     if args.sweep:
         grid = _parse_range(args.sweep)
         if isinstance(grid, float):
             raise BadRange("--sweep requires min:max:steps")
-        header = ("delta,class_code,lambda_plus_re,lambda_plus_im,"
-                  "lambda_minus_re,lambda_minus_im,sigma_1,sigma_2,sigma_3,sigma_4")
-        lines = [header]
-        for d in grid:
-            p = bcs_mod.BcsParams(args.epsilon, args.gamma, float(d), args.kappa)
-            report = spectral.classify(bcs_mod.bcs_form(p), tol)
+        lines = ["delta,class_code,lambda_plus_re,lambda_plus_im,"
+                 "lambda_minus_re,lambda_minus_im,sigma_1,sigma_2,sigma_3,sigma_4"]
+        for p, report in _bcs_sweep(args, [args.gamma], grid, [args.kappa]):
             lp, lm = report.mode_frequencies
-            sig = _sigma_columns(p)
             lines.append(
-                f"{_fmt(d)},{CLASS_CODES[report.classification]},"
+                f"{_fmt(p.delta)},{CLASS_CODES[report.classification]},"
                 f"{_fmt(lp.real)},{_fmt(lp.imag)},{_fmt(lm.real)},{_fmt(lm.imag)},"
-                + ",".join(_fmt(s) for s in sig))
+                + ",".join(_fmt(s) for s in _sigma_columns(p)))
         _emit(lines, args.out)
         return 0
-    report = spectral.classify(bcs_mod.bcs_form(base), tol)
+    [(base, report)] = _bcs_sweep(args, [args.gamma], [args.delta], [args.kappa])
     thresholds = bcs_mod.bcs_thresholds(base)
     doc = {
         "params": {"epsilon": base.epsilon, "gamma": base.gamma,
@@ -291,7 +258,7 @@ def cmd_bcs(args) -> int:
         )
     if base.kappa == 0.0:
         try:
-            u, v = bcs_mod.bcs_uv(base, tol)
+            u, v = bcs_mod.bcs_uv(base, _tolerances(args))
             doc["u"] = [u.real, u.imag]
             doc["v"] = [v.real, v.imag]
         except QuadBosonError:
@@ -321,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-struct", type=float, default=1e-12,
                         help="relative structural validation tolerance (default 1e-12)")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for sweeps (default 1)")
+                        help="accepted for compatibility and ignored; sweeps run "
+                             "in one process")
     common.add_argument("--out", default=None, help="write output to this file")
     common.add_argument("--format", choices=("csv", "doc"), default=None,
                         help="output format (doc = JSON); default depends on command")

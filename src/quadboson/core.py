@@ -210,14 +210,15 @@ def extended_matrix(form: QuadraticForm) -> ExtendedMatrix:
     return ExtendedMatrix(form.n_modes, _freeze(h))
 
 
-def dynamical_matrix(form: QuadraticForm) -> DynamicalMatrix:
+def dynamical_matrix(form: QuadraticForm | ExtendedMatrix) -> DynamicalMatrix:
     """Assemble M @ Hmat, the generator of i dZ/dt = (M Hmat) Z.
 
     Computed as a row sign flip of :func:`extended_matrix`'s output, so the
-    two share floating-point entries up to sign.
+    two share floating-point entries up to sign.  Pass the form's
+    ExtendedMatrix instead of the form when it is already assembled.
     """
-    h = extended_matrix(form).matrix
-    return DynamicalMatrix(form.n_modes, _freeze(metric_signs(form.n_modes)[:, None] * h))
+    ext = form if isinstance(form, ExtendedMatrix) else extended_matrix(form)
+    return DynamicalMatrix(ext.n_modes, _freeze(metric_signs(ext.n_modes)[:, None] * ext.matrix))
 
 
 def coordinate_form(form: QuadraticForm) -> CoordinateForm:

@@ -35,7 +35,11 @@ class Propagator:
     t: complex
     U: np.ndarray
     symplectic_residual: float
-    adjoint_residual: float
+
+    @property
+    def adjoint_residual(self) -> float:
+        """||Ubar - U+|| (2-norm), computed on access."""
+        return float(np.linalg.norm(bar(self.U) - self.U.conj().T, 2))
 
     @property
     def n_modes(self) -> int:
@@ -80,10 +84,8 @@ def propagate(dyn: DynamicalMatrix, t: complex) -> Propagator:
             f"the guard is {_ENTRY_GUARD:.0e}"
         )
     signs = metric_signs(dyn.n_modes)
-    ubar = bar(u)
-    sym = float(np.linalg.norm((u * signs) @ ubar - np.diag(signs), 2))
-    adj = float(np.linalg.norm(ubar - u.conj().T, 2))
-    return Propagator(complex(t), u, sym, adj)
+    sym = float(np.linalg.norm((u * signs) @ bar(u) - np.diag(signs), 2))
+    return Propagator(complex(t), u, sym)
 
 
 def mode_evolution(df: DiagonalForm, t: complex) -> np.ndarray:

@@ -561,9 +561,9 @@ def classify(form: QuadraticForm, tol: Tolerances = Tolerances()) -> StabilityRe
     NonDiagonalizable   Jordan blocks: secular (polynomial-in-t) growth;
                         takes precedence over the other unstable labels.
     """
-    h = extended_matrix(form).matrix
-    h_eigs = np.linalg.eigvalsh(h)
-    pairs, diags = eigen_pairs(dynamical_matrix(form), tol)
+    ext = extended_matrix(form)
+    h_eigs = np.linalg.eigvalsh(ext.matrix)
+    pairs, diags = eigen_pairs(dynamical_matrix(ext), tol)
     freqs = np.array([p.lam for p in pairs])
     im_tol = tol.eig * max(diags.scale, 1.0)
     any_complex = bool(np.any(np.abs(freqs.imag) > im_tol))

@@ -18,6 +18,22 @@ def test_params_validation():
         qb.BcsParams(1.0, 1.5, 0.5)
 
 
+def test_sweep_grid_order():
+    points = qb.bcs_sweep(1.0, [0.2, 0.3], [0.5, 1.2], [0.0, 0.05])
+    got = [(p.delta, p.kappa, p.gamma) for p, _ in points]
+    assert got == [(d, k, g) for d in (0.5, 1.2) for k in (0.0, 0.05) for g in (0.2, 0.3)]
+    for p, report in points:
+        assert report.classification == qb.classify(qb.bcs_form(p)).classification
+
+
+def test_sweep_validates_every_point_before_solving(monkeypatch):
+    solved = []
+    monkeypatch.setattr(qb.bcs, "classify", lambda form, tol: solved.append(form))
+    with pytest.raises(ValueError, match="gamma"):
+        qb.bcs_sweep(1.0, [0.3, 1.5], [0.0, 0.5], [0.0])
+    assert solved == []
+
+
 def test_form_matrices():
     form = qb.bcs_form(qb.BcsParams(1.0, 0.3, 0.5, 0.05))
     assert np.array_equal(form.A, [[1.3, 0.05], [0.05, 0.7]])

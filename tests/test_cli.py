@@ -1,11 +1,13 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import quadboson as qb
 from quadboson import spectral
-from quadboson.cli import main
+from quadboson.cli import CLASS_CODES, main
 
 from conftest import bcs
 
@@ -158,11 +160,47 @@ def test_sweep_bad_ranges(capsys):
     code, _, err = run(capsys, "sweep", "--delta", "0:1:3", "--kappa", "0:0.1:3",
                        "--gamma", "0.1:0.2:3")
     assert code == 2  # three ranged
+    for argv in (("sweep", "--delta", "0:1:3", "--gamma", "1.5"),
+                 ("sweep", "--delta", "0:1:3", "--gamma", "0.0:0.5:3")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "gamma" in err  # gamma outside (0, eps)
     for argv in (("sweep", "--delta", "0:inf:3"),
                  ("sweep", "--delta", "0:1:3", "--kappa", "nan"),
                  ("bcs", "--sweep", "0:inf:3")):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "finite" in err
+
+
+def _sweep_rows(capsys, *argv):
+    code, out, _ = run(capsys, "sweep", *argv)
+    assert code == 0
+    return [line.split(",") for line in out.strip().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.05])
+def test_phase_diagram_script_matches_sweep(capsys, kappa):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "phase_diagram.py"
+    spec = importlib.util.spec_from_file_location("phase_diagram", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    rows = script.sweep(1.0, 0.3, kappa, np.linspace(0.0, 1.5, 13))
+    cli_rows = _sweep_rows(capsys, "--delta", "0.0:1.5:13", "--kappa", repr(kappa))
+    assert len(rows) == len(cli_rows) == 13
+    for (delta, k, label, max_im, min_sig), row in zip(rows, cli_rows):
+        assert (delta, k) == (float(row[2]), float(row[3]))
+        assert CLASS_CODES[spectral.StabilityClass(label)] == int(row[4])
+        assert (max_im, min_sig) == (float(row[5]), float(row[6]))
+
+
+@pytest.mark.parametrize("kappa", ["0.0", "0.05"])
+def test_bcs_sweep_and_sweep_agree(capsys, kappa):
+    sweep_codes = [int(r[4]) for r in _sweep_rows(capsys, "--delta", "0.0:1.5:13",
+                                                  "--kappa", kappa)]
+    code, out, _ = run(capsys, "bcs", "--sweep", "0.0:1.5:13", "--kappa", kappa)
+    assert code == 0
+    bcs_codes = [int(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+    assert bcs_codes == sweep_codes
+    assert len(set(bcs_codes)) >= 2
 
 
 def test_evolve_identity_row(capsys, form_file):
