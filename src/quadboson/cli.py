@@ -13,7 +13,8 @@ Classification codes in CSV output: 0 = PositiveDefinite,
 
 Exit codes: 0 success; 2 usage or bad sweep range; 3 unreadable or
 malformed form file; 4 structural validation failure; 5 numerical failure
-(overflow, wrong regime, defective input where a transform was required).
+(overflow, wrong regime, defective input where a transform was required,
+an oracle Fock dimension above the cap, checked before allocating).
 
 Floats are printed with ``repr`` (shortest round-trip, locale independent)
 so identical inputs and flags give byte-identical output.

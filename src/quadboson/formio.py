@@ -42,6 +42,17 @@ def _parse_matrix(doc: dict, field: str, n: int) -> np.ndarray:
     rows = doc.get(field)
     if not isinstance(rows, list) or len(rows) != n:
         raise ParseError(f"field {field!r} must be a list of {n} rows")
+    try:
+        pairs = np.array(rows)
+    except ValueError:  # ragged rows
+        pairs = None
+    if (pairs is not None and pairs.shape == (n, n, 2) and pairs.dtype.kind in "iuf"
+            and np.isfinite(pairs).all()):
+        mat = np.empty((n, n), dtype=complex)
+        mat.real, mat.imag = pairs[..., 0], pairs[..., 1]
+        return mat
+    # anything else (booleans, huge integers, malformed entries) takes the
+    # per-entry walk, which also words the error
     mat = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:

@@ -1,12 +1,15 @@
 """Brute-force verification in a truncated occupation basis.
 
-Independent of the spectral pipeline by design: ladder operators are built
-as dense matrices with b|n> = sqrt(n)|n-1>, the form is assembled term by
-term from (A, B), and the hermitian eigensolve of the result is compared
-against the predicted mode lattice sum_i lambda_i (n_i + 1/2).  Useful for
-positive definite forms only; indefinite ones have no spectrum bounded
-from below and the truncated ground energy keeps sliding down as the
-cutoff grows, which is itself a usable signature.
+Independent of the spectral pipeline by design: the form is assembled term
+by term from (A, B) in the occupation basis, with b|n> = sqrt(n)|n-1>, and
+the hermitian eigensolve of the result is compared against the predicted
+mode lattice sum_i lambda_i (n_i + 1/2).  Each quadratic term moves a basis
+state to at most one other state, so its matrix elements are written
+straight into the dense matrix by index arithmetic on the occupation
+tuples; no ladder matrix or matrix product is formed.  Useful for positive
+definite forms only; indefinite ones have no spectrum bounded from below
+and the truncated ground energy keeps sliding down as the cutoff grows,
+which is itself a usable signature.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from .core import QuadraticForm
 from .errors import DimensionCap, WrongRegime
 from .spectral import StabilityClass, Tolerances, classify
 
-DEFAULT_DIM_CAP = 20000
+# A dense complex H of dimension 8192 takes 16 * 8192**2 B = 1 GiB, and the
+# hermitian eigensolve works on a second copy of it.
+DEFAULT_DIM_CAP = 8192
 
 
 def fock_operators(n_modes: int, n_max: int) -> list:
@@ -56,7 +61,11 @@ def fock_vector_operator(row: np.ndarray, ops: list) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockTruncation:
-    """Dense truncated Hamiltonian, dim = (n_max + 1)^n_modes."""
+    """Dense truncated Hamiltonian, dim = (n_max + 1)^n_modes.
+
+    ``H_matrix`` holds 16 dim^2 bytes; ``fock_hamiltonian`` refuses
+    dimensions above its cap before allocating it.
+    """
 
     n_modes: int
     n_max: int
@@ -64,9 +73,48 @@ class FockTruncation:
     H_matrix: np.ndarray
 
 
+def _ladder_moves(n_max: int, n_modes: int) -> dict:
+    """Action of b+_i and b_i on the basis, keyed by (i, +1) and (i, -1).
+
+    Each entry holds, over all basis states, whether the move stays inside
+    the truncation, the index of the target state and the factor sqrt(n)
+    with n the larger of the two occupations of mode i.
+    """
+    states = np.arange((n_max + 1) ** n_modes)
+    roots = np.sqrt(np.arange(n_max + 2.0))
+    moves = {}
+    for i in range(n_modes):
+        stride = (n_max + 1) ** (n_modes - 1 - i)
+        occ = states // stride % (n_max + 1)
+        moves[i, 1] = (occ < n_max, states + stride, roots[occ + 1])
+        moves[i, -1] = (occ > 0, states - stride, roots[occ])
+    return moves
+
+
+def _ladder_pair(moves: dict, i: int, di: int, j: int, dj: int):
+    """Nonzero elements of the product L_i L_j of two ladder operators
+    (d = +1 for b+, -1 for b) as row indices, column indices and values
+    sqrt(p) * sqrt(q): the single nonzero term of the dense matrix product.
+    """
+    inside_j, target_j, root_j = moves[j, dj]
+    inside_i, target_i, root_i = moves[i, di]
+    cols = np.flatnonzero(inside_j)
+    mid = target_j[cols]
+    keep = inside_i[mid]
+    cols, mid = cols[keep], mid[keep]
+    return target_i[mid], cols, root_i[mid] * root_j[cols]
+
+
 def fock_hamiltonian(form: QuadraticForm, n_max: int,
                      dim_cap: int = DEFAULT_DIM_CAP) -> FockTruncation:
     """Assemble the truncated matrix of the form in the occupation basis.
+
+    Basis states are occupation tuples (n_1, ..., n_N), 0 <= n_i <= n_max,
+    ordered lexicographically with n_1 most significant.  Terms are added
+    in (i, j) order, A_ij (b+_i b_j + delta_ij / 2) before
+    (B_ij b+_i b+_j + conj(B_ij) b_i b_j) / 2, each element as
+    coefficient * sqrt(p) * sqrt(q), so the matrix carries the same bits
+    as the sum of dense ladder-matrix products.
 
     Raises
     ------
@@ -75,21 +123,29 @@ def fock_hamiltonian(form: QuadraticForm, n_max: int,
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    dim = (n_max + 1) ** form.n_modes
+    n = form.n_modes
+    dim = (n_max + 1) ** n
     if dim > dim_cap:
         raise DimensionCap(
-            f"truncated dimension {dim} exceeds the cap {dim_cap}"
+            f"truncated dimension {dim} ({16 * dim * dim} bytes dense) "
+            f"exceeds the cap {dim_cap}"
         )
-    ops = fock_operators(form.n_modes, n_max)
-    h = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(dim)
-    for i in range(form.n_modes):
-        bi_dag = ops[i].conj().T
-        for j in range(form.n_modes):
-            h += form.A[i, j] * (bi_dag @ ops[j] + (0.5 if i == j else 0.0) * eye)
-            h += 0.5 * (form.B[i, j] * (bi_dag @ ops[j].conj().T)
-                        + np.conj(form.B[i, j]) * (ops[i] @ ops[j]))
-    return FockTruncation(form.n_modes, n_max, dim, h)
+    moves = _ladder_moves(n_max, n)
+    diag = np.arange(dim) * (dim + 1)
+    h = np.zeros(dim * dim, dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            rows, cols, x = _ladder_pair(moves, i, 1, j, -1)
+            if i == j:
+                number = np.zeros(dim)
+                number[cols] = x
+                h[diag] += form.A[i, j] * (number + 0.5)
+            else:
+                h[rows * dim + cols] += form.A[i, j] * x
+            for sign, coef in ((1, form.B[i, j]), (-1, np.conj(form.B[i, j]))):
+                rows, cols, x = _ladder_pair(moves, i, sign, j, sign)
+                h[rows * dim + cols] += 0.5 * (coef * x)
+    return FockTruncation(n, n_max, dim, h.reshape(dim, dim))
 
 
 def fock_ground_energy(form: QuadraticForm, n_max: int,

@@ -9,7 +9,7 @@ import quadboson as qb
 from quadboson import spectral
 from quadboson.cli import CLASS_CODES, main
 
-from conftest import bcs
+from conftest import bcs, random_form
 
 
 @pytest.fixture
@@ -192,6 +192,23 @@ def test_phase_diagram_script_matches_sweep(capsys, kappa):
         assert (max_im, min_sig) == (float(row[5]), float(row[6]))
 
 
+def test_jordan_growth_script(capsys, monkeypatch, tmp_path):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "jordan_growth.py"
+    spec = importlib.util.spec_from_file_location("jordan_growth", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out_path = tmp_path / "growth.csv"
+    monkeypatch.setattr("sys.argv", ["jordan_growth.py", "--out", str(out_path)])
+    script.main()
+    lines = out_path.read_text().splitlines()
+    assert lines[0] == "label,delta,t,norm_u,symplectic_residual"
+    assert len(lines) == 1 + 180
+    printed = capsys.readouterr().out
+    for kind in qb.GrowthKind:
+        assert kind.value in printed
+    assert "wrote 180 rows" in printed
+
+
 @pytest.mark.parametrize("kappa", ["0.0", "0.05"])
 def test_bcs_sweep_and_sweep_agree(capsys, kappa):
     sweep_codes = [int(r[4]) for r in _sweep_rows(capsys, "--delta", "0.0:1.5:13",
@@ -323,6 +340,15 @@ def test_oracle_rejects_indefinite(capsys, tmp_path):
                        "--levels", "3")
     assert code == 5
     assert "positive definite" in err
+
+
+def test_oracle_over_dimension_cap_exits_5(capsys, tmp_path, rng):
+    path = tmp_path / "pd3.json"
+    qb.save_form(random_form(rng, 3, shift=0.5), path)
+    code, out, err = run(capsys, "oracle", "--input", str(path), "--nmax", "20")
+    assert code == 5
+    assert out == ""
+    assert "9261" in err and "bytes" in err
 
 
 def test_out_file_matches_stdout(capsys, form_file, tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,24 @@ def test_parse_error_carries_field_context():
     doc = '{"n_modes": 1, "A": [[[1.0, 0.0]]], "B": [[["y", 0.0]]]}'
     with pytest.raises(ParseError, match=r"B\[0\]\[0\]"):
         qb.loads_form(doc)
+
+
+@pytest.mark.parametrize("entry", ["[1e999, 0.0]", '["1.0", 0.0]'])
+def test_rejects_overflow_and_string_entries_with_context(entry):
+    doc = '{"n_modes": 1, "A": [[%s]], "B": [[[0.0, 0.0]]]}' % entry
+    with pytest.raises(ParseError, match=r"A\[0\]\[0\]"):
+        qb.loads_form(doc)
+
+
+def test_integer_entries_load_like_their_float_twins():
+    a = [[[2, 0], [1, -1]], [[1, 1], [3, 0]]]
+    b = [[[0, 0], [1, 2]], [[1, 2], [0, 0]]]
+
+    def doc(cast):
+        return json.dumps({"n_modes": 2,
+                           "A": [[[cast(x) for x in e] for e in row] for row in a],
+                           "B": [[[cast(x) for x in e] for e in row] for row in b]})
+
+    ints, floats = qb.loads_form(doc(int)), qb.loads_form(doc(float))
+    assert ints.A.tobytes() == floats.A.tobytes()
+    assert ints.B.tobytes() == floats.B.tobytes()

@@ -7,6 +7,27 @@ from quadboson.errors import DimensionCap, WrongRegime
 from conftest import bcs, random_form
 
 
+def dense_product_hamiltonian(form, n_max):
+    """Reference: the form assembled from dense ladder-matrix products."""
+    ops = qb.fock_operators(form.n_modes, n_max)
+    dim = ops[0].shape[0]
+    h = np.zeros((dim, dim), dtype=complex)
+    eye = np.eye(dim)
+    for i in range(form.n_modes):
+        bi_dag = ops[i].conj().T
+        for j in range(form.n_modes):
+            h += form.A[i, j] * (bi_dag @ ops[j] + (0.5 if i == j else 0.0) * eye)
+            h += 0.5 * (form.B[i, j] * (bi_dag @ ops[j].conj().T)
+                        + np.conj(form.B[i, j]) * (ops[i] @ ops[j]))
+    return h
+
+
+def assert_same_bits(h, ref):
+    assert h.shape == ref.shape and h.dtype == ref.dtype
+    assert np.array_equal(h.view(np.float64), ref.view(np.float64))
+    assert np.array_equal(np.signbit(h.view(np.float64)), np.signbit(ref.view(np.float64)))
+
+
 def test_harmonic_oscillator_ladder():
     form = qb.build_form([[1.0]], [[0.0]])
     trunc = qb.fock_hamiltonian(form, 3)
@@ -22,12 +43,35 @@ def test_fock_matrix_hermitian(rng):
     assert np.abs(h - h.conj().T).max() <= 1e-12 * max(np.abs(h).max(), 1.0)
 
 
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+def test_direct_assembly_matches_dense_products_bit_for_bit(rng, n_modes):
+    for n_max in range(1, 9):
+        form = random_form(rng, n_modes)
+        assert_same_bits(qb.fock_hamiltonian(form, n_max).H_matrix,
+                         dense_product_hamiltonian(form, n_max))
+
+
+def test_direct_assembly_matches_dense_products_on_bcs():
+    form = qb.bcs_form(bcs(0.5, kappa=0.05))
+    assert_same_bits(qb.fock_hamiltonian(form, 8).H_matrix,
+                     dense_product_hamiltonian(form, 8))
+
+
 def test_dimension_cap():
     form = qb.bcs_form(bcs(0.5))
     with pytest.raises(DimensionCap):
         qb.fock_hamiltonian(form, 200)
     with pytest.raises(ValueError):
         qb.fock_hamiltonian(form, 0)
+
+
+def test_default_cap_bounds_the_dense_matrix(rng):
+    # dimension 21^3 = 9261 would need a 1.37 GB matrix plus the copy the
+    # eigensolve makes; the cap refuses it from the size estimate alone
+    form = random_form(rng, 3, shift=0.5)
+    with pytest.raises(DimensionCap, match=r"9261 \(1372257936 bytes dense\)"):
+        qb.fock_hamiltonian(form, 20)
+    assert 16 * qb.oracle.DEFAULT_DIM_CAP ** 2 == 2 ** 30
 
 
 def test_ground_energy_converges_from_above():
