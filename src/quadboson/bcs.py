@@ -132,6 +132,11 @@ def bcs_alpha(p: BcsParams) -> complex:
     return complex(np.sqrt(complex(p.epsilon ** 2 - p.delta ** 2)))
 
 
+def _at_gap(p: BcsParams, alpha: complex, tol: Tolerances) -> bool:
+    """|delta| = eps within tolerance: |alpha| <= sqrt(tol.eig) max(eps, 1)."""
+    return abs(alpha) <= np.sqrt(tol.eig) * max(p.epsilon, 1.0)
+
+
 def bcs_lambda(p: BcsParams, tol: Tolerances = Tolerances()) -> tuple:
     """Mode-frequency representatives (lambda_plus, lambda_minus).
 
@@ -182,7 +187,7 @@ def bcs_uv(p: BcsParams, tol: Tolerances = Tolerances()) -> tuple:
     if p.kappa != 0.0:
         raise ValueError("closed-form amplitudes require kappa = 0")
     al = bcs_alpha(p)
-    if abs(al) <= np.sqrt(tol.eig) * max(p.epsilon, 1.0):
+    if _at_gap(p, al, tol):
         raise DegenerateGap(
             f"|delta| = eps within tolerance (alpha = {al:.3e}); no finite "
             "pairing amplitudes exist"
@@ -232,7 +237,7 @@ def bcs_closed_evolution(p: BcsParams, t: float, tol: Tolerances = Tolerances())
     t = float(np.real(t))
     u_mat = np.zeros((4, 4), dtype=complex)
     al = bcs_alpha(p)
-    degenerate = abs(al) <= np.sqrt(tol.eig) * max(p.epsilon, 1.0)
+    degenerate = _at_gap(p, al, tol)
     for row, nu in ((0, 1.0), (1, -1.0)):
         partner = 3 - row  # index of b+_{-nu}
         if degenerate:
@@ -305,11 +310,12 @@ def bcs_jordan_form(p: BcsParams, tol: Tolerances = Tolerances()) -> JordanDecou
     Raises
     ------
     NotDegenerate
-        |delta| differs from eps beyond tolerance.
+        |delta| differs from eps beyond the tolerance that :func:`bcs_uv`
+        applies, so finite pairing amplitudes exist.
     """
     if p.kappa != 0.0:
         raise ValueError("the decoupled form is defined for kappa = 0")
-    if abs(abs(p.delta) - p.epsilon) > np.sqrt(tol.eig) * max(p.epsilon, 1.0):
+    if not _at_gap(p, bcs_alpha(p), tol):
         raise NotDegenerate(
             f"|delta| = {abs(p.delta)} != eps = {p.epsilon}; the decoupled "
             "form only exists at the degenerate gap"

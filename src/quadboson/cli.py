@@ -11,10 +11,11 @@ oracle    truncated-Fock comparison table for a form file
 Classification codes in CSV output: 0 = PositiveDefinite,
 1 = StableNonPositive, 2 = UnstableComplex, 3 = NonDiagonalizable.
 
-Exit codes: 0 success; 2 usage or bad sweep range; 3 unreadable or
-malformed form file; 4 structural validation failure; 5 numerical failure
-(overflow, wrong regime, defective input where a transform was required,
-an oracle Fock dimension above the cap, checked before allocating).
+Exit codes: 0 success; 2 usage, bad sweep range or oracle --nmax/--levels
+below 1; 3 unreadable or malformed form file; 4 structural validation
+failure; 5 numerical failure (overflow, wrong regime, defective input where
+a transform was required, an oracle Fock dimension above the cap, checked
+before allocating).
 
 Floats are printed with ``repr`` (shortest round-trip, locale independent)
 so identical inputs and flags give byte-identical output.
@@ -92,7 +93,7 @@ def _tolerances(args) -> spectral.Tolerances:
     return spectral.Tolerances(eig=args.tol_eig)
 
 
-def _mode_table(report, bt, tol):
+def _mode_table(report, bt):
     """Per-mode rows: frequency, hermitian flag, norm residual (None without ``bt``)."""
     residuals = [None] * len(report.mode_frequencies)
     if bt is not None:
@@ -102,7 +103,7 @@ def _mode_table(report, bt, tol):
             c = bar_vector(bt.W[:, n + i]) @ (mdiag * bt.W[:, i])
             residuals[i] = float(abs(c - 1.0))
     return [{"lambda": [lam.real, lam.imag],
-             "hermitian": bool(abs(lam.imag) <= tol.eig * max(1.0, abs(lam))),
+             "hermitian": bool(abs(lam.imag) <= report.diagnostics.real_tol),
              "norm_residual": res}
             for lam, res in zip(report.mode_frequencies, residuals)]
 
@@ -121,14 +122,13 @@ def cmd_analyze(args) -> int:
     doc = report.to_dict()
     doc["input_digest"] = formio.form_digest(args.input)
     doc["n_modes"] = form.n_modes
-    doc["mode_table"] = _mode_table(report, bt, tol)
+    doc["mode_table"] = _mode_table(report, bt)
     doc["thresholds"] = None
     warnings = list(doc["warnings"])
     if not report.diagonalizable:
         warnings.append("Jordan blocks detected; no boson-diagonal form exists")
-        freqs = report.mode_frequencies
         if report.zero_mode_count == 0 and np.all(
-                np.abs(freqs.imag) <= args.tol_eig * max(1.0, np.abs(freqs).max())):
+                np.abs(report.mode_frequencies.imag) <= report.diagnostics.real_tol):
             warnings.append("eigenvalues all real and non-zero")
     doc["warnings"] = warnings
     if args.emit_modes and bt is not None:
@@ -269,6 +269,8 @@ def cmd_bcs(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.nmax < 1 or args.levels < 1:
+        raise BadRange(f"--nmax and --levels must be >= 1, got {args.nmax} and {args.levels}")
     tol = _tolerances(args)
     form = formio.load_form(args.input, tol_struct=args.tol_struct)
     report = oracle.fock_spectrum_check(form, args.nmax, args.levels, tol)

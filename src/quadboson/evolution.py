@@ -18,7 +18,7 @@ import scipy.linalg as sla
 from .core import DynamicalMatrix, bar, metric_signs
 from .errors import Overflow, StepTooLarge
 from .normal_modes import DiagonalForm
-from .spectral import Tolerances, spectrum_structure
+from .spectral import Tolerances, _analyze
 
 # fail loudly instead of returning Inf-contaminated matrices
 _ENTRY_GUARD = 1e100
@@ -102,18 +102,14 @@ def mode_evolution(df: DiagonalForm, t: complex) -> np.ndarray:
 
 def growth_class(dyn: DynamicalMatrix, tol: Tolerances = Tolerances()) -> GrowthClass:
     """Classify ||U(t)|| growth from the spectrum and Jordan structure."""
-    clusters = spectrum_structure(dyn, tol)
-    scale = max(np.linalg.norm(dyn.matrix, 2), 1.0)
-    rate = max((abs(c.value.imag) for c in clusters), default=0.0)
-    poly = max((c.max_block - 1 for c in clusters if c.geometric < c.algebraic),
+    diags = _analyze(dyn.matrix, tol)[2]
+    rate = max((abs(c.value.imag) for c in diags.clusters), default=0.0)
+    poly = max((c.max_block - 1 for c in diags.clusters if c.geometric < c.algebraic),
                default=0)
-    if rate > tol.eig * scale:
+    if rate > diags.real_tol:
         kind = GrowthKind.EXPONENTIAL
-    elif poly >= 1:
-        kind = GrowthKind.POLYNOMIAL_TIMES_OSCILLATION
-        rate = 0.0
     else:
-        kind = GrowthKind.QUASIPERIODIC
+        kind = GrowthKind.POLYNOMIAL_TIMES_OSCILLATION if poly >= 1 else GrowthKind.QUASIPERIODIC
         rate = 0.0
     return GrowthClass(kind, float(rate), int(poly))
 

@@ -32,7 +32,10 @@ def _entry_to_complex(entry, field: str, i: int, j: int) -> complex:
     if (not isinstance(entry, (list, tuple)) or len(entry) != 2
             or not all(isinstance(x, (int, float)) for x in entry)):
         raise ParseError(f"{field}[{i}][{j}] must be a [re, im] pair, got {entry!r}")
-    re, im = float(entry[0]), float(entry[1])
+    try:
+        re, im = float(entry[0]), float(entry[1])
+    except OverflowError:  # an integer literal beyond the float range
+        raise ParseError(f"{field}[{i}][{j}] is too large for a float") from None
     if not (math.isfinite(re) and math.isfinite(im)):
         raise ParseError(f"{field}[{i}][{j}] contains a non-finite value")
     return complex(re, im)

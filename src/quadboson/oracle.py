@@ -195,6 +195,9 @@ def fock_spectrum_check(form: QuadraticForm, n_max: int, k_levels: int,
     WrongRegime
         The form is not positive definite; its truncated spectrum does not
         converge and a lattice comparison would be meaningless.
+    DimensionCap
+        (n_max + 1)^n_modes exceeds ``dim_cap``; checked before the lattice
+        or the matrix is built.
     """
     report = classify(form, tol)
     if report.classification is not StabilityClass.POSITIVE_DEFINITE:
@@ -202,6 +205,7 @@ def fock_spectrum_check(form: QuadraticForm, n_max: int, k_levels: int,
             f"form classifies as {report.classification.value}; the lattice "
             "comparison needs a positive definite form"
         )
+    trunc = fock_hamiltonian(form, n_max, dim_cap)  # checks the cap before allocating
     lams = report.mode_frequencies.real
     budget = n_max // 2
     energies = []
@@ -211,7 +215,7 @@ def fock_spectrum_check(form: QuadraticForm, n_max: int, k_levels: int,
     predicted = np.sort(np.array(energies))
     k = min(k_levels, predicted.size)
     predicted = predicted[:k]
-    levels = np.linalg.eigvalsh(fock_hamiltonian(form, n_max, dim_cap).H_matrix)
+    levels = np.linalg.eigvalsh(trunc.H_matrix)
     observed = levels[:k]
     trend_cuts = sorted({min(max(2, n_max - d), n_max) for d in (4, 2, 0)})
     trend = [(m, float(levels[0]) if m == n_max else fock_ground_energy(form, m, dim_cap))

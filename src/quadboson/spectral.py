@@ -39,26 +39,27 @@ from .core import (
 from .errors import NotDiagonalizable, NullNorm, PairingFailure, WrongRegime
 
 # Defective 2-blocks split their eigenvalues by O(sqrt(eps) ||Ht||) under
-# roundoff; the cluster radius must absorb that.
+# roundoff; the cluster radius (this times ||Ht||) must absorb that.
 _CLUSTER_SAFETY = 32.0 * np.sqrt(np.finfo(float).eps)
+# Rank cuts sit above the cluster radius: members of one cluster may be split
+# by up to that radius without being distinct eigenvalues.
+_RANK_SAFETY = 4.0 * _CLUSTER_SAFETY
+# Generalized norms at or below this are treated as vanishing.
+_NULL_NORM = 1e-8
 # Soft alarm on nearly vanishing generalized norms (adjacent to a Jordan point).
 _NEAR_DEFECT_NORM = 1e-3
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances, mostly relative to the matrix 2-norm.
-
-    eig    residuals, realness and zero-mode decisions
-    pair   radius for matching lambda with -lambda (and clustering)
-    rank   singular values below rank * ||Ht|| count as zero
-    null   generalized norms below this are treated as vanishing
+    """The one numerical knob: ``eig`` sets the realness, zero and positivity
+    cut eig * max(||M Hmat||_2, 1).  The other cuts are fixed because roundoff
+    sets them: the cluster radius 32 sqrt(u) ||M Hmat||_2 absorbs the
+    O(sqrt(u)) split of a Jordan block, rank tests cut at 4x that radius,
+    and generalized norms at or below 1e-8 count as vanishing.
     """
 
     eig: float = 1e-9
-    pair: float = 1e-8
-    rank: float = 1e-9
-    null: float = 1e-8
 
 
 class StabilityClass(str, Enum):
@@ -99,12 +100,12 @@ class ClusterInfo:
 @dataclass
 class EigenDiagnostics:
     eig_residual: float
+    cluster_tol: float  # eigenvalues this close merge; lambda meets -lambda within it
+    real_tol: float  # |Im lambda| (|lambda|) at or below it counts as real (zero)
     pairing_residuals: list = field(default_factory=list)
     defective: bool = False
     clusters: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
-    cluster_tol: float = 0.0
-    scale: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,7 @@ def _cluster_indices(values: np.ndarray, radius: float) -> list:
     return list(groups.values())
 
 
-def _max_block(shifted: np.ndarray, algebraic: int, tol_rank: float) -> int:
+def _max_block(shifted: np.ndarray, algebraic: int) -> int:
     """Largest Jordan block size from the nullity sequence of powers.
 
     The rank cut for (A - value)^k scales with ||A - value||^k: the power of
@@ -216,7 +217,7 @@ def _max_block(shifted: np.ndarray, algebraic: int, tol_rank: float) -> int:
     size = 1
     for k in range(1, algebraic + 1):
         power = power @ shifted
-        null_k, _ = _nullity(power, tol_rank * base ** k)
+        null_k, _ = _nullity(power, _RANK_SAFETY * base ** k)
         if null_k > prev:
             size = k
             prev = null_k
@@ -226,12 +227,11 @@ def _max_block(shifted: np.ndarray, algebraic: int, tol_rank: float) -> int:
 
 
 def _analyze(matrix: np.ndarray, tol: Tolerances):
-    """Eigendecompose and cluster; rank-test every repeated eigenvalue."""
-    scale = np.linalg.norm(matrix, 2)
-    scale = max(scale, np.finfo(float).tiny)
+    """Eigendecompose, cluster and rank-test: (vecs, clusters, diagnostics)."""
+    scale = max(np.linalg.norm(matrix, 2), np.finfo(float).tiny)
     evals, vecs = sla.eig(matrix)
     residual = np.abs(matrix @ vecs - vecs * evals[None, :]).max() / scale
-    cluster_tol = max(tol.pair, _CLUSTER_SAFETY) * scale
+    cluster_tol = _CLUSTER_SAFETY * scale
     clusters = []
     for idx in _cluster_indices(evals, cluster_tol):
         value = complex(evals[idx].mean())
@@ -240,23 +240,20 @@ def _analyze(matrix: np.ndarray, tol: Tolerances):
             clusters.append((ClusterInfo(value, 1, 1, 1, np.inf), idx))
             continue
         shifted = matrix - value * np.eye(matrix.shape[0])
-        # rank cut must sit above the cluster radius: members of the cluster
-        # may be split by up to cluster_tol without being distinct eigenvalues
-        cut = max(tol.rank * scale, 4.0 * cluster_tol)
-        geo, gap = _nullity(shifted, cut)
+        geo, gap = _nullity(shifted, _RANK_SAFETY * scale)
         geo = min(geo, alg)
-        if geo < alg:
-            blk = _max_block(shifted, alg, max(tol.rank, 4.0 * max(tol.pair, _CLUSTER_SAFETY)))
-            clusters.append((ClusterInfo(value, alg, geo, blk, gap), idx))
-        else:
-            clusters.append((ClusterInfo(value, alg, geo, 1, gap), idx))
-    return evals, vecs, clusters, cluster_tol, scale, residual
+        blk = _max_block(shifted, alg) if geo < alg else 1
+        clusters.append((ClusterInfo(value, alg, geo, blk, gap), idx))
+    infos = [c for c, _ in clusters]
+    diags = EigenDiagnostics(eig_residual=residual, cluster_tol=cluster_tol,
+                             real_tol=tol.eig * max(scale, 1.0), clusters=infos,
+                             defective=any(c.geometric < c.algebraic for c in infos))
+    return vecs, clusters, diags
 
 
 def spectrum_structure(dyn: DynamicalMatrix, tol: Tolerances = Tolerances()):
     """Cluster report (value, algebraic, geometric, max_block) for M @ Hmat."""
-    _, _, clusters, _, _, _ = _analyze(dyn.matrix, tol)
-    return [c for c, _ in clusters]
+    return _analyze(dyn.matrix, tol)[2].clusters
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +300,7 @@ def _match_clusters(clusters, cluster_tol: float):
     return groups
 
 
-def _real_branch_pairs(vecs_plus, value, mdiag, tol, diags):
+def _real_branch_pairs(vecs_plus, value, mdiag, diags):
     """Pairs from one real eigenvalue cluster (or a self-paired zero cluster).
 
     The M-Gram matrix on the eigenspace is diagonalized; positive directions
@@ -317,7 +314,7 @@ def _real_branch_pairs(vecs_plus, value, mdiag, tol, diags):
     d, q = np.linalg.eigh(gram)
     for k in range(d.size):
         w = vecs_plus @ q[:, k]
-        ok = abs(d[k]) > tol.null
+        ok = abs(d[k]) > _NULL_NORM
         if not ok:
             diags.warnings.append(
                 f"near-null M-norm {d[k]:.3e} at eigenvalue {value:.6g}; "
@@ -335,14 +332,13 @@ def _real_branch_pairs(vecs_plus, value, mdiag, tol, diags):
     return out
 
 
-def _complex_branch_pairs(vp, vm, lam, mdiag, tol, diags):
+def _complex_branch_pairs(vp, vm, lam, mdiag, diags):
     """Pairs for a complex eigenvalue cluster and its negation partner."""
-    pairs = []
     m = vp.shape[1]
     if m == 1:
         wp, wm = vp[:, 0], vm[:, 0]
         c = bar_vector(wm) @ (mdiag * wp)
-        ok = abs(c) > tol.null
+        ok = abs(c) > _NULL_NORM
         if not ok:
             diags.warnings.append(
                 f"near-null generalized norm {abs(c):.3e} at eigenvalue {lam:.6g}"
@@ -352,24 +348,17 @@ def _complex_branch_pairs(vp, vm, lam, mdiag, tol, diags):
                 f"small generalized norm {abs(c):.3e} at eigenvalue {lam:.6g}; "
                 "near-defective input"
             )
-        pairs.append(ModePair(lam, wp, wm, ok, False))
-        return pairs
+        return [ModePair(lam, wp, wm, ok, False)]
     # degenerate complex eigenvalue: bi-orthogonalize the two eigenspaces
     # against the bilinear pairing P_kl = bar(vm_k) M vp_l
     pmat = np.array([[bar_vector(vm[:, k]) @ (mdiag * vp[:, l]) for l in range(m)]
                      for k in range(m)])
     smin = sla.svdvals(pmat).min()
-    if smin <= tol.null:
-        for k in range(m):
-            diags.warnings.append(
-                f"degenerate eigenvalue {lam:.6g} has a near-singular pairing"
-            )
-            pairs.append(ModePair(lam, vp[:, k], vm[:, k], False, False))
-        return pairs
+    if smin <= _NULL_NORM:
+        diags.warnings.extend([f"degenerate eigenvalue {lam:.6g} has a near-singular pairing"] * m)
+        return [ModePair(lam, vp[:, k], vm[:, k], False, False) for k in range(m)]
     vp = vp @ np.linalg.inv(pmat)
-    for k in range(m):
-        pairs.append(ModePair(lam, vp[:, k], vm[:, k], True, False))
-    return pairs
+    return [ModePair(lam, vp[:, k], vm[:, k], True, False) for k in range(m)]
 
 
 def eigen_pairs(dyn: DynamicalMatrix, tol: Tolerances = Tolerances()):
@@ -389,14 +378,11 @@ def eigen_pairs(dyn: DynamicalMatrix, tol: Tolerances = Tolerances()):
     """
     n = dyn.n_modes
     mdiag = metric_signs(n)
-    evals, vecs, clusters, cluster_tol, scale, residual = _analyze(dyn.matrix, tol)
-    diags = EigenDiagnostics(eig_residual=residual, cluster_tol=cluster_tol, scale=scale)
-    diags.clusters = [c for c, _ in clusters]
-    diags.defective = any(c.geometric < c.algebraic for c, _ in clusters)
-    im_tol = tol.eig * max(scale, 1.0)
+    vecs, clusters, diags = _analyze(dyn.matrix, tol)
+    real_tol = diags.real_tol
 
     pairs = []
-    for ka, kb in _match_clusters(clusters, cluster_tol):
+    for ka, kb in _match_clusters(clusters, diags.cluster_tol):
         info_a, idx_a = clusters[ka]
         if ka == kb:
             # zero cluster: partners live in the same eigenspace
@@ -409,7 +395,7 @@ def eigen_pairs(dyn: DynamicalMatrix, tol: Tolerances = Tolerances()):
                                           vecs[:, idx_a[-1 - k]], False, False))
                 continue
             graded = _real_branch_pairs(vecs[:, idx_a], complex(info_a.value.real),
-                                        mdiag, tol, diags)
+                                        mdiag, diags)
             # every positive-norm direction yields one mode; its partner is
             # the conjugate image living in the same eigenspace
             kept = [p for p, d in graded if d >= 0]
@@ -424,20 +410,20 @@ def eigen_pairs(dyn: DynamicalMatrix, tol: Tolerances = Tolerances()):
         diags.pairing_residuals.extend(
             [abs(info_a.value + info_b.value)] * info_a.algebraic)
         # orient: a = the +lambda side
-        if (abs(info_a.value.imag) > im_tol and info_a.value.imag < info_b.value.imag) or (
-                abs(info_a.value.imag) <= im_tol and info_a.value.real < info_b.value.real):
+        if (abs(info_a.value.imag) > real_tol and info_a.value.imag < info_b.value.imag) or (
+                abs(info_a.value.imag) <= real_tol and info_a.value.real < info_b.value.real):
             info_a, idx_a, info_b, idx_b = info_b, idx_b, info_a, idx_a
         if info_a.geometric < info_a.algebraic or info_b.geometric < info_b.algebraic:
             for k in range(info_a.algebraic):
                 pairs.append(ModePair(complex(info_a.value), vecs[:, idx_a[k]],
                                       vecs[:, idx_b[k]], False, False))
             continue
-        if abs(info_a.value.imag) <= im_tol:
+        if abs(info_a.value.imag) <= real_tol:
             pairs.extend(p for p, _ in _real_branch_pairs(
-                vecs[:, idx_a], complex(info_a.value.real), mdiag, tol, diags))
+                vecs[:, idx_a], complex(info_a.value.real), mdiag, diags))
         else:
             pairs.extend(_complex_branch_pairs(vecs[:, idx_a], vecs[:, idx_b],
-                                               complex(info_a.value), mdiag, tol, diags))
+                                               complex(info_a.value), mdiag, diags))
 
     if len(pairs) != n:
         raise PairingFailure(f"expected {n} pairs, built {len(pairs)}")
@@ -460,7 +446,7 @@ def normalize_pairs(pairs, tol: Tolerances = Tolerances()) -> BogoliubovTransfor
     Raises
     ------
     NullNorm
-        |c| below the null tolerance: a degenerate or defective direction.
+        |c| below the fixed null-norm cut: a degenerate or defective direction.
         Fall back to Jordan analysis (growth classification, propagators).
     """
     if not pairs:
@@ -476,7 +462,7 @@ def normalize_pairs(pairs, tol: Tolerances = Tolerances()) -> BogoliubovTransfor
     for i, p in enumerate(pairs):
         if p.hermitian_pair:
             c = (p.w_plus.conj() @ (mdiag * p.w_plus)).real
-            if abs(c) <= tol.null * (np.linalg.norm(p.w_plus) ** 2):
+            if abs(c) <= _NULL_NORM * (np.linalg.norm(p.w_plus) ** 2):
                 raise NullNorm(
                     f"mode {i} (lambda={p.lam:.6g}) has vanishing M-norm {c:.3e}"
                 )
@@ -489,7 +475,7 @@ def normalize_pairs(pairs, tol: Tolerances = Tolerances()) -> BogoliubovTransfor
             cols_minus[:, i] = bar_vector(w.conj())
         else:
             c = bar_vector(p.w_minus) @ (mdiag * p.w_plus)
-            if abs(c) <= tol.null * np.linalg.norm(p.w_plus) * np.linalg.norm(p.w_minus):
+            if abs(c) <= _NULL_NORM * np.linalg.norm(p.w_plus) * np.linalg.norm(p.w_minus):
                 raise NullNorm(
                     f"mode {i} (lambda={p.lam:.6g}) has vanishing generalized "
                     f"norm |c|={abs(c):.3e}"
@@ -511,7 +497,7 @@ def normalize_pairs(pairs, tol: Tolerances = Tolerances()) -> BogoliubovTransfor
         target = -np.conj(p.lam)
         cand = [j for j in range(n) if j != i and j not in linked
                 and not pairs[j].hermitian_pair
-                and abs(lams[j] - target) <= max(tol.pair, _CLUSTER_SAFETY) * max(1.0, abs(target))]
+                and abs(lams[j] - target) <= _CLUSTER_SAFETY * max(1.0, abs(target))]
         if len(cand) == 1:
             j = cand[0]
             cols_plus[:, j] = 1j * bar_vector(cols_plus[:, i].conj())
@@ -565,15 +551,14 @@ def classify(form: QuadraticForm, tol: Tolerances = Tolerances()) -> StabilityRe
     h_eigs = np.linalg.eigvalsh(ext.matrix)
     pairs, diags = eigen_pairs(dynamical_matrix(ext), tol)
     freqs = np.array([p.lam for p in pairs])
-    im_tol = tol.eig * max(diags.scale, 1.0)
-    any_complex = bool(np.any(np.abs(freqs.imag) > im_tol))
-    zero_modes = int(np.sum(np.abs(freqs) <= im_tol))
+    any_complex = bool(np.any(np.abs(freqs.imag) > diags.real_tol))
+    zero_modes = int(np.sum(np.abs(freqs) <= diags.real_tol))
     diagonalizable = not diags.defective
     if not diagonalizable:
         label = StabilityClass.NON_DIAGONALIZABLE
     elif any_complex:
         label = StabilityClass.UNSTABLE_COMPLEX
-    elif h_eigs.min() > im_tol:
+    elif h_eigs.min() > diags.real_tol:
         label = StabilityClass.POSITIVE_DEFINITE
     else:
         label = StabilityClass.STABLE_NON_POSITIVE

@@ -184,6 +184,14 @@ def test_closed_evolution_matches_expm():
 def test_jordan_form_requires_degenerate_gap():
     with pytest.raises(NotDegenerate):
         qb.bcs_jordan_form(bcs(0.5))
+    # next to the gap bcs_uv has finite amplitudes and classify finds no
+    # Jordan block, so no decoupled Jordan form is offered either
+    for delta in (1.0 + 1e-6, 1.0 - 1e-6, -1.0 - 1e-6):
+        p = bcs(delta)
+        assert np.isfinite(qb.bcs_uv(p)).all()
+        assert qb.classify(qb.bcs_form(p)).diagonalizable
+        with pytest.raises(NotDegenerate):
+            qb.bcs_jordan_form(p)
     with pytest.raises(ValueError):
         qb.bcs_jordan_form(qb.BcsParams(1.0, 0.3, 1.0, 0.05))
 

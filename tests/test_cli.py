@@ -110,6 +110,10 @@ def test_analyze_malformed_file(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 3
     assert "error" in err
+    # an integer literal beyond the float range
+    path.write_text('{"n_modes": 1, "A": [[[1%s, 0]]], "B": [[[0, 0]]]}' % ("0" * 400))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 3 and out == "" and "A[0][0]" in err
 
 
 def test_analyze_structure_violation(capsys, tmp_path):
@@ -150,7 +154,7 @@ def test_sweep_jobs_agree(capsys):
     assert out1 == out2
 
 
-def test_sweep_bad_ranges(capsys):
+def test_sweep_bad_ranges(capsys, form_file):
     code, _, err = run(capsys, "sweep", "--delta", "0.0:1.0:1")
     assert code == 2 and "steps" in err
     code, _, err = run(capsys, "sweep", "--delta", "1.0:0.0:5")
@@ -169,6 +173,9 @@ def test_sweep_bad_ranges(capsys):
                  ("bcs", "--sweep", "0:inf:3")):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "finite" in err
+    for argv in (("--nmax", "0"), ("--levels", "0"), ("--levels", "-1")):
+        code, out, err = run(capsys, "oracle", "--input", form_file, *argv)
+        assert code == 2 and out == "" and ">= 1" in err
 
 
 def _sweep_rows(capsys, *argv):

@@ -71,7 +71,8 @@ def test_parse_error_carries_field_context():
         qb.loads_form(doc)
 
 
-@pytest.mark.parametrize("entry", ["[1e999, 0.0]", '["1.0", 0.0]'])
+@pytest.mark.parametrize("entry", ["[1e999, 0.0]", '["1.0", 0.0]',
+                                   pytest.param("[1%s, 0]" % ("0" * 400), id="1e400-int")])
 def test_rejects_overflow_and_string_entries_with_context(entry):
     doc = '{"n_modes": 1, "A": [[%s]], "B": [[[0.0, 0.0]]]}' % entry
     with pytest.raises(ParseError, match=r"A\[0\]\[0\]"):

@@ -65,6 +65,17 @@ def test_dimension_cap():
         qb.fock_hamiltonian(form, 0)
 
 
+def test_spectrum_check_refuses_the_cap_before_the_lattice(monkeypatch):
+    # 3^20 states at nmax 2: the cap must fire before 2^20 lattice points are enumerated
+    def fail(*args, **kwargs):
+        raise AssertionError("lattice enumerated before the cap check")
+
+    monkeypatch.setattr(qb.oracle, "product", fail)
+    form = qb.build_form(np.diag(np.linspace(1.0, 2.0, 20)), np.zeros((20, 20)))
+    with pytest.raises(DimensionCap):
+        qb.fock_spectrum_check(form, 2, 4)
+
+
 def test_default_cap_bounds_the_dense_matrix(rng):
     # dimension 21^3 = 9261 would need a 1.37 GB matrix plus the copy the
     # eigensolve makes; the cap refuses it from the size estimate alone

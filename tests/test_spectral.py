@@ -4,6 +4,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import quadboson as qb
+from quadboson.cli import _mode_table
 from quadboson.core import DynamicalMatrix
 from quadboson.errors import NullNorm, PairingFailure, WrongRegime
 from quadboson.spectral import ModePair
@@ -202,6 +203,27 @@ def test_classification_four_regimes():
     for delta, expected in cases:
         report = qb.classify(qb.bcs_form(bcs(delta)))
         assert report.classification is expected, delta
+
+
+_RANDOM_FORMS = st.builds(
+    lambda seed, n, pd: random_form(np.random.default_rng(seed), n, shift=0.5 if pd else None),
+    st.integers(0, 10_000), st.integers(1, 6), st.booleans())
+_NEAR_GAP_FORMS = st.builds(lambda k, sign: qb.bcs_form(bcs(1.0 + sign * 10.0 ** -k)),
+                            st.integers(1, 16), st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_RANDOM_FORMS, _NEAR_GAP_FORMS))
+def test_one_realness_cut_matches_the_per_mode_rule(form):
+    # the report's one cut eig * max(||M Hmat||, 1) gives every frequency the
+    # verdict of the per-mode rule |Im lambda| <= eig * max(1, |lambda|),
+    # and the CLI mode table prints that verdict
+    report = qb.classify(form)
+    eig = qb.Tolerances().eig
+    lams = report.mode_frequencies
+    verdict = [bool(abs(l.imag) <= report.diagnostics.real_tol) for l in lams]
+    assert verdict == [bool(abs(l.imag) <= eig * max(1.0, abs(l))) for l in lams]
+    assert [row["hermitian"] for row in _mode_table(report, None)] == verdict
 
 
 def test_classification_invariants():
