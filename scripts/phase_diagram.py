@@ -16,10 +16,11 @@ import quadboson as qb
 
 
 def sweep(epsilon, gamma, kappa, deltas):
-    return [(p.delta, p.kappa, report.classification.value,
-             float(np.abs(report.mode_frequencies.imag).max()),
-             float(report.h_eigenvalues.min()))
-            for p, report in qb.bcs_sweep(epsilon, [gamma], deltas, [kappa])]
+    sw = qb.bcs_sweep(epsilon, [gamma], deltas, [kappa])
+    return [(d, k, qb.CLASS_LABELS[code].value, max_im, min_sig)
+            for d, k, code, max_im, min_sig in zip(
+                sw.delta.tolist(), sw.kappa.tolist(), sw.code.tolist(),
+                sw.max_imag.tolist(), sw.min_sigma.tolist())]
 
 
 def boundaries(rows):

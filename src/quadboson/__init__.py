@@ -21,12 +21,16 @@ from .core import (
     quadratic_matrix,
 )
 from .spectral import (
+    CLASS_CODES,
+    CLASS_LABELS,
     BogoliubovTransform,
     ModePair,
     StabilityClass,
+    StabilityColumns,
     StabilityReport,
     Tolerances,
     classify,
+    classify_stack,
     decompose,
     eigen_pairs,
     normalize_pairs,
@@ -53,6 +57,7 @@ from .evolution import (
 )
 from .bcs import (
     BcsParams,
+    BcsSweep,
     BcsThresholds,
     JordanDecoupledForm,
     bcs_alpha,

@@ -22,14 +22,13 @@ Regimes at kappa = 0 (delta >= 0):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import QuadraticForm, bar, bar_symmetrize, build_form, dynamical_matrix, metric_signs, quadratic_matrix
 from .errors import DegenerateGap, NotDegenerate
-from .spectral import StabilityReport, Tolerances, classify, eigen_pairs
+from .spectral import StabilityColumns, Tolerances, classify, classify_stack, eigen_pairs
 
 
 @dataclass(frozen=True)
@@ -94,22 +93,67 @@ def bcs_form(p: BcsParams) -> QuadraticForm:
     return build_form(a, b)
 
 
+@dataclass(frozen=True)
+class BcsSweep(StabilityColumns):
+    """Columns of :func:`bcs_sweep`: the parameters of every grid point, in
+    grid order, next to its :class:`StabilityColumns` row."""
+
+    epsilon: float
+    gamma: np.ndarray
+    delta: np.ndarray
+    kappa: np.ndarray
+
+
+def _stacked_hmats(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked [[A, B], [B*, A^t]] after build_form's symmetrization, in the
+    same elementwise operations, so every float and zero sign (the B* block
+    carries -0.0 imaginary parts) and every overflow is that of
+    ``extended_matrix(bcs_form(p))``."""
+    with np.errstate(all="ignore"):  # non-finite points warn or raise in classify
+        a = 0.5 * (a + a.conj().swapaxes(1, 2))
+        b = 0.5 * (b + b.swapaxes(1, 2))
+    h = np.empty((a.shape[0], 4, 4), dtype=complex)
+    h[:, :2, :2] = a
+    h[:, :2, 2:] = b
+    h[:, 2:, :2] = b.conj()
+    h[:, 2:, 2:] = a.swapaxes(1, 2)
+    return h
+
+
 def bcs_sweep(epsilon: float, gammas, deltas, kappas,
-              tol: Tolerances = Tolerances()) -> list[tuple[BcsParams, StabilityReport]]:
+              tol: Tolerances = Tolerances()) -> BcsSweep:
     """Classify the model at every point of the grid deltas x kappas x gammas.
 
     delta is the outermost axis, then kappa, then gamma; a fixed parameter
-    is a length-1 array.  Every point is built, and so validated, before
-    the first solve.  Returns (params, report) pairs in grid order.
+    is a length-1 array.  The whole grid is validated before the first
+    solve, then its stacked Hmat goes through :func:`classify_stack`: one
+    batched eigensolve, and :func:`classify` of :func:`bcs_form` at the
+    points that need it (Jordan points, non-finite parameters).  Every
+    column equals the per-point ``classify(bcs_form(p))`` bit for bit.
 
     Raises
     ------
     ValueError
-        Some grid point is not a valid :class:`BcsParams`.
+        Some grid point is not a valid :class:`BcsParams`; the message is
+        that of the first such point in grid order.
     """
-    grid = [BcsParams(epsilon, float(g), float(d), float(k))
-            for d, k, g in itertools.product(deltas, kappas, gammas)]
-    return [(p, classify(bcs_form(p), tol)) for p in grid]
+    delta, kappa, gamma = (
+        axis.ravel() for axis in np.meshgrid(np.asarray(deltas, dtype=float),
+                                             np.asarray(kappas, dtype=float),
+                                             np.asarray(gammas, dtype=float), indexing="ij"))
+    valid = (epsilon > 0) & (0 < gamma) & (gamma < epsilon)
+    if not valid.all():  # BcsParams raises the error of the first bad point
+        i = int(np.argmin(valid))
+        BcsParams(epsilon, float(gamma[i]), float(delta[i]), float(kappa[i]))
+    a = np.zeros((delta.size, 2, 2), dtype=complex)
+    a[:, 0, 0] = epsilon + gamma
+    a[:, 1, 1] = epsilon - gamma
+    a[:, 0, 1] = a[:, 1, 0] = kappa
+    b = np.zeros((delta.size, 2, 2), dtype=complex)
+    b[:, 0, 1] = b[:, 1, 0] = delta
+    columns = classify_stack(_stacked_hmats(a, b), tol, lambda i: classify(bcs_form(
+        BcsParams(epsilon, float(gamma[i]), float(delta[i]), float(kappa[i]))), tol))
+    return BcsSweep(**vars(columns), epsilon=epsilon, gamma=gamma, delta=delta, kappa=kappa)
 
 
 def bcs_sigma(p: BcsParams) -> np.ndarray:

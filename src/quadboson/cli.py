@@ -11,8 +11,10 @@ oracle    truncated-Fock comparison table for a form file
 Classification codes in CSV output: 0 = PositiveDefinite,
 1 = StableNonPositive, 2 = UnstableComplex, 3 = NonDiagonalizable.
 
-Exit codes: 0 success; 2 usage, bad sweep range or oracle --nmax/--levels
-below 1; 3 unreadable or malformed form file; 4 structural validation
+Exit codes: 0 success; 2 usage, bad sweep range, a grid whose buffers
+would exceed the 1 GiB memory budget (checked before allocating), oracle
+--nmax/--levels below 1, or a negative or non-finite --tol-eig/--tol-struct;
+3 unreadable or malformed form file; 4 structural validation
 failure; 5 numerical failure (overflow, wrong regime, defective input where
 a transform was required, an oracle Fock dimension above the cap, checked
 before allocating).
@@ -25,13 +27,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import bcs as bcs_mod
 from . import evolution, formio, normal_modes, oracle, spectral
-from .core import bar_vector, dynamical_matrix, metric_signs
+from .core import MEMORY_BUDGET, bar_vector, dynamical_matrix, metric_signs
 from .errors import (
     BadRange,
     DimensionCap,
@@ -46,20 +49,12 @@ from .errors import (
     WrongRegime,
 )
 
-CLASS_CODES = {
-    spectral.StabilityClass.POSITIVE_DEFINITE: 0,
-    spectral.StabilityClass.STABLE_NON_POSITIVE: 1,
-    spectral.StabilityClass.UNSTABLE_COMPLEX: 2,
-    spectral.StabilityClass.NON_DIAGONALIZABLE: 3,
-}
-
-
 def _fmt(x) -> str:
     return repr(float(x))
 
 
 def _parse_range(spec: str):
-    """'a:b:n' -> inclusive grid; a plain number -> fixed value."""
+    """'a:b:n' -> (a, b, n), an inclusive grid of n points; a plain number -> fixed value."""
     parts = spec.split(":")
     if len(parts) not in (1, 3):
         raise BadRange(f"range must be min:max:steps, got {spec!r}")
@@ -77,7 +72,31 @@ def _parse_range(spec: str):
         raise BadRange(f"need at least 2 steps, got {steps}")
     if not lo < hi:
         raise BadRange(f"range minimum {lo} must be below maximum {hi}")
-    return np.linspace(lo, hi, steps)
+    return lo, hi, steps
+
+
+def _axis(parsed) -> np.ndarray:
+    """Grid of a parsed range; a fixed value is a length-1 axis."""
+    return np.array([parsed]) if isinstance(parsed, float) else np.linspace(*parsed)
+
+
+# Peak bytes per grid point, measured with tracemalloc as the slope between
+# two grid sizes and rounded up.  A sweep point (parameter columns, the
+# stacked Hmat and M Hmat, eigenvectors, pairwise distances, output rows)
+# costs 2.2 kB for `sweep` csv and doc and `bcs --sweep` alike.  An `evolve`
+# row is a tuple of a complex, two floats and an array of n magnitudes, then
+# a line or, costlier, a dict of `--format doc`: 2.0 kB at n = 1 and 2, 2.9 kB
+# at n = 8 and 5.9 kB at n = 32 for doc, about 0.6 to 1.5 kB for csv.
+SWEEP_POINT_BYTES = 4096
+EVOLVE_ROW_BYTES = 2048
+EVOLVE_MODE_BYTES = 256
+
+
+def _check_budget(points: int, point_bytes: int, what: str):
+    """Refuse a grid whose buffers would exceed the memory budget, before allocating."""
+    if points * point_bytes > MEMORY_BUDGET:
+        raise BadRange(f"{what} of {points} points needs about {points * point_bytes:.3g} B "
+                       f"of buffers, above the {MEMORY_BUDGET} B budget")
 
 
 def _emit(lines, out_path):
@@ -91,6 +110,12 @@ def _emit(lines, out_path):
 
 def _tolerances(args) -> spectral.Tolerances:
     return spectral.Tolerances(eig=args.tol_eig)
+
+
+def _check_tolerances(args):
+    for flag, value in (("--tol-eig", args.tol_eig), ("--tol-struct", args.tol_struct)):
+        if not 0.0 <= value < np.inf:
+            raise BadRange(f"{flag} must be a finite number >= 0, got {value!r}")
 
 
 def _mode_table(report, bt):
@@ -168,23 +193,24 @@ def _bcs_sweep(args, gammas, deltas, kappas):
 
 def cmd_sweep(args) -> int:
     axes = {name: _parse_range(getattr(args, name)) for name in ("delta", "kappa", "gamma")}
-    ranged = sum(not isinstance(v, float) for v in axes.values())
-    if not 1 <= ranged <= 2:
-        raise BadRange(f"sweep needs one or two ranged parameters, got {ranged}")
+    ranged = [v[2] for v in axes.values() if not isinstance(v, float)]
+    if not 1 <= len(ranged) <= 2:
+        raise BadRange(f"sweep needs one or two ranged parameters, got {len(ranged)}")
+    _check_budget(math.prod(ranged), SWEEP_POINT_BYTES, "sweep grid")
     # a fixed value is a length-1 axis, so the first ranged parameter is outermost
-    points = _bcs_sweep(args, *(np.atleast_1d(axes[n]) for n in ("gamma", "delta", "kappa")))
-    rows = [(p, CLASS_CODES[r.classification], float(np.abs(r.mode_frequencies.imag).max()),
-             float(r.h_eigenvalues.min())) for p, r in points]
+    sw = _bcs_sweep(args, *(_axis(axes[n]) for n in ("gamma", "delta", "kappa")))
+    rows = list(zip(sw.gamma.tolist(), sw.delta.tolist(), sw.kappa.tolist(), sw.code.tolist(),
+                    sw.max_imag.tolist(), sw.min_sigma.tolist()))
     if args.format == "doc":
-        docs = [{"epsilon": p.epsilon, "gamma": p.gamma, "delta": p.delta, "kappa": p.kappa,
+        docs = [{"epsilon": sw.epsilon, "gamma": g, "delta": d, "kappa": k,
                  "class_code": code, "max_im_lambda": max_im, "min_sigma": min_sig}
-                for p, code, max_im, min_sig in rows]
+                for g, d, k, code, max_im, min_sig in rows]
         _emit([json.dumps(docs, indent=2, sort_keys=True)], args.out)
         return 0
     lines = ["epsilon,gamma,delta,kappa,class_code,max_im_lambda,min_sigma"]
-    for p, code, max_im, min_sig in rows:
-        lines.append(f"{_fmt(p.epsilon)},{_fmt(p.gamma)},{_fmt(p.delta)},"
-                     f"{_fmt(p.kappa)},{code},{_fmt(max_im)},{_fmt(min_sig)}")
+    eps = _fmt(sw.epsilon)
+    for g, d, k, code, max_im, min_sig in rows:
+        lines.append(f"{eps},{_fmt(g)},{_fmt(d)},{_fmt(k)},{code},{_fmt(max_im)},{_fmt(min_sig)}")
     _emit(lines, args.out)
     return 0
 
@@ -196,7 +222,10 @@ def cmd_evolve(args) -> int:
     pairs, _ = spectral.eigen_pairs(dyn, tol)
     lams = np.array([p.lam for p in pairs])
     parsed = _parse_range(args.t)
-    times = np.atleast_1d(parsed if not isinstance(parsed, float) else [parsed])
+    if not isinstance(parsed, float):
+        _check_budget(parsed[2], EVOLVE_ROW_BYTES + EVOLVE_MODE_BYTES * form.n_modes,
+                      "evolve time grid")
+    times = _axis(parsed)
     shift = 1j * args.complex_time
     header = ("t_re,t_im,max_abs_u,symplectic_residual,"
               + ",".join(f"mode{i+1}_phase_mag" for i in range(form.n_modes)))
@@ -232,23 +261,26 @@ def cmd_bcs(args) -> int:
         grid = _parse_range(args.sweep)
         if isinstance(grid, float):
             raise BadRange("--sweep requires min:max:steps")
+        _check_budget(grid[2], SWEEP_POINT_BYTES, "--sweep grid")
+        sw = _bcs_sweep(args, [args.gamma], _axis(grid), [args.kappa])
         lines = ["delta,class_code,lambda_plus_re,lambda_plus_im,"
                  "lambda_minus_re,lambda_minus_im,sigma_1,sigma_2,sigma_3,sigma_4"]
-        for p, report in _bcs_sweep(args, [args.gamma], grid, [args.kappa]):
-            lp, lm = report.mode_frequencies
+        for d, code, (lp, lm) in zip(sw.delta.tolist(), sw.code.tolist(), sw.frequencies):
+            p = bcs_mod.BcsParams(sw.epsilon, args.gamma, d, args.kappa)
             lines.append(
-                f"{_fmt(p.delta)},{CLASS_CODES[report.classification]},"
+                f"{_fmt(d)},{code},"
                 f"{_fmt(lp.real)},{_fmt(lp.imag)},{_fmt(lm.real)},{_fmt(lm.imag)},"
                 + ",".join(_fmt(s) for s in _sigma_columns(p)))
         _emit(lines, args.out)
         return 0
-    [(base, report)] = _bcs_sweep(args, [args.gamma], [args.delta], [args.kappa])
+    sw = _bcs_sweep(args, [args.gamma], [args.delta], [args.kappa])
+    base = bcs_mod.BcsParams(args.epsilon, args.gamma, args.delta, args.kappa)
     thresholds = bcs_mod.bcs_thresholds(base)
     doc = {
         "params": {"epsilon": base.epsilon, "gamma": base.gamma,
                    "delta": base.delta, "kappa": base.kappa},
-        "classification": report.classification.value,
-        "mode_frequencies": [[l.real, l.imag] for l in report.mode_frequencies],
+        "classification": spectral.CLASS_LABELS[sw.code[0]].value,
+        "mode_frequencies": [[l.real, l.imag] for l in sw.frequencies[0]],
         "sigma": [float(s) for s in bcs_mod.bcs_sigma(base)],
         "thresholds": thresholds.to_dict(),
     }
@@ -354,6 +386,7 @@ def main(argv=None) -> int:
     if args.format is None:
         args.format = args.default_format
     try:
+        _check_tolerances(args)
         return args.func(args)
     except BadRange as exc:
         print(f"error: {exc}", file=sys.stderr)

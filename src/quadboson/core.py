@@ -21,6 +21,9 @@ import numpy as np
 from .errors import DimensionMismatch, StructureViolation
 
 DEFAULT_TOL_STRUCT = 1e-12
+# The one memory budget: inputs whose estimated buffers exceed it are refused
+# before anything is allocated (the oracle's Fock dimension cap, grid sizes).
+MEMORY_BUDGET = 1 << 30
 
 
 # ---------------------------------------------------------------------------

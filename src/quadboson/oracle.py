@@ -14,18 +14,19 @@ which is itself a usable signature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .core import QuadraticForm
+from .core import MEMORY_BUDGET, QuadraticForm
 from .errors import DimensionCap, WrongRegime
 from .spectral import StabilityClass, Tolerances, classify
 
-# A dense complex H of dimension 8192 takes 16 * 8192**2 B = 1 GiB, and the
-# hermitian eigensolve works on a second copy of it.
-DEFAULT_DIM_CAP = 8192
+# A dense complex H of dimension 8192 takes 16 * 8192**2 B = 1 GiB, the
+# memory budget, and the hermitian eigensolve works on a second copy of it.
+DEFAULT_DIM_CAP = math.isqrt(MEMORY_BUDGET // 16)
 
 
 def fock_operators(n_modes: int, n_max: int) -> list:

@@ -17,10 +17,17 @@ Conventions (all recorded so results are reproducible):
 * degenerate diagonalizable eigenvalues are orthogonalized inside their
   eigenspace against the M-bilinear form;
 * modes are ordered by descending (Re lambda, Im lambda).
+
+:func:`classify_stack` classifies a stack of forms with one batched
+eigensolve.  It replays :func:`classify`'s choices only where they cannot
+hinge on a tie: every eigenvalue its own cluster, away from zero, with one
+mutual negation partner and no near-null M-norm.  Every other point goes
+through :func:`classify` itself.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -67,6 +74,12 @@ class StabilityClass(str, Enum):
     STABLE_NON_POSITIVE = "StableNonPositive"
     UNSTABLE_COMPLEX = "UnstableComplex"
     NON_DIAGONALIZABLE = "NonDiagonalizable"
+
+
+# Class codes 0-3 in declaration order, as the CSV outputs print them, and
+# the label of each code.
+CLASS_CODES = {label: code for code, label in enumerate(StabilityClass)}
+CLASS_LABELS = tuple(CLASS_CODES)
 
 
 @dataclass(frozen=True)
@@ -571,6 +584,135 @@ def classify(form: QuadraticForm, tol: Tolerances = Tolerances()) -> StabilityRe
         diagnostics=diags,
         pairs=pairs,
     )
+
+
+@dataclass(frozen=True)
+class StabilityColumns:
+    """Verdicts of :func:`classify_stack`, one row per input point.
+
+    ``code`` is the :data:`CLASS_CODES` value of the classification,
+    ``frequencies`` (N, n) the mode frequencies in ``classify`` order,
+    ``min_sigma`` the smallest eigenvalue of Hmat and ``max_imag`` the
+    largest |Im lambda|.  Every entry equals what :func:`classify` gives for
+    that point, bit for bit.
+    """
+
+    code: np.ndarray
+    frequencies: np.ndarray
+    min_sigma: np.ndarray
+    max_imag: np.ndarray
+
+
+def _stack_fast_path(hmats: np.ndarray, tol: Tolerances):
+    """Batched classify of finite extended matrices: (taken, code, freqs, min sigma).
+
+    One call each to eigvalsh, the 2-norm and eig serves the stack; these
+    give the scalar calls' bits (``_analyze`` uses ``scipy.linalg.eig``, the
+    same LAPACK driver).  ``taken`` marks the points whose verdict cannot
+    hinge on a tie, where the steps below replay ``eigen_pairs`` exactly:
+    every eigenvalue is its own cluster, none is a zero cluster, and each
+    has one mutual negation partner inside the pairing radius, so the
+    greedy ``_match_clusters`` can only pick that partner.  Both members of
+    a pair lie on the same side of ``real_tol``, and every real pair has
+    |M-norm| > ``_NEAR_DEFECT_NORM``, so the sign that orients it is far
+    above roundoff.  Rows not taken hold garbage.
+    """
+    count, two_n = hmats.shape[:2]
+    n = two_n // 2
+    signs = metric_signs(n)
+    rows = np.arange(count)[:, None]
+    freqs = np.zeros((count, n), dtype=complex)
+    dyn = signs[:, None] * hmats
+    try:
+        min_sigma = np.linalg.eigvalsh(hmats).min(axis=1)
+        scale = np.maximum(np.linalg.norm(dyn, 2, axis=(1, 2)), np.finfo(float).tiny)
+        evals, vecs = np.linalg.eig(dyn)
+    except np.linalg.LinAlgError:  # one point failed to converge; classify meets it alone
+        return np.zeros(count, dtype=bool), np.zeros(count, dtype=int), freqs, np.zeros(count)
+    cluster_tol = _CLUSTER_SAFETY * scale
+    real_tol = (tol.eig * np.maximum(scale, 1.0))[:, None]
+    # a singleton cluster's value is the mean of one eigenvalue, which turns
+    # -0.0 into +0.0 exactly as adding 0.0 does
+    values = evals + 0.0
+    off = ~np.eye(two_n, dtype=bool)
+    spread = np.where(off, np.abs(evals[:, :, None] - evals[:, None, :]), np.inf)
+    negation = np.where(off, np.abs(values[:, :, None] + values[:, None, :]), np.inf)
+    partner = negation.argmin(axis=2)
+    taken = (np.isfinite(scale)
+             & (spread.min(axis=(1, 2)) > cluster_tol)
+             & (np.abs(values) > 0.5 * cluster_tol[:, None]).all(axis=1)
+             & ((negation <= 2.0 * cluster_tol[:, None, None]).sum(axis=2) == 1).all(axis=1)
+             & (partner[rows, partner] == np.arange(two_n)).all(axis=1))
+    sel = np.flatnonzero(taken)
+    if sel.size == 0:
+        return taken, np.zeros(count, dtype=int), freqs, min_sigma
+    values, vecs, partner, real_tol = values[sel], vecs[sel], partner[sel], real_tol[sel]
+    rows = rows[: sel.size]
+    # _match_clusters visits clusters by decreasing |value| (a stable sort);
+    # the first member of each pair it meets leads the pair
+    order = np.argsort(-np.abs(values), axis=1, kind="stable")
+    rank = np.argsort(order, axis=1)
+    leads = rank < np.take_along_axis(rank, partner, axis=1)
+    first = order[np.take_along_axis(leads, order, axis=1)].reshape(-1, n)
+    second = partner[rows, first]
+    a, b = values[rows, first], values[rows, second]
+    a_complex = np.abs(a.imag) > real_tol
+    b_complex = np.abs(b.imag) > real_tol
+    # orientation rule of eigen_pairs: a becomes the +lambda side
+    swap = (a_complex & (a.imag < b.imag)) | ((np.abs(a.imag) <= real_tol) & (a.real < b.real))
+    plus = np.where(swap, second, first)
+    lam = values[rows, plus]
+    real = np.abs(lam.imag) <= real_tol
+    w = vecs[rows[:, :, None], np.arange(two_n)[None, :, None], plus[:, None, :]]
+    m_norm = (signs[:, None] * (w.real ** 2 + w.imag ** 2)).sum(axis=1)
+    ok = ((a_complex == b_complex)
+          & (~real | (np.abs(m_norm) > _NEAR_DEFECT_NORM))).all(axis=1)
+    # a real pair's representative is complex(value.real), negated (imaginary
+    # part -0.0) when its M-norm is negative; a complex one is the value itself
+    negative = real & (m_norm < 0)
+    lam.real = np.where(real, np.where(negative, -lam.real, lam.real), lam.real)
+    lam.imag = np.where(real, np.where(negative, -0.0, 0.0), lam.imag)
+    # pairs sorted by (-Re, -Im), stable from the matching order
+    lam = lam[rows, np.lexsort((-lam.imag, -lam.real), axis=1)]
+    any_complex = (np.abs(lam.imag) > real_tol).any(axis=1)
+    positive = min_sigma[sel] > real_tol[:, 0]
+    code = np.zeros(count, dtype=int)
+    code[sel] = np.where(any_complex, CLASS_CODES[StabilityClass.UNSTABLE_COMPLEX],
+                         np.where(positive, CLASS_CODES[StabilityClass.POSITIVE_DEFINITE],
+                                  CLASS_CODES[StabilityClass.STABLE_NON_POSITIVE]))
+    freqs[sel] = lam
+    taken[sel] = ok
+    return taken, code, freqs, min_sigma
+
+
+def classify_stack(hmats, tol: Tolerances,
+                   scalar: Callable[[int], StabilityReport]) -> StabilityColumns:
+    """:func:`classify` over a stack of extended matrices, shape (N, 2n, 2n).
+
+    Points whose entries and 2-norm are finite and whose spectrum leaves no
+    choice to a tie take one batched eigensolve (see the module notes); the
+    rest (Jordan points, zero or degenerate clusters, near-null M-norms,
+    non-finite input) go through ``scalar(i)``, the caller's ``classify``
+    of the i-th point's form, so their verdicts and exceptions are classify's.
+    Exceptions are raised at the first such point in stack order.
+    """
+    hmats = np.asarray(hmats, dtype=complex)
+    count, two_n = hmats.shape[:2]
+    n = two_n // 2
+    finite = np.flatnonzero(np.isfinite(hmats).all(axis=(1, 2)))
+    code = np.zeros(count, dtype=int)
+    freqs = np.zeros((count, n), dtype=complex)
+    min_sigma = np.zeros(count)
+    taken = np.zeros(count, dtype=bool)
+    if finite.size:
+        taken[finite], code[finite], freqs[finite], min_sigma[finite] = _stack_fast_path(
+            hmats[finite], tol)
+    for i in np.flatnonzero(~taken):
+        report = scalar(i)
+        code[i] = CLASS_CODES[report.classification]
+        freqs[i] = report.mode_frequencies
+        min_sigma[i] = report.h_eigenvalues.min()
+    return StabilityColumns(code, freqs, min_sigma, np.abs(freqs.imag).max(axis=1))
 
 
 def sqrt_metric_spectrum(form: QuadraticForm, tol: Tolerances = Tolerances()) -> np.ndarray:

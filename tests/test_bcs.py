@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import quadboson as qb
-from quadboson.errors import DegenerateGap, NotDegenerate
+from quadboson.errors import DegenerateGap, NotDegenerate, StructureViolation
 
-from conftest import bcs, multiset_dev
+from conftest import bcs, multiset_dev, random_form
 
 SQRT_091 = 0.9539392014169457
 
@@ -19,19 +22,107 @@ def test_params_validation():
 
 
 def test_sweep_grid_order():
-    points = qb.bcs_sweep(1.0, [0.2, 0.3], [0.5, 1.2], [0.0, 0.05])
-    got = [(p.delta, p.kappa, p.gamma) for p, _ in points]
+    sw = qb.bcs_sweep(1.0, [0.2, 0.3], [0.5, 1.2], [0.0, 0.05])
+    got = list(zip(sw.delta.tolist(), sw.kappa.tolist(), sw.gamma.tolist()))
     assert got == [(d, k, g) for d in (0.5, 1.2) for k in (0.0, 0.05) for g in (0.2, 0.3)]
-    for p, report in points:
-        assert report.classification == qb.classify(qb.bcs_form(p)).classification
+    for i, (d, k, g) in enumerate(got):
+        report = qb.classify(qb.bcs_form(qb.BcsParams(1.0, g, d, k)))
+        assert sw.code[i] == qb.CLASS_CODES[report.classification]
+        assert sw.frequencies[i].tobytes() == report.mode_frequencies.tobytes()
+        assert sw.min_sigma[i] == report.h_eigenvalues.min()
 
 
 def test_sweep_validates_every_point_before_solving(monkeypatch):
     solved = []
     monkeypatch.setattr(qb.bcs, "classify", lambda form, tol: solved.append(form))
+    monkeypatch.setattr(qb.bcs, "classify_stack", lambda *args: solved.append(args))
     with pytest.raises(ValueError, match="gamma"):
         qb.bcs_sweep(1.0, [0.3, 1.5], [0.0, 0.5], [0.0])
     assert solved == []
+
+
+def _assert_columns_match_classify(sw):
+    """Every column of a sweep equals per-point classify(bcs_form(p)), bit for bit."""
+    for i in range(sw.delta.size):
+        p = qb.BcsParams(sw.epsilon, float(sw.gamma[i]), float(sw.delta[i]), float(sw.kappa[i]))
+        report = qb.classify(qb.bcs_form(p))
+        freqs = report.mode_frequencies.view(float)
+        got = sw.frequencies[i].view(float)
+        assert sw.code[i] == qb.CLASS_CODES[report.classification], p
+        assert np.array_equal(got, freqs) and np.array_equal(np.signbit(got), np.signbit(freqs)), p
+        assert sw.min_sigma[i] == report.h_eigenvalues.min(), p
+        assert sw.max_imag[i] == np.abs(report.mode_frequencies.imag).max(), p
+
+
+def test_batched_kernels_match_scalar_calls_bit_for_bit():
+    # the batched path rests on this: one stacked eig, eigvalsh and 2-norm give
+    # the bits of the per-form calls inside classify on this BLAS
+    hmats = np.array([qb.extended_matrix(qb.bcs_form(bcs(d, 0.05))).matrix
+                      for d in np.linspace(0.0, 1.5, 3001)])
+    dyn = qb.core.metric_signs(2)[:, None] * hmats
+    evals, vecs = np.linalg.eig(dyn)
+    sigma = np.linalg.eigvalsh(hmats)
+    norms = np.linalg.norm(dyn, 2, axis=(1, 2))
+    for i in range(hmats.shape[0]):
+        w, v = sla.eig(dyn[i])
+        assert w.tobytes() == evals[i].tobytes() and v.tobytes() == vecs[i].tobytes()
+        assert np.linalg.eigvalsh(hmats[i]).tobytes() == sigma[i].tobytes()
+        assert np.linalg.norm(dyn[i], 2) == norms[i]
+
+
+def _special_deltas(epsilon, gamma):
+    root = float(np.sqrt(epsilon ** 2 - gamma ** 2))
+    near = [epsilon + s * 10.0 ** -k for k in range(3, 14) for s in (1.0, -1.0)]
+    return [epsilon, -epsilon, root, -root] + near
+
+
+@st.composite
+def _grids(draw):
+    epsilon = draw(st.sampled_from([1.0, 0.5, 2.0]))
+    gammas = draw(st.lists(st.floats(0.01, 0.99).map(lambda f: f * epsilon),
+                           min_size=1, max_size=2))
+    special = st.sampled_from(_special_deltas(epsilon, gammas[0]))
+    deltas = draw(st.lists(st.one_of(special, st.floats(-2.0, 2.0)), min_size=1, max_size=8))
+    kappas = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.05, -0.05]), st.floats(-0.5, 0.5)),
+                           min_size=1, max_size=3))
+    return epsilon, gammas, deltas, kappas
+
+
+@settings(max_examples=40, deadline=None)
+@given(_grids())
+def test_sweep_columns_equal_per_point_classify(grid):
+    _assert_columns_match_classify(qb.bcs_sweep(*grid))
+
+
+def test_sweep_takes_the_scalar_path_only_where_needed(monkeypatch):
+    scalar = []
+    classify = qb.bcs.classify
+    monkeypatch.setattr(qb.bcs, "classify", lambda form, tol: scalar.append(form) or classify(form, tol))
+    sw = qb.bcs_sweep(1.0, [0.3], [0.5, 1.0, 1.2], [0.0])
+    assert len(scalar) == 1 and scalar[0].B[0, 1] == 1.0  # the Jordan point delta = eps
+    assert sw.code.tolist() == [0, 3, 2]
+    _assert_columns_match_classify(sw)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sweep_non_finite_parameter_raises_structure_violation(bad):
+    with pytest.raises(StructureViolation):
+        qb.bcs_sweep(1.0, [0.3], [0.5, bad], [0.0])
+    with pytest.raises(StructureViolation):
+        qb.bcs_sweep(1.0, [0.3], [0.5], [0.0, bad])
+
+
+def test_classify_stack_matches_classify_on_random_forms(rng):
+    for n in (1, 2, 3, 5):
+        forms = [random_form(rng, n, shift) for shift in (None, 0.5, -0.5) for _ in range(4)]
+        forms.append(qb.build_form(np.zeros((n, n)), np.zeros((n, n))))  # one zero cluster
+        cols = qb.classify_stack([qb.extended_matrix(f).matrix for f in forms], qb.Tolerances(),
+                                 lambda i: qb.classify(forms[i]))
+        for i, form in enumerate(forms):
+            report = qb.classify(form)
+            assert cols.code[i] == qb.CLASS_CODES[report.classification]
+            assert cols.frequencies[i].tobytes() == report.mode_frequencies.tobytes()
+            assert cols.min_sigma[i] == report.h_eigenvalues.min()
 
 
 def test_form_matrices():

@@ -1,13 +1,15 @@
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import quadboson as qb
-from quadboson import spectral
-from quadboson.cli import CLASS_CODES, main
+from quadboson import CLASS_CODES, cli, spectral
+from quadboson.core import MEMORY_BUDGET
+from quadboson.cli import main
 
 from conftest import bcs, random_form
 
@@ -176,6 +178,75 @@ def test_sweep_bad_ranges(capsys, form_file):
     for argv in (("--nmax", "0"), ("--levels", "0"), ("--levels", "-1")):
         code, out, err = run(capsys, "oracle", "--input", form_file, *argv)
         assert code == 2 and out == "" and ">= 1" in err
+
+
+def _tolerance_argvs(form_file):
+    return [("analyze", form_file), ("sweep", "--delta", "0:1:3"),
+            ("evolve", form_file, "--t", "0:1:3"), ("bcs", "--delta", "0.5"),
+            ("bcs", "--sweep", "0:1:3"), ("oracle", "--input", form_file)]
+
+
+@pytest.mark.parametrize("flag", ["--tol-eig", "--tol-struct"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf"])
+def test_bad_tolerance_flags_exit_2(capsys, form_file, flag, value):
+    for argv in _tolerance_argvs(form_file):
+        code, out, err = run(capsys, *argv, f"{flag}={value}")
+        assert (code, out) == (2, ""), argv
+        assert flag in err
+
+
+def test_zero_tolerances_are_allowed(capsys, form_file):
+    for argv in _tolerance_argvs(form_file):
+        code, out, _ = run(capsys, *argv, "--tol-eig", "0", "--tol-struct", "0")
+        assert code == 0 and out, argv
+
+
+def test_oversized_grids_are_refused_before_allocating(capsys, monkeypatch, form_file):
+    def no_linspace(*args, **kwargs):
+        raise AssertionError("linspace called")
+
+    monkeypatch.setattr(np, "linspace", no_linspace)
+    huge = "0:1:100000000000"
+    for argv in (("sweep", "--delta", huge),
+                 ("sweep", "--delta", "0:1:600000", "--kappa", "0:1:600000"),
+                 ("sweep", "--delta", huge + "000000000", "--kappa", huge + "000000000"),
+                 ("sweep", "--gamma", "0.1:0.2:70000", "--kappa", "0:1:70000"),
+                 ("bcs", "--sweep", huge),
+                 ("evolve", form_file, "--t", huge)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "budget" in err
+    # a grid at the budget is admitted (it reaches linspace), one point more is not
+    row = cli.EVOLVE_ROW_BYTES + 2 * cli.EVOLVE_MODE_BYTES
+    for argv, points in ((("sweep", "--delta"), MEMORY_BUDGET // cli.SWEEP_POINT_BYTES),
+                         (("bcs", "--sweep"), MEMORY_BUDGET // cli.SWEEP_POINT_BYTES),
+                         (("evolve", form_file, "--t"), MEMORY_BUDGET // row)):
+        with pytest.raises(AssertionError, match="linspace"):
+            main([*argv, f"0:1:{points}"])
+        code, out, err = run(capsys, *argv, f"0:1:{points + 1}")
+        assert (code, out) == (2, "") and "budget" in err, argv
+
+
+def _bytes_per_point(argv, small, large):
+    """Slope of the traced peak between two grid sizes: bytes per grid point."""
+    peaks = []
+    for points in (small, large):
+        tracemalloc.start()
+        assert main([a.replace("POINTS", str(points)) for a in argv]) == 0
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    return (peaks[1] - peaks[0]) / (large - small)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "doc"])
+def test_budget_figures_bound_the_measured_bytes(tmp_path, form_file, fmt):
+    out = str(tmp_path / "out")
+    sweep = _bytes_per_point(["sweep", "--delta", "0:1.5:POINTS", "--kappa", "0.05",
+                              "--format", fmt, "--out", out], 2000, 6000)
+    evolve = _bytes_per_point(["evolve", form_file, "--t", "0:1:POINTS",
+                               "--format", fmt, "--out", out], 200, 600)
+    assert 0 < sweep <= cli.SWEEP_POINT_BYTES
+    assert 0 < evolve <= cli.EVOLVE_ROW_BYTES + 2 * cli.EVOLVE_MODE_BYTES
 
 
 def _sweep_rows(capsys, *argv):
