@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Exit code and stdout sha256 of every benchmark op, one line per argv.
+
+Builds the op lists of the four ``perfbench`` workloads at each seed, plus
+each workload's known-defect ops, and runs every op in-process through
+``perfbench/run.py``'s ``call`` (stdout captured; importing ``run`` pins
+BLAS to one thread).  Each line reads ``<exit code> <sha256 of stdout>
+<argv>``; fixture paths in the argv are printed relative to the fixture
+directory, so the lines of two source trees can be compared with ``diff``:
+
+    python scripts/stdout_digests.py --seed 1 2 > after.txt
+    (cd ../parent && python scripts/stdout_digests.py --seed 1 2) > before.txt
+    diff before.txt after.txt
+
+An op that raises out of ``cli.main`` prints ``raised:<exception type>`` in
+place of the exit code.  ``perfbench/`` is imported, never written to.
+"""
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import run  # noqa: E402  (pins BLAS threads before numpy is imported)
+import workloads  # noqa: E402
+from quadboson import cli  # noqa: E402
+
+
+def digest_line(argv, root: str) -> str:
+    rc, out, _, failure = run.call(cli, argv)
+    if failure is not None:  # "raised: <type>: <message>"
+        rc = "raised:" + failure.split()[1].rstrip(":")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    shown = [os.path.relpath(a, root) if a.startswith(root) else a for a in argv]
+    return f"{rc} {digest} {' '.join(shown)}"
+
+
+def digest_lines(seeds, tiny: bool = False):
+    """Yield the line of every op of every workload at each seed, in order."""
+    with tempfile.TemporaryDirectory() as root:
+        for seed in seeds:
+            for name in workloads.WORKLOADS:
+                ops, _ = workloads.build(name, seed, os.path.join(root, f"{name}-{seed}"), tiny)
+                defects = workloads.Fixtures(os.path.join(root, f"{name}-defects"), 0)
+                for op in ops + workloads.known_defect_ops(name, defects):
+                    yield digest_line(op.argv, root)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--seed", type=int, nargs="+", default=[1])
+    args = ap.parse_args(argv)
+    for line in digest_lines(args.seed):
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,12 +15,15 @@ Exit codes: 0 success; 2 usage, bad sweep range, a grid whose buffers
 would exceed the 1 GiB memory budget (checked before allocating), oracle
 --nmax/--levels below 1, or a negative or non-finite --tol-eig/--tol-struct;
 3 unreadable or malformed form file; 4 structural validation
-failure; 5 numerical failure (overflow, wrong regime, defective input where
-a transform was required, an oracle Fock dimension above the cap, checked
+failure; 5 numerical failure (overflow, including finite input entries too
+large to symmetrize or rank-test, wrong regime, defective input where a
+transform was required, an oracle Fock dimension above the cap, checked
 before allocating).
 
 Floats are printed with ``repr`` (shortest round-trip, locale independent)
-so identical inputs and flags give byte-identical output.
+so identical inputs and flags give byte-identical output.  ``--format doc``
+output is exactly ``json.dumps(doc, indent=2, sort_keys=True)`` of the
+document, with every complex matrix as nested ``[re, im]`` lists.
 """
 
 from __future__ import annotations
@@ -108,6 +111,37 @@ def _emit(lines, out_path):
         sys.stdout.write(text)
 
 
+def _dumps(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, of ``value``
+    with every ndarray read as the nested ``[re, im]`` lists of its entries,
+    written as if nested ``depth`` levels deep.
+
+    A dict holding a dict or an ndarray is walked key by key.  A finite
+    complex array of non-zero size fills a ``%r`` template of its shape with
+    Python floats, whose repr is json's.  Anything else, and an array json
+    would spell otherwise (NaN, Infinity, ``[]``), goes through ``json.dumps``
+    re-indented, which is safe because JSON strings escape their newlines.
+    """
+    pad = "\n" + "  " * depth
+    if isinstance(value, dict) and any(isinstance(v, (dict, np.ndarray))
+                                       for v in value.values()):
+        inner = pad + "  "
+        return ("{" + inner + ("," + inner).join(
+            f"{json.dumps(k)}: {_dumps(value[k], depth + 1)}" for k in sorted(value))
+            + pad + "}")
+    if isinstance(value, np.ndarray):
+        a = np.asarray(value, dtype=complex)
+        if a.size and np.isfinite(a).all():
+            template = "%r"
+            for level, size in enumerate((*a.shape, 2)[::-1]):
+                inner = "\n" + "  " * (depth + a.ndim + 1 - level)
+                template = ("[" + inner + ("," + inner).join([template] * size)
+                            + inner[:-2] + "]")
+            return template % tuple(a.ravel().view(float).tolist())
+        value = np.stack([a.real, a.imag], axis=-1).tolist()
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+
+
 def _tolerances(args) -> spectral.Tolerances:
     return spectral.Tolerances(eig=args.tol_eig)
 
@@ -160,10 +194,9 @@ def cmd_analyze(args) -> int:
         df = normal_modes.diagonal_form(bt, report.mode_frequencies, tol)
         inv = normal_modes.invariants(bt)
         doc["diagonal_form"] = df.to_dict()
-        doc["invariants"] = [[[[v.real, v.imag] for v in row] for row in k]
-                             for k in inv.K]
+        doc["invariants"] = inv.K
     if args.format == "doc":
-        _emit([json.dumps(doc, indent=2, sort_keys=True)], args.out)
+        _emit([_dumps(doc)], args.out)
     else:
         lines = ["field,value"]
         for key in ("classification", "diagonalizable", "zero_mode_count",
@@ -205,7 +238,7 @@ def cmd_sweep(args) -> int:
         docs = [{"epsilon": sw.epsilon, "gamma": g, "delta": d, "kappa": k,
                  "class_code": code, "max_im_lambda": max_im, "min_sigma": min_sig}
                 for g, d, k, code, max_im, min_sig in rows]
-        _emit([json.dumps(docs, indent=2, sort_keys=True)], args.out)
+        _emit([_dumps(docs)], args.out)
         return 0
     lines = ["epsilon,gamma,delta,kappa,class_code,max_im_lambda,min_sigma"]
     eps = _fmt(sw.epsilon)
@@ -239,7 +272,7 @@ def cmd_evolve(args) -> int:
         docs = [{"t": [t.real, t.imag], "max_abs_u": mx, "symplectic_residual": sr,
                  "mode_phase_mags": [float(m) for m in mags]}
                 for t, mx, sr, mags in rows]
-        _emit([json.dumps(docs, indent=2, sort_keys=True)], args.out)
+        _emit([_dumps(docs)], args.out)
         return 0
     lines = [header]
     for t, mx, sr, mags in rows:
@@ -296,7 +329,7 @@ def cmd_bcs(args) -> int:
             doc["v"] = [v.real, v.imag]
         except QuadBosonError:
             doc["u"] = doc["v"] = None
-    _emit([json.dumps(doc, indent=2, sort_keys=True)], args.out)
+    _emit([_dumps(doc)], args.out)
     return 0
 
 
@@ -307,7 +340,7 @@ def cmd_oracle(args) -> int:
     form = formio.load_form(args.input, tol_struct=args.tol_struct)
     report = oracle.fock_spectrum_check(form, args.nmax, args.levels, tol)
     if args.format == "doc":
-        _emit([json.dumps(report.to_dict(), indent=2, sort_keys=True)], args.out)
+        _emit([_dumps(report.to_dict())], args.out)
         return 0
     lines = ["level,predicted,observed,abs_deviation"]
     for i, (pred, obs) in enumerate(zip(report.predicted, report.observed)):

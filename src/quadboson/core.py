@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, StructureViolation
+from .errors import DimensionMismatch, Overflow, StructureViolation
 
 DEFAULT_TOL_STRUCT = 1e-12
 # The one memory budget: inputs whose estimated buffers exceed it are refused
@@ -175,6 +175,8 @@ def build_form(A, B, tol_struct: float = DEFAULT_TOL_STRUCT) -> QuadraticForm:
     StructureViolation
         Non-finite entries, A not hermitian, or B not symmetric beyond
         tolerance.
+    Overflow
+        Finite entries whose symmetrized sum leaves the float range.
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     B = np.atleast_2d(np.asarray(B, dtype=complex))
@@ -200,7 +202,11 @@ def build_form(A, B, tol_struct: float = DEFAULT_TOL_STRUCT) -> QuadraticForm:
             f"B is not symmetric: ||B - B^t|| = {sym_defect:.3e} "
             f"exceeds {tol_struct:.1e} * ||B||"
         )
-    return QuadraticForm(n, _freeze(0.5 * (A + A.conj().T)), _freeze(0.5 * (B + B.T)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        A, B = 0.5 * (A + A.conj().T), 0.5 * (B + B.T)
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+        raise Overflow("A and B entries overflow the float range when symmetrized")
+    return QuadraticForm(n, _freeze(A), _freeze(B))
 
 
 def extended_matrix(form: QuadraticForm) -> ExtendedMatrix:

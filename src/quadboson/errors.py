@@ -42,7 +42,9 @@ class NotDegenerate(QuadBosonError):
 
 
 class Overflow(QuadBosonError):
-    """Propagator entries exceeded the representable guard (1e100)."""
+    """A computed value left the float range: propagator entries beyond the
+    representable guard (1e100), or finite input entries too large to
+    symmetrize or rank-test."""
 
 
 class StepTooLarge(QuadBosonError):

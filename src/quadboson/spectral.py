@@ -43,7 +43,7 @@ from .core import (
     extended_matrix,
     metric_signs,
 )
-from .errors import NotDiagonalizable, NullNorm, PairingFailure, WrongRegime
+from .errors import NotDiagonalizable, NullNorm, Overflow, PairingFailure, WrongRegime
 
 # Defective 2-blocks split their eigenvalues by O(sqrt(eps) ||Ht||) under
 # roundoff; the cluster radius (this times ||Ht||) must absorb that.
@@ -223,14 +223,25 @@ def _max_block(shifted: np.ndarray, algebraic: int) -> int:
     a defective direction is exactly zero in theory, so its computed
     singular values are roundoff noise relative to that scale, not to the
     (possibly collapsed) norm of the power itself.
+
+    Raises
+    ------
+    Overflow
+        That scale ||A - value||^k leaves the float range before the
+        nullities settle.
     """
     base = max(float(sla.svdvals(shifted).max()), np.finfo(float).tiny)
     power = np.eye(shifted.shape[0], dtype=complex)
     prev = 0
     size = 1
     for k in range(1, algebraic + 1):
+        try:
+            cut = _RANK_SAFETY * base ** k
+        except OverflowError:
+            raise Overflow(f"Jordan rank test overflows: ||M Hmat - lambda||^{k} = "
+                           f"{base:.3e}^{k} is beyond the float range") from None
         power = power @ shifted
-        null_k, _ = _nullity(power, _RANK_SAFETY * base ** k)
+        null_k, _ = _nullity(power, cut)
         if null_k > prev:
             size = k
             prev = null_k

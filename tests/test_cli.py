@@ -1,10 +1,13 @@
 import importlib.util
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import quadboson as qb
 from quadboson import CLASS_CODES, cli, spectral
@@ -435,3 +438,186 @@ def test_out_file_matches_stdout(capsys, form_file, tmp_path):
     assert code == 0
     code, stdout, _ = run(capsys, "analyze", form_file)
     assert out_path.read_text() == stdout
+
+
+@pytest.fixture
+def huge_file(tmp_path):
+    """A valid two-mode form with entries near 1e200: finite, but its Jordan
+    rank test squares a norm beyond the float range."""
+    path = tmp_path / "huge.json"
+    a = np.array([[1e200, 0.0], [0.0, 1e200]])
+    b = np.array([[0.0, 1e199], [1e199, 0.0]])
+    qb.save_form(qb.build_form(a, b), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--delta", "0:1e200:3"),
+    ("bcs", "--delta", "1e200"),
+    ("bcs", "--delta", "9e307"),
+    ("bcs", "--delta", "1e308"),
+    ("analyze", "{huge}"),
+    ("evolve", "{huge}", "--t", "0:1:3"),
+])
+def test_overflowing_inputs_exit_5(capsys, huge_file, argv):
+    code, out, err = run(capsys, *(a.format(huge=huge_file) for a in argv))
+    assert (code, out) == (5, "")
+    assert "float range" in err
+
+
+@pytest.mark.parametrize("argv", [("bcs", "--delta", "nan"), ("bcs", "--kappa", "inf")])
+def test_non_finite_bcs_point_exits_4(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert "finite" in err
+
+
+# ---------------------------------------------------------------------------
+# the document writer
+
+def _as_lists(value):
+    """The document with every ndarray turned into nested [re, im] lists."""
+    if isinstance(value, np.ndarray):
+        return np.stack([value.real, value.imag], axis=-1).tolist()
+    if isinstance(value, dict):
+        return {k: _as_lists(v) for k, v in value.items()}
+    return value
+
+
+_SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-7, math.nan, math.inf, -math.inf]
+_floats = st.sampled_from(_SPECIAL_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
+_text = st.text(st.sampled_from('ab\n"\\\t\u00e9\u03bb\u2603\U0001f600'), max_size=6)
+
+
+@st.composite
+def _complex_arrays(draw):
+    shape = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    size = math.prod(shape)
+    parts = draw(st.lists(_floats, min_size=2 * size, max_size=2 * size))
+    entries = np.empty(size, dtype=complex)
+    entries.real, entries.imag = parts[0::2], parts[1::2]
+    return entries.reshape(shape)
+
+
+# json values without arrays (lists of dicts included), then documents that
+# hold arrays as dict values at any depth
+_plain = st.recursive(
+    st.none() | st.booleans() | st.integers() | _floats | _text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_text, inner, max_size=3),
+    max_leaves=12)
+_documents = st.recursive(
+    _plain | _complex_arrays(),
+    lambda inner: st.dictionaries(_text, inner, max_size=4),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents)
+def test_writer_matches_json_dumps(doc):
+    assert cli._dumps(doc) == json.dumps(_as_lists(doc), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("nan", [False, True])
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (0,), (2, 0, 3), (1, 1, 1), (2, 2, 2, 2)])
+def test_writer_matches_json_dumps_on_special_entries(shape, nan):
+    values = np.resize(np.array(_SPECIAL_FLOATS[:5]) + 1j * np.array(_SPECIAL_FLOATS[1:6]),
+                       shape)
+    if nan and values.size:
+        values.flat[0] = complex(1.0, math.nan)
+    doc = {"a": values, "b": {"c": [{"d": values.size}], "e": values}, "f": "x\ny"}
+    assert cli._dumps(doc) == json.dumps(_as_lists(doc), indent=2, sort_keys=True)
+
+
+def _analyze_doc(path):
+    form = qb.load_form(path)
+    report = qb.classify(form)
+    assert report.diagonalizable
+    bt = qb.normalize_pairs(report.pairs)
+    doc = report.to_dict()
+    doc.update(input_digest=qb.form_digest(path), n_modes=form.n_modes,
+               mode_table=cli._mode_table(report, bt), thresholds=None,
+               diagonal_form=qb.diagonal_form(bt, report.mode_frequencies).to_dict(),
+               invariants=[[[[v.real, v.imag] for v in row] for row in k]
+                           for k in qb.invariants(bt).K])
+    return doc
+
+
+def _evolve_docs(path, times, shift):
+    dyn = qb.dynamical_matrix(qb.load_form(path))
+    lams = np.array([p.lam for p in qb.eigen_pairs(dyn)[0]])
+    docs = []
+    for t_re in times:
+        t = complex(t_re) + 1j * shift
+        prop = qb.propagate(dyn, t)
+        docs.append({"t": [t.real, t.imag], "max_abs_u": float(np.abs(prop.U).max()),
+                     "symplectic_residual": prop.symplectic_residual,
+                     "mode_phase_mags": [float(m) for m in np.abs(np.exp(-1j * lams * t))]})
+    return docs
+
+
+def _sweep_docs(deltas, kappa):
+    sw = qb.bcs_sweep(1.0, [0.3], deltas, [kappa])
+    return [{"epsilon": sw.epsilon, "gamma": g, "delta": d, "kappa": k, "class_code": c,
+             "max_im_lambda": m, "min_sigma": s}
+            for g, d, k, c, m, s in zip(sw.gamma.tolist(), sw.delta.tolist(),
+                                        sw.kappa.tolist(), sw.code.tolist(),
+                                        sw.max_imag.tolist(), sw.min_sigma.tolist())]
+
+
+def _bcs_doc(delta):
+    p = bcs(delta)
+    report = qb.classify(qb.bcs_form(p))
+    u, v = qb.bcs_uv(p)
+    return {"params": {"epsilon": p.epsilon, "gamma": p.gamma, "delta": p.delta,
+                       "kappa": p.kappa},
+            "classification": report.classification.value,
+            "mode_frequencies": [[l.real, l.imag] for l in report.mode_frequencies],
+            "sigma": [float(s) for s in qb.bcs_sigma(p)],
+            "thresholds": qb.bcs_thresholds(p).to_dict(),
+            "u": [u.real, u.imag], "v": [v.real, v.imag]}
+
+
+@pytest.fixture
+def random8_file(tmp_path, rng):
+    path = tmp_path / "random8.json"
+    qb.save_form(random_form(rng, 8, shift=-0.5), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("site", ["analyze-bcs", "analyze-random8", "sweep", "evolve",
+                                  "oracle", "bcs"])
+def test_doc_output_is_json_dumps_of_the_document(capsys, tmp_path, form_file,
+                                                  random8_file, site):
+    argv, doc = {
+        "analyze-bcs": lambda: (["analyze", form_file, "--emit-modes"],
+                                _analyze_doc(form_file)),
+        "analyze-random8": lambda: (["analyze", random8_file, "--emit-modes"],
+                                    _analyze_doc(random8_file)),
+        "sweep": lambda: (["sweep", "--delta", "0.0:1.5:7", "--format", "doc"],
+                          _sweep_docs(np.linspace(0.0, 1.5, 7), 0.0)),
+        "evolve": lambda: (["evolve", form_file, "--t", "0:2:5", "--complex-time", "0.5",
+                            "--format", "doc"],
+                           _evolve_docs(form_file, np.linspace(0.0, 2.0, 5), 0.5)),
+        "oracle": lambda: (["oracle", "--input", form_file, "--nmax", "6", "--levels", "3",
+                            "--format", "doc"],
+                           qb.fock_spectrum_check(qb.load_form(form_file), 6, 3).to_dict()),
+        "bcs": lambda: (["bcs", "--delta", "0.97"], _bcs_doc(0.97)),
+    }[site]()
+    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, expected)
+    if site.startswith("analyze"):
+        out_path = tmp_path / "report.json"
+        assert run(capsys, *argv, "--out", str(out_path)) == (0, "", "")
+        assert out_path.read_text(encoding="utf-8") == expected
+
+
+def test_stdout_digests_repeat(capsys):
+    """Identical inputs and flags give identical bytes, op by op."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "stdout_digests.py"
+    spec = importlib.util.spec_from_file_location("stdout_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    first = list(script.digest_lines([1], tiny=True))
+    assert first == list(script.digest_lines([1], tiny=True))
+    assert len(first) == 57 and all(line.split()[0] in "02345" for line in first)

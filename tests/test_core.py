@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 
 import quadboson as qb
 from quadboson.core import metric_signs
-from quadboson.errors import DimensionMismatch, StructureViolation
+from quadboson.errors import DimensionMismatch, Overflow, StructureViolation
 
 from conftest import multiset_dev, random_form
 
@@ -83,6 +83,15 @@ def test_rejects_nonfinite():
     a[0, 0] = np.nan
     with pytest.raises(StructureViolation):
         qb.build_form(a, np.zeros((2, 2)))
+
+
+def test_rejects_entries_that_overflow_when_symmetrized():
+    with pytest.raises(Overflow):
+        qb.build_form([[1e308]], [[0.0]])
+    with pytest.raises(Overflow):
+        qb.build_form([[1.0, 0.0], [0.0, 1.0]], [[0.0, 9e307], [9e307, 0.0]])
+    form = qb.build_form([[8e307]], [[8e307]])  # 2 x 8e307 is still finite
+    assert form.A[0, 0] == form.B[0, 0] == 8e307
 
 
 def test_form_arrays_are_frozen():
