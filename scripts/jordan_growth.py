@@ -29,12 +29,11 @@ def main():
         p = qb.BcsParams(args.epsilon, args.gamma, delta)
         dyn = qb.dynamical_matrix(qb.bcs_form(p))
         g = qb.growth_class(dyn)
-        norms = []
-        for t in ts:
-            prop = qb.propagate(dyn, float(t))
-            norms.append(np.linalg.norm(prop.U, 2))
-            rows.append((label, delta, float(t), norms[-1],
-                         prop.symplectic_residual))
+        norms, residuals = [], []
+        for stack in qb.propagate_grid(dyn, ts):
+            norms += np.linalg.norm(stack.U, 2, axis=(1, 2)).tolist()
+            residuals += stack.symplectic_residual.tolist()
+        rows += [(label, delta, t, nu, sr) for t, nu, sr in zip(ts.tolist(), norms, residuals)]
         norms = np.array(norms)
         tail = ts >= 10.0
         if g.kind is qb.GrowthKind.EXPONENTIAL:

@@ -50,10 +50,13 @@ from .evolution import (
     GrowthClass,
     GrowthKind,
     Propagator,
+    PropagatorStack,
     growth_class,
     mode_evolution,
     ode_cross_check,
     propagate,
+    propagate_grid,
+    propagate_stack,
 )
 from .bcs import (
     BcsParams,

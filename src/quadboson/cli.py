@@ -16,9 +16,10 @@ would exceed the 1 GiB memory budget (checked before allocating), oracle
 --nmax/--levels below 1, or a negative or non-finite --tol-eig/--tol-struct;
 3 unreadable or malformed form file; 4 structural validation
 failure; 5 numerical failure (overflow, including finite input entries too
-large to symmetrize or rank-test, wrong regime, defective input where a
-transform was required, an oracle Fock dimension above the cap, checked
-before allocating).
+large to symmetrize or rank-test, wrong regime, including an oracle check
+whose compared levels need an occupation above nmax // 2, defective input
+where a transform was required, an oracle Fock dimension above the cap,
+checked before allocating).
 
 Floats are printed with ``repr`` (shortest round-trip, locale independent)
 so identical inputs and flags give byte-identical output.  ``--format doc``
@@ -258,16 +259,16 @@ def cmd_evolve(args) -> int:
     if not isinstance(parsed, float):
         _check_budget(parsed[2], EVOLVE_ROW_BYTES + EVOLVE_MODE_BYTES * form.n_modes,
                       "evolve time grid")
-    times = _axis(parsed)
     shift = 1j * args.complex_time
+    ts = [complex(t_real) + shift for t_real in _axis(parsed)]
     header = ("t_re,t_im,max_abs_u,symplectic_residual,"
               + ",".join(f"mode{i+1}_phase_mag" for i in range(form.n_modes)))
-    rows = []
-    for t_real in times:
-        t = complex(t_real) + shift
-        prop = evolution.propagate(dyn, t)
-        mags = np.abs(np.exp(-1j * lams * t))
-        rows.append((t, float(np.abs(prop.U).max()), prop.symplectic_residual, mags))
+    peaks, residuals = [], []
+    for stack in evolution.propagate_grid(dyn, ts):
+        peaks += stack.max_abs.tolist()
+        residuals += stack.symplectic_residual.tolist()
+    mags = np.abs(np.exp((-1j * lams) * np.array(ts)[:, None]))
+    rows = list(zip(ts, peaks, residuals, mags))
     if args.format == "doc":
         docs = [{"t": [t.real, t.imag], "max_abs_u": mx, "symplectic_residual": sr,
                  "mode_phase_mags": [float(m) for m in mags]}

@@ -66,10 +66,11 @@ def bar(matrix: np.ndarray) -> np.ndarray:
     """Bar involution Mbar = T M^t T, the transpose with both axes half-rolled.
 
     No complex conjugation is involved.  For the operator vector Z the bar
-    coincides with the adjoint; for a general transform it does not.
+    coincides with the adjoint; for a general transform it does not.  A
+    stack of matrices (leading axes) is barred matrix by matrix.
     """
-    half = matrix.shape[0] // 2
-    return np.roll(matrix.T, (half, half), axis=(0, 1))
+    half = matrix.shape[-1] // 2
+    return np.roll(np.swapaxes(matrix, -1, -2), (half, half), axis=(-2, -1))
 
 
 def bar_vector(vec: np.ndarray) -> np.ndarray:
@@ -154,6 +155,21 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _defect(m: np.ndarray, image: np.ndarray):
+    """Frobenius norms ||m - image|| and ||m|| for the relative structure
+    test, and the factor both were divided by: 1, or, when a norm overflows
+    (entries above about 1e154), the largest real or imaginary part of m,
+    so that the ratio stays meaningful.  Finite norms keep their bits.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect, size = np.linalg.norm(m - image), np.linalg.norm(m)
+    if np.isfinite(defect) and np.isfinite(size):
+        return defect, size, 1.0
+    scale = float(np.abs(m.view(float)).max())
+    m, image = m / scale, image / scale
+    return np.linalg.norm(m - image), np.linalg.norm(m), scale
+
+
 def build_form(A, B, tol_struct: float = DEFAULT_TOL_STRUCT) -> QuadraticForm:
     """Validate and build a QuadraticForm from matrices A and B.
 
@@ -190,16 +206,16 @@ def build_form(A, B, tol_struct: float = DEFAULT_TOL_STRUCT) -> QuadraticForm:
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise StructureViolation("A and B must contain only finite entries")
 
-    herm_defect = np.linalg.norm(A - A.conj().T)
-    if herm_defect > tol_struct * max(np.linalg.norm(A), 1e-300):
+    herm_defect, herm_size, scale = _defect(A, A.conj().T)
+    if herm_defect > tol_struct * max(herm_size, 1e-300):
         raise StructureViolation(
-            f"A is not hermitian: ||A - A+|| = {herm_defect:.3e} "
+            f"A is not hermitian: ||A - A+|| = {float(herm_defect) * scale:.3e} "
             f"exceeds {tol_struct:.1e} * ||A||"
         )
-    sym_defect = np.linalg.norm(B - B.T)
-    if sym_defect > tol_struct * max(np.linalg.norm(B), 1e-300):
+    sym_defect, sym_size, scale = _defect(B, B.T)
+    if sym_defect > tol_struct * max(sym_size, 1e-300):
         raise StructureViolation(
-            f"B is not symmetric: ||B - B^t|| = {sym_defect:.3e} "
+            f"B is not symmetric: ||B - B^t|| = {float(sym_defect) * scale:.3e} "
             f"exceeds {tol_struct:.1e} * ||B||"
         )
     with np.errstate(over="ignore", invalid="ignore"):

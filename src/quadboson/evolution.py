@@ -5,10 +5,16 @@ U(t) = exp(-i (M Hmat) t), computed by scaling-and-squaring (works for
 defective generators, unlike spectral methods).  U satisfies the metric
 identity U M Ubar = M at every complex time; it additionally equals a
 standard Bogoliubov transform (Ubar = U+) only for real t.
+
+A time grid runs in stacks: each stack of times goes through one call of
+``expm``, of the matmul and of the 2-norm, and every time gets the bits of
+its own single-time computation, since each kernel runs the same code on
+every matrix of a stack.  ``propagate`` is the one-time case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,6 +28,9 @@ from .spectral import Tolerances, _analyze
 
 # fail loudly instead of returning Inf-contaminated matrices
 _ENTRY_GUARD = 1e100
+# Bytes of U per stack of times: a whole grid of up to 1024 times fits in one
+# stack at n = 2, a stack holds 4 times at n = 32.
+_STACK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -66,8 +75,57 @@ class GrowthClass:
     poly_degree: int
 
 
+@dataclass(frozen=True)
+class PropagatorStack:
+    """U(t) at a stack of k times, shape (k, 2n, 2n), with the largest entry
+    magnitude max |U(t)| and ``symplectic_residual`` ||U M Ubar - M||
+    (2-norm) of each time."""
+
+    U: np.ndarray
+    max_abs: np.ndarray
+    symplectic_residual: np.ndarray
+
+
+def propagate_stack(dyn: DynamicalMatrix, times: Sequence) -> PropagatorStack:
+    """Exact propagators U(t) = exp(-i (M Hmat) t) at a stack of real or
+    complex times, with one ``expm``, one matmul and one 2-norm call.
+
+    Raises
+    ------
+    Overflow
+        At the first time, in stack order, where an entry of U exceeds 1e100
+        in magnitude or is not finite (strong instability at large |t|);
+        nothing is silently saturated, and no residual is computed.
+    """
+    scales = -1j * np.asarray(times, dtype=complex)
+    u = sla.expm(scales[:, None, None] * dyn.matrix)
+    peaks = np.abs(u).max(axis=(1, 2))
+    over = np.flatnonzero(~(peaks <= _ENTRY_GUARD))  # NaN included
+    if over.size:
+        i = over[0]
+        raise Overflow(
+            f"propagator entries reach {peaks[i]:.3e} at t={times[i]}; "
+            f"the guard is {_ENTRY_GUARD:.0e}"
+        )
+    signs = metric_signs(dyn.n_modes)
+    sym = np.linalg.norm((u * signs) @ bar(u) - np.diag(signs), 2, axis=(1, 2))
+    return PropagatorStack(u, peaks, sym)
+
+
+def propagate_grid(dyn: DynamicalMatrix, times: Sequence) -> Iterator[PropagatorStack]:
+    """``propagate_stack`` over a time grid, in grid order, in stacks of at
+    most 256 KiB of U, so memory stays bounded whatever the grid length.
+
+    Raises ``Overflow`` at the first time over the guard, in grid order.
+    """
+    per = max(1, _STACK_BYTES // (16 * dyn.matrix.shape[0] ** 2))
+    for start in range(0, len(times), per):
+        yield propagate_stack(dyn, times[start:start + per])
+
+
 def propagate(dyn: DynamicalMatrix, t: complex) -> Propagator:
-    """Exact propagator U(t) = exp(-i (M Hmat) t) at a real or complex time.
+    """Exact propagator U(t) = exp(-i (M Hmat) t) at a real or complex time:
+    the one-time case of :func:`propagate_stack`.
 
     Raises
     ------
@@ -75,17 +133,8 @@ def propagate(dyn: DynamicalMatrix, t: complex) -> Propagator:
         Any entry exceeds 1e100 in magnitude (strong instability at large
         |t|); nothing is silently saturated.
     """
-    ht = dyn.matrix
-    u = sla.expm(-1j * complex(t) * ht)
-    peak = np.abs(u).max()
-    if not np.isfinite(peak) or peak > _ENTRY_GUARD:
-        raise Overflow(
-            f"propagator entries reach {peak:.3e} at t={t}; "
-            f"the guard is {_ENTRY_GUARD:.0e}"
-        )
-    signs = metric_signs(dyn.n_modes)
-    sym = float(np.linalg.norm((u * signs) @ bar(u) - np.diag(signs), 2))
-    return Propagator(complex(t), u, sym)
+    stack = propagate_stack(dyn, [t])
+    return Propagator(complex(t), stack.U[0], float(stack.symplectic_residual[0]))
 
 
 def mode_evolution(df: DiagonalForm, t: complex) -> np.ndarray:

@@ -15,7 +15,8 @@ which is itself a usable signature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -165,11 +166,27 @@ def fock_ground_trend(form: QuadraticForm, n_max_list,
 
 @dataclass(frozen=True)
 class FockSpectrumReport:
+    """Predicted and truncated levels of one check at cutoff ``n_max``.
+
+    ``ground_trend`` lists (cutoff, ground energy) pairs, ascending cutoffs
+    n_max - 4, n_max - 2 and n_max (at least 2, at most n_max).  It is
+    computed on first access, reusing the n_max ground level and solving
+    only the lower cutoffs; only ``to_dict`` (``--format doc``) reads it,
+    so a CSV check builds and solves one Fock matrix.
+    """
+
     n_max: int
     predicted: np.ndarray
     observed: np.ndarray
     max_deviation: float
-    ground_trend: list  # (n_max, energy) pairs, ascending cutoffs
+    form: QuadraticForm = field(repr=False)
+    dim_cap: int = field(default=DEFAULT_DIM_CAP, repr=False)
+
+    @cached_property
+    def ground_trend(self) -> list:
+        cuts = sorted({min(max(2, self.n_max - d), self.n_max) for d in (4, 2, 0)})
+        return [(m, float(self.observed[0]) if m == self.n_max
+                 else fock_ground_energy(self.form, m, self.dim_cap)) for m in cuts]
 
     def to_dict(self) -> dict:
         return {
@@ -186,20 +203,28 @@ def fock_spectrum_check(form: QuadraticForm, n_max: int, k_levels: int,
                         dim_cap: int = DEFAULT_DIM_CAP) -> FockSpectrumReport:
     """Compare the truncated spectrum against the mode lattice.
 
-    Only lattice points with total occupation <= n_max / 2 enter the
-    comparison, keeping clear of the cutoff boundary where truncation error
-    concentrates.  Truncation, not arithmetic, dominates the deviation, so
-    expect ~1e-3 agreement at moderate cutoffs rather than machine level.
+    The prediction is the k lowest lattice levels sum_i lambda_i (n_i + 1/2)
+    over all occupations, with k at most the number of lattice points of
+    total occupation <= n_max / 2.  Every one of them must keep each n_i
+    <= n_max / 2, clear of the cutoff boundary where truncation error
+    concentrates; otherwise the truncated levels cannot be matched to the
+    lattice one for one.  Truncation, not arithmetic, dominates the
+    deviation, so expect ~1e-3 agreement at moderate cutoffs rather than
+    machine level.
 
     Raises
     ------
     WrongRegime
-        The form is not positive definite; its truncated spectrum does not
-        converge and a lattice comparison would be meaningless.
+        The form is not positive definite, so its truncated spectrum does
+        not converge and a lattice comparison would be meaningless; or a
+        compared level (ties at the k-th included) needs some n_i above
+        n_max // 2.
     DimensionCap
         (n_max + 1)^n_modes exceeds ``dim_cap``; checked before the lattice
         or the matrix is built.
     """
+    if k_levels < 1:
+        raise ValueError("k_levels must be >= 1")
     report = classify(form, tol)
     if report.classification is not StabilityClass.POSITIVE_DEFINITE:
         raise WrongRegime(
@@ -209,22 +234,28 @@ def fock_spectrum_check(form: QuadraticForm, n_max: int, k_levels: int,
     trunc = fock_hamiltonian(form, n_max, dim_cap)  # checks the cap before allocating
     lams = report.mode_frequencies.real
     budget = n_max // 2
-    energies = []
-    for occ in product(range(budget + 1), repeat=form.n_modes):
-        if sum(occ) <= budget:
-            energies.append(float(np.dot(lams, occ) + lams.sum() / 2.0))
-    predicted = np.sort(np.array(energies))
-    k = min(k_levels, predicted.size)
-    predicted = predicted[:k]
+    # An occupation outside the box n_i <= budget + 1 lies above one inside
+    # it that already needs n_i = budget + 1, so the box decides the refusal.
+    energies, peaks, resolved = [], [], 0
+    for occ in product(range(budget + 2), repeat=form.n_modes):
+        energies.append(float(np.dot(lams, occ) + lams.sum() / 2.0))
+        peaks.append(max(occ))
+        resolved += sum(occ) <= budget
+    energies, peaks = np.array(energies), np.array(peaks)
+    predicted = np.sort(energies)[:min(k_levels, resolved)]
+    if peaks[energies <= predicted[-1]].max() > budget:
+        raise WrongRegime(
+            f"the {predicted.size} lowest lattice levels include one with a mode "
+            f"occupation above n_max // 2 = {budget}; the truncated levels would "
+            "be misaligned, so raise the cutoff or compare fewer levels"
+        )
     levels = np.linalg.eigvalsh(trunc.H_matrix)
-    observed = levels[:k]
-    trend_cuts = sorted({min(max(2, n_max - d), n_max) for d in (4, 2, 0)})
-    trend = [(m, float(levels[0]) if m == n_max else fock_ground_energy(form, m, dim_cap))
-             for m in trend_cuts]
+    observed = levels[:predicted.size]
     return FockSpectrumReport(
         n_max=n_max,
         predicted=predicted,
         observed=observed,
         max_deviation=float(np.abs(predicted - observed).max()),
-        ground_trend=trend,
+        form=form,
+        dim_cap=dim_cap,
     )

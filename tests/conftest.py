@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-import quadboson as qb
+# Pin BLAS to one thread before numpy loads it: the suite's many small LAPACK
+# calls slow down by an order of magnitude when threads oversubscribe a busy
+# machine.  An explicit setting in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+import quadboson as qb  # noqa: E402
 
 
 def random_form(rng, n, shift=None):

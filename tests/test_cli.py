@@ -7,6 +7,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 
 import quadboson as qb
@@ -360,6 +361,21 @@ def test_evolve_overflow_exit_code(capsys, tmp_path):
     assert "guard" in err
 
 
+def test_evolve_grid_crossing_the_guard_reports_its_first_time(capsys, tmp_path):
+    path = tmp_path / "bcs12.json"
+    qb.save_form(qb.bcs_form(bcs(1.2)), path)
+    dyn = qb.dynamical_matrix(qb.load_form(path))
+    for lo, hi, steps in ((0.0, 1000.0, 11), (0.0, 600.0, 3001)):
+        # the message a time-by-time loop gives, stopping at the first time over the guard
+        for t_re in np.linspace(lo, hi, steps):
+            t = complex(t_re)
+            peak = np.abs(scipy.linalg.expm(-1j * t * dyn.matrix)).max()
+            if not peak <= 1e100:
+                break
+        expected = f"error: propagator entries reach {peak:.3e} at t={t}; the guard is 1e+100\n"
+        assert run(capsys, "evolve", str(path), "--t", f"{lo}:{hi}:{steps}") == (5, "", expected)
+
+
 def test_bcs_point_report(capsys):
     code, out, _ = run(capsys, "bcs", "--delta", "0.5")
     assert code == 0
@@ -414,6 +430,28 @@ def test_oracle_table(capsys, form_file):
     assert all(float(l.split(",")[3]) <= 1e-3 for l in lines[1:])
 
 
+@pytest.mark.parametrize("fmt, builds", [("csv", 1), ("doc", 3)])
+def test_oracle_builds_the_trend_only_for_doc(capsys, monkeypatch, form_file, fmt, builds):
+    built = []
+    build = qb.oracle.fock_hamiltonian
+    monkeypatch.setattr(qb.oracle, "fock_hamiltonian",
+                        lambda *args: built.append(args[1]) or build(*args))
+    code, _, _ = run(capsys, "oracle", "--input", form_file, "--nmax", "10",
+                     "--levels", "4", "--format", fmt)
+    assert code == 0
+    assert len(built) == builds and built[0] == 10
+
+
+def test_oracle_refuses_misaligned_levels(capsys, tmp_path):
+    path = tmp_path / "freq.json"
+    qb.save_form(qb.build_form(np.diag([1.0, 1.5, 2.2]), np.zeros((3, 3))), path)
+    code, out, err = run(capsys, "oracle", "--input", str(path), "--nmax", "5", "--levels", "8")
+    assert (code, out) == (5, "")
+    assert "n_max // 2" in err
+    code, out, _ = run(capsys, "oracle", "--input", str(path), "--nmax", "5", "--levels", "6")
+    assert code == 0 and len(out.splitlines()) == 7
+
+
 def test_oracle_rejects_indefinite(capsys, tmp_path):
     path = tmp_path / "bcs097.json"
     qb.save_form(qb.bcs_form(bcs(0.97)), path)
@@ -463,6 +501,16 @@ def test_overflowing_inputs_exit_5(capsys, huge_file, argv):
     code, out, err = run(capsys, *(a.format(huge=huge_file) for a in argv))
     assert (code, out) == (5, "")
     assert "float range" in err
+
+
+def test_huge_non_hermitian_form_exits_4(capsys, tmp_path):
+    path = tmp_path / "huge_nonherm.json"
+    a = [[[1e200, 0.0], [1e200, 0.0]], [[0.0, 0.0], [1e200, 0.0]]]
+    path.write_text(json.dumps({"n_modes": 2, "A": a, "B": [[[0.0, 0.0]] * 2] * 2}))
+    for argv in (("analyze", str(path)), ("evolve", str(path), "--t", "0:1:3")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert "not hermitian" in err
 
 
 @pytest.mark.parametrize("argv", [("bcs", "--delta", "nan"), ("bcs", "--kappa", "inf")])

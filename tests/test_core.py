@@ -94,6 +94,20 @@ def test_rejects_entries_that_overflow_when_symmetrized():
     assert form.A[0, 0] == form.B[0, 0] == 8e307
 
 
+def test_rejects_asymmetry_whose_norms_overflow():
+    # above about 1e154 both Frobenius norms overflow to inf, and inf > tol * inf
+    # is false; the test then compares the matrices scaled by their largest entry
+    zeros = np.zeros((2, 2))
+    with pytest.raises(StructureViolation, match="not hermitian"):
+        qb.build_form([[1e200, 1e200], [0.0, 1e200]], zeros)
+    with pytest.raises(StructureViolation, match="not symmetric"):
+        qb.build_form(np.eye(2), [[0.0, 1e200], [-1e200, 0.0]])
+    with pytest.raises(StructureViolation, match="not hermitian"):
+        qb.build_form([[1e308, 1.5e308], [-1.5e308, 1e308]], zeros)
+    form = qb.build_form([[1e200, 1e200j], [-1e200j, 1e200]], [[0.0, 1e200], [1e200, 0.0]])
+    assert form.A[0, 1] == 1e200j and form.B[1, 0] == 1e200
+
+
 def test_form_arrays_are_frozen():
     form = qb.build_form(np.eye(2), np.zeros((2, 2)))
     with pytest.raises(ValueError):

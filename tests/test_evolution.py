@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import quadboson as qb
+from quadboson.core import bar, metric_signs
 from quadboson.errors import Overflow, StepTooLarge
 
 from conftest import bcs, random_form
@@ -171,6 +173,60 @@ def test_overflow_raises():
     dyn = qb.dynamical_matrix(qb.bcs_form(bcs(1.2)))
     with pytest.raises(Overflow):
         qb.propagate(dyn, 400.0)
+
+
+def _single_time(dyn, t):
+    """One time through its own expm, matmul and SVD 2-norm."""
+    u = sla.expm(-1j * complex(t) * dyn.matrix)
+    signs = metric_signs(dyn.n_modes)
+    return u, np.abs(u).max(), np.linalg.norm((u * signs) @ bar(u) - np.diag(signs), 2)
+
+
+def _same_bits(x, ref):
+    x, ref = np.asarray(x), np.asarray(ref)
+    assert x.shape == ref.shape and x.dtype == ref.dtype
+    xf, rf = x.view(np.float64), ref.view(np.float64)
+    assert np.array_equal(xf, rf) and np.array_equal(np.signbit(xf), np.signbit(rf))
+
+
+@pytest.mark.parametrize("n, steps", [(1, 4500), (2, 1500), (8, 150), (32, 9)])
+def test_stacked_propagation_matches_single_times_bit_for_bit(rng, n, steps):
+    forms = [random_form(rng, n, shift=0.5), random_form(rng, n, shift=-0.5)]
+    if n == 2:
+        forms.append(qb.bcs_form(bcs(1.0)))  # the defective Jordan form
+    per = max(1, qb.evolution._STACK_BYTES // (16 * (2 * n) ** 2))
+    assert steps > per  # the grid spans more than one stack
+    for form in forms:
+        dyn = qb.dynamical_matrix(form)
+        for shift in (0.0, 0.3j, -0.2j):
+            times = [complex(t) + shift for t in np.linspace(-2.0, 3.0, steps)]
+            stacks = list(qb.propagate_grid(dyn, times))
+            assert [len(s.U) for s in stacks[:-1]] == [per] * (len(stacks) - 1)
+            u = np.concatenate([s.U for s in stacks])
+            peaks = np.concatenate([s.max_abs for s in stacks])
+            sym = np.concatenate([s.symplectic_residual for s in stacks])
+            picks = range(steps) if steps <= 150 else range(0, steps, 37)
+            for i in picks:
+                ref_u, ref_peak, ref_sym = _single_time(dyn, times[i])
+                _same_bits(u[i], ref_u)
+                _same_bits(peaks[i], ref_peak)
+                _same_bits(sym[i], ref_sym)
+            prop = qb.propagate(dyn, times[-1])
+            _same_bits(prop.U, u[-1])
+            assert prop.symplectic_residual == sym[-1]
+
+
+def test_stacked_overflow_raises_at_the_first_time_over_the_guard():
+    dyn = qb.dynamical_matrix(qb.bcs_form(bcs(1.2)))
+    times = list(np.linspace(0.0, 600.0, 3001))  # three stacks of up to 1024 times at n = 2
+    first = next(i for i, t in enumerate(times)
+                 if not _single_time(dyn, t)[1] <= qb.evolution._ENTRY_GUARD)
+    with pytest.raises(Overflow) as exc:
+        list(qb.propagate_grid(dyn, times))
+    with pytest.raises(Overflow) as single:
+        qb.propagate(dyn, times[first])
+    assert str(exc.value) == str(single.value)
+    assert f"at t={times[first]};" in str(exc.value)
 
 
 def test_jordan_norm_grows_linearly():

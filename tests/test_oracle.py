@@ -125,6 +125,48 @@ def test_spectrum_check_trend_stays_at_or_below_cutoff():
     assert report.ground_trend[-1][1] == qb.fock_ground_energy(form, 6)
 
 
+def test_spectrum_check_builds_the_trend_only_when_read(monkeypatch):
+    built = []
+    build = qb.oracle.fock_hamiltonian
+
+    def counting(form, n_max, *args):
+        built.append(n_max)
+        return build(form, n_max, *args)
+
+    monkeypatch.setattr(qb.oracle, "fock_hamiltonian", counting)
+    report = qb.fock_spectrum_check(qb.bcs_form(bcs(0.5)), 10, 4)
+    assert built == [10]
+    trend = report.ground_trend
+    assert built == [10, 6, 8]
+    assert report.ground_trend is trend and built == [10, 6, 8]
+    assert trend[-1] == (10, report.observed[0])
+    assert report.to_dict()["ground_trend"] == [[m, e] for m, e in trend]
+
+
+def test_spectrum_check_refuses_misaligned_levels():
+    # frequencies (1, 1.5, 2.2): the 7th and 8th lattice levels (3 quanta of
+    # mode 1, 2 of mode 2) need an occupation above nmax // 2 = 2
+    form = qb.build_form(np.diag([1.0, 1.5, 2.2]), np.zeros((3, 3)))
+    with pytest.raises(WrongRegime, match="n_max // 2 = 2"):
+        qb.fock_spectrum_check(form, 5, 8)
+    report = qb.fock_spectrum_check(form, 5, 6)
+    excitations = [0.0, 1.0, 1.5, 2.0, 2.2, 2.5]
+    assert np.abs(report.predicted - (2.35 + np.array(excitations))).max() <= 1e-12
+    assert report.max_deviation <= 1e-12
+    # a larger cutoff resolves all eight levels, 3.0 twice among them
+    report = qb.fock_spectrum_check(form, 6, 8)
+    assert np.abs(report.predicted - (2.35 + np.array(excitations + [3.0, 3.0]))).max() <= 1e-12
+
+
+def test_spectrum_check_refuses_ties_at_the_last_level():
+    # frequencies (1, 2): the 3rd level 1.5 + 2 is shared by (0, 1) and (2, 0),
+    # and the second needs n_1 = 2 above nmax // 2 = 1
+    form = qb.build_form(np.diag([1.0, 2.0]), np.zeros((2, 2)))
+    with pytest.raises(WrongRegime):
+        qb.fock_spectrum_check(form, 3, 3)
+    assert qb.fock_spectrum_check(form, 3, 2).max_deviation <= 1e-12
+
+
 def test_spectrum_check_single_mode_exact():
     report = qb.fock_spectrum_check(qb.build_form([[1.0]], [[0.0]]), 10, 4)
     assert report.max_deviation <= 1e-12
