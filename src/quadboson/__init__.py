@@ -24,6 +24,7 @@ from .spectral import (
     CLASS_CODES,
     CLASS_LABELS,
     BogoliubovTransform,
+    EigenDiagnostics,
     ModePair,
     StabilityClass,
     StabilityColumns,

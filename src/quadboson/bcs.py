@@ -10,7 +10,8 @@ the kappa hopping being an optional perturbation.  Everything downstream of
 the generic pipeline can be checked against this module: the hermitian
 spectrum sigma, the mode frequencies lambda, the pairing amplitudes (u, v),
 the exact propagator in closed form, and the stability thresholds,
-including the reentry window opened by kappa.
+including the reentry window opened by kappa.  The closed forms square the
+parameters; a square beyond the float range raises ``Overflow``.
 
 Regimes at kappa = 0 (delta >= 0):
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import QuadraticForm, bar, bar_symmetrize, build_form, dynamical_matrix, metric_signs, quadratic_matrix
-from .errors import DegenerateGap, NotDegenerate
+from .errors import DegenerateGap, NotDegenerate, Overflow
 from .spectral import StabilityColumns, Tolerances, classify, classify_stack, eigen_pairs
 
 
@@ -171,9 +172,18 @@ def bcs_sigma(p: BcsParams) -> np.ndarray:
     return np.sort(np.array(vals))[::-1]
 
 
+def _squares(*values: float) -> tuple:
+    """Squares of Python floats; one beyond the float range raises :class:`Overflow`."""
+    try:
+        return tuple(x ** 2 for x in values)
+    except OverflowError:
+        raise Overflow(f"the square of one of {values} is beyond the float range") from None
+
+
 def bcs_alpha(p: BcsParams) -> complex:
     """Principal branch of sqrt(eps^2 - delta^2); Im > 0 above the gap."""
-    return complex(np.sqrt(complex(p.epsilon ** 2 - p.delta ** 2)))
+    eps2, delta2 = _squares(p.epsilon, p.delta)
+    return complex(np.sqrt(complex(eps2 - delta2)))
 
 
 def _at_gap(p: BcsParams, alpha: complex, tol: Tolerances) -> bool:
@@ -206,11 +216,12 @@ def bcs_lambda_formula(p: BcsParams) -> tuple:
     Signs are defined only up to the (lambda, -lambda) pairing; compare as
     multisets against :func:`bcs_lambda`.
     """
-    dc2 = p.epsilon ** 2 * (1.0 + p.kappa ** 2 / p.gamma ** 2)
-    shift = p.kappa ** 2 * (p.epsilon ** 2 / p.gamma ** 2 - 1.0)
+    eps2, gamma2, delta2, kappa2 = _squares(p.epsilon, p.gamma, p.delta, p.kappa)
+    dc2 = eps2 * (1.0 + kappa2 / gamma2)
+    shift = kappa2 * (eps2 / gamma2 - 1.0)
     out = []
     for nu in (1.0, -1.0):
-        lt = nu * p.gamma + np.sqrt(complex(dc2 - p.delta ** 2))
+        lt = nu * p.gamma + np.sqrt(complex(dc2 - delta2))
         out.append(complex(np.sqrt(lt * lt - shift)))
     return tuple(out)
 
@@ -408,15 +419,16 @@ def bcs_thresholds(p: BcsParams, imag_tol: float = 1e-10) -> BcsThresholds:
     reported outer edge does not depend on any closed-form reading; both
     closed-form candidates are attached for comparison.
     """
-    positivity = float(np.sqrt(p.epsilon ** 2 - p.gamma ** 2))
+    eps2, gamma2, kappa2 = _squares(p.epsilon, p.gamma, p.kappa)
+    positivity = float(np.sqrt(eps2 - gamma2))
     if p.kappa == 0.0:
         return BcsThresholds(positivity=positivity, dynamical=float(p.epsilon))
     onset = positivity - abs(p.kappa)
     inner_top = positivity + abs(p.kappa)
-    sqrt_formula = float(p.epsilon * np.sqrt(1.0 + p.kappa ** 2 / p.gamma ** 2))
-    literal_formula = float(p.epsilon ** 2 * (1.0 + p.kappa ** 2 / p.gamma ** 2))
+    sqrt_formula = float(p.epsilon * np.sqrt(1.0 + kappa2 / gamma2))
+    literal_formula = float(eps2 * (1.0 + kappa2 / gamma2))
     window = None
-    if abs(p.kappa) < p.gamma ** 2 / positivity:
+    if abs(p.kappa) < gamma2 / positivity:
         threshold = imag_tol * max(1.0, p.epsilon)
         lo = inner_top * (1.0 + 1e-9)
         hi = lo + max(0.01 * p.epsilon, 2.0 * abs(sqrt_formula - inner_top))

@@ -13,13 +13,15 @@ Classification codes in CSV output: 0 = PositiveDefinite,
 
 Exit codes: 0 success; 2 usage, bad sweep range, a grid whose buffers
 would exceed the 1 GiB memory budget (checked before allocating), oracle
---nmax/--levels below 1, or a negative or non-finite --tol-eig/--tol-struct;
-3 unreadable or malformed form file; 4 structural validation
-failure; 5 numerical failure (overflow, including finite input entries too
-large to symmetrize or rank-test, wrong regime, including an oracle check
-whose compared levels need an occupation above nmax // 2, defective input
-where a transform was required, an oracle Fock dimension above the cap,
-checked before allocating).
+--nmax/--levels below 1, a non-finite --complex-time, or a negative or
+non-finite --tol-eig/--tol-struct; 3 unreadable, undecodable or malformed
+form file; 4 structural validation failure; 5 numerical failure (overflow,
+including finite input entries too large to symmetrize or rank-test and
+bcs parameters whose squares leave the float range, wrong regime,
+including an oracle check whose compared levels need an occupation above
+nmax // 2, a vanishing generalized norm where analyze --emit-modes needs
+the transform, an oracle Fock dimension above the cap, checked before
+allocating).  At a Jordan point analyze prints no modes and exits 0.
 
 Floats are printed with ``repr`` (shortest round-trip, locale independent)
 so identical inputs and flags give byte-identical output.  ``--format doc``
@@ -175,7 +177,7 @@ def cmd_analyze(args) -> int:
     bt = None
     if report.diagonalizable:
         try:
-            bt = spectral.normalize_pairs(report.pairs, tol)
+            bt = spectral.normalize_pairs(report.pairs, report.diagnostics)
         except NullNorm:
             if args.emit_modes:
                 raise
@@ -192,7 +194,7 @@ def cmd_analyze(args) -> int:
             warnings.append("eigenvalues all real and non-zero")
     doc["warnings"] = warnings
     if args.emit_modes and bt is not None:
-        df = normal_modes.diagonal_form(bt, report.mode_frequencies, tol)
+        df = normal_modes.diagonal_form(bt, report.mode_frequencies, report.diagnostics)
         inv = normal_modes.invariants(bt)
         doc["diagonal_form"] = df.to_dict()
         doc["invariants"] = inv.K
@@ -256,6 +258,8 @@ def cmd_evolve(args) -> int:
     pairs, _ = spectral.eigen_pairs(dyn, tol)
     lams = np.array([p.lam for p in pairs])
     parsed = _parse_range(args.t)
+    if not math.isfinite(args.complex_time):
+        raise BadRange(f"--complex-time must be finite, got {args.complex_time!r}")
     if not isinstance(parsed, float):
         _check_budget(parsed[2], EVOLVE_ROW_BYTES + EVOLVE_MODE_BYTES * form.n_modes,
                       "evolve time grid")

@@ -69,7 +69,7 @@ def loads_form(text: str, tol_struct: float = 1e-12) -> QuadraticForm:
     """Parse a form document from a string.  See module docstring for schema."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
         raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object")
@@ -86,7 +86,7 @@ def load_form(path, tol_struct: float = 1e-12) -> QuadraticForm:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read form file: {exc}") from None
     if not text.strip():
         raise ParseError(f"{path}: file is empty")

@@ -24,11 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import bar_symmetrize, coord_map, coord_metric, metric_signs, quadratic_matrix
-from .errors import NotDiagonalizable
-from .spectral import BogoliubovTransform, ModePair, Tolerances
-
-# transforms with a metric defect beyond this are numerically unusable
-_METRIC_GUARD = 1e-6
+from .spectral import BogoliubovTransform, EigenDiagnostics, ModePair
 
 
 @dataclass(frozen=True)
@@ -120,70 +116,52 @@ class InvariantSet:
         return self.K.shape[0]
 
 
-def _check_transform(bt: BogoliubovTransform):
-    if bt.metric_residual > _METRIC_GUARD:
-        raise NotDiagonalizable(
-            f"transform metric defect {bt.metric_residual:.3e} is too large; "
-            "the input is defective or next to a defective point"
-        )
-
-
 def diagonal_form(bt: BogoliubovTransform, lambdas,
-                  tol: Tolerances = Tolerances()) -> DiagonalForm:
+                  diags: EigenDiagnostics) -> DiagonalForm:
     """Mode extraction functionals for H = sum_i lambda_i (b'bar_i b'_i + 1/2).
 
     ``lambdas`` must list the pair representatives in the column order of
-    ``bt`` (as produced by ``eigen_pairs``/``normalize_pairs``).
+    ``bt``, and ``diags`` be the diagnostics of the eigensolve that made its
+    pairs (``report.diagnostics``, or ``eigen_pairs``' second value): a mode
+    is hermitian when |Im lambda_i|, and zero when |lambda_i|, is at most
+    ``diags.real_tol``, as in ``classify``'s verdict.
 
     Raises
     ------
-    NotDiagonalizable
-        The transform does not satisfy the metric identity to working
-        accuracy (defective input slipped through).
+    ValueError
+        ``lambdas`` does not hold one frequency per mode.
     """
-    _check_transform(bt)
     lambdas = np.asarray(lambdas, dtype=complex)
     n = bt.n_modes
     if lambdas.size != n:
         raise ValueError(f"expected {n} mode frequencies, got {lambdas.size}")
     extract_b = bt.W_inv[:n].copy()
     extract_bbar = (metric_signs(n)[:, None] * bt.W[:, :n]).T.copy()
-    scale = max(np.abs(lambdas).max(), 1.0)
-    herm = np.abs(lambdas.imag) <= tol.eig * scale
-    zero = np.abs(lambdas) <= tol.eig * scale
+    herm = np.abs(lambdas.imag) <= diags.real_tol
+    zero = np.abs(lambdas) <= diags.real_tol
     return DiagonalForm(lambdas, extract_b, extract_bbar, herm, zero)
 
 
 def coordinate_diagonal(bt: BogoliubovTransform, lambdas,
-                        tol: Tolerances = Tolerances()) -> CoordinateDiagonalForm:
+                        diags: EigenDiagnostics) -> CoordinateDiagonalForm:
     """Coordinate/momentum extraction rows with the T' = V' = lambda scaling.
 
     The scaled transform is W_c = S+ W S, whose columns are
     (w_i + w_ibar)/sqrt(2) and i (w_i - w_ibar)/sqrt(2) mapped to the R
     basis; it makes the coordinate form diagonal with both coefficients
-    equal to lambda_i.  Modes with |lambda_i| below tolerance skip the
-    scaling and report T' = V' = 0.
+    equal to lambda_i.  Zero and real modes are those of
+    :func:`diagonal_form`: zero modes skip the scaling and report
+    T' = V' = 0, and the rows of a real mode are hermitian.
     """
-    _check_transform(bt)
-    lambdas = np.asarray(lambdas, dtype=complex)
+    df = diagonal_form(bt, lambdas, diags)
     n = bt.n_modes
-    if lambdas.size != n:
-        raise ValueError(f"expected {n} mode frequencies, got {lambdas.size}")
     smap = coord_map(n)
     mc = coord_metric(n)
     wc = smap.conj().T @ bt.W @ smap
     wc_inv = mc @ wc.T @ mc
-    scale = max(np.abs(lambdas).max(), 1.0)
-    zero = np.abs(lambdas) <= tol.eig * scale
-    tprime = np.where(zero, 0.0, lambdas)
-    vprime = tprime.copy()
-    row_scale = np.abs(wc_inv).max(axis=1)
-    imag_q = np.abs(wc_inv[:n].imag).max(axis=1)
-    imag_p = np.abs(wc_inv[n:].imag).max(axis=1)
-    herm = (imag_q <= 1e2 * tol.eig * np.maximum(row_scale[:n], 1.0)) & (
-        imag_p <= 1e2 * tol.eig * np.maximum(row_scale[n:], 1.0))
-    return CoordinateDiagonalForm(tprime, vprime, wc_inv[:n].copy(),
-                                  wc_inv[n:].copy(), herm, zero)
+    tprime = np.where(df.zero_modes, 0.0, df.lambdas)
+    return CoordinateDiagonalForm(tprime, tprime.copy(), wc_inv[:n].copy(),
+                                  wc_inv[n:].copy(), df.hermitian_flags, df.zero_modes)
 
 
 def invariants(bt: BogoliubovTransform) -> InvariantSet:
@@ -193,7 +171,6 @@ def invariants(bt: BogoliubovTransform) -> InvariantSet:
     any complex time, because the defining rows and columns are left/right
     eigenvectors of the generator with opposite eigenvalues.
     """
-    _check_transform(bt)
     n = bt.n_modes
     # K_i = outer(M w_i, row i of W^-1), all modes at once
     ks = (metric_signs(n)[:, None] * bt.W[:, :n]).T[:, :, None] * bt.W_inv[:n, None, :]

@@ -403,7 +403,9 @@ def eigen_pairs(dyn: DynamicalMatrix, tol: Tolerances = Tolerances()):
     n = dyn.n_modes
     mdiag = metric_signs(n)
     vecs, clusters, diags = _analyze(dyn.matrix, tol)
-    real_tol = diags.real_tol
+    # the real branch needs lambda and its conjugate in one cluster: a pair
+    # only inside the realness cut has a null M-norm, so it is complex here
+    real_tol = min(diags.real_tol, 0.5 * diags.cluster_tol)
 
     pairs = []
     for ka, kb in _match_clusters(clusters, diags.cluster_tol):
@@ -458,7 +460,7 @@ def eigen_pairs(dyn: DynamicalMatrix, tol: Tolerances = Tolerances()):
 # ---------------------------------------------------------------------------
 # normalization
 
-def normalize_pairs(pairs, tol: Tolerances = Tolerances()) -> BogoliubovTransform:
+def normalize_pairs(pairs, diags: EigenDiagnostics) -> BogoliubovTransform:
     """Rescale pairs to unit generalized norm and assemble the transform.
 
     Every pair is scaled by the principal branch of 1/sqrt(c) with
@@ -466,6 +468,9 @@ def normalize_pairs(pairs, tol: Tolerances = Tolerances()) -> BogoliubovTransfor
     T w_plus* so the norm reduces to the usual positive one.  Conjugate
     complex pairs (lambda, -lambda*) are linked afterwards so the two
     quadruple members are exact images of each other, w' = i T w*.
+    ``diags`` is the eigensolve's (``report.diagnostics``): a pair with
+    |Re lambda| <= ``real_tol`` is its own quadruple, and partners are
+    matched within ``cluster_tol``.
 
     Raises
     ------
@@ -514,14 +519,13 @@ def normalize_pairs(pairs, tol: Tolerances = Tolerances()) -> BogoliubovTransfor
     lams = np.array([p.lam for p in pairs])
     linked = set()
     for i, p in enumerate(pairs):
-        if p.hermitian_pair or i in linked:
+        # a purely imaginary pair is its own quadruple
+        if p.hermitian_pair or i in linked or abs(p.lam.real) <= diags.real_tol:
             continue
-        if abs(p.lam.real) <= tol.eig * max(1.0, abs(p.lam)):
-            continue  # purely imaginary: the quadruple is the pair itself
         target = -np.conj(p.lam)
         cand = [j for j in range(n) if j != i and j not in linked
                 and not pairs[j].hermitian_pair
-                and abs(lams[j] - target) <= _CLUSTER_SAFETY * max(1.0, abs(target))]
+                and abs(lams[j] - target) <= diags.cluster_tol]
         if len(cand) == 1:
             j = cand[0]
             cols_plus[:, j] = 1j * bar_vector(cols_plus[:, i].conj())
@@ -553,7 +557,7 @@ def decompose(form: QuadraticForm, tol: Tolerances = Tolerances()):
             "Jordan blocks at eigenvalue(s) "
             + ", ".join(f"{c.value:.6g} (block size {c.max_block})" for c in bad)
         )
-    return pairs, normalize_pairs(pairs, tol)
+    return pairs, normalize_pairs(pairs, diags)
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +628,9 @@ def _stack_fast_path(hmats: np.ndarray, tol: Tolerances):
     every eigenvalue is its own cluster, none is a zero cluster, and each
     has one mutual negation partner inside the pairing radius, so the
     greedy ``_match_clusters`` can only pick that partner.  Both members of
-    a pair lie on the same side of ``real_tol``, and every real pair has
-    |M-norm| > ``_NEAR_DEFECT_NORM``, so the sign that orients it is far
-    above roundoff.  Rows not taken hold garbage.
+    a pair lie on the same side of ``eigen_pairs``' real-branch cut, and
+    every real pair has |M-norm| > ``_NEAR_DEFECT_NORM``, so the sign that
+    orients it is far above roundoff.  Rows not taken hold garbage.
     """
     count, two_n = hmats.shape[:2]
     n = two_n // 2
@@ -658,6 +662,7 @@ def _stack_fast_path(hmats: np.ndarray, tol: Tolerances):
     if sel.size == 0:
         return taken, np.zeros(count, dtype=int), freqs, min_sigma
     values, vecs, partner, real_tol = values[sel], vecs[sel], partner[sel], real_tol[sel]
+    branch_tol = np.minimum(real_tol, 0.5 * cluster_tol[sel][:, None])  # as in eigen_pairs
     rows = rows[: sel.size]
     # _match_clusters visits clusters by decreasing |value| (a stable sort);
     # the first member of each pair it meets leads the pair
@@ -667,13 +672,13 @@ def _stack_fast_path(hmats: np.ndarray, tol: Tolerances):
     first = order[np.take_along_axis(leads, order, axis=1)].reshape(-1, n)
     second = partner[rows, first]
     a, b = values[rows, first], values[rows, second]
-    a_complex = np.abs(a.imag) > real_tol
-    b_complex = np.abs(b.imag) > real_tol
+    a_complex = np.abs(a.imag) > branch_tol
+    b_complex = np.abs(b.imag) > branch_tol
     # orientation rule of eigen_pairs: a becomes the +lambda side
-    swap = (a_complex & (a.imag < b.imag)) | ((np.abs(a.imag) <= real_tol) & (a.real < b.real))
+    swap = (a_complex & (a.imag < b.imag)) | (~a_complex & (a.real < b.real))
     plus = np.where(swap, second, first)
     lam = values[rows, plus]
-    real = np.abs(lam.imag) <= real_tol
+    real = np.abs(lam.imag) <= branch_tol
     w = vecs[rows[:, :, None], np.arange(two_n)[None, :, None], plus[:, None, :]]
     m_norm = (signs[:, None] * (w.real ** 2 + w.imag ** 2)).sum(axis=1)
     ok = ((a_complex == b_complex)

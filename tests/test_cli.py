@@ -120,6 +120,13 @@ def test_analyze_malformed_file(capsys, tmp_path):
     path.write_text('{"n_modes": 1, "A": [[[1%s, 0]]], "B": [[[0, 0]]]}' % ("0" * 400))
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 3 and out == "" and "A[0][0]" in err
+    # bytes that are not UTF-8, and nesting beyond the JSON parser's recursion
+    path.write_bytes(b'\xff\xfe{"n_modes": 1}')
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 3 and out == "" and "cannot read" in err
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 3 and out == "" and "recursion" in err
 
 
 def test_analyze_structure_violation(capsys, tmp_path):
@@ -176,9 +183,12 @@ def test_sweep_bad_ranges(capsys, form_file):
         assert code == 2 and out == "" and "gamma" in err  # gamma outside (0, eps)
     for argv in (("sweep", "--delta", "0:inf:3"),
                  ("sweep", "--delta", "0:1:3", "--kappa", "nan"),
-                 ("bcs", "--sweep", "0:inf:3")):
-        code, _, err = run(capsys, *argv)
-        assert code == 2 and "finite" in err
+                 ("bcs", "--sweep", "0:inf:3"),
+                 ("evolve", form_file, "--t", "0:1:3", "--complex-time", "nan"),
+                 ("evolve", form_file, "--t", "1", "--complex-time", "inf"),
+                 ("evolve", form_file, "--t", "1", "--complex-time=-inf")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "finite" in err
     for argv in (("--nmax", "0"), ("--levels", "0"), ("--levels", "-1")):
         code, out, err = run(capsys, "oracle", "--input", form_file, *argv)
         assert code == 2 and out == "" and ">= 1" in err
@@ -494,6 +504,8 @@ def huge_file(tmp_path):
     ("bcs", "--delta", "1e200"),
     ("bcs", "--delta", "9e307"),
     ("bcs", "--delta", "1e308"),
+    ("bcs", "--epsilon", "1e300", "--gamma", "1e299"),
+    ("bcs", "--epsilon", "1e160", "--gamma", "1e159", "--kappa", "1e158"),
     ("analyze", "{huge}"),
     ("evolve", "{huge}", "--t", "0:1:3"),
 ])
@@ -501,6 +513,31 @@ def test_overflowing_inputs_exit_5(capsys, huge_file, argv):
     code, out, err = run(capsys, *(a.format(huge=huge_file) for a in argv))
     assert (code, out) == (5, "")
     assert "float range" in err
+
+
+def test_emit_modes_zero_modes_follow_classify(capsys, tmp_path):
+    # |lambda| = 0.008 is below the realness cut 1e-3 * ||M Hmat||_2 = 0.018:
+    # classify counts a zero mode, and the diagonal form marks the same one
+    path = tmp_path / "zero_mode.json"
+    qb.save_form(qb.build_form(np.diag([10.0, 0.008]), np.diag([8.0, 0.0])), path)
+    code, out, _ = run(capsys, "analyze", str(path), "--emit-modes", "--tol-eig", "1e-3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["zero_mode_count"] == 1
+    assert doc["diagonal_form"]["zero_modes"] == [False, True]
+
+
+def test_near_jordan_emit_modes_warns_instead_of_refusing(capsys, tmp_path):
+    # classify calls these diagonalizable, so --emit-modes prints the
+    # transform, with the near-defective warning
+    for delta in (1.0 - 1e-12, 1.0 + 1e-10):
+        path = tmp_path / "near_jordan.json"
+        qb.save_form(qb.bcs_form(bcs(delta)), path)
+        code, out, _ = run(capsys, "analyze", str(path), "--emit-modes")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["diagonalizable"] and "diagonal_form" in doc
+        assert any("near-defective" in w for w in doc["warnings"])
 
 
 def test_huge_non_hermitian_form_exits_4(capsys, tmp_path):
@@ -580,11 +617,12 @@ def _analyze_doc(path):
     form = qb.load_form(path)
     report = qb.classify(form)
     assert report.diagonalizable
-    bt = qb.normalize_pairs(report.pairs)
+    bt = qb.normalize_pairs(report.pairs, report.diagnostics)
     doc = report.to_dict()
     doc.update(input_digest=qb.form_digest(path), n_modes=form.n_modes,
                mode_table=cli._mode_table(report, bt), thresholds=None,
-               diagonal_form=qb.diagonal_form(bt, report.mode_frequencies).to_dict(),
+               diagonal_form=qb.diagonal_form(bt, report.mode_frequencies,
+                                              report.diagnostics).to_dict(),
                invariants=[[[[v.real, v.imag] for v in row] for row in k]
                            for k in qb.invariants(bt).K])
     return doc

@@ -82,8 +82,9 @@ def test_matches_closed_form_jordan():
 
 def test_mode_evolution_phases():
     form = qb.build_form([[1.0]], [[0.0]])
-    pairs, bt = qb.decompose(form)
-    df = qb.diagonal_form(bt, [p.lam for p in pairs])
+    report = qb.classify(form)
+    bt = qb.normalize_pairs(report.pairs, report.diagnostics)
+    df = qb.diagonal_form(bt, report.mode_frequencies, report.diagnostics)
     phases = qb.mode_evolution(df, np.pi)
     assert phases[0, 0] == pytest.approx(-1.0, abs=1e-12)
     assert phases[0, 1] == pytest.approx(-1.0, abs=1e-12)
@@ -91,8 +92,9 @@ def test_mode_evolution_phases():
 
 def test_mode_evolution_unimodular_for_real_spectrum():
     form = qb.bcs_form(bcs(0.97))
-    pairs, bt = qb.decompose(form)
-    df = qb.diagonal_form(bt, [p.lam for p in pairs])
+    report = qb.classify(form)
+    bt = qb.normalize_pairs(report.pairs, report.diagnostics)
+    df = qb.diagonal_form(bt, report.mode_frequencies, report.diagnostics)
     for t in (0.3, 2.0, 17.0):
         mags = np.abs(qb.mode_evolution(df, t))
         assert np.abs(mags - 1.0).max() <= 1e-12
@@ -100,8 +102,9 @@ def test_mode_evolution_unimodular_for_real_spectrum():
 
 def test_mode_evolution_growth_and_decay():
     form = qb.bcs_form(bcs(1.2))
-    pairs, bt = qb.decompose(form)
-    df = qb.diagonal_form(bt, [p.lam for p in pairs])
+    report = qb.classify(form)
+    bt = qb.normalize_pairs(report.pairs, report.diagnostics)
+    df = qb.diagonal_form(bt, report.mode_frequencies, report.diagnostics)
     phases = qb.mode_evolution(df, 1.0)
     # |e^{-i lam t}| = e^{Im lam} for the growing member, reciprocal decay
     assert abs(phases[0, 0]) == pytest.approx(1.9412361445529052, abs=1e-9)
@@ -111,9 +114,10 @@ def test_mode_evolution_growth_and_decay():
 def test_mode_evolution_consistent_with_propagator():
     for delta in (0.5, 1.2):
         form = qb.bcs_form(bcs(delta))
-        pairs, bt = qb.decompose(form)
-        lams = [p.lam for p in pairs]
-        df = qb.diagonal_form(bt, lams)
+        report = qb.classify(form)
+        lams = report.mode_frequencies
+        bt = qb.normalize_pairs(report.pairs, report.diagnostics)
+        df = qb.diagonal_form(bt, lams, report.diagnostics)
         t = 0.8
         u = qb.propagate(qb.dynamical_matrix(form), t).U
         diag = bt.W_inv @ u @ bt.W

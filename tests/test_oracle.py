@@ -195,8 +195,9 @@ def test_vector_operator_commutators():
     # [b'_i, b'bar_j] = delta_ij realized on the truncated space away from
     # the cutoff boundary
     form = qb.bcs_form(bcs(0.5))
-    pairs, bt = qb.decompose(form)
-    df = qb.diagonal_form(bt, [p.lam for p in pairs])
+    report = qb.classify(form)
+    bt = qb.normalize_pairs(report.pairs, report.diagnostics)
+    df = qb.diagonal_form(bt, report.mode_frequencies, report.diagnostics)
     n_max = 8
     ops = qb.fock_operators(2, n_max)
     dim = (n_max + 1) ** 2

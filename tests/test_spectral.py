@@ -20,7 +20,7 @@ def test_single_mode_identity_transform():
     assert pairs[0].hermitian_pair
     assert diags.eig_residual <= 1e-12
     assert max(diags.pairing_residuals) <= 1e-12
-    bt = qb.normalize_pairs(pairs)
+    bt = qb.normalize_pairs(pairs, diags)
     assert np.abs(np.abs(bt.W) - np.eye(2)).max() <= 1e-12
     assert bt.metric_residual <= 1e-12
 
@@ -55,7 +55,7 @@ def test_defective_case_forwarded_not_raised():
     assert len(bad) == 2
     assert all(c.algebraic == 2 and c.geometric == 1 for c in bad)
     with pytest.raises(NullNorm):
-        qb.normalize_pairs(pairs)
+        qb.normalize_pairs(pairs, diags)
 
 
 @settings(max_examples=25, deadline=None)
@@ -185,7 +185,7 @@ def test_null_norm_on_synthetic_pair():
     w_minus = np.array([1.0, 0.0], dtype=complex)  # bar(w-) M w+ = 0
     pair = ModePair(1.0 + 0j, w_plus, w_minus, False, False)
     with pytest.raises(NullNorm):
-        qb.normalize_pairs([pair])
+        qb.normalize_pairs([pair], qb.EigenDiagnostics(0.0, cluster_tol=0.0, real_tol=0.0))
 
 
 def test_near_defective_warning():
@@ -340,7 +340,7 @@ def test_purely_imaginary_pair_full_pipeline():
     h = qb.extended_matrix(form).matrix
     target = np.diag(np.concatenate([lams, lams]))
     assert np.abs(qb.bar(bt.W) @ h @ bt.W - target).max() <= 1e-10
-    df = qb.diagonal_form(bt, lams)
+    df = qb.diagonal_form(bt, lams, report.diagnostics)
     assert list(df.hermitian_flags) == [True, False]
     assert np.abs(df.reconstruct_extended() - h).max() <= 1e-10
 
