@@ -543,7 +543,7 @@ def decompose(form: QuadraticForm, tol: Tolerances = Tolerances()):
     """Full pipeline: (pairs, transform) for a diagonalizable form.
 
     A caller holding the form's :class:`StabilityReport` should call
-    :func:`normalize_pairs` on ``report.pairs`` instead of solving again.
+    ``normalize_pairs(report.pairs, report.diagnostics)`` instead.
 
     Raises
     ------
