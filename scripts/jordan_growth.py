@@ -27,8 +27,9 @@ def main():
     rows = []
     for label, delta in cases:
         p = qb.BcsParams(args.epsilon, args.gamma, delta)
-        dyn = qb.dynamical_matrix(qb.bcs_form(p))
-        g = qb.growth_class(dyn)
+        form = qb.bcs_form(p)
+        dyn = qb.dynamical_matrix(form)
+        g = qb.growth_class(qb.classify(form))
         norms, residuals = [], []
         for stack in qb.propagate_grid(dyn, ts):
             norms += np.linalg.norm(stack.U, 2, axis=(1, 2)).tolist()

@@ -32,10 +32,7 @@ from .spectral import (
     Tolerances,
     classify,
     classify_stack,
-    decompose,
-    eigen_pairs,
     normalize_pairs,
-    spectrum_structure,
     sqrt_metric_spectrum,
 )
 from .normal_modes import (

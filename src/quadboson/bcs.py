@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import QuadraticForm, bar, bar_symmetrize, build_form, dynamical_matrix, metric_signs, quadratic_matrix
 from .errors import DegenerateGap, NotDegenerate, Overflow
-from .spectral import StabilityColumns, Tolerances, classify, classify_stack, eigen_pairs
+from .spectral import StabilityColumns, Tolerances, classify, classify_stack
 
 
 @dataclass(frozen=True)
@@ -197,15 +197,14 @@ def bcs_lambda(p: BcsParams, tol: Tolerances = Tolerances()) -> tuple:
     kappa = 0: lambda_nu = nu gamma + alpha, which already encodes the
     correct representative sign (lambda_minus goes negative once H stops
     being positive, and care is needed because +|lambda_minus| is also an
-    eigenvalue, with the wrong norm sign).  kappa != 0: taken from the
-    dense eigensolve of M @ Hmat, which is authoritative; see
+    eigenvalue, with the wrong norm sign).  kappa != 0: the mode frequencies
+    of :func:`classify`, whose dense eigensolve is authoritative; see
     :func:`bcs_lambda_formula` for the closed-form comparison.
     """
     if p.kappa == 0.0:
         al = bcs_alpha(p)
         return (p.gamma + al, -p.gamma + al)
-    pairs, _ = eigen_pairs(dynamical_matrix(bcs_form(p)), tol)
-    return tuple(pair.lam for pair in pairs)
+    return tuple(complex(lam) for lam in classify(bcs_form(p), tol).mode_frequencies)
 
 
 def bcs_lambda_formula(p: BcsParams) -> tuple:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -175,12 +176,13 @@ def cmd_analyze(args) -> int:
     form = formio.load_form(args.input, tol_struct=args.tol_struct)
     report = spectral.classify(form, tol)
     bt = None
-    if report.diagonalizable:
-        try:
-            bt = spectral.normalize_pairs(report.pairs, report.diagnostics)
-        except NullNorm:
-            if args.emit_modes:
-                raise
+    try:
+        bt = spectral.normalize_pairs(report.pairs, report.diagnostics)
+    except NotDiagonalizable:
+        pass  # a Jordan point has no modes; the warnings below say so
+    except NullNorm:
+        if args.emit_modes:
+            raise
     doc = report.to_dict()
     doc["input_digest"] = formio.form_digest(args.input)
     doc["n_modes"] = form.n_modes
@@ -254,9 +256,7 @@ def cmd_sweep(args) -> int:
 def cmd_evolve(args) -> int:
     tol = _tolerances(args)
     form = formio.load_form(args.input, tol_struct=args.tol_struct)
-    dyn = dynamical_matrix(form)
-    pairs, _ = spectral.eigen_pairs(dyn, tol)
-    lams = np.array([p.lam for p in pairs])
+    lams = spectral.classify(form, tol).mode_frequencies
     parsed = _parse_range(args.t)
     if not math.isfinite(args.complex_time):
         raise BadRange(f"--complex-time must be finite, got {args.complex_time!r}")
@@ -268,7 +268,7 @@ def cmd_evolve(args) -> int:
     header = ("t_re,t_im,max_abs_u,symplectic_residual,"
               + ",".join(f"mode{i+1}_phase_mag" for i in range(form.n_modes)))
     peaks, residuals = [], []
-    for stack in evolution.propagate_grid(dyn, ts):
+    for stack in evolution.propagate_grid(dynamical_matrix(form), ts):
         peaks += stack.max_abs.tolist()
         residuals += stack.symplectic_residual.tolist()
     mags = np.abs(np.exp((-1j * lams) * np.array(ts)[:, None]))
@@ -354,8 +354,18 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that a token starting with ``-`` and a digit or ``.`` is a
+    value, never an option: ``--delta -0.5:0.5:11`` reads as ``--delta=-0.5:0.5:11``."""
+
+    def _parse_optional(self, arg_string):
+        if re.match(r"-[\d.]", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--tol-eig", type=float, default=1e-9,
                         help="relative eigen/classification tolerance (default 1e-9)")
     common.add_argument("--tol-struct", type=float, default=1e-12,
@@ -367,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "doc"), default=None,
                         help="output format (doc = JSON); default depends on command")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadboson",
         description="Diagonalization and stability analysis of quadratic boson forms",
         epilog="Classification codes: 0 PositiveDefinite, 1 StableNonPositive, "

@@ -24,7 +24,7 @@ import scipy.linalg as sla
 from .core import DynamicalMatrix, bar, metric_signs
 from .errors import Overflow, StepTooLarge
 from .normal_modes import DiagonalForm
-from .spectral import Tolerances, _analyze
+from .spectral import StabilityReport
 
 # fail loudly instead of returning Inf-contaminated matrices
 _ENTRY_GUARD = 1e100
@@ -149,9 +149,10 @@ def mode_evolution(df: DiagonalForm, t: complex) -> np.ndarray:
     return np.stack([phases, 1.0 / phases], axis=1)
 
 
-def growth_class(dyn: DynamicalMatrix, tol: Tolerances = Tolerances()) -> GrowthClass:
-    """Classify ||U(t)|| growth from the spectrum and Jordan structure."""
-    diags = _analyze(dyn.matrix, tol)[2]
+def growth_class(report: StabilityReport) -> GrowthClass:
+    """Classify ||U(t)|| growth from the spectrum and Jordan structure held
+    by ``report``, the form's :func:`~quadboson.spectral.classify`."""
+    diags = report.diagnostics
     rate = max((abs(c.value.imag) for c in diags.clusters), default=0.0)
     poly = max((c.max_block - 1 for c in diags.clusters if c.geometric < c.algebraic),
                default=0)

@@ -122,7 +122,7 @@ def diagonal_form(bt: BogoliubovTransform, lambdas,
 
     ``lambdas`` must list the pair representatives in the column order of
     ``bt``, and ``diags`` be the diagnostics of the eigensolve that made its
-    pairs (``report.diagnostics``, or ``eigen_pairs``' second value): a mode
+    pairs (``report.diagnostics`` of the form's ``classify``): a mode
     is hermitian when |Im lambda_i|, and zero when |lambda_i|, is at most
     ``diags.real_tol``, as in ``classify``'s verdict.
 

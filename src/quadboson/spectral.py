@@ -18,6 +18,9 @@ Conventions (all recorded so results are reproducible):
   eigenspace against the M-bilinear form;
 * modes are ordered by descending (Re lambda, Im lambda).
 
+:func:`classify` is the one entry into a form's eigensolve; its
+:class:`StabilityReport` carries the pairs and diagnostics that
+:func:`normalize_pairs`, ``normal_modes`` and ``evolution.growth_class`` read.
 :func:`classify_stack` classifies a stack of forms with one batched
 eigensolve.  It replays :func:`classify`'s choices only where they cannot
 hinge on a tie: every eigenvalue its own cluster, away from zero, with one
@@ -30,6 +33,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -126,24 +130,30 @@ class BogoliubovTransform:
     """Normalized transform W with columns (w_1..w_n, w_1bar..w_nbar).
 
     Satisfies W M Wbar = M; the inverse is the metric conjugate M Wbar M,
-    no matrix inversion involved.  ``metric_residual`` is the measured
-    2-norm defect of the metric identity.
+    no matrix inversion involved.
     """
 
     W: np.ndarray
     W_inv: np.ndarray
-    metric_residual: float
 
     @property
     def n_modes(self) -> int:
         return self.W.shape[0] // 2
 
+    @cached_property
+    def metric_residual(self) -> float:
+        """||W M Wbar - M||_2, the metric identity's defect, computed on first read."""
+        mdiag = metric_signs(self.n_modes)
+        return float(np.linalg.norm((self.W * mdiag) @ bar(self.W) - np.diag(mdiag), 2))
+
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Regime verdict of :func:`classify`.  ``pairs`` are the raw mode pairs of
-    its eigensolve in ``mode_frequencies`` order, left out of :meth:`to_dict`;
-    :func:`normalize_pairs` turns them into the transform without solving again.
+    """Regime verdict of :func:`classify`, and the one value its eigensolve
+    leaves.  ``pairs`` are the raw mode pairs in ``mode_frequencies`` order,
+    left out of :meth:`to_dict`; ``normalize_pairs(report.pairs,
+    report.diagnostics)`` turns them into the transform without solving again,
+    and ``diagnostics.clusters`` holds the Jordan structure.
     """
 
     classification: StabilityClass
@@ -192,7 +202,8 @@ def _nullity(mat: np.ndarray, tol_abs: float) -> tuple[int, float]:
         return count, np.inf
     kept = sv[~below].min()
     dropped = sv[below].max()
-    return count, float(kept / max(dropped, np.finfo(float).tiny))
+    with np.errstate(over="ignore"):  # an exact null direction: the gap is inf
+        return count, float(kept / max(dropped, np.finfo(float).tiny))
 
 
 def _cluster_indices(values: np.ndarray, radius: float) -> list:
@@ -273,11 +284,6 @@ def _analyze(matrix: np.ndarray, tol: Tolerances):
                              real_tol=tol.eig * max(scale, 1.0), clusters=infos,
                              defective=any(c.geometric < c.algebraic for c in infos))
     return vecs, clusters, diags
-
-
-def spectrum_structure(dyn: DynamicalMatrix, tol: Tolerances = Tolerances()):
-    """Cluster report (value, algebraic, geometric, max_block) for M @ Hmat."""
-    return _analyze(dyn.matrix, tol)[2].clusters
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +391,14 @@ def _complex_branch_pairs(vp, vm, lam, mdiag, diags):
     return [ModePair(lam, vp[:, k], vm[:, k], True, False) for k in range(m)]
 
 
-def eigen_pairs(dyn: DynamicalMatrix, tol: Tolerances = Tolerances()):
-    """Solve M @ Hmat and match the spectrum into n (lambda, -lambda) pairs.
+def _eigen_pairs(dyn: DynamicalMatrix, tol: Tolerances):
+    """Solve M @ Hmat and match the spectrum into n (lambda, -lambda) pairs:
+    the eigensolve step of :func:`classify`.
 
     Returns ``(pairs, diagnostics)``.  Vectors come back raw (not rescaled);
-    feed the pairs to :func:`normalize_pairs` for the unit-norm transform.
+    :func:`normalize_pairs` turns them into the unit-norm transform.
     A defective matrix is not an error: affected pairs come back with
-    ``norm_ok=False`` and ``diagnostics.defective`` set, so callers can fall
-    back to Jordan-aware handling.
+    ``norm_ok=False`` and ``diagnostics.defective`` set.
 
     Raises
     ------
@@ -474,10 +480,18 @@ def normalize_pairs(pairs, diags: EigenDiagnostics) -> BogoliubovTransform:
 
     Raises
     ------
+    NotDiagonalizable
+        ``diags`` records a Jordan block, so no boson-diagonal form exists.
     NullNorm
-        |c| below the fixed null-norm cut: a degenerate or defective direction.
-        Fall back to Jordan analysis (growth classification, propagators).
+        |c| below the fixed null-norm cut: a degenerate direction, or one
+        next to a Jordan point.  Propagators and growth classes still apply.
     """
+    if diags.defective:
+        bad = [c for c in diags.clusters if c.geometric < c.algebraic]
+        raise NotDiagonalizable(
+            "Jordan blocks at eigenvalue(s) "
+            + ", ".join(f"{c.value:.6g} (block size {c.max_block})" for c in bad)
+        )
     if not pairs:
         raise NullNorm("no pairs to normalize")
     two_n = pairs[0].w_plus.shape[0]
@@ -533,31 +547,7 @@ def normalize_pairs(pairs, diags: EigenDiagnostics) -> BogoliubovTransform:
             linked.update((i, j))
 
     w_full = np.concatenate([cols_plus, cols_minus], axis=1)
-    w_bar = bar(w_full)
-    w_inv = mdiag[:, None] * w_bar * mdiag
-    defect = (w_full * mdiag) @ w_bar - np.diag(mdiag)
-    return BogoliubovTransform(w_full, w_inv, float(np.linalg.norm(defect, 2)))
-
-
-def decompose(form: QuadraticForm, tol: Tolerances = Tolerances()):
-    """Full pipeline: (pairs, transform) for a diagonalizable form.
-
-    A caller holding the form's :class:`StabilityReport` should call
-    ``normalize_pairs(report.pairs, report.diagnostics)`` instead.
-
-    Raises
-    ------
-    NotDiagonalizable
-        The dynamical matrix has a Jordan block.
-    """
-    pairs, diags = eigen_pairs(dynamical_matrix(form), tol)
-    if diags.defective:
-        bad = [c for c in diags.clusters if c.geometric < c.algebraic]
-        raise NotDiagonalizable(
-            "Jordan blocks at eigenvalue(s) "
-            + ", ".join(f"{c.value:.6g} (block size {c.max_block})" for c in bad)
-        )
-    return pairs, normalize_pairs(pairs, diags)
+    return BogoliubovTransform(w_full, mdiag[:, None] * bar(w_full) * mdiag)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +567,7 @@ def classify(form: QuadraticForm, tol: Tolerances = Tolerances()) -> StabilityRe
     """
     ext = extended_matrix(form)
     h_eigs = np.linalg.eigvalsh(ext.matrix)
-    pairs, diags = eigen_pairs(dynamical_matrix(ext), tol)
+    pairs, diags = _eigen_pairs(dynamical_matrix(ext), tol)
     freqs = np.array([p.lam for p in pairs])
     any_complex = bool(np.any(np.abs(freqs.imag) > diags.real_tol))
     zero_modes = int(np.sum(np.abs(freqs) <= diags.real_tol))
@@ -624,11 +614,11 @@ def _stack_fast_path(hmats: np.ndarray, tol: Tolerances):
     One call each to eigvalsh, the 2-norm and eig serves the stack; these
     give the scalar calls' bits (``_analyze`` uses ``scipy.linalg.eig``, the
     same LAPACK driver).  ``taken`` marks the points whose verdict cannot
-    hinge on a tie, where the steps below replay ``eigen_pairs`` exactly:
+    hinge on a tie, where the steps below replay ``_eigen_pairs`` exactly:
     every eigenvalue is its own cluster, none is a zero cluster, and each
     has one mutual negation partner inside the pairing radius, so the
     greedy ``_match_clusters`` can only pick that partner.  Both members of
-    a pair lie on the same side of ``eigen_pairs``' real-branch cut, and
+    a pair lie on the same side of ``_eigen_pairs``' real-branch cut, and
     every real pair has |M-norm| > ``_NEAR_DEFECT_NORM``, so the sign that
     orients it is far above roundoff.  Rows not taken hold garbage.
     """
@@ -662,7 +652,7 @@ def _stack_fast_path(hmats: np.ndarray, tol: Tolerances):
     if sel.size == 0:
         return taken, np.zeros(count, dtype=int), freqs, min_sigma
     values, vecs, partner, real_tol = values[sel], vecs[sel], partner[sel], real_tol[sel]
-    branch_tol = np.minimum(real_tol, 0.5 * cluster_tol[sel][:, None])  # as in eigen_pairs
+    branch_tol = np.minimum(real_tol, 0.5 * cluster_tol[sel][:, None])  # as in _eigen_pairs
     rows = rows[: sel.size]
     # _match_clusters visits clusters by decreasing |value| (a stable sort);
     # the first member of each pair it meets leads the pair
@@ -674,7 +664,7 @@ def _stack_fast_path(hmats: np.ndarray, tol: Tolerances):
     a, b = values[rows, first], values[rows, second]
     a_complex = np.abs(a.imag) > branch_tol
     b_complex = np.abs(b.imag) > branch_tol
-    # orientation rule of eigen_pairs: a becomes the +lambda side
+    # orientation rule of _eigen_pairs: a becomes the +lambda side
     swap = (a_complex & (a.imag < b.imag)) | (~a_complex & (a.real < b.real))
     plus = np.where(swap, second, first)
     lam = values[rows, plus]

@@ -186,8 +186,8 @@ def test_criterion_09_invariant_conservation():
              random_form(rng, 1, shift=0.5)]
     ok = True
     for form in forms:
-        pairs, bt = qb.decompose(form)
-        ks = qb.invariants(bt).K
+        report = qb.classify(form)
+        ks = qb.invariants(qb.normalize_pairs(report.pairs, report.diagnostics)).K
         dyn = qb.dynamical_matrix(form)
         for t in (0.3, 1.0, 3.0):
             u = qb.propagate(dyn, t).U

@@ -247,11 +247,12 @@ def test_generic_pipeline_reproduces_analytic_amplitudes():
     for delta in (0.5, 1.2):
         p = bcs(delta)
         u, v = qb.bcs_uv(p)
-        pairs, bt = qb.decompose(qb.bcs_form(p))
+        report = qb.classify(qb.bcs_form(p))
+        bt = qb.normalize_pairs(report.pairs, report.diagnostics)
         assert abs(bt.W[0, 0]) == pytest.approx(abs(u), abs=1e-10)
         assert abs(bt.W[3, 0]) == pytest.approx(abs(v), abs=1e-10)
         wa = qb.bcs_transform(p)
-        bta = qb.BogoliubovTransform(wa, qb.metric(2) @ qb.bar(wa) @ qb.metric(2), 0.0)
+        bta = qb.BogoliubovTransform(wa, qb.metric(2) @ qb.bar(wa) @ qb.metric(2))
         k_generic = qb.invariants(bt).K
         k_analytic = qb.invariants(bta).K
         assert np.abs(k_generic - k_analytic).max() <= 1e-10

@@ -80,9 +80,12 @@ def _count_eigensolves(monkeypatch):
     return calls
 
 
-def test_analyze_emit_modes_solves_once(capsys, monkeypatch, form_file):
+@pytest.mark.parametrize("command", ["analyze", "evolve"])
+def test_command_solves_once(capsys, monkeypatch, form_file, command):
+    argv = {"analyze": ["analyze", form_file, "--emit-modes"],
+            "evolve": ["evolve", form_file, "--t", "0:2:5"]}[command]
     calls = _count_eigensolves(monkeypatch)
-    code, _, _ = run(capsys, "analyze", form_file, "--emit-modes")
+    code, _, _ = run(capsys, *argv)
     assert code == 0
     assert len(calls) == 1
 
@@ -192,6 +195,20 @@ def test_sweep_bad_ranges(capsys, form_file):
     for argv in (("--nmax", "0"), ("--levels", "0"), ("--levels", "-1")):
         code, out, err = run(capsys, "oracle", "--input", form_file, *argv)
         assert code == 2 and out == "" and ">= 1" in err
+
+
+@pytest.mark.parametrize("argv", [("sweep", "--delta", "-0.5:0.5:11"),
+                                  ("evolve", "FORM", "--t", "-1:1:5"),
+                                  ("bcs", "--sweep", "-1.2:-0.8:5"),
+                                  ("sweep", "--delta", "-.5:.5:3")],
+                         ids=["sweep", "evolve", "bcs-sweep", "leading-dot"])
+def test_negative_ranges_read_as_with_equals(capsys, form_file, argv):
+    # a value after a flag may start with "-" and a digit or "."
+    argv = [form_file if a == "FORM" else a for a in argv]
+    joined = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert (code, out) == run(capsys, *joined)[:2]
 
 
 def _tolerance_argvs(form_file):
@@ -629,8 +646,9 @@ def _analyze_doc(path):
 
 
 def _evolve_docs(path, times, shift):
-    dyn = qb.dynamical_matrix(qb.load_form(path))
-    lams = np.array([p.lam for p in qb.eigen_pairs(dyn)[0]])
+    form = qb.load_form(path)
+    dyn = qb.dynamical_matrix(form)
+    lams = qb.classify(form).mode_frequencies
     docs = []
     for t_re in times:
         t = complex(t_re) + 1j * shift

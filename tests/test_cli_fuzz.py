@@ -113,10 +113,14 @@ _tol = st.sampled_from([[], ["--tol-eig", "1e-3"], ["--tol-eig", "0"], ["--tol-e
 _fmt = st.sampled_from([[], ["--format", "csv"], ["--format", "doc"]])
 
 
+def _spelled(flag, value):
+    """``flag value`` or ``flag=value``; both read a negative range as a value."""
+    return st.sampled_from([[f"{flag}={value}"], [flag, value]])
+
+
 def _options(pairs):
-    """Any subset of ``(flag, value strategy)`` pairs as ``flag=value`` argv
-    entries (``--delta -1:0:3`` would read ``-1:0:3`` as a flag)."""
-    return st.tuples(*[st.one_of(st.just([]), value.map(lambda v, f=flag: [f"{f}={v}"]))
+    """Any subset of ``(flag, value strategy)`` pairs as argv entries."""
+    return st.tuples(*[st.one_of(st.just([]), value.flatmap(lambda v, f=flag: _spelled(f, v)))
                        for flag, value in pairs]).map(lambda parts: sum(parts, []))
 
 
@@ -127,11 +131,11 @@ def _argv(draw, form_path):
         argv = ["analyze", form_path]  # the test adds --emit-modes
     elif command == "sweep":
         first = draw(st.integers(-1, 50))
-        argv = ["sweep", f"--delta={draw(_range(max(first, 1)))}"] + draw(_options([
+        argv = ["sweep", *draw(_spelled("--delta", draw(_range(max(first, 1)))))] + draw(_options([
             ("--kappa", _range(50 // max(first, 1))), ("--gamma", _numbers),
             ("--epsilon", _numbers)]))
     elif command == "evolve":
-        argv = ["evolve", form_path, f"--t={draw(_range())}"] + draw(_options([
+        argv = ["evolve", form_path, *draw(_spelled("--t", draw(_range())))] + draw(_options([
             ("--complex-time", _numbers)]))
     elif command == "bcs":
         argv = ["bcs"] + draw(_options([

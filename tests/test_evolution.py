@@ -128,26 +128,44 @@ def test_mode_evolution_consistent_with_propagator():
 
 
 def test_growth_classification():
-    g = qb.growth_class(qb.dynamical_matrix(qb.bcs_form(bcs(0.97))))
+    g = qb.growth_class(qb.classify(qb.bcs_form(bcs(0.97))))
     assert g.kind is qb.GrowthKind.QUASIPERIODIC
     assert g.rate == 0.0 and g.poly_degree == 0
 
-    g = qb.growth_class(qb.dynamical_matrix(qb.bcs_form(bcs(1.0))))
+    g = qb.growth_class(qb.classify(qb.bcs_form(bcs(1.0))))
     assert g.kind is qb.GrowthKind.POLYNOMIAL_TIMES_OSCILLATION
     assert g.rate == 0.0 and g.poly_degree == 1
 
-    g = qb.growth_class(qb.dynamical_matrix(qb.bcs_form(bcs(1.2))))
+    g = qb.growth_class(qb.classify(qb.bcs_form(bcs(1.2))))
     assert g.kind is qb.GrowthKind.EXPONENTIAL
     assert g.rate == pytest.approx(0.6633249580710799, abs=1e-9)
+
+
+def test_growth_class_reads_the_report(monkeypatch):
+    # the verdict's eigensolve already holds the Jordan structure: no new solve
+    report = qb.classify(qb.bcs_form(bcs(1.0)))
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((sla, "eig"), (sla, "eigvals"), (sla, "svdvals"), (np.linalg, "eig")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    g = qb.growth_class(report)
+    assert calls == []
+    assert (g.kind, g.poly_degree) == (qb.GrowthKind.POLYNOMIAL_TIMES_OSCILLATION, 1)
 
 
 def test_growth_free_particle_zero_frequency_block():
     # H = p^2/2 has a Jordan block at frequency zero
     form = qb.build_form([[0.5]], [[-0.5]])
-    g = qb.growth_class(qb.dynamical_matrix(form))
+    report = qb.classify(form)
+    g = qb.growth_class(report)
     assert g.kind is qb.GrowthKind.POLYNOMIAL_TIMES_OSCILLATION
     assert g.poly_degree == 1
-    report = qb.classify(form)
     assert report.classification is qb.StabilityClass.NON_DIAGONALIZABLE
     assert report.zero_mode_count == 1
 

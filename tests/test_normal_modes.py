@@ -220,7 +220,8 @@ def test_invariant_single_mode_is_number_operator():
 
 
 def test_flip_mode_swaps_growth_labels():
-    pairs, diags = qb.eigen_pairs(qb.dynamical_matrix(qb.bcs_form(bcs(1.2))))
+    report = qb.classify(qb.bcs_form(bcs(1.2)))
+    pairs, diags = report.pairs, report.diagnostics
     flipped = [qb.flip_mode(p) for p in pairs]
     assert [f.lam for f in flipped] == [-p.lam for p in pairs]
     bt = qb.normalize_pairs(sorted(flipped, key=lambda p: (-p.lam.real, -p.lam.imag)), diags)
@@ -230,7 +231,8 @@ def test_flip_mode_swaps_growth_labels():
 def test_flip_mode_on_real_pair_leaves_adjoint_convention():
     # flipping a real mode gives frequency -lambda; the adjoint relation is
     # traded away, so the pair normalizes through the bilinear norm
-    pairs, diags = qb.eigen_pairs(qb.dynamical_matrix(qb.build_form([[1.0]], [[0.0]])))
+    report = qb.classify(qb.build_form([[1.0]], [[0.0]]))
+    pairs, diags = report.pairs, report.diagnostics
     flipped = qb.flip_mode(pairs[0])
     assert flipped.lam == pytest.approx(-1.0)
     assert not flipped.hermitian_pair

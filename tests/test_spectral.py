@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 import quadboson as qb
+from quadboson import spectral
 from quadboson.cli import _mode_table
 from quadboson.core import DynamicalMatrix
-from quadboson.errors import NullNorm, PairingFailure, WrongRegime
+from quadboson.errors import NotDiagonalizable, NullNorm, PairingFailure, WrongRegime
 from quadboson.spectral import ModePair
 
 from conftest import bcs, random_form
@@ -14,7 +17,8 @@ from conftest import bcs, random_form
 
 def test_single_mode_identity_transform():
     form = qb.build_form([[1.0]], [[0.0]])
-    pairs, diags = qb.eigen_pairs(qb.dynamical_matrix(form))
+    report = qb.classify(form)
+    pairs, diags = report.pairs, report.diagnostics
     assert len(pairs) == 1
     assert pairs[0].lam == pytest.approx(1.0)
     assert pairs[0].hermitian_pair
@@ -28,7 +32,7 @@ def test_single_mode_identity_transform():
 def test_representative_selection_uses_norm_sign():
     # in the indefinite-but-stable window the lower mode has a negative
     # frequency; +|lambda| is also an eigenvalue but with the wrong norm sign
-    pairs, _ = qb.eigen_pairs(qb.dynamical_matrix(qb.bcs_form(bcs(0.97))))
+    pairs = qb.classify(qb.bcs_form(bcs(0.97))).pairs
     lams = [p.lam for p in pairs]
     assert lams[0] == pytest.approx(0.5431049156228644, abs=1e-12)
     assert lams[1] == pytest.approx(-0.05689508437713556, abs=1e-12)
@@ -39,7 +43,7 @@ def test_representative_selection_uses_norm_sign():
 
 
 def test_complex_representatives_upper_half_plane():
-    pairs, _ = qb.eigen_pairs(qb.dynamical_matrix(qb.bcs_form(bcs(1.2))))
+    pairs = qb.classify(qb.bcs_form(bcs(1.2))).pairs
     lams = np.array([p.lam for p in pairs])
     assert np.allclose(lams.imag, 0.6633249580710799, atol=1e-10)
     assert np.allclose(np.sort(lams.real), [-0.3, 0.3], atol=1e-10)
@@ -47,14 +51,15 @@ def test_complex_representatives_upper_half_plane():
 
 
 def test_defective_case_forwarded_not_raised():
-    pairs, diags = qb.eigen_pairs(qb.dynamical_matrix(qb.bcs_form(bcs(1.0))))
+    report = qb.classify(qb.bcs_form(bcs(1.0)))
+    pairs, diags = report.pairs, report.diagnostics
     assert diags.defective
     assert len(pairs) == 2
     assert not any(p.norm_ok for p in pairs)
     bad = [c for c in diags.clusters if c.geometric < c.algebraic]
     assert len(bad) == 2
     assert all(c.algebraic == 2 and c.geometric == 1 for c in bad)
-    with pytest.raises(NullNorm):
+    with pytest.raises(NotDiagonalizable, match="Jordan blocks at eigenvalue"):
         qb.normalize_pairs(pairs, diags)
 
 
@@ -63,7 +68,8 @@ def test_defective_case_forwarded_not_raised():
 def test_metric_identity_random(seed, n, shift):
     rng = np.random.default_rng(seed)
     form = random_form(rng, n, shift=shift)
-    pairs, bt = qb.decompose(form)
+    report = qb.classify(form)
+    pairs, bt = report.pairs, qb.normalize_pairs(report.pairs, report.diagnostics)
     assert bt.metric_residual <= 1e-10
     assert np.abs(bt.W @ bt.W_inv - np.eye(2 * n)).max() <= 1e-9
     # both members of every pair are genuine eigenvectors
@@ -87,7 +93,8 @@ def test_hermitian_limit_real_spectrum(seed, n):
     # positive forms have real frequencies and Wbar = W+
     rng = np.random.default_rng(seed)
     form = random_form(rng, n, shift=0.4)
-    pairs, bt = qb.decompose(form)
+    report = qb.classify(form)
+    pairs, bt = report.pairs, qb.normalize_pairs(report.pairs, report.diagnostics)
     assert all(p.hermitian_pair for p in pairs)
     assert np.abs(qb.bar(bt.W) - bt.W.conj().T).max() <= 1e-9
 
@@ -115,7 +122,7 @@ def test_conjugate_eigenvector_map(seed, n, shift):
     form = random_form(rng, n, shift=shift)
     ht = qb.dynamical_matrix(form).matrix
     swap = qb.block_swap(n)
-    pairs, _ = qb.eigen_pairs(qb.dynamical_matrix(form))
+    pairs = qb.classify(form).pairs
     scale = max(np.linalg.norm(ht, 2), 1.0)
     for p in pairs:
         w = swap @ p.w_plus.conj()
@@ -145,7 +152,8 @@ def test_sqrt_sandwich_rejects_indefinite(rng):
 
 def test_degenerate_identical_oscillators():
     form = qb.build_form(np.eye(2), np.zeros((2, 2)))
-    pairs, bt = qb.decompose(form)
+    report = qb.classify(form)
+    pairs, bt = report.pairs, qb.normalize_pairs(report.pairs, report.diagnostics)
     assert [p.lam for p in pairs] == [pytest.approx(1.0)] * 2
     assert bt.metric_residual <= 1e-12
 
@@ -154,10 +162,10 @@ def test_mixed_signature_degenerate_eigenvalue():
     # +omega carries one positive-norm and one negative-norm direction;
     # the second mode's representative is -omega
     form = qb.build_form(np.diag([1.0, -1.0]), np.zeros((2, 2)))
-    pairs, bt = qb.decompose(form)
+    report = qb.classify(form)
+    pairs, bt = report.pairs, qb.normalize_pairs(report.pairs, report.diagnostics)
     lams = sorted(p.lam.real for p in pairs)
     assert lams == [pytest.approx(-1.0), pytest.approx(1.0)]
-    report = qb.classify(form)
     assert report.classification is qb.StabilityClass.STABLE_NON_POSITIVE
 
 
@@ -167,7 +175,7 @@ def test_zero_mode_at_positivity_threshold():
     assert report.classification is qb.StabilityClass.STABLE_NON_POSITIVE
     assert report.diagonalizable
     assert report.zero_mode_count == 1
-    pairs, bt = qb.decompose(form)
+    pairs, bt = report.pairs, qb.normalize_pairs(report.pairs, report.diagnostics)
     assert bt.metric_residual <= 1e-9
     # the finite transform still carries the analytic u, v at alpha = gamma
     u = np.sqrt((1.0 + 0.3) / 0.6)
@@ -175,9 +183,10 @@ def test_zero_mode_at_positivity_threshold():
 
 
 def test_pairing_failure_on_asymmetric_spectrum():
+    # no valid form reaches this branch, so the eigensolve step meets a fake matrix
     fake = DynamicalMatrix(1, np.diag([1.0, 2.0]).astype(complex))
     with pytest.raises(PairingFailure):
-        qb.eigen_pairs(fake)
+        spectral._eigen_pairs(fake, qb.Tolerances())
 
 
 def test_null_norm_on_synthetic_pair():
@@ -189,7 +198,7 @@ def test_null_norm_on_synthetic_pair():
 
 
 def test_near_defective_warning():
-    pairs, diags = qb.eigen_pairs(qb.dynamical_matrix(qb.bcs_form(bcs(1.0 - 1e-7))))
+    diags = qb.classify(qb.bcs_form(bcs(1.0 - 1e-7))).diagnostics
     assert any("near" in w or "small" in w for w in diags.warnings)
 
 
@@ -270,7 +279,7 @@ def test_degenerate_imaginary_eigenvalues():
     assert report.diagonalizable
     y = np.sqrt(0.8 ** 2 - 0.3 ** 2)
     assert np.allclose(report.mode_frequencies, [1j * y, 1j * y], atol=1e-10)
-    pairs, bt = qb.decompose(form)
+    pairs, bt = report.pairs, qb.normalize_pairs(report.pairs, report.diagnostics)
     assert bt.metric_residual <= 1e-10
     h = qb.extended_matrix(form).matrix
     lams = np.array([p.lam for p in pairs])
@@ -288,7 +297,8 @@ def test_degenerate_full_complex_quadruples():
     b[0, 1] = b[1, 0] = 1.2
     b[2, 3] = b[3, 2] = 1.2
     form = qb.build_form(a, b)
-    pairs, bt = qb.decompose(form)
+    report = qb.classify(form)
+    pairs, bt = report.pairs, qb.normalize_pairs(report.pairs, report.diagnostics)
     assert bt.metric_residual <= 1e-9
     lams = np.array([p.lam for p in pairs])
     h = qb.extended_matrix(form).matrix
@@ -316,7 +326,7 @@ def test_three_mode_composite_mixed_regimes():
     assert lams[0] == pytest.approx(2.0, abs=1e-10)
     assert sorted(l.imag for l in lams[1:]) == [
         pytest.approx(0.6633249580710799, abs=1e-10)] * 2
-    pairs, bt = qb.decompose(form)
+    pairs, bt = report.pairs, qb.normalize_pairs(report.pairs, report.diagnostics)
     assert bt.metric_residual <= 1e-10
     h = qb.extended_matrix(form).matrix
     target = np.diag(np.concatenate([lams, lams]))
@@ -335,7 +345,7 @@ def test_purely_imaginary_pair_full_pipeline():
     lams = report.mode_frequencies
     assert abs(lams[0].imag) <= 1e-10 and lams[0].real > 0
     assert abs(lams[1].real) <= 1e-10 and lams[1].imag > 0
-    pairs, bt = qb.decompose(form)
+    pairs, bt = report.pairs, qb.normalize_pairs(report.pairs, report.diagnostics)
     assert bt.metric_residual <= 1e-10
     h = qb.extended_matrix(form).matrix
     target = np.diag(np.concatenate([lams, lams]))
@@ -346,7 +356,42 @@ def test_purely_imaginary_pair_full_pipeline():
 
 
 def test_spectrum_structure_jordan_blocks():
-    clusters = qb.spectrum_structure(qb.dynamical_matrix(qb.bcs_form(bcs(1.0))))
+    clusters = qb.classify(qb.bcs_form(bcs(1.0))).diagnostics.clusters
     assert sorted(c.max_block for c in clusters) == [2, 2]
-    clusters = qb.spectrum_structure(qb.dynamical_matrix(qb.bcs_form(bcs(0.5))))
+    clusters = qb.classify(qb.bcs_form(bcs(0.5))).diagnostics.clusters
     assert all(c.max_block == 1 and c.geometric == c.algebraic for c in clusters)
+
+
+# forms on or next to a Jordan point: the pairing model at delta = +-eps and
+# eps (1 +- 1e-9), and single modes with |b| = a
+_JORDAN_EDGE_FORMS = st.one_of(
+    st.builds(lambda eps, ratio, side, nudge: qb.bcs_form(
+                  qb.BcsParams(eps, ratio * eps, side * nudge * eps)),
+              st.floats(0.5, 3.0), st.floats(0.05, 0.95), st.sampled_from([1.0, -1.0]),
+              st.sampled_from([1.0, 1.0 - 1e-9, 1.0 + 1e-9])),
+    st.builds(lambda a, phase: qb.build_form([[a]], [[a * np.exp(1j * phase)]]),
+              st.floats(1e-3, 1e3), st.floats(0.0, 2.0 * np.pi)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_JORDAN_EDGE_FORMS)
+@example(qb.bcs_form(qb.BcsParams(0.5, 0.225, 0.5)))
+def test_normalize_pairs_refuses_every_jordan_verdict(form):
+    # one verdict per form: no transform for a form classify calls defective
+    report = qb.classify(form)
+    if not report.diagonalizable:
+        with pytest.raises(NotDiagonalizable, match="Jordan blocks at eigenvalue"):
+            qb.normalize_pairs(report.pairs, report.diagnostics)
+
+
+@pytest.mark.parametrize("form", [qb.build_form([[10.0]], [[10.0]]),
+                                  qb.bcs_form(qb.BcsParams(3.0, 2.55, 3.0))],
+                         ids=["single-mode", "pairing"])
+def test_exact_null_direction_raises_no_warning(form):
+    # the rank tests divide by a singular value that is exactly zero on these forms
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = qb.classify(form)
+    assert not report.diagonalizable
+    if form.n_modes == 1:  # the gap across the cut of that exact zero
+        assert [d["rank_gap"] for d in report.to_dict()["defects"]] == [np.inf]
