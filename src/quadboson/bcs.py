@@ -216,6 +216,8 @@ def bcs_lambda_formula(p: BcsParams) -> tuple:
     multisets against :func:`bcs_lambda`.
     """
     eps2, gamma2, delta2, kappa2 = _squares(p.epsilon, p.gamma, p.delta, p.kappa)
+    if gamma2 == 0.0:  # gamma > 0, but its square underflowed
+        raise Overflow(f"gamma^2 underflows to zero for {p}; ratios to it leave the float range")
     dc2 = eps2 * (1.0 + kappa2 / gamma2)
     shift = kappa2 * (eps2 / gamma2 - 1.0)
     out = []
@@ -422,6 +424,9 @@ def bcs_thresholds(p: BcsParams, imag_tol: float = 1e-10) -> BcsThresholds:
     positivity = float(np.sqrt(eps2 - gamma2))
     if p.kappa == 0.0:
         return BcsThresholds(positivity=positivity, dynamical=float(p.epsilon))
+    if gamma2 == 0.0 or positivity == 0.0:  # 0 < gamma < eps, but a square underflowed
+        raise Overflow(f"gamma^2 or eps^2 - gamma^2 underflows to zero for {p}; "
+                       "ratios to it leave the float range")
     onset = positivity - abs(p.kappa)
     inner_top = positivity + abs(p.kappa)
     sqrt_formula = float(p.epsilon * np.sqrt(1.0 + kappa2 / gamma2))

@@ -150,8 +150,7 @@ def mode_evolution(df: DiagonalForm, t: complex) -> np.ndarray:
 
 
 def growth_class(report: StabilityReport) -> GrowthClass:
-    """Classify ||U(t)|| growth from the spectrum and Jordan structure held
-    by ``report``, the form's :func:`~quadboson.spectral.classify`."""
+    """||U(t)|| growth from the spectrum and Jordan blocks in ``report``, a form's classify."""
     diags = report.diagnostics
     rate = max((abs(c.value.imag) for c in diags.clusters), default=0.0)
     poly = max((c.max_block - 1 for c in diags.clusters if c.geometric < c.algebraic),

@@ -18,9 +18,8 @@ Conventions (all recorded so results are reproducible):
   eigenspace against the M-bilinear form;
 * modes are ordered by descending (Re lambda, Im lambda).
 
-:func:`classify` is the one entry into a form's eigensolve; its
-:class:`StabilityReport` carries the pairs and diagnostics that
-:func:`normalize_pairs`, ``normal_modes`` and ``evolution.growth_class`` read.
+:func:`classify` is the one entry into a form's eigensolve; the pairs and
+diagnostics of its :class:`StabilityReport` are what every consumer reads.
 :func:`classify_stack` classifies a stack of forms with one batched
 eigensolve.  It replays :func:`classify`'s choices only where they cannot
 hinge on a tie: every eigenvalue its own cluster, away from zero, with one
@@ -149,11 +148,9 @@ class BogoliubovTransform:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Regime verdict of :func:`classify`, and the one value its eigensolve
-    leaves.  ``pairs`` are the raw mode pairs in ``mode_frequencies`` order,
-    left out of :meth:`to_dict`; ``normalize_pairs(report.pairs,
-    report.diagnostics)`` turns them into the transform without solving again,
-    and ``diagnostics.clusters`` holds the Jordan structure.
+    """Regime verdict of :func:`classify`, and the one value its eigensolve leaves.
+    ``pairs`` are the raw mode pairs in ``mode_frequencies`` order, left out of
+    :meth:`to_dict`; :func:`normalize_pairs` turns them into the transform.
     """
 
     classification: StabilityClass

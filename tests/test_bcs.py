@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import quadboson as qb
-from quadboson.errors import DegenerateGap, NotDegenerate, StructureViolation
+from quadboson.errors import DegenerateGap, NotDegenerate, Overflow, StructureViolation
 
 from conftest import bcs, multiset_dev, random_form
 
@@ -185,6 +185,13 @@ def test_lambda_perturbed_dense_vs_formula():
             qb.dynamical_matrix(qb.bcs_form(p)).matrix)
         lf = qb.bcs_lambda_formula(p)
         assert multiset_dev([lf[0], lf[1], -lf[0], -lf[1]], dense) <= 1e-9
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.05])
+def test_formula_refuses_an_underflowed_gamma_square(kappa):
+    # gamma^2 rounds to zero, and the closed form divides by it
+    with pytest.raises(Overflow, match="float range"):
+        qb.bcs_lambda_formula(qb.BcsParams(1.0, 1e-162, 0.5, kappa))
 
 
 def test_lambda_perturbed_inside_unstable_window():

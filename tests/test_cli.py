@@ -532,6 +532,17 @@ def test_overflowing_inputs_exit_5(capsys, huge_file, argv):
     assert "float range" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("bcs", "--gamma", "1e-162", "--kappa", "0.05"),
+    ("bcs", "--epsilon", "1e-160", "--gamma", "9.99999e-161", "--kappa", "1e-170"),
+])
+def test_underflowing_squares_exit_5(capsys, argv):
+    # gamma^2 (or eps^2 - gamma^2) rounds to zero, and the thresholds divide by it
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (5, "")
+    assert "float range" in err
+
+
 def test_emit_modes_zero_modes_follow_classify(capsys, tmp_path):
     # |lambda| = 0.008 is below the realness cut 1e-3 * ||M Hmat||_2 = 0.018:
     # classify counts a zero mode, and the diagonal form marks the same one

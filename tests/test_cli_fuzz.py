@@ -131,12 +131,12 @@ def _argv(draw, form_path):
         argv = ["analyze", form_path]  # the test adds --emit-modes
     elif command == "sweep":
         first = draw(st.integers(-1, 50))
-        argv = ["sweep", *draw(_spelled("--delta", draw(_range(max(first, 1)))))] + draw(_options([
-            ("--kappa", _range(50 // max(first, 1))), ("--gamma", _numbers),
-            ("--epsilon", _numbers)]))
+        argv = ["sweep", *draw(_spelled("--delta", draw(_range(max(first, 1)))))]
+        argv += draw(_options([("--kappa", _range(50 // max(first, 1))), ("--gamma", _numbers),
+                               ("--epsilon", _numbers)]))
     elif command == "evolve":
-        argv = ["evolve", form_path, *draw(_spelled("--t", draw(_range())))] + draw(_options([
-            ("--complex-time", _numbers)]))
+        argv = ["evolve", form_path, *draw(_spelled("--t", draw(_range())))]
+        argv += draw(_options([("--complex-time", _numbers)]))
     elif command == "bcs":
         argv = ["bcs"] + draw(_options([
             ("--epsilon", _numbers), ("--gamma", _numbers), ("--delta", _numbers),
