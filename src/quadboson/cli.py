@@ -11,15 +11,16 @@ oracle    truncated-Fock comparison table for a form file
 Classification codes in CSV output: 0 = PositiveDefinite,
 1 = StableNonPositive, 2 = UnstableComplex, 3 = NonDiagonalizable.
 
-Exit codes: 0 success; 2 usage, bad sweep range, a grid whose buffers
-would exceed the 1 GiB memory budget (checked before allocating), oracle
---nmax/--levels below 1, a non-finite --complex-time, or a negative or
-non-finite --tol-eig/--tol-struct; 3 unreadable, undecodable or malformed
-form file; 4 structural validation failure; 5 numerical failure (overflow,
-including finite input entries too large to symmetrize or rank-test and
-bcs parameters whose squares leave the float range, wrong regime,
-including an oracle check whose compared levels need an occupation above
-nmax // 2, a vanishing generalized norm where analyze --emit-modes needs
+Exit codes: 0 success; 2 usage, bad sweep range, a grid or an analyze
+--emit-modes report whose buffers would exceed the 1 GiB memory budget
+(checked before allocating or solving), oracle --nmax/--levels below 1,
+a non-finite --complex-time, or a negative or non-finite
+--tol-eig/--tol-struct; 3 unreadable, undecodable or malformed form file;
+4 structural validation failure; 5 numerical failure (overflow, including
+finite input entries too large to symmetrize or rank-test and bcs
+parameters whose squares leave the float range, wrong regime, including an
+oracle check whose compared levels need an occupation above nmax // 2, a
+vanishing generalized norm where analyze --emit-modes needs
 the transform, an oracle Fock dimension above the cap, checked before
 allocating).  At a Jordan point analyze prints no modes and exits 0.
 
@@ -27,11 +28,15 @@ Floats are printed with ``repr`` (shortest round-trip, locale independent)
 so identical inputs and flags give byte-identical output.  ``--format doc``
 output is exactly ``json.dumps(doc, indent=2, sort_keys=True)`` of the
 document, with every complex matrix as nested ``[re, im]`` lists.
+
+:func:`main` may be called any number of times in one process; it builds
+its parser on the first call and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -94,16 +99,20 @@ def _axis(parsed) -> np.ndarray:
 # row is a tuple of a complex, two floats and an array of n magnitudes, then
 # a line or, costlier, a dict of `--format doc`: 2.0 kB at n = 1 and 2, 2.9 kB
 # at n = 8 and 5.9 kB at n = 32 for doc, about 0.6 to 1.5 kB for csv.
+# `analyze --emit-modes` grows with the n x 2n x 2n invariants: 288 B per
+# entry of them between n = 16 and 32, for doc written with --out (230 B to
+# stdout).
 SWEEP_POINT_BYTES = 4096
 EVOLVE_ROW_BYTES = 2048
 EVOLVE_MODE_BYTES = 256
+EMIT_MODES_ENTRY_BYTES = 320
 
 
-def _check_budget(points: int, point_bytes: int, what: str):
-    """Refuse a grid whose buffers would exceed the memory budget, before allocating."""
-    if points * point_bytes > MEMORY_BUDGET:
-        raise BadRange(f"{what} of {points} points needs about {points * point_bytes:.3g} B "
-                       f"of buffers, above the {MEMORY_BUDGET} B budget")
+def _check_budget(nbytes: int, what: str):
+    """Refuse work whose buffers would exceed the memory budget, before allocating."""
+    if nbytes > MEMORY_BUDGET:
+        raise BadRange(f"{what} needs about {nbytes:.3g} B of buffers, "
+                       f"above the {MEMORY_BUDGET} B budget")
 
 
 def _emit(lines, out_path):
@@ -174,6 +183,10 @@ def _mode_table(report, bt):
 def cmd_analyze(args) -> int:
     tol = _tolerances(args)
     form = formio.load_form(args.input, tol_struct=args.tol_struct)
+    if args.emit_modes:
+        n = form.n_modes
+        _check_budget(4 * n ** 3 * EMIT_MODES_ENTRY_BYTES,
+                      f"--emit-modes report of {n} modes")
     report = spectral.classify(form, tol)
     bt = None
     try:
@@ -234,7 +247,8 @@ def cmd_sweep(args) -> int:
     ranged = [v[2] for v in axes.values() if not isinstance(v, float)]
     if not 1 <= len(ranged) <= 2:
         raise BadRange(f"sweep needs one or two ranged parameters, got {len(ranged)}")
-    _check_budget(math.prod(ranged), SWEEP_POINT_BYTES, "sweep grid")
+    points = math.prod(ranged)
+    _check_budget(points * SWEEP_POINT_BYTES, f"sweep grid of {points} points")
     # a fixed value is a length-1 axis, so the first ranged parameter is outermost
     sw = _bcs_sweep(args, *(_axis(axes[n]) for n in ("gamma", "delta", "kappa")))
     rows = list(zip(sw.gamma.tolist(), sw.delta.tolist(), sw.kappa.tolist(), sw.code.tolist(),
@@ -261,8 +275,8 @@ def cmd_evolve(args) -> int:
     if not math.isfinite(args.complex_time):
         raise BadRange(f"--complex-time must be finite, got {args.complex_time!r}")
     if not isinstance(parsed, float):
-        _check_budget(parsed[2], EVOLVE_ROW_BYTES + EVOLVE_MODE_BYTES * form.n_modes,
-                      "evolve time grid")
+        _check_budget(parsed[2] * (EVOLVE_ROW_BYTES + EVOLVE_MODE_BYTES * form.n_modes),
+                      f"evolve time grid of {parsed[2]} points")
     shift = 1j * args.complex_time
     ts = [complex(t_real) + shift for t_real in _axis(parsed)]
     header = ("t_re,t_im,max_abs_u,symplectic_residual,"
@@ -299,7 +313,7 @@ def cmd_bcs(args) -> int:
         grid = _parse_range(args.sweep)
         if isinstance(grid, float):
             raise BadRange("--sweep requires min:max:steps")
-        _check_budget(grid[2], SWEEP_POINT_BYTES, "--sweep grid")
+        _check_budget(grid[2] * SWEEP_POINT_BYTES, f"--sweep grid of {grid[2]} points")
         sw = _bcs_sweep(args, [args.gamma], _axis(grid), [args.kappa])
         lines = ["delta,class_code,lambda_plus_re,lambda_plus_im,"
                  "lambda_minus_re,lambda_minus_im,sigma_1,sigma_2,sigma_3,sigma_4"]
@@ -428,9 +442,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every :func:`main` call in this process.  ``parse_args``
+    keeps no state between calls: each gets a fresh namespace with the
+    defaults, and usage errors go to ``sys.stderr`` as it is at that time."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.format is None:
         args.format = args.default_format
     try:

@@ -98,7 +98,8 @@ def propagate_stack(dyn: DynamicalMatrix, times: Sequence) -> PropagatorStack:
         nothing is silently saturated, and no residual is computed.
     """
     scales = -1j * np.asarray(times, dtype=complex)
-    u = sla.expm(scales[:, None, None] * dyn.matrix)
+    with np.errstate(over="ignore", invalid="ignore"):  # the guard below reports it
+        u = sla.expm(scales[:, None, None] * dyn.matrix)
     peaks = np.abs(u).max(axis=(1, 2))
     over = np.flatnonzero(~(peaks <= _ENTRY_GUARD))  # NaN included
     if over.size:

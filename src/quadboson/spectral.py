@@ -29,6 +29,7 @@ through :func:`classify` itself.
 
 from __future__ import annotations
 
+import bisect
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -199,13 +200,36 @@ def _nullity(mat: np.ndarray, tol_abs: float) -> tuple[int, float]:
         return count, np.inf
     kept = sv[~below].min()
     dropped = sv[below].max()
-    with np.errstate(over="ignore"):  # an exact null direction: the gap is inf
-        return count, float(kept / max(dropped, np.finfo(float).tiny))
+    if dropped <= np.finfo(float).tiny:  # an exact null direction
+        return count, np.inf
+    with np.errstate(over="ignore"):  # a gap beyond the float range is inf too
+        return count, float(kept / dropped)
+
+
+def _sweep_key(values: list) -> list:
+    """The real or the imaginary parts of finite ``values``, whichever spread
+    wider.  Either part of z is at most |z| in magnitude, so a distance test
+    may skip every pair whose parts along this key differ by more than the
+    distance; spreading wider, it skips more."""
+    re = [v.real for v in values]
+    im = [v.imag for v in values]
+    if values and max(im) - min(im) > max(re) - min(re):
+        return im
+    return re
 
 
 def _cluster_indices(values: np.ndarray, radius: float) -> list:
-    """Greedy union of eigenvalues closer than ``radius`` (single linkage)."""
+    """Single-linkage groups of eigenvalues at most ``radius`` apart, ordered
+    by smallest index, each in ascending order.
+
+    A sweep in sorted :func:`_sweep_key` order: each eigenvalue meets only
+    the later ones whose key lies within ``radius`` of its own, and links to
+    those with abs(a - b) <= radius.
+    """
     m = values.size
+    vals = values.tolist()
+    key = _sweep_key(vals)
+    order = sorted(range(m), key=key.__getitem__)
     parent = list(range(m))
 
     def find(a):
@@ -214,9 +238,12 @@ def _cluster_indices(values: np.ndarray, radius: float) -> list:
             a = parent[a]
         return a
 
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(values[i] - values[j]) <= radius:
+    for p, i in enumerate(order):
+        for q in range(p + 1, m):
+            j = order[q]
+            if key[j] - key[i] > radius:
+                break
+            if abs(vals[i] - vals[j]) <= radius:
                 parent[find(i)] = find(j)
     groups = {}
     for i in range(m):
@@ -286,16 +313,36 @@ def _analyze(matrix: np.ndarray, tol: Tolerances):
 # ---------------------------------------------------------------------------
 # pairing
 
+def _nearest_unused(values: list, used: list, target: complex, candidates):
+    """(index, distance) of the unused candidate nearest to ``target``, the
+    first one at a tie; (None, inf) when none is left."""
+    best, best_d = None, np.inf
+    for j in candidates:
+        if not used[j]:
+            d = abs(values[j] - target)
+            if d < best_d:
+                best, best_d = j, d
+    return best, best_d
+
+
 def _match_clusters(clusters, cluster_tol: float):
     """Match clusters into (c, c') groups with value(c') = -value(c).
 
-    Zero clusters self-match.  Greedy over decreasing |value|; a missing or
-    size-mismatched partner means the eigensolve lost the spectral symmetry.
+    Zero clusters self-match.  Greedy over decreasing |value|: each cluster
+    takes the nearest unused one to its negation, the first at a tie.  A
+    missing or size-mismatched partner means the eigensolve lost the spectral
+    symmetry.
     """
-    order = sorted(range(len(clusters)), key=lambda k: -abs(clusters[k][0].value))
+    values = [info.value for info, _ in clusters]
+    # a partner within the pairing radius 2 cluster_tol has its key within
+    # that radius of -key, inside the wider window searched below
+    key = _sweep_key(values)
+    order = sorted(range(len(values)), key=key.__getitem__)
+    ladder = [key[k] for k in order]
+    width = 4.0 * cluster_tol
     used = [False] * len(clusters)
     groups = []
-    for k in order:
+    for k in sorted(range(len(clusters)), key=lambda k: -abs(values[k])):
         if used[k]:
             continue
         used[k] = True
@@ -305,14 +352,11 @@ def _match_clusters(clusters, cluster_tol: float):
         if abs(info.value) <= 0.5 * cluster_tol:
             groups.append((k, k))
             continue
-        best, best_d = None, np.inf
-        for m in range(len(clusters)):
-            if used[m]:
-                continue
-            d = abs(clusters[m][0].value + info.value)
-            if d < best_d:
-                best, best_d = m, d
+        window = order[bisect.bisect_left(ladder, -key[k] - width):
+                       bisect.bisect_right(ladder, -key[k] + width)]
+        best, best_d = _nearest_unused(values, used, -info.value, sorted(window))
         if best is None or best_d > 2.0 * cluster_tol:
+            _, best_d = _nearest_unused(values, used, -info.value, range(len(clusters)))
             raise PairingFailure(
                 f"eigenvalue {info.value} has no partner near {-info.value} "
                 f"(best distance {best_d:.3e})"

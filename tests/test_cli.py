@@ -1,6 +1,11 @@
+import contextlib
 import importlib.util
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -258,14 +263,56 @@ def test_oversized_grids_are_refused_before_allocating(capsys, monkeypatch, form
         assert (code, out) == (2, "") and "budget" in err, argv
 
 
+def _form_file_of(tmp_path, n, rng):
+    path = tmp_path / f"random{n}.json"
+    qb.save_form(random_form(rng, n, shift=0.5), path)
+    return str(path)
+
+
+def test_emit_modes_is_refused_before_solving(capsys, monkeypatch, tmp_path, form_file, rng):
+    calls = _count_eigensolves(monkeypatch)
+    # the smallest n whose 4 n^3 invariant entries exceed the budget (95 at
+    # 1 GiB) is refused, n - 1 reaches the eigensolve
+    refused = next(n for n in range(1, 1000)
+                   if 4 * n ** 3 * cli.EMIT_MODES_ENTRY_BYTES > MEMORY_BUDGET)
+    assert 90 <= refused <= 110
+    code, out, err = run(capsys, "analyze", _form_file_of(tmp_path, refused, rng), "--emit-modes")
+    assert (code, out, calls) == (2, "", []) and "budget" in err
+
+    def stop(matrix):
+        calls.append(matrix.shape)
+        raise AssertionError("eig called")
+
+    monkeypatch.setattr(spectral.sla, "eig", stop)
+    with pytest.raises(AssertionError, match="eig called"):
+        main(["analyze", _form_file_of(tmp_path, refused - 1, rng), "--emit-modes"])
+    assert len(calls) == 1
+    # a budget one byte below a 2-mode report refuses it; without --emit-modes
+    # the form is analyzed whatever the budget
+    monkeypatch.undo()
+    calls = _count_eigensolves(monkeypatch)
+    need = 4 * 2 ** 3 * cli.EMIT_MODES_ENTRY_BYTES
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", need - 1)
+    code, out, err = run(capsys, "analyze", form_file, "--emit-modes")
+    assert (code, out, calls) == (2, "", []) and "budget" in err
+    assert run(capsys, "analyze", form_file)[0] == 0 and len(calls) == 1
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", need)
+    assert run(capsys, "analyze", form_file, "--emit-modes")[0] == 0 and len(calls) == 2
+
+
+def _peak_bytes(argv):
+    """Traced peak of one successful ``main(argv)``."""
+    tracemalloc.start()
+    assert main(argv) == 0
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak
+
+
 def _bytes_per_point(argv, small, large):
     """Slope of the traced peak between two grid sizes: bytes per grid point."""
-    peaks = []
-    for points in (small, large):
-        tracemalloc.start()
-        assert main([a.replace("POINTS", str(points)) for a in argv]) == 0
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
+    peaks = [_peak_bytes([a.replace("POINTS", str(points)) for a in argv])
+             for points in (small, large)]
     return (peaks[1] - peaks[0]) / (large - small)
 
 
@@ -278,6 +325,15 @@ def test_budget_figures_bound_the_measured_bytes(tmp_path, form_file, fmt):
                                "--format", fmt, "--out", out], 200, 600)
     assert 0 < sweep <= cli.SWEEP_POINT_BYTES
     assert 0 < evolve <= cli.EVOLVE_ROW_BYTES + 2 * cli.EVOLVE_MODE_BYTES
+
+
+def test_emit_modes_budget_bounds_the_measured_bytes(tmp_path, rng):
+    # peak bytes per entry of the n x 2n x 2n invariants between n = 16 and 32,
+    # on the costlier of the two outputs: the doc written with --out
+    small, large = (_peak_bytes(["analyze", _form_file_of(tmp_path, n, rng), "--emit-modes",
+                                 "--out", str(tmp_path / "out")]) for n in (16, 32))
+    slope = (large - small) / (4 * (32 ** 3 - 16 ** 3))
+    assert 0 < slope <= cli.EMIT_MODES_ENTRY_BYTES
 
 
 def _sweep_rows(capsys, *argv):
@@ -386,6 +442,20 @@ def test_evolve_overflow_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "evolve", str(path), "--t", "400")
     assert code == 5
     assert "guard" in err
+
+
+def test_evolve_overflow_prints_only_its_error(tmp_path):
+    # in a fresh interpreter, where numpy would print each overflow warning
+    # of the stacked expm once: the guard's one error line is all of stderr
+    path = tmp_path / "bcs12.json"
+    qb.save_form(qb.bcs_form(bcs(1.2)), path)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "quadboson.cli", "evolve", str(path),
+                           "--t", "0:1e6:3"], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (5, "")
+    assert proc.stderr.startswith("error: propagator entries reach nan")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
 def test_evolve_grid_crossing_the_guard_reports_its_first_time(capsys, tmp_path):
@@ -736,3 +806,73 @@ def test_stdout_digests_repeat(capsys):
     first = list(script.digest_lines([1], tiny=True))
     assert first == list(script.digest_lines([1], tiny=True))
     assert len(first) == 57 and all(line.split()[0] in "02345" for line in first)
+
+
+def _five_commands(form_file, out):
+    """argvs of all five subcommands, non-default flags next to their defaults."""
+    return [("analyze", form_file, "--emit-modes", "--tol-eig", "1e-3"),
+            ("analyze", form_file),
+            ("sweep", "--delta", "0:1.5:7", "--format", "doc"),
+            ("sweep", "--delta", "0:1.5:7"),
+            ("evolve", form_file, "--t", "0:1:3", "--out", out),
+            ("evolve", form_file, "--t", "0:1:3"),
+            ("bcs", "--sweep", "0.8:1.2:5", "--tol-eig", "1e-2"),
+            ("bcs", "--delta", "0.5"),
+            ("oracle", "--input", form_file, "--nmax", "6", "--levels", "3",
+             "--format", "doc"),
+            ("oracle", "--input", form_file, "--nmax", "6", "--levels", "3"),
+            ("analyze", form_file, "--format", "csv", "--tol-struct", "1e-6"),
+            ("sweep", "--delta", "0:1:3", "--bogus"),
+            ("analyze", form_file)]
+
+
+def _outcomes(capsys, argvs, out):
+    """(exit code, stdout, stderr, --out file) of each argv in turn."""
+    results = []
+    for argv in argvs:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = Path(out).read_text() if os.path.exists(out) else None
+        if written is not None:
+            os.remove(out)
+        results.append((code, captured.out, captured.err, written))
+    return results
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch, form_file, tmp_path):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    outcomes = _outcomes(capsys, _five_commands(form_file, str(tmp_path / "out.csv")),
+                         str(tmp_path / "out.csv"))
+    assert builds == [1]
+    assert [o[0] for o in outcomes] == [0] * 11 + [2, 0]
+    assert build() is not build()  # build_parser itself still builds afresh
+
+
+def test_reused_parser_keeps_no_flag_between_calls(capsys, monkeypatch, form_file, tmp_path):
+    out = str(tmp_path / "out.csv")
+    argvs = _five_commands(form_file, out)
+    reused = _outcomes(capsys, argvs, out)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per call
+    assert reused == _outcomes(capsys, argvs, out)
+
+
+def test_usage_errors_reach_the_current_stderr(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--delta"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: quadboson sweep")
+        assert "argument --delta: expected one argument" in captured.err
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit):
+        main(["evolve"])
+    assert "the following arguments are required" in err.getvalue()
+    assert capsys.readouterr().err == ""

@@ -3,7 +3,8 @@
 The argvs mix grids of at most 50 points, forms of up to three modes with
 entries from 1e-300 to 1e300, ``nan``/``inf`` spellings and malformed form
 documents.  Whatever the input, no exception escapes ``cli.main``, the exit
-code is one of 0, 2, 3, 4, 5, and a nonzero exit prints nothing to stdout.
+code is one of 0, 2, 3, 4, 5, a nonzero exit prints nothing to stdout, and
+no RuntimeWarning is raised.
 """
 
 import contextlib
@@ -18,6 +19,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from quadboson.cli import main
+
+# a numerical warning escaping to stderr is a failure, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 

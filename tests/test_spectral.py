@@ -393,5 +393,113 @@ def test_exact_null_direction_raises_no_warning(form):
         warnings.simplefilter("error")
         report = qb.classify(form)
     assert not report.diagonalizable
-    if form.n_modes == 1:  # the gap across the cut of that exact zero
-        assert [d["rank_gap"] for d in report.to_dict()["defects"]] == [np.inf]
+    # the gap across the cut of that exact zero, whatever the kept values
+    assert [d["rank_gap"] for d in report.to_dict()["defects"]] == [np.inf] * form.n_modes
+
+
+# The O(m^2) clustering and matching that the sweeps replaced, kept as the
+# reference the sweeps must reproduce exactly.
+
+def _quadratic_cluster_indices(values, radius):
+    m = values.size
+    parent = list(range(m))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if abs(values[i] - values[j]) <= radius:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _quadratic_match_clusters(clusters, cluster_tol):
+    order = sorted(range(len(clusters)), key=lambda k: -abs(clusters[k][0].value))
+    used = [False] * len(clusters)
+    groups = []
+    for k in order:
+        if used[k]:
+            continue
+        used[k] = True
+        info = clusters[k][0]
+        if abs(info.value) <= 0.5 * cluster_tol:
+            groups.append((k, k))
+            continue
+        best, best_d = None, np.inf
+        for m in range(len(clusters)):
+            if used[m]:
+                continue
+            d = abs(clusters[m][0].value + info.value)
+            if d < best_d:
+                best, best_d = m, d
+        if best is None or best_d > 2.0 * cluster_tol:
+            raise PairingFailure(
+                f"eigenvalue {info.value} has no partner near {-info.value} "
+                f"(best distance {best_d:.3e})"
+            )
+        if clusters[best][0].algebraic != info.algebraic:
+            raise PairingFailure(
+                f"multiplicity mismatch between {info.value} and "
+                f"{clusters[best][0].value}"
+            )
+        used[best] = True
+        groups.append((k, best))
+    return groups
+
+
+# Points of a lattice of spacing 1/4 (chains at radius 1/4 or 1/2, exact ties,
+# equal real or imaginary parts), a few nudged by a last-bit-sized step so
+# distances land on either side of the radius, and random points.
+_LATTICE = st.builds(lambda re, im: complex(re / 4, im / 4),
+                     st.integers(-8, 8), st.integers(-8, 8))
+_NUDGED = st.builds(lambda z, step: z + step,
+                    _LATTICE, st.sampled_from([1e-16, -1e-16, 1e-16j, 1e-9, -1e-9j]))
+_POINTS = _LATTICE | _NUDGED | st.complex_numbers(max_magnitude=3.0, allow_nan=False)
+_RADII = st.sampled_from([0.0, 0.25, 0.5, 1.0, 0.1])
+
+
+@st.composite
+def _spectra(draw):
+    """Points, all on one axis or in the plane, optionally with their negations."""
+    axis = draw(st.sampled_from([1.0, 1j, None]))
+    points = draw(st.lists(_POINTS, max_size=12))
+    if axis is not None:
+        points = [abs(z) * axis * (1 if z.real >= 0 else -1) for z in points]
+    if draw(st.booleans()):
+        points += [-z for z in points]
+    return np.array(draw(st.permutations(points)), dtype=complex)
+
+
+def _outcome(match, clusters, tol):
+    try:
+        return match(clusters, tol)
+    except PairingFailure as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spectra(), _RADII)
+def test_cluster_sweep_matches_the_pairwise_union(values, radius):
+    assert spectral._cluster_indices(values, radius) == _quadratic_cluster_indices(values, radius)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spectra(), _RADII, st.lists(st.sampled_from([1, 1, 2]), min_size=24, max_size=24))
+# 2 meets two partners at one distance and must take the first
+@example(np.array([2.0, -1.75 + 0.25j, -1.75 - 0.25j]), 0.25, [1] * 24)
+@example(np.array([2.0, -1.75 + 0.25j, -1.75 - 0.25j, 1.75 + 0.25j, 1.75 - 0.25j]), 0.25, [1] * 24)
+def test_windowed_matching_matches_the_greedy_scan(values, tol, sizes):
+    # clusters as _analyze makes them, with drawn multiplicities; a spectrum
+    # that lost a partner or a multiplicity must raise the same message
+    groups = spectral._cluster_indices(values, tol)
+    clusters = [(spectral.ClusterInfo(complex(values[idx].mean()), size, size, 1, np.inf), idx)
+                for idx, size in zip(groups, sizes)]
+    assert (_outcome(spectral._match_clusters, clusters, tol)
+            == _outcome(_quadratic_match_clusters, clusters, tol))
