@@ -99,9 +99,8 @@ def _axis(parsed) -> np.ndarray:
 # row is a tuple of a complex, two floats and an array of n magnitudes, then
 # a line or, costlier, a dict of `--format doc`: 2.0 kB at n = 1 and 2, 2.9 kB
 # at n = 8 and 5.9 kB at n = 32 for doc, about 0.6 to 1.5 kB for csv.
-# `analyze --emit-modes` grows with the n x 2n x 2n invariants: 288 B per
-# entry of them between n = 16 and 32, for doc written with --out (230 B to
-# stdout).
+# `analyze --emit-modes` grows with the n x 2n x 2n invariants: 230 B per
+# entry of them between n = 16 and 32, for doc written with --out or to stdout.
 SWEEP_POINT_BYTES = 4096
 EVOLVE_ROW_BYTES = 2048
 EVOLVE_MODE_BYTES = 256
@@ -116,12 +115,16 @@ def _check_budget(nbytes: int, what: str):
 
 
 def _emit(lines, out_path):
-    text = "\n".join(lines) + "\n"
+    """Write ``lines`` and a final newline to ``out_path`` or stdout, without
+    a copy of the document with the newline appended."""
+    text = "\n".join(lines)  # the one line itself when there is one
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.write("\n")
     else:
         sys.stdout.write(text)
+        sys.stdout.write("\n")
 
 
 def _dumps(value, depth: int = 0) -> str:

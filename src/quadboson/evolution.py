@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg as sla
 
 from .core import DynamicalMatrix, bar, metric_signs
 from .errors import Overflow, StepTooLarge
@@ -97,9 +96,11 @@ def propagate_stack(dyn: DynamicalMatrix, times: Sequence) -> PropagatorStack:
         in magnitude or is not finite (strong instability at large |t|);
         nothing is silently saturated, and no residual is computed.
     """
+    from scipy.linalg import expm  # only the propagators need scipy
+
     scales = -1j * np.asarray(times, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # the guard below reports it
-        u = sla.expm(scales[:, None, None] * dyn.matrix)
+        u = expm(scales[:, None, None] * dyn.matrix)
     peaks = np.abs(u).max(axis=(1, 2))
     over = np.flatnonzero(~(peaks <= _ENTRY_GUARD))  # NaN included
     if over.size:
@@ -182,6 +183,8 @@ def ode_cross_check(dyn: DynamicalMatrix, t: float, steps: int,
         If given, raise StepTooLarge up front when the step-size error
         estimate cannot reach the target, with a suggested step count.
     """
+    from scipy.linalg import expm
+
     if isinstance(t, complex) and t.imag != 0:
         raise ValueError("ode_cross_check integrates along real time only")
     t = float(np.real(t))
@@ -192,7 +195,7 @@ def ode_cross_check(dyn: DynamicalMatrix, t: float, steps: int,
     gen = -1j * ht
     if target is not None and t != 0.0:
         hnorm = np.linalg.norm(ht, 2)
-        growth = np.exp(max(np.max(sla.eigvals(ht).imag), 0.0) * abs(t))
+        growth = np.exp(max(np.max(np.linalg.eigvals(ht).imag), 0.0) * abs(t))
         est = abs(t) * (abs(t) * hnorm / steps) ** 4 * hnorm * growth / 30.0
         if est > target:
             need = int(np.ceil(abs(t) * hnorm * (abs(t) * hnorm * growth
@@ -209,5 +212,5 @@ def ode_cross_check(dyn: DynamicalMatrix, t: float, steps: int,
         k3 = gen @ (u + 0.5 * h * k2)
         k4 = gen @ (u + h * k3)
         u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    exact = sla.expm(-1j * t * ht)
+    exact = expm(-1j * t * ht)
     return float(np.linalg.norm(u - exact, 2))

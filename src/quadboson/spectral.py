@@ -36,7 +36,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .core import (
     QuadraticForm,
@@ -193,7 +192,7 @@ class StabilityReport:
 
 def _nullity(mat: np.ndarray, tol_abs: float) -> tuple[int, float]:
     """Number of singular values <= tol_abs, plus the gap across the cut."""
-    sv = sla.svdvals(mat)
+    sv = np.linalg.svd(mat, compute_uv=False)
     below = sv <= tol_abs
     count = int(np.count_nonzero(below))
     if count == 0 or count == sv.size:
@@ -265,7 +264,7 @@ def _max_block(shifted: np.ndarray, algebraic: int) -> int:
         That scale ||A - value||^k leaves the float range before the
         nullities settle.
     """
-    base = max(float(sla.svdvals(shifted).max()), np.finfo(float).tiny)
+    base = max(float(np.linalg.svd(shifted, compute_uv=False).max()), np.finfo(float).tiny)
     power = np.eye(shifted.shape[0], dtype=complex)
     prev = 0
     size = 1
@@ -288,7 +287,7 @@ def _max_block(shifted: np.ndarray, algebraic: int) -> int:
 def _analyze(matrix: np.ndarray, tol: Tolerances):
     """Eigendecompose, cluster and rank-test: (vecs, clusters, diagnostics)."""
     scale = max(np.linalg.norm(matrix, 2), np.finfo(float).tiny)
-    evals, vecs = sla.eig(matrix)
+    evals, vecs = np.linalg.eig(matrix)
     residual = np.abs(matrix @ vecs - vecs * evals[None, :]).max() / scale
     cluster_tol = _CLUSTER_SAFETY * scale
     clusters = []
@@ -424,7 +423,7 @@ def _complex_branch_pairs(vp, vm, lam, mdiag, diags):
     # against the bilinear pairing P_kl = bar(vm_k) M vp_l
     pmat = np.array([[bar_vector(vm[:, k]) @ (mdiag * vp[:, l]) for l in range(m)]
                      for k in range(m)])
-    smin = sla.svdvals(pmat).min()
+    smin = np.linalg.svd(pmat, compute_uv=False).min()
     if smin <= _NULL_NORM:
         diags.warnings.extend([f"degenerate eigenvalue {lam:.6g} has a near-singular pairing"] * m)
         return [ModePair(lam, vp[:, k], vm[:, k], False, False) for k in range(m)]
@@ -649,16 +648,23 @@ class StabilityColumns:
     max_imag: np.ndarray
 
 
+def _magnitude(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise with the bits of Python's ``abs(complex)``, libm's
+    hypot; ``np.abs`` of a complex array may differ from it in the last ulps."""
+    return np.hypot(z.real, z.imag)
+
+
 def _stack_fast_path(hmats: np.ndarray, tol: Tolerances):
     """Batched classify of finite extended matrices: (taken, code, freqs, min sigma).
 
     One call each to eigvalsh, the 2-norm and eig serves the stack; these
-    give the scalar calls' bits (``_analyze`` uses ``scipy.linalg.eig``, the
-    same LAPACK driver).  ``taken`` marks the points whose verdict cannot
-    hinge on a tie, where the steps below replay ``_eigen_pairs`` exactly:
-    every eigenvalue is its own cluster, none is a zero cluster, and each
-    has one mutual negation partner inside the pairing radius, so the
-    greedy ``_match_clusters`` can only pick that partner.  Both members of
+    are the functions ``classify`` calls per form, so they give its bits, and
+    every complex magnitude is :func:`_magnitude`, the bits of ``abs``.
+    ``taken`` marks the points whose verdict cannot hinge on a tie, where
+    the steps below replay ``_eigen_pairs`` exactly: every eigenvalue is its
+    own cluster, none is a zero cluster, and each has one mutual negation
+    partner inside the pairing radius, so the greedy ``_match_clusters``
+    can only pick that partner.  Both members of
     a pair lie on the same side of ``_eigen_pairs``' real-branch cut, and
     every real pair has |M-norm| > ``_NEAR_DEFECT_NORM``, so the sign that
     orients it is far above roundoff.  Rows not taken hold garbage.
@@ -681,12 +687,12 @@ def _stack_fast_path(hmats: np.ndarray, tol: Tolerances):
     # -0.0 into +0.0 exactly as adding 0.0 does
     values = evals + 0.0
     off = ~np.eye(two_n, dtype=bool)
-    spread = np.where(off, np.abs(evals[:, :, None] - evals[:, None, :]), np.inf)
-    negation = np.where(off, np.abs(values[:, :, None] + values[:, None, :]), np.inf)
+    spread = np.where(off, _magnitude(evals[:, :, None] - evals[:, None, :]), np.inf)
+    negation = np.where(off, _magnitude(values[:, :, None] + values[:, None, :]), np.inf)
     partner = negation.argmin(axis=2)
     taken = (np.isfinite(scale)
              & (spread.min(axis=(1, 2)) > cluster_tol)
-             & (np.abs(values) > 0.5 * cluster_tol[:, None]).all(axis=1)
+             & (_magnitude(values) > 0.5 * cluster_tol[:, None]).all(axis=1)
              & ((negation <= 2.0 * cluster_tol[:, None, None]).sum(axis=2) == 1).all(axis=1)
              & (partner[rows, partner] == np.arange(two_n)).all(axis=1))
     sel = np.flatnonzero(taken)
@@ -697,7 +703,7 @@ def _stack_fast_path(hmats: np.ndarray, tol: Tolerances):
     rows = rows[: sel.size]
     # _match_clusters visits clusters by decreasing |value| (a stable sort);
     # the first member of each pair it meets leads the pair
-    order = np.argsort(-np.abs(values), axis=1, kind="stable")
+    order = np.argsort(-_magnitude(values), axis=1, kind="stable")
     rank = np.argsort(order, axis=1)
     leads = rank < np.take_along_axis(rank, partner, axis=1)
     first = order[np.take_along_axis(leads, order, axis=1)].reshape(-1, n)

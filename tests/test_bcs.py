@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg as sla
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -56,7 +55,7 @@ def _assert_columns_match_classify(sw):
 
 def test_batched_kernels_match_scalar_calls_bit_for_bit():
     # the batched path rests on this: one stacked eig, eigvalsh and 2-norm give
-    # the bits of the per-form calls inside classify on this BLAS
+    # the bits of the per-form calls inside classify
     hmats = np.array([qb.extended_matrix(qb.bcs_form(bcs(d, 0.05))).matrix
                       for d in np.linspace(0.0, 1.5, 3001)])
     dyn = qb.core.metric_signs(2)[:, None] * hmats
@@ -64,7 +63,7 @@ def test_batched_kernels_match_scalar_calls_bit_for_bit():
     sigma = np.linalg.eigvalsh(hmats)
     norms = np.linalg.norm(dyn, 2, axis=(1, 2))
     for i in range(hmats.shape[0]):
-        w, v = sla.eig(dyn[i])
+        w, v = np.linalg.eig(dyn[i])
         assert w.tobytes() == evals[i].tobytes() and v.tobytes() == vecs[i].tobytes()
         assert np.linalg.eigvalsh(hmats[i]).tobytes() == sigma[i].tobytes()
         assert np.linalg.norm(dyn[i], 2) == norms[i]

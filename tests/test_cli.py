@@ -75,13 +75,13 @@ def test_analyze_emit_modes(capsys, form_file):
 
 def _count_eigensolves(monkeypatch):
     calls = []
-    eig = spectral.sla.eig
+    eig = np.linalg.eig
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
         return eig(*args, **kwargs)
 
-    monkeypatch.setattr(spectral.sla, "eig", counted)
+    monkeypatch.setattr(np.linalg, "eig", counted)
     return calls
 
 
@@ -283,7 +283,7 @@ def test_emit_modes_is_refused_before_solving(capsys, monkeypatch, tmp_path, for
         calls.append(matrix.shape)
         raise AssertionError("eig called")
 
-    monkeypatch.setattr(spectral.sla, "eig", stop)
+    monkeypatch.setattr(np.linalg, "eig", stop)
     with pytest.raises(AssertionError, match="eig called"):
         main(["analyze", _form_file_of(tmp_path, refused - 1, rng), "--emit-modes"])
     assert len(calls) == 1
@@ -329,11 +329,23 @@ def test_budget_figures_bound_the_measured_bytes(tmp_path, form_file, fmt):
 
 def test_emit_modes_budget_bounds_the_measured_bytes(tmp_path, rng):
     # peak bytes per entry of the n x 2n x 2n invariants between n = 16 and 32,
-    # on the costlier of the two outputs: the doc written with --out
+    # for the doc written with --out
     small, large = (_peak_bytes(["analyze", _form_file_of(tmp_path, n, rng), "--emit-modes",
                                  "--out", str(tmp_path / "out")]) for n in (16, 32))
     slope = (large - small) / (4 * (32 ** 3 - 16 ** 3))
     assert 0 < slope <= cli.EMIT_MODES_ENTRY_BYTES
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_out_file_peak_matches_stdout(tmp_path, rng, n):
+    # the document is written once: a copy of it with the final newline
+    # appended would raise the --out peak by the document's size.  The stdout
+    # here is a StringIO, which keeps the written strings and copies none.
+    path = _form_file_of(tmp_path, n, rng)
+    with contextlib.redirect_stdout(io.StringIO()):
+        to_stdout = _peak_bytes(["analyze", path, "--emit-modes"])
+    to_file = _peak_bytes(["analyze", path, "--emit-modes", "--out", str(tmp_path / "out")])
+    assert abs(to_file - to_stdout) <= 0.02 * to_stdout
 
 
 def _sweep_rows(capsys, *argv):
@@ -458,6 +470,31 @@ def test_evolve_overflow_prints_only_its_error(tmp_path):
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
+_SCIPY_PROBE = """
+import contextlib, io, sys
+import quadboson
+from quadboson.cli import main
+path = sys.argv[1]
+loaded = ["scipy" in sys.modules]
+for argv in (["analyze", path, "--emit-modes"], ["sweep", "--delta", "0:1.5:31"],
+             ["bcs", "--delta", "0.5"], ["oracle", "--input", path, "--nmax", "6"],
+             ["evolve", path, "--t", "0:1:3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    loaded.append("scipy" in sys.modules)
+print(loaded)
+"""
+
+
+def test_only_evolve_loads_scipy(form_file):
+    # every eigensolve is numpy's: scipy is imported where expm runs, not before
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, form_file],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == str([False] * 5 + [True]) + "\n"
+
+
 def test_evolve_grid_crossing_the_guard_reports_its_first_time(capsys, tmp_path):
     path = tmp_path / "bcs12.json"
     qb.save_form(qb.bcs_form(bcs(1.2)), path)
@@ -577,8 +614,8 @@ def test_out_file_matches_stdout(capsys, form_file, tmp_path):
 
 @pytest.fixture
 def huge_file(tmp_path):
-    """A valid two-mode form with entries near 1e200: finite, but its Jordan
-    rank test squares a norm beyond the float range."""
+    """A valid positive definite two-mode form with entries near 1e200: finite,
+    with frequencies sqrt(0.99) 1e200, each twice."""
     path = tmp_path / "huge.json"
     a = np.array([[1e200, 0.0], [0.0, 1e200]])
     b = np.array([[0.0, 1e199], [1e199, 0.0]])
@@ -586,20 +623,70 @@ def huge_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def tiny_file(tmp_path):
+    """A one-mode form with entries near 1e-300 and frequency i sqrt(|B|^2 - A^2)."""
+    path = tmp_path / "tiny.json"
+    qb.save_form(qb.build_form([[1.26e-301]], [[6.40e-301 + 1.00e-301j]]), path)
+    return str(path)
+
+
+def test_huge_and_tiny_inputs_get_their_verdicts(capsys, huge_file, tiny_file):
+    code, out, _ = run(capsys, "sweep", "--delta", "0:1e200:3")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert code == 0 and [int(r[4]) for r in rows] == [0, 2, 2]
+    assert [float(r[5]) for r in rows] == pytest.approx([0.0, 5e199, 1e200], rel=1e-14)
+    code, out, _ = run(capsys, "bcs", "--delta", "1e200")
+    doc = json.loads(out)
+    assert (code, doc["classification"]) == (0, "UnstableComplex")
+    assert np.array(doc["mode_frequencies"]) == pytest.approx(np.array([[0.0, 1e200]] * 2),
+                                                              rel=1e-14)
+    # delta = epsilon is the BCS Jordan point: +-gamma, each a 2-block
+    code, out, _ = run(capsys, "bcs", "--epsilon", "1e150", "--gamma", "3e149",
+                       "--delta", "1e150")
+    doc = json.loads(out)
+    assert (code, doc["classification"]) == (0, "NonDiagonalizable")
+    assert np.array(doc["mode_frequencies"]) == pytest.approx(np.array([[3e149, 0.0]] * 2),
+                                                              rel=1e-7)
+    code, out, _ = run(capsys, "analyze", huge_file)
+    doc = json.loads(out)
+    assert (code, doc["classification"]) == (0, "PositiveDefinite")
+    assert np.array(doc["mode_frequencies"]) == pytest.approx(
+        np.array([[np.sqrt(0.99) * 1e200, 0.0]] * 2), rel=1e-14)
+    # |lambda| = 6.35e-301 lies below the realness cut tol.eig * max(||M Hmat||, 1)
+    code, out, _ = run(capsys, "analyze", tiny_file)
+    doc = json.loads(out)
+    assert (code, doc["classification"], doc["zero_mode_count"]) == (0, "StableNonPositive", 1)
+    lam = complex(*doc["mode_frequencies"][0])
+    expected = 1e-301j * np.sqrt(abs(6.40 + 1.00j) ** 2 - 1.26 ** 2)  # squares at scale 1
+    assert lam == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+@pytest.fixture
+def huge_jordan_file(tmp_path):
+    """The BCS Jordan point delta = epsilon at 1e200: finite, but its Jordan
+    rank test squares a norm beyond the float range."""
+    path = tmp_path / "huge_jordan.json"
+    qb.save_form(qb.bcs_form(qb.BcsParams(1e200, 3e199, 1e200, 0.0)), path)
+    return str(path)
+
+
 @pytest.mark.parametrize("argv", [
-    ("sweep", "--delta", "0:1e200:3"),
-    ("bcs", "--delta", "1e200"),
+    ("sweep", "--epsilon", "1e200", "--gamma", "3e199", "--delta", "0:1e200:3"),
+    ("bcs", "--epsilon", "1e200", "--gamma", "3e199", "--delta", "1e200"),
     ("bcs", "--delta", "9e307"),
     ("bcs", "--delta", "1e308"),
     ("bcs", "--epsilon", "1e300", "--gamma", "1e299"),
     ("bcs", "--epsilon", "1e160", "--gamma", "1e159", "--kappa", "1e158"),
-    ("analyze", "{huge}"),
+    ("analyze", "{jordan}"),
     ("evolve", "{huge}", "--t", "0:1:3"),
 ])
-def test_overflowing_inputs_exit_5(capsys, huge_file, argv):
-    code, out, err = run(capsys, *(a.format(huge=huge_file) for a in argv))
+def test_overflowing_inputs_exit_5(capsys, huge_file, huge_jordan_file, argv):
+    code, out, err = run(capsys, *(a.format(huge=huge_file, jordan=huge_jordan_file)
+                                   for a in argv))
     assert (code, out) == (5, "")
-    assert "float range" in err
+    # evolve meets the propagator's entry guard, the others the float range
+    assert ("the guard is 1e+100" if argv[0] == "evolve" else "float range") in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -152,7 +152,8 @@ def test_growth_class_reads_the_report(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for owner, name in ((sla, "eig"), (sla, "eigvals"), (sla, "svdvals"), (np.linalg, "eig")):
+    for owner, name in ((np.linalg, "eig"), (np.linalg, "eigvals"), (np.linalg, "svd"),
+                        (sla, "eig"), (sla, "eigvals"), (sla, "svdvals")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     g = qb.growth_class(report)
     assert calls == []

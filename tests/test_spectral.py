@@ -12,7 +12,7 @@ from quadboson.core import DynamicalMatrix
 from quadboson.errors import NotDiagonalizable, NullNorm, PairingFailure, WrongRegime
 from quadboson.spectral import ModePair
 
-from conftest import bcs, random_form
+from conftest import bcs, multiset_dev, random_form
 
 
 def test_single_mode_identity_transform():
@@ -233,6 +233,40 @@ def test_one_realness_cut_matches_the_per_mode_rule(form):
     verdict = [bool(abs(l.imag) <= report.diagnostics.real_tol) for l in lams]
     assert verdict == [bool(abs(l.imag) <= eig * max(1.0, abs(l))) for l in lams]
     assert [row["hermitian"] for row in _mode_table(report, None)] == verdict
+
+
+def _plus_minus(freqs, scale):
+    """The +-lambda multiset of ``freqs`` divided by ``scale``, a power of two."""
+    f = np.asarray(freqs) / scale
+    return np.concatenate([f, -f])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4), st.sampled_from([0.5, -0.5, None]),
+       st.integers(-1000, 1000))
+@example(0, 2, -0.5, 1000)
+@example(0, 2, -0.5, -1000)
+def test_a_power_of_two_scales_frequencies_and_keeps_verdicts(seed, n, shift, k):
+    # 2^k (A, B) has the frequencies of (A, B) times 2^k at any k the float
+    # range holds; the verdict keeps when the realness cut eig * max(||M Hmat||, 1)
+    # scales along, that is when ||M Hmat|| >= 1 and k >= 0
+    form = random_form(np.random.default_rng(seed), n, shift=shift)
+    scale = 2.0 ** k
+    own = qb.classify(form)
+    scaled = qb.classify(qb.build_form(form.A * scale, form.B * scale))
+    norm = np.linalg.norm(qb.dynamical_matrix(form).matrix, 2)
+    assert multiset_dev(_plus_minus(scaled.mode_frequencies, scale),
+                        _plus_minus(own.mode_frequencies, 1.0)) <= 1e-13 * norm
+    if k >= 0 and norm >= 1.0:
+        assert scaled.classification is own.classification
+
+
+def test_batched_magnitudes_are_abs_bit_for_bit():
+    # _stack_fast_path decides with _magnitude where classify uses abs(complex)
+    rng = np.random.default_rng(11)
+    for scale in np.logspace(-300, 300, 13):
+        z = scale * (rng.normal(size=8000) + 1j * rng.normal(size=8000))
+        assert spectral._magnitude(z).tolist() == [abs(complex(x)) for x in z]
 
 
 def test_classification_invariants():
