@@ -38,11 +38,9 @@ from .spectral import (
 from .normal_modes import (
     CoordinateDiagonalForm,
     DiagonalForm,
-    InvariantSet,
     coordinate_diagonal,
     diagonal_form,
     flip_mode,
-    invariants,
 )
 from .evolution import (
     GrowthClass,

@@ -14,8 +14,10 @@ Classification codes in CSV output: 0 = PositiveDefinite,
 Exit codes: 0 success; 2 usage, bad sweep range, a grid or an analyze
 --emit-modes report whose buffers would exceed the 1 GiB memory budget
 (checked before allocating or solving), oracle --nmax/--levels below 1,
-a non-finite --complex-time, or a negative or non-finite
---tol-eig/--tol-struct; 3 unreadable, undecodable or malformed form file;
+a non-finite --complex-time, a negative or non-finite
+--tol-eig/--tol-struct, or a bcs --format its mode does not write (a
+single point writes doc, --sweep csv); 3 unreadable, undecodable or
+malformed form file;
 4 structural validation failure; 5 numerical failure (overflow, including
 finite input entries too large to symmetrize or rank-test and bcs
 parameters whose squares leave the float range, wrong regime, including an
@@ -212,10 +214,9 @@ def cmd_analyze(args) -> int:
             warnings.append("eigenvalues all real and non-zero")
     doc["warnings"] = warnings
     if args.emit_modes and bt is not None:
-        df = normal_modes.diagonal_form(bt, report.mode_frequencies, report.diagnostics)
-        inv = normal_modes.invariants(bt)
+        df = normal_modes.diagonal_form(bt)
         doc["diagonal_form"] = df.to_dict()
-        doc["invariants"] = inv.K
+        doc["invariants"] = df.invariants
     if args.format == "doc":
         _emit([_dumps(doc)], args.out)
     else:
@@ -271,15 +272,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    tol = _tolerances(args)
-    form = formio.load_form(args.input, tol_struct=args.tol_struct)
-    lams = spectral.classify(form, tol).mode_frequencies
     parsed = _parse_range(args.t)
     if not math.isfinite(args.complex_time):
         raise BadRange(f"--complex-time must be finite, got {args.complex_time!r}")
+    form = formio.load_form(args.input, tol_struct=args.tol_struct)
     if not isinstance(parsed, float):
         _check_budget(parsed[2] * (EVOLVE_ROW_BYTES + EVOLVE_MODE_BYTES * form.n_modes),
                       f"evolve time grid of {parsed[2]} points")
+    lams = spectral.classify(form, _tolerances(args)).mode_frequencies
     shift = 1j * args.complex_time
     ts = [complex(t_real) + shift for t_real in _axis(parsed)]
     header = ("t_re,t_im,max_abs_u,symplectic_residual,"
@@ -312,6 +312,10 @@ def _sigma_columns(p: bcs_mod.BcsParams) -> np.ndarray:
 
 
 def cmd_bcs(args) -> int:
+    # a single point writes a doc and --sweep csv rows; no flag picks the other
+    mode, writes = ("--sweep", "csv") if args.sweep else ("at a single point", "doc")
+    if args.format not in (None, writes):
+        raise BadRange(f"bcs {mode} writes --format {writes}, not {args.format}")
     if args.sweep:
         grid = _parse_range(args.sweep)
         if isinstance(grid, float):
@@ -434,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, default=0.0)
     p.add_argument("--sweep", default=None,
                    help="sweep delta over min:max:steps instead of one point")
-    p.set_defaults(func=cmd_bcs, default_format="csv")
+    p.set_defaults(func=cmd_bcs, default_format=None)
 
     p = sub.add_parser("oracle", parents=[common],
                        help="truncated-Fock spectrum comparison")

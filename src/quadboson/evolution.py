@@ -93,8 +93,10 @@ def propagate_stack(dyn: DynamicalMatrix, times: Sequence) -> PropagatorStack:
     ------
     Overflow
         At the first time, in stack order, where an entry of U exceeds 1e100
-        in magnitude or is not finite (strong instability at large |t|);
-        nothing is silently saturated, and no residual is computed.
+        in magnitude (strong instability at large |t|) or ``expm`` returned
+        a non-finite entry, which it also does for a bounded U when
+        ||t M Hmat||_1 is beyond its float range; nothing is silently
+        saturated, and no residual is computed.
     """
     from scipy.linalg import expm  # only the propagators need scipy
 
@@ -105,9 +107,16 @@ def propagate_stack(dyn: DynamicalMatrix, times: Sequence) -> PropagatorStack:
     over = np.flatnonzero(~(peaks <= _ENTRY_GUARD))  # NaN included
     if over.size:
         i = over[0]
+        if np.isfinite(peaks[i]):
+            raise Overflow(
+                f"propagator entries reach {peaks[i]:.3e} at t={times[i]}; "
+                f"the guard is {_ENTRY_GUARD:.0e}"
+            )
+        # a Python float product saturates to inf without a warning
+        size = abs(times[i]) * float(np.linalg.norm(dyn.matrix, 1))
         raise Overflow(
-            f"propagator entries reach {peaks[i]:.3e} at t={times[i]}; "
-            f"the guard is {_ENTRY_GUARD:.0e}"
+            f"expm gave non-finite propagator entries at t={times[i]}, "
+            f"where ||t M Hmat||_1 = {size:.3e}"
         )
     signs = metric_signs(dyn.n_modes)
     sym = np.linalg.norm((u * signs) @ bar(u) - np.diag(signs), 2, axis=(1, 2))

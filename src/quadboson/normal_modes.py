@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import bar_symmetrize, coord_map, coord_metric, metric_signs, quadratic_matrix
-from .spectral import BogoliubovTransform, EigenDiagnostics, ModePair
+from .spectral import BogoliubovTransform, ModePair
 
 
 @dataclass(frozen=True)
@@ -58,16 +58,23 @@ class DiagonalForm:
         """Matrix of [b'_i, b'bar_j]; the identity when the transform is exact."""
         return self.extract_b @ (metric_signs(self.n_modes)[:, None] * self.extract_bbar.T)
 
-    def mode_invariant(self, i: int) -> np.ndarray:
-        """K_i with b'bar_i b'_i = Z+ K_i Z."""
-        return np.outer(self.extract_bbar[i], self.extract_b[i])
+    @property
+    def invariants(self) -> np.ndarray:
+        """Conserved bilinears b'bar_i b'_i = Z+ K_i Z as the (n, 2n, 2n) stack
+        of K_i = outer(M w_i, row i of W^-1).
+
+        Each K_i satisfies Ubar(t) K_i U(t) = K_i for the exact propagator at
+        any complex time, because the defining rows and columns are
+        left/right eigenvectors of the generator with opposite eigenvalues.
+        """
+        return self.extract_bbar[:, :, None] * self.extract_b[:, None, :]
 
     def reconstruct_extended(self) -> np.ndarray:
         """Reassemble Hmat = sum_i lambda_i (K_i + K_ibar)."""
         two_n = 2 * self.n_modes
         out = np.zeros((two_n, two_n), dtype=complex)
-        for i in range(self.n_modes):
-            out += self.lambdas[i] * bar_symmetrize(self.mode_invariant(i))
+        for lam, k in zip(self.lambdas, self.invariants):
+            out += lam * bar_symmetrize(k)
         return out
 
     def to_dict(self) -> dict:
@@ -105,45 +112,23 @@ class CoordinateDiagonalForm:
         return self.Tprime.size
 
 
-@dataclass(frozen=True)
-class InvariantSet:
-    """Conserved quadratic forms K_i = M w_i (wbar_ibar M), one per mode."""
-
-    K: np.ndarray  # shape (n, 2n, 2n)
-
-    @property
-    def n_modes(self) -> int:
-        return self.K.shape[0]
-
-
-def diagonal_form(bt: BogoliubovTransform, lambdas,
-                  diags: EigenDiagnostics) -> DiagonalForm:
+def diagonal_form(bt: BogoliubovTransform) -> DiagonalForm:
     """Mode extraction functionals for H = sum_i lambda_i (b'bar_i b'_i + 1/2).
 
-    ``lambdas`` must list the pair representatives in the column order of
-    ``bt``, and ``diags`` be the diagnostics of the eigensolve that made its
-    pairs (``report.diagnostics`` of the form's ``classify``): a mode
-    is hermitian when |Im lambda_i|, and zero when |lambda_i|, is at most
-    ``diags.real_tol``, as in ``classify``'s verdict.
-
-    Raises
-    ------
-    ValueError
-        ``lambdas`` does not hold one frequency per mode.
+    The frequencies are ``bt.lambdas``: a mode is hermitian when
+    |Im lambda_i|, and zero when |lambda_i|, is at most ``bt.real_tol``, as
+    in ``classify``'s verdict.
     """
-    lambdas = np.asarray(lambdas, dtype=complex)
     n = bt.n_modes
-    if lambdas.size != n:
-        raise ValueError(f"expected {n} mode frequencies, got {lambdas.size}")
+    lambdas = np.asarray(bt.lambdas, dtype=complex)
     extract_b = bt.W_inv[:n].copy()
     extract_bbar = (metric_signs(n)[:, None] * bt.W[:, :n]).T.copy()
-    herm = np.abs(lambdas.imag) <= diags.real_tol
-    zero = np.abs(lambdas) <= diags.real_tol
+    herm = np.abs(lambdas.imag) <= bt.real_tol
+    zero = np.abs(lambdas) <= bt.real_tol
     return DiagonalForm(lambdas, extract_b, extract_bbar, herm, zero)
 
 
-def coordinate_diagonal(bt: BogoliubovTransform, lambdas,
-                        diags: EigenDiagnostics) -> CoordinateDiagonalForm:
+def coordinate_diagonal(bt: BogoliubovTransform) -> CoordinateDiagonalForm:
     """Coordinate/momentum extraction rows with the T' = V' = lambda scaling.
 
     The scaled transform is W_c = S+ W S, whose columns are
@@ -153,7 +138,7 @@ def coordinate_diagonal(bt: BogoliubovTransform, lambdas,
     :func:`diagonal_form`: zero modes skip the scaling and report
     T' = V' = 0, and the rows of a real mode are hermitian.
     """
-    df = diagonal_form(bt, lambdas, diags)
+    df = diagonal_form(bt)
     n = bt.n_modes
     smap = coord_map(n)
     mc = coord_metric(n)
@@ -162,19 +147,6 @@ def coordinate_diagonal(bt: BogoliubovTransform, lambdas,
     tprime = np.where(df.zero_modes, 0.0, df.lambdas)
     return CoordinateDiagonalForm(tprime, tprime.copy(), wc_inv[:n].copy(),
                                   wc_inv[n:].copy(), df.hermitian_flags, df.zero_modes)
-
-
-def invariants(bt: BogoliubovTransform) -> InvariantSet:
-    """Conserved bilinears b'bar_i b'_i as fixed 2n x 2n matrices.
-
-    Each K_i satisfies Ubar(t) K_i U(t) = K_i for the exact propagator at
-    any complex time, because the defining rows and columns are left/right
-    eigenvectors of the generator with opposite eigenvalues.
-    """
-    n = bt.n_modes
-    # K_i = outer(M w_i, row i of W^-1), all modes at once
-    ks = (metric_signs(n)[:, None] * bt.W[:, :n]).T[:, :, None] * bt.W_inv[:n, None, :]
-    return InvariantSet(ks)
 
 
 def flip_mode(pair: ModePair) -> ModePair:

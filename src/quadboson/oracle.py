@@ -107,8 +107,7 @@ def _ladder_pair(moves: dict, i: int, di: int, j: int, dj: int):
     return target_i[mid], cols, root_i[mid] * root_j[cols]
 
 
-def fock_hamiltonian(form: QuadraticForm, n_max: int,
-                     dim_cap: int = DEFAULT_DIM_CAP) -> FockTruncation:
+def fock_hamiltonian(form: QuadraticForm, n_max: int) -> FockTruncation:
     """Assemble the truncated matrix of the form in the occupation basis.
 
     Basis states are occupation tuples (n_1, ..., n_N), 0 <= n_i <= n_max,
@@ -121,16 +120,16 @@ def fock_hamiltonian(form: QuadraticForm, n_max: int,
     Raises
     ------
     DimensionCap
-        (n_max + 1)^n_modes exceeds ``dim_cap``.
+        (n_max + 1)^n_modes exceeds ``DEFAULT_DIM_CAP``.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     n = form.n_modes
     dim = (n_max + 1) ** n
-    if dim > dim_cap:
+    if dim > DEFAULT_DIM_CAP:
         raise DimensionCap(
             f"truncated dimension {dim} ({16 * dim * dim} bytes dense) "
-            f"exceeds the cap {dim_cap}"
+            f"exceeds the cap {DEFAULT_DIM_CAP}"
         )
     moves = _ladder_moves(n_max, n)
     diag = np.arange(dim) * (dim + 1)
@@ -150,18 +149,16 @@ def fock_hamiltonian(form: QuadraticForm, n_max: int,
     return FockTruncation(n, n_max, dim, h.reshape(dim, dim))
 
 
-def fock_ground_energy(form: QuadraticForm, n_max: int,
-                       dim_cap: int = DEFAULT_DIM_CAP) -> float:
+def fock_ground_energy(form: QuadraticForm, n_max: int) -> float:
     """Lowest eigenvalue of the truncated matrix."""
-    trunc = fock_hamiltonian(form, n_max, dim_cap)
+    trunc = fock_hamiltonian(form, n_max)
     return float(np.linalg.eigvalsh(trunc.H_matrix)[0])
 
 
-def fock_ground_trend(form: QuadraticForm, n_max_list,
-                      dim_cap: int = DEFAULT_DIM_CAP) -> list:
+def fock_ground_trend(form: QuadraticForm, n_max_list) -> list:
     """Ground energies across cutoffs; decreasing without bound flags an
     indefinite form, convergence from above a positive one."""
-    return [fock_ground_energy(form, m, dim_cap) for m in n_max_list]
+    return [fock_ground_energy(form, m) for m in n_max_list]
 
 
 @dataclass(frozen=True)
@@ -180,13 +177,12 @@ class FockSpectrumReport:
     observed: np.ndarray
     max_deviation: float
     form: QuadraticForm = field(repr=False)
-    dim_cap: int = field(default=DEFAULT_DIM_CAP, repr=False)
 
     @cached_property
     def ground_trend(self) -> list:
         cuts = sorted({min(max(2, self.n_max - d), self.n_max) for d in (4, 2, 0)})
         return [(m, float(self.observed[0]) if m == self.n_max
-                 else fock_ground_energy(self.form, m, self.dim_cap)) for m in cuts]
+                 else fock_ground_energy(self.form, m)) for m in cuts]
 
     def to_dict(self) -> dict:
         return {
@@ -199,8 +195,7 @@ class FockSpectrumReport:
 
 
 def fock_spectrum_check(form: QuadraticForm, n_max: int, k_levels: int,
-                        tol: Tolerances = Tolerances(),
-                        dim_cap: int = DEFAULT_DIM_CAP) -> FockSpectrumReport:
+                        tol: Tolerances = Tolerances()) -> FockSpectrumReport:
     """Compare the truncated spectrum against the mode lattice.
 
     The prediction is the k lowest lattice levels sum_i lambda_i (n_i + 1/2)
@@ -220,8 +215,8 @@ def fock_spectrum_check(form: QuadraticForm, n_max: int, k_levels: int,
         compared level (ties at the k-th included) needs some n_i above
         n_max // 2.
     DimensionCap
-        (n_max + 1)^n_modes exceeds ``dim_cap``; checked before the lattice
-        or the matrix is built.
+        (n_max + 1)^n_modes exceeds ``DEFAULT_DIM_CAP``; checked before the
+        lattice or the matrix is built.
     """
     if k_levels < 1:
         raise ValueError("k_levels must be >= 1")
@@ -231,7 +226,7 @@ def fock_spectrum_check(form: QuadraticForm, n_max: int, k_levels: int,
             f"form classifies as {report.classification.value}; the lattice "
             "comparison needs a positive definite form"
         )
-    trunc = fock_hamiltonian(form, n_max, dim_cap)  # checks the cap before allocating
+    trunc = fock_hamiltonian(form, n_max)  # checks the cap before allocating
     lams = report.mode_frequencies.real
     budget = n_max // 2
     # An occupation outside the box n_i <= budget + 1 lies above one inside
@@ -257,5 +252,4 @@ def fock_spectrum_check(form: QuadraticForm, n_max: int, k_levels: int,
         observed=observed,
         max_deviation=float(np.abs(predicted - observed).max()),
         form=form,
-        dim_cap=dim_cap,
     )

@@ -128,16 +128,26 @@ class EigenDiagnostics:
 class BogoliubovTransform:
     """Normalized transform W with columns (w_1..w_n, w_1bar..w_nbar).
 
-    Satisfies W M Wbar = M; the inverse is the metric conjugate M Wbar M,
-    no matrix inversion involved.
+    ``lambdas`` are the mode frequencies in column order, and ``real_tol``
+    the eigensolve's realness cut: |Im lambda_i| (|lambda_i|) at or below it
+    counts as real (zero), as in ``classify``'s verdict.  Satisfies
+    W M Wbar = M, so the inverse is the metric conjugate M Wbar M, no matrix
+    inversion involved.
     """
 
     W: np.ndarray
-    W_inv: np.ndarray
+    lambdas: np.ndarray
+    real_tol: float
 
     @property
     def n_modes(self) -> int:
         return self.W.shape[0] // 2
+
+    @cached_property
+    def W_inv(self) -> np.ndarray:
+        """M Wbar M, computed on first read."""
+        mdiag = metric_signs(self.n_modes)
+        return mdiag[:, None] * bar(self.W) * mdiag
 
     @cached_property
     def metric_residual(self) -> float:
@@ -516,7 +526,8 @@ def normalize_pairs(pairs, diags: EigenDiagnostics) -> BogoliubovTransform:
     quadruple members are exact images of each other, w' = i T w*.
     ``diags`` is the eigensolve's (``report.diagnostics``): a pair with
     |Re lambda| <= ``real_tol`` is its own quadruple, and partners are
-    matched within ``cluster_tol``.
+    matched within ``cluster_tol``.  The transform carries the pair
+    frequencies and ``real_tol``, so the diagonal forms read both from it.
 
     Raises
     ------
@@ -587,7 +598,7 @@ def normalize_pairs(pairs, diags: EigenDiagnostics) -> BogoliubovTransform:
             linked.update((i, j))
 
     w_full = np.concatenate([cols_plus, cols_minus], axis=1)
-    return BogoliubovTransform(w_full, mdiag[:, None] * bar(w_full) * mdiag)
+    return BogoliubovTransform(w_full, lams, diags.real_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 import quadboson as qb
 from quadboson import CLASS_CODES, cli, spectral
 from quadboson.core import MEMORY_BUDGET
+from quadboson.errors import PairingFailure
 from quadboson.cli import main
 
 from conftest import bcs, random_form
@@ -71,6 +72,22 @@ def test_analyze_emit_modes(capsys, form_file):
     assert code == 0
     assert "diagonal_form" in doc and "invariants" in doc
     assert len(doc["invariants"]) == 2
+
+
+@pytest.mark.parametrize("emit", [False, True])
+def test_only_emit_modes_reads_the_inverse_transform(capsys, monkeypatch, form_file, emit):
+    # W^-1 = M Wbar M is computed on first read, and only the diagonal form reads it
+    made = []
+    normalize = spectral.normalize_pairs
+
+    def recording(*args):
+        made.append(normalize(*args))
+        return made[-1]
+
+    monkeypatch.setattr(spectral, "normalize_pairs", recording)
+    argv = ["analyze", form_file] + ["--emit-modes"] * emit
+    assert run(capsys, *argv)[0] == 0
+    assert len(made) == 1 and ("W_inv" in made[0].__dict__) == emit
 
 
 def _count_eigensolves(monkeypatch):
@@ -466,7 +483,7 @@ def test_evolve_overflow_prints_only_its_error(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "quadboson.cli", "evolve", str(path),
                            "--t", "0:1e6:3"], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout) == (5, "")
-    assert proc.stderr.startswith("error: propagator entries reach nan")
+    assert proc.stderr.startswith("error: expm gave non-finite propagator entries")
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
@@ -510,6 +527,39 @@ def test_evolve_grid_crossing_the_guard_reports_its_first_time(capsys, tmp_path)
         assert run(capsys, "evolve", str(path), "--t", f"{lo}:{hi}:{steps}") == (5, "", expected)
 
 
+def test_non_finite_propagator_names_the_generator_size(capsys, tmp_path, huge_file):
+    # a bounded U whose expm returns NaN (norm near 1e200) and a finite U over
+    # the guard (unstable pairing form at t = 400) get different messages
+    norm = np.linalg.norm(qb.dynamical_matrix(qb.load_form(huge_file)).matrix, 1)
+    expected = ("error: expm gave non-finite propagator entries at t=(0.5+0j), "
+                f"where ||t M Hmat||_1 = {0.5 * norm:.3e}\n")
+    assert run(capsys, "evolve", huge_file, "--t", "0:1:3") == (5, "", expected)
+    assert expected.endswith("= 5.500e+199\n")
+    path = tmp_path / "bcs12.json"
+    qb.save_form(qb.bcs_form(bcs(1.2)), path)
+    code, out, err = run(capsys, "evolve", str(path), "--t", "400")
+    assert (code, out) == (5, "")
+    assert err.startswith("error: propagator entries reach 1.5")
+    assert err.endswith(" at t=(400+0j); the guard is 1e+100\n")
+
+
+@pytest.mark.parametrize("argv", [("--t", "1:0:3"), ("--t", "1", "--complex-time", "nan"),
+                                  ("--t", "0:1:1000000000")])
+def test_evolve_reports_usage_errors_before_solving(capsys, monkeypatch, form_file, argv):
+    def failing(*args, **kwargs):
+        raise PairingFailure("the solve ran")
+
+    monkeypatch.setattr(spectral, "classify", failing)
+    assert run(capsys, "evolve", form_file, *argv)[:2] == (2, "")
+
+
+def test_evolve_usage_error_outranks_a_bad_form_file(capsys, tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text("{")
+    assert run(capsys, "evolve", str(path), "--t", "1:0:3")[0] == 2
+    assert run(capsys, "evolve", str(path), "--t", "1")[0] == 3
+
+
 def test_bcs_point_report(capsys):
     code, out, _ = run(capsys, "bcs", "--delta", "0.5")
     assert code == 0
@@ -547,6 +597,19 @@ def test_bcs_sweep_boundaries(capsys):
             assert got == 2, d
     jordan = [r for r in rows if abs(float(r[0]) - 1.0) <= 1e-12]
     assert len(jordan) == 1 and int(jordan[0][1]) == 3
+
+
+@pytest.mark.parametrize("argv, writes", [(("--delta", "0.5", "--format", "csv"), "doc"),
+                                          (("--sweep", "0:1:3", "--format", "doc"), "csv")])
+def test_bcs_refuses_a_format_its_mode_does_not_write(capsys, argv, writes):
+    code, out, err = run(capsys, "bcs", *argv)
+    assert (code, out) == (2, "")
+    assert f"writes --format {writes}, not {argv[-1]}" in err
+
+
+@pytest.mark.parametrize("argv, fmt", [(("--delta", "0.5"), "doc"), (("--sweep", "0:1:3"), "csv")])
+def test_bcs_format_of_its_mode_changes_nothing(capsys, argv, fmt):
+    assert run(capsys, "bcs", *argv, "--format", fmt) == run(capsys, "bcs", *argv)
 
 
 def test_bcs_invalid_params(capsys):
@@ -685,8 +748,8 @@ def test_overflowing_inputs_exit_5(capsys, huge_file, huge_jordan_file, argv):
     code, out, err = run(capsys, *(a.format(huge=huge_file, jordan=huge_jordan_file)
                                    for a in argv))
     assert (code, out) == (5, "")
-    # evolve meets the propagator's entry guard, the others the float range
-    assert ("the guard is 1e+100" if argv[0] == "evolve" else "float range") in err
+    # evolve meets expm's non-finite entries, the others the float range
+    assert ("expm gave non-finite" if argv[0] == "evolve" else "float range") in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -806,10 +869,9 @@ def _analyze_doc(path):
     doc = report.to_dict()
     doc.update(input_digest=qb.form_digest(path), n_modes=form.n_modes,
                mode_table=cli._mode_table(report, bt), thresholds=None,
-               diagonal_form=qb.diagonal_form(bt, report.mode_frequencies,
-                                              report.diagnostics).to_dict(),
+               diagonal_form=qb.diagonal_form(bt).to_dict(),
                invariants=[[[[v.real, v.imag] for v in row] for row in k]
-                           for k in qb.invariants(bt).K])
+                           for k in qb.diagonal_form(bt).invariants])
     return doc
 
 

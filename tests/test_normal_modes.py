@@ -12,17 +12,16 @@ from conftest import bcs, multiset_dev, random_form
 
 
 def _pipeline(form):
-    """Transform, frequencies and eigen diagnostics from classify's pairs."""
+    """Transform from classify's pairs."""
     report = qb.classify(form)
     assert report.diagonalizable
-    bt = qb.normalize_pairs(report.pairs, report.diagnostics)
-    return bt, report.mode_frequencies, report.diagnostics
+    return qb.normalize_pairs(report.pairs, report.diagnostics)
 
 
 def test_single_mode_trivial():
     form = qb.build_form([[1.0]], [[0.0]])
-    bt, lams, diags = _pipeline(form)
-    df = qb.diagonal_form(bt, lams, diags)
+    bt = _pipeline(form)
+    df = qb.diagonal_form(bt)
     assert np.abs(np.abs(df.extract_b[0]) - np.array([1.0, 0.0])).max() <= 1e-12
     assert np.abs(np.abs(df.extract_bbar[0]) - np.array([1.0, 0.0])).max() <= 1e-12
     assert df.zero_point_energy == pytest.approx(0.5)
@@ -32,8 +31,8 @@ def test_single_mode_trivial():
 def test_bcs_frequencies_and_zero_point():
     # both frequencies from nu*gamma + sqrt(1 - delta^2); ground offset
     # (lam+ + lam-)/2 collapses to sqrt(1 - delta^2)
-    bt, lams, diags = _pipeline(qb.bcs_form(bcs(0.5)))
-    df = qb.diagonal_form(bt, lams, diags)
+    bt = _pipeline(qb.bcs_form(bcs(0.5)))
+    df = qb.diagonal_form(bt)
     assert np.allclose(np.sort(df.lambdas.real),
                        [0.5660254037844386, 1.1660254037844386], atol=1e-10)
     assert df.zero_point_energy.real == pytest.approx(0.8660254037844386, abs=1e-10)
@@ -41,8 +40,8 @@ def test_bcs_frequencies_and_zero_point():
 
 
 def test_complex_mode_frequencies_flagged():
-    bt, lams, diags = _pipeline(qb.bcs_form(bcs(1.2)))
-    df = qb.diagonal_form(bt, lams, diags)
+    bt = _pipeline(qb.bcs_form(bcs(1.2)))
+    df = qb.diagonal_form(bt)
     assert not df.hermitian_flags.any()
     assert np.allclose(df.lambdas.imag, 0.6633249580710799, atol=1e-10)
 
@@ -52,8 +51,8 @@ def test_complex_mode_frequencies_flagged():
 def test_commutation_and_reconstruction(seed, n, shift):
     rng = np.random.default_rng(seed)
     form = random_form(rng, n, shift=shift)
-    bt, lams, diags = _pipeline(form)
-    df = qb.diagonal_form(bt, lams, diags)
+    bt = _pipeline(form)
+    df = qb.diagonal_form(bt)
     assert np.abs(df.commutator_matrix() - np.eye(n)).max() <= 1e-9
     # [b'_i, b'_j] = 0 and [b'bar_i, b'bar_j] = 0 on the extraction rows
     mt = qb.metric(n) @ qb.block_swap(n)
@@ -69,21 +68,21 @@ def test_commutation_and_reconstruction(seed, n, shift):
 def test_adjoint_relation_real_modes_only():
     # real lambda: b'bar is the adjoint of b' (rows related by conjugation);
     # complex lambda: the relation must fail
-    bt, lams, diags = _pipeline(qb.bcs_form(bcs(0.5)))
-    df = qb.diagonal_form(bt, lams, diags)
+    bt = _pipeline(qb.bcs_form(bcs(0.5)))
+    df = qb.diagonal_form(bt)
     for i in range(2):
         assert np.abs(np.conj(df.extract_b[i]) - df.extract_bbar[i]).max() <= 1e-10
 
-    bt, lams, diags = _pipeline(qb.bcs_form(bcs(1.2)))
-    df = qb.diagonal_form(bt, lams, diags)
+    bt = _pipeline(qb.bcs_form(bcs(1.2)))
+    df = qb.diagonal_form(bt)
     for i in range(2):
         assert np.abs(np.conj(df.extract_b[i]) - df.extract_bbar[i]).max() > 0.1
 
 
 def test_complex_conjugation_links_opposite_modes():
     # above the gap: b'_nu^dag = i b'_{-nu} and bbar'_nu^dag = i bbar'_{-nu}
-    bt, lams, diags = _pipeline(qb.bcs_form(bcs(1.2)))
-    df = qb.diagonal_form(bt, lams, diags)
+    bt = _pipeline(qb.bcs_form(bcs(1.2)))
+    df = qb.diagonal_form(bt)
     n = 2
 
     def adjoint_row(row):
@@ -95,16 +94,10 @@ def test_complex_conjugation_links_opposite_modes():
     assert np.abs(np.conj(df.extract_bbar[0]) - swap_cols).max() <= 1e-12
 
 
-def test_diagonal_form_rejects_bad_transform():
-    bt, lams, diags = _pipeline(qb.bcs_form(bcs(0.5)))
-    with pytest.raises(ValueError):
-        qb.diagonal_form(bt, lams[:1], diags)
-
-
 def test_coordinate_diagonal_trivial():
     form = qb.build_form([[1.0]], [[0.0]])
-    bt, lams, diags = _pipeline(form)
-    cd = qb.coordinate_diagonal(bt, lams, diags)
+    bt = _pipeline(form)
+    cd = qb.coordinate_diagonal(bt)
     assert cd.Tprime[0] == pytest.approx(1.0)
     assert cd.Vprime[0] == pytest.approx(1.0)
     assert np.abs(np.abs(cd.extract_q[0]) - np.array([1.0, 0.0])).max() <= 1e-12
@@ -117,8 +110,8 @@ def test_coordinate_diagonal_trivial():
 def test_coordinate_diagonalizes_form(seed, n, shift):
     rng = np.random.default_rng(seed)
     form = random_form(rng, n, shift=shift)
-    bt, lams, diags = _pipeline(form)
-    cd = qb.coordinate_diagonal(bt, lams, diags)
+    bt = _pipeline(form)
+    cd = qb.coordinate_diagonal(bt)
     s = qb.coord_map(n)
     wc = s.conj().T @ bt.W @ s
     hc = qb.coordinate_matrix(qb.coordinate_form(form))
@@ -127,32 +120,32 @@ def test_coordinate_diagonalizes_form(seed, n, shift):
     scale = max(np.abs(hc).max(), 1.0)
     assert np.abs(hc_diag - target).max() <= 1e-8 * scale
     # T'V' = lambda^2
-    assert np.abs(cd.Tprime * cd.Vprime - lams ** 2).max() <= 1e-8 * scale
+    assert np.abs(cd.Tprime * cd.Vprime - bt.lambdas ** 2).max() <= 1e-8 * scale
 
 
 def test_coordinate_zero_mode_returned_unscaled():
     form = qb.bcs_form(bcs(float(np.sqrt(0.91))))
-    bt, lams, diags = _pipeline(form)
-    cd = qb.coordinate_diagonal(bt, lams, diags)
+    bt = _pipeline(form)
+    cd = qb.coordinate_diagonal(bt)
     assert list(cd.zero_modes) == [False, True]
     assert cd.Tprime[1] == 0.0 and cd.Vprime[1] == 0.0
     assert cd.Tprime[0] == pytest.approx(0.6, abs=1e-9)
-    df = qb.diagonal_form(bt, lams, diags)
+    df = qb.diagonal_form(bt)
     assert list(df.zero_modes) == [False, True]
 
 
 def test_coordinate_nonhermitian_conjugation_relations():
     # q'_nu^dag = i q'_{-nu} and p'_nu^dag = -i p'_{-nu} above the gap
-    bt, lams, diags = _pipeline(qb.bcs_form(bcs(1.2)))
-    cd = qb.coordinate_diagonal(bt, lams, diags)
+    bt = _pipeline(qb.bcs_form(bcs(1.2)))
+    cd = qb.coordinate_diagonal(bt)
     assert not cd.hermitian_flags.any()
     assert np.abs(np.conj(cd.extract_q[0]) - 1j * cd.extract_q[1]).max() <= 1e-12
     assert np.abs(np.conj(cd.extract_p[0]) + 1j * cd.extract_p[1]).max() <= 1e-12
 
 
 def test_coordinate_rows_hermitian_for_real_modes():
-    bt, lams, diags = _pipeline(qb.bcs_form(bcs(0.5)))
-    cd = qb.coordinate_diagonal(bt, lams, diags)
+    bt = _pipeline(qb.bcs_form(bcs(0.5)))
+    cd = qb.coordinate_diagonal(bt)
     assert cd.hermitian_flags.all()
     assert np.abs(cd.extract_q.imag).max() <= 1e-10
     assert np.abs(cd.extract_p.imag).max() <= 1e-10
@@ -164,9 +157,9 @@ def test_quadrature_sum_equals_mode_number(seed, shift):
     # p'^2 + q'^2 = 2 b'bar b' + 1 as a matrix identity on extraction rows
     rng = np.random.default_rng(seed)
     form = random_form(rng, 2, shift=shift)
-    bt, lams, diags = _pipeline(form)
-    cd = qb.coordinate_diagonal(bt, lams, diags)
-    ks = qb.invariants(bt).K
+    bt = _pipeline(form)
+    cd = qb.coordinate_diagonal(bt)
+    ks = qb.diagonal_form(bt).invariants
     for i in range(2):
         lhs = (coordinate_quadratic_matrix(cd.extract_q[i], 2)
                + coordinate_quadratic_matrix(cd.extract_p[i], 2))
@@ -179,14 +172,14 @@ def test_quadrature_rotation_under_evolution():
     # complex frequencies
     for delta in (0.5, 1.2):
         form = qb.bcs_form(bcs(delta))
-        bt, lams, diags = _pipeline(form)
-        cd = qb.coordinate_diagonal(bt, lams, diags)
+        bt = _pipeline(form)
+        cd = qb.coordinate_diagonal(bt)
         t = 0.7
         u = qb.propagate(qb.dynamical_matrix(form), t).U
         s = qb.coord_map(2)
         uc = s.conj().T @ u @ s
         for i in range(2):
-            c, sn = np.cos(lams[i] * t), np.sin(lams[i] * t)
+            c, sn = np.cos(bt.lambdas[i] * t), np.sin(bt.lambdas[i] * t)
             assert np.abs(cd.extract_q[i] @ uc
                           - (c * cd.extract_q[i] + sn * cd.extract_p[i])).max() <= 1e-9
             assert np.abs(cd.extract_p[i] @ uc
@@ -198,8 +191,8 @@ def test_quadrature_rotation_under_evolution():
 def test_invariants_conserved(seed, n, shift):
     rng = np.random.default_rng(seed)
     form = random_form(rng, n, shift=shift)
-    bt, lams, diags = _pipeline(form)
-    ks = qb.invariants(bt).K
+    bt = _pipeline(form)
+    ks = qb.diagonal_form(bt).invariants
     dyn = qb.dynamical_matrix(form)
     for t in (0.7, 0.4 + 0.3j):
         prop = qb.propagate(dyn, t)
@@ -212,8 +205,8 @@ def test_invariants_conserved(seed, n, shift):
 
 def test_invariant_single_mode_is_number_operator():
     form = qb.build_form([[1.0]], [[0.0]])
-    bt, lams, diags = _pipeline(form)
-    ks = qb.invariants(bt).K
+    bt = _pipeline(form)
+    ks = qb.diagonal_form(bt).invariants
     expected = np.zeros((2, 2))
     expected[0, 0] = 1.0
     assert np.abs(ks[0] - expected).max() <= 1e-12
@@ -238,7 +231,7 @@ def test_flip_mode_on_real_pair_leaves_adjoint_convention():
     assert not flipped.hermitian_pair
     bt = qb.normalize_pairs([flipped], diags)
     assert bt.metric_residual <= 1e-12
-    df = qb.diagonal_form(bt, [flipped.lam], diags)
+    df = qb.diagonal_form(bt)
     h = qb.extended_matrix(qb.build_form([[1.0]], [[0.0]])).matrix
     assert np.abs(df.reconstruct_extended() - h).max() <= 1e-12
 
@@ -266,11 +259,10 @@ def test_every_diagonalizable_verdict_gets_its_diagonal_form(form, eig_tol):
     report = qb.classify(form, qb.Tolerances(eig_tol))
     if not report.diagonalizable:
         return
-    lams, diags = report.mode_frequencies, report.diagnostics
-    bt = qb.normalize_pairs(report.pairs, diags)
-    df = qb.diagonal_form(bt, lams, diags)
-    cd = qb.coordinate_diagonal(bt, lams, diags)
-    assert qb.invariants(bt).n_modes == form.n_modes
+    bt = qb.normalize_pairs(report.pairs, report.diagnostics)
+    df = qb.diagonal_form(bt)
+    cd = qb.coordinate_diagonal(bt)
+    assert df.invariants.shape[0] == form.n_modes
     assert report.zero_mode_count == df.zero_modes.sum() == cd.zero_modes.sum()
     assert list(df.hermitian_flags) == list(cd.hermitian_flags) == [
         row["hermitian"] for row in _mode_table(report, bt)]

@@ -115,11 +115,21 @@ def test_spectrum_check_bcs_lattice():
     assert trend[0] >= trend[-1] - 1e-13
 
 
-def test_spectrum_check_trend_stays_at_or_below_cutoff():
-    # n_max = 1 needs dimension 4; no trend cutoff may exceed it
+def test_spectrum_check_trend_stays_at_or_below_cutoff(monkeypatch):
+    # no trend cutoff may exceed n_max: at n_max = 1 the trend builds nothing
+    # beyond the one n_max matrix
+    built = []
+    build = qb.oracle.fock_hamiltonian
+
+    def counting(form, n_max):
+        built.append(n_max)
+        return build(form, n_max)
+
+    monkeypatch.setattr(qb.oracle, "fock_hamiltonian", counting)
     form = qb.bcs_form(bcs(0.5))
-    report = qb.fock_spectrum_check(form, 1, 2, dim_cap=5)
+    report = qb.fock_spectrum_check(form, 1, 2)
     assert report.ground_trend == [(1, report.observed[0])]
+    assert built == [1]
     report = qb.fock_spectrum_check(form, 6, 3)
     assert [m for m, _ in report.ground_trend] == [2, 4, 6]
     assert report.ground_trend[-1][1] == qb.fock_ground_energy(form, 6)
@@ -197,7 +207,7 @@ def test_vector_operator_commutators():
     form = qb.bcs_form(bcs(0.5))
     report = qb.classify(form)
     bt = qb.normalize_pairs(report.pairs, report.diagnostics)
-    df = qb.diagonal_form(bt, report.mode_frequencies, report.diagnostics)
+    df = qb.diagonal_form(bt)
     n_max = 8
     ops = qb.fock_operators(2, n_max)
     dim = (n_max + 1) ** 2

@@ -338,7 +338,7 @@ def test_degenerate_full_complex_quadruples():
     h = qb.extended_matrix(form).matrix
     target = np.diag(np.concatenate([lams, lams]))
     assert np.abs(qb.bar(bt.W) @ h @ bt.W - target).max() <= 1e-9
-    ks = qb.invariants(bt).K
+    ks = qb.diagonal_form(bt).invariants
     prop = qb.propagate(qb.dynamical_matrix(form), 1.0)
     ubar = qb.bar(prop.U)
     for k in ks:
@@ -384,7 +384,7 @@ def test_purely_imaginary_pair_full_pipeline():
     h = qb.extended_matrix(form).matrix
     target = np.diag(np.concatenate([lams, lams]))
     assert np.abs(qb.bar(bt.W) @ h @ bt.W - target).max() <= 1e-10
-    df = qb.diagonal_form(bt, lams, report.diagnostics)
+    df = qb.diagonal_form(bt)
     assert list(df.hermitian_flags) == [True, False]
     assert np.abs(df.reconstruct_extended() - h).max() <= 1e-10
 
