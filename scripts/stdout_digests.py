@@ -2,7 +2,8 @@
 """Exit code and stdout sha256 of every benchmark op, one line per argv.
 
 Builds the op lists of the four ``perfbench`` workloads at each seed, plus
-each workload's known-defect ops, and runs every op in-process through
+each workload's known-defect ops, then a fixed list of single-point ``bcs``
+argvs that no benchmark op runs, and runs every op in-process through
 ``perfbench/run.py``'s ``call`` (stdout captured; importing ``run`` pins
 BLAS to one thread).  Each line reads ``<exit code> <sha256 of stdout>
 <argv>``; fixture paths in the argv are printed relative to the fixture
@@ -31,12 +32,12 @@ import workloads  # noqa: E402
 from quadboson import cli  # noqa: E402
 
 
-def digest_line(argv, root: str) -> str:
+def digest_line(argv, root: str = "") -> str:
     rc, out, _, failure = run.call(cli, argv)
     if failure is not None:  # "raised: <type>: <message>"
         rc = "raised:" + failure.split()[1].rstrip(":")
     digest = hashlib.sha256(out.encode()).hexdigest()
-    shown = [os.path.relpath(a, root) if a.startswith(root) else a for a in argv]
+    shown = [os.path.relpath(a, root) if root and a.startswith(root) else a for a in argv]
     return f"{rc} {digest} {' '.join(shown)}"
 
 
@@ -51,12 +52,27 @@ def digest_lines(seeds, tiny: bool = False):
                     yield digest_line(op.argv, root)
 
 
+def bcs_point_argvs():
+    """Single-point ``bcs`` in every regime, with and without kappa (kappa != 0
+    bisects the reentry edge), then on both sides of the gaps delta = +/-1 down
+    to 10^-15, with and without ``--tol-eig 1e-3``."""
+    for delta in (0.0, 0.5, 0.97, 1.0, 1.2, -0.5):
+        for kappa in (0.0, 0.05, 0.2):
+            yield ["bcs", "--delta", repr(delta), "--kappa", repr(kappa)]
+    for k in range(3, 16):
+        for delta in (1.0 + 10.0 ** -k, 1.0 - 10.0 ** -k, -1.0 - 10.0 ** -k, -1.0 + 10.0 ** -k):
+            for tol in ([], ["--tol-eig", "1e-3"]):
+                yield ["bcs", "--delta", repr(delta), *tol]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seed", type=int, nargs="+", default=[1])
     args = ap.parse_args(argv)
     for line in digest_lines(args.seed):
         print(line, flush=True)
+    for argv in bcs_point_argvs():
+        print(digest_line(argv), flush=True)
     return 0
 
 

@@ -81,7 +81,7 @@ from .oracle import (
     fock_spectrum_check,
     fock_vector_operator,
 )
-from .formio import dumps_form, form_digest, load_form, loads_form, save_form
+from .formio import dumps_form, form_digest, load_form, loads_form, read_form, save_form
 from . import errors
 
 __version__ = "0.1.0"

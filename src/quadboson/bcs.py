@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import QuadraticForm, bar, bar_symmetrize, build_form, dynamical_matrix, metric_signs, quadratic_matrix
 from .errors import DegenerateGap, NotDegenerate, Overflow
-from .spectral import StabilityColumns, Tolerances, classify, classify_stack
+from .spectral import CLUSTER_SAFETY, StabilityColumns, Tolerances, classify, classify_stack
 
 
 @dataclass(frozen=True)
@@ -186,9 +186,9 @@ def bcs_alpha(p: BcsParams) -> complex:
     return complex(np.sqrt(complex(eps2 - delta2)))
 
 
-def _at_gap(p: BcsParams, alpha: complex, tol: Tolerances) -> bool:
-    """|delta| = eps within tolerance: |alpha| <= sqrt(tol.eig) max(eps, 1)."""
-    return abs(alpha) <= np.sqrt(tol.eig) * max(p.epsilon, 1.0)
+def _at_gap(p: BcsParams, alpha: complex) -> bool:
+    """|delta| = eps as :func:`classify` sees it: gamma +/- alpha within one cluster radius."""
+    return 2.0 * abs(alpha) <= CLUSTER_SAFETY * bcs_sigma(p)[0]  # sigma_1 = ||Hmat||_2
 
 
 def bcs_lambda(p: BcsParams, tol: Tolerances = Tolerances()) -> tuple:
@@ -227,7 +227,7 @@ def bcs_lambda_formula(p: BcsParams) -> tuple:
     return tuple(out)
 
 
-def bcs_uv(p: BcsParams, tol: Tolerances = Tolerances()) -> tuple:
+def bcs_uv(p: BcsParams) -> tuple:
     """Pairing amplitudes u, v = sqrt((eps +/- alpha) / 2 alpha).
 
     Branches are fixed by 2 alpha u v = delta, which together with
@@ -238,14 +238,14 @@ def bcs_uv(p: BcsParams, tol: Tolerances = Tolerances()) -> tuple:
     Raises
     ------
     DegenerateGap
-        |delta| = eps within tolerance (alpha = 0: amplitudes diverge).
+        |delta| = eps within the cluster radius (alpha = 0: amplitudes diverge).
     """
     if p.kappa != 0.0:
         raise ValueError("closed-form amplitudes require kappa = 0")
     al = bcs_alpha(p)
-    if _at_gap(p, al, tol):
+    if _at_gap(p, al):
         raise DegenerateGap(
-            f"|delta| = eps within tolerance (alpha = {al:.3e}); no finite "
+            f"|delta| = eps within the cluster radius (alpha = {al:.3e}); no finite "
             "pairing amplitudes exist"
         )
     u = np.sqrt((p.epsilon + al) / (2.0 * al))
@@ -255,13 +255,13 @@ def bcs_uv(p: BcsParams, tol: Tolerances = Tolerances()) -> tuple:
     return complex(u), complex(v)
 
 
-def bcs_transform(p: BcsParams, tol: Tolerances = Tolerances()) -> np.ndarray:
+def bcs_transform(p: BcsParams) -> np.ndarray:
     """Analytic Bogoliubov transform built from (u, v).
 
     Columns follow the package convention (w_+, w_-, w_+bar, w_-bar) for
     b_nu = u b'_nu - v b'bar_{-nu}; satisfies W M Wbar = M exactly.
     """
-    u, v = bcs_uv(p, tol)
+    u, v = bcs_uv(p)
     return np.array([
         [u, 0, 0, -v],
         [0, u, -v, 0],
@@ -270,7 +270,7 @@ def bcs_transform(p: BcsParams, tol: Tolerances = Tolerances()) -> np.ndarray:
     ], dtype=complex)
 
 
-def bcs_closed_evolution(p: BcsParams, t: float, tol: Tolerances = Tolerances()) -> np.ndarray:
+def bcs_closed_evolution(p: BcsParams, t: float) -> np.ndarray:
     """Exact propagator of the unperturbed model at real time t.
 
     Away from the degenerate gap the annihilation rows are
@@ -293,7 +293,7 @@ def bcs_closed_evolution(p: BcsParams, t: float, tol: Tolerances = Tolerances())
     t = float(np.real(t))
     u_mat = np.zeros((4, 4), dtype=complex)
     al = bcs_alpha(p)
-    degenerate = _at_gap(p, al, tol)
+    degenerate = _at_gap(p, al)
     for row, nu in ((0, 1.0), (1, -1.0)):
         partner = 3 - row  # index of b+_{-nu}
         if degenerate:
@@ -301,7 +301,7 @@ def bcs_closed_evolution(p: BcsParams, t: float, tol: Tolerances = Tolerances())
             u_mat[row, row] = phase * (1.0 - 1j * t * p.epsilon)
             u_mat[row, partner] = phase * (-1j * t * p.delta)
         else:
-            u, v = bcs_uv(p, tol)
+            u, v = bcs_uv(p)
             lam = nu * p.gamma + al
             phase = np.exp(-1j * lam * t)
             mix = v * (1.0 - np.exp(2j * al * t))
@@ -360,18 +360,18 @@ class JordanDecoupledForm:
                 + self.pairing_coefficient * self.pair_invariant)
 
 
-def bcs_jordan_form(p: BcsParams, tol: Tolerances = Tolerances()) -> JordanDecoupledForm:
+def bcs_jordan_form(p: BcsParams) -> JordanDecoupledForm:
     """Decoupled description at |delta| = eps, where no diagonal form exists.
 
     Raises
     ------
     NotDegenerate
-        |delta| differs from eps beyond the tolerance that :func:`bcs_uv`
+        |delta| differs from eps beyond the cluster radius that :func:`bcs_uv`
         applies, so finite pairing amplitudes exist.
     """
     if p.kappa != 0.0:
         raise ValueError("the decoupled form is defined for kappa = 0")
-    if not _at_gap(p, bcs_alpha(p), tol):
+    if not _at_gap(p, bcs_alpha(p)):
         raise NotDegenerate(
             f"|delta| = {abs(p.delta)} != eps = {p.epsilon}; the decoupled "
             "form only exists at the degenerate gap"
@@ -413,12 +413,12 @@ def _max_imag_frequency(p: BcsParams) -> float:
     return float(np.abs(np.linalg.eigvals(ht).imag).max())
 
 
-def bcs_thresholds(p: BcsParams, imag_tol: float = 1e-10) -> BcsThresholds:
+def bcs_thresholds(p: BcsParams) -> BcsThresholds:
     """Critical gap values; the kappa != 0 outer edge is found numerically.
 
-    Bisection runs on max |Im lambda(delta)| from dense eigensolves, so the
-    reported outer edge does not depend on any closed-form reading; both
-    closed-form candidates are attached for comparison.
+    Bisection runs on max |Im lambda(delta)| from dense eigensolves, unstable
+    above 1e-10 max(1, eps), so the reported outer edge does not depend on any
+    closed-form reading; both closed-form candidates are attached for comparison.
     """
     eps2, gamma2, kappa2 = _squares(p.epsilon, p.gamma, p.kappa)
     positivity = float(np.sqrt(eps2 - gamma2))
@@ -433,7 +433,7 @@ def bcs_thresholds(p: BcsParams, imag_tol: float = 1e-10) -> BcsThresholds:
     literal_formula = float(eps2 * (1.0 + kappa2 / gamma2))
     window = None
     if abs(p.kappa) < gamma2 / positivity:
-        threshold = imag_tol * max(1.0, p.epsilon)
+        threshold = 1e-10 * max(1.0, p.epsilon)
         lo = inner_top * (1.0 + 1e-9)
         hi = lo + max(0.01 * p.epsilon, 2.0 * abs(sqrt_formula - inner_top))
         for _ in range(60):

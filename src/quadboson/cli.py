@@ -187,7 +187,7 @@ def _mode_table(report, bt):
 
 def cmd_analyze(args) -> int:
     tol = _tolerances(args)
-    form = formio.load_form(args.input, tol_struct=args.tol_struct)
+    form, digest = formio.read_form(args.input, tol_struct=args.tol_struct)
     if args.emit_modes:
         n = form.n_modes
         _check_budget(4 * n ** 3 * EMIT_MODES_ENTRY_BYTES,
@@ -202,7 +202,7 @@ def cmd_analyze(args) -> int:
         if args.emit_modes:
             raise
     doc = report.to_dict()
-    doc["input_digest"] = formio.form_digest(args.input)
+    doc["input_digest"] = digest
     doc["n_modes"] = form.n_modes
     doc["mode_table"] = _mode_table(report, bt)
     doc["thresholds"] = None
@@ -350,7 +350,7 @@ def cmd_bcs(args) -> int:
         )
     if base.kappa == 0.0:
         try:
-            u, v = bcs_mod.bcs_uv(base, _tolerances(args))
+            u, v = bcs_mod.bcs_uv(base)
             doc["u"] = [u.real, u.imag]
             doc["v"] = [v.real, v.imag]
         except QuadBosonError:

@@ -81,19 +81,25 @@ def loads_form(text: str, tol_struct: float = 1e-12) -> QuadraticForm:
     return build_form(a, b, tol_struct=tol_struct)
 
 
-def load_form(path, tol_struct: float = 1e-12) -> QuadraticForm:
-    """Read and validate a form file."""
+def read_form(path, tol_struct: float = 1e-12) -> tuple[QuadraticForm, str]:
+    """Read and validate a form file: the form and the :func:`form_digest` of the bytes parsed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")  # as text mode reads
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read form file: {exc}") from None
     if not text.strip():
         raise ParseError(f"{path}: file is empty")
     try:
-        return loads_form(text, tol_struct=tol_struct)
+        return loads_form(text, tol_struct=tol_struct), hashlib.sha256(raw).hexdigest()
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
+
+
+def load_form(path, tol_struct: float = 1e-12) -> QuadraticForm:
+    """Read and validate a form file."""
+    return read_form(path, tol_struct)[0]
 
 
 def dumps_form(form: QuadraticForm) -> str:

@@ -164,7 +164,6 @@ def flip_mode(pair: ModePair) -> ModePair:
         lam=-pair.lam,
         w_plus=-pair.w_minus,
         w_minus=pair.w_plus,
-        norm_ok=pair.norm_ok,
         hermitian_pair=False,
     )
 

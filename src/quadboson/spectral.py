@@ -50,10 +50,10 @@ from .errors import NotDiagonalizable, NullNorm, Overflow, PairingFailure, Wrong
 
 # Defective 2-blocks split their eigenvalues by O(sqrt(eps) ||Ht||) under
 # roundoff; the cluster radius (this times ||Ht||) must absorb that.
-_CLUSTER_SAFETY = 32.0 * np.sqrt(np.finfo(float).eps)
+CLUSTER_SAFETY = 32.0 * np.sqrt(np.finfo(float).eps)
 # Rank cuts sit above the cluster radius: members of one cluster may be split
 # by up to that radius without being distinct eigenvalues.
-_RANK_SAFETY = 4.0 * _CLUSTER_SAFETY
+_RANK_SAFETY = 4.0 * CLUSTER_SAFETY
 # Generalized norms at or below this are treated as vanishing.
 _NULL_NORM = 1e-8
 # Soft alarm on nearly vanishing generalized norms (adjacent to a Jordan point).
@@ -98,7 +98,6 @@ class ModePair:
     lam: complex
     w_plus: np.ndarray
     w_minus: np.ndarray
-    norm_ok: bool
     hermitian_pair: bool
 
 
@@ -299,7 +298,7 @@ def _analyze(matrix: np.ndarray, tol: Tolerances):
     scale = max(np.linalg.norm(matrix, 2), np.finfo(float).tiny)
     evals, vecs = np.linalg.eig(matrix)
     residual = np.abs(matrix @ vecs - vecs * evals[None, :]).max() / scale
-    cluster_tol = _CLUSTER_SAFETY * scale
+    cluster_tol = CLUSTER_SAFETY * scale
     clusters = []
     for idx in _cluster_indices(evals, cluster_tol):
         value = complex(evals[idx].mean())
@@ -406,9 +405,9 @@ def _real_branch_pairs(vecs_plus, value, mdiag, diags):
                 "results may be ill-conditioned (near-defective input)"
             )
         if d[k] >= 0:
-            out.append((ModePair(value, w, bar_vector(w.conj()), ok, True), d[k]))
+            out.append((ModePair(value, w, bar_vector(w.conj()), True), d[k]))
         else:
-            out.append((ModePair(-value, bar_vector(w.conj()), w, ok, True), d[k]))
+            out.append((ModePair(-value, bar_vector(w.conj()), w, True), d[k]))
     return out
 
 
@@ -428,7 +427,7 @@ def _complex_branch_pairs(vp, vm, lam, mdiag, diags):
                 f"small generalized norm {abs(c):.3e} at eigenvalue {lam:.6g}; "
                 "near-defective input"
             )
-        return [ModePair(lam, wp, wm, ok, False)]
+        return [ModePair(lam, wp, wm, False)]
     # degenerate complex eigenvalue: bi-orthogonalize the two eigenspaces
     # against the bilinear pairing P_kl = bar(vm_k) M vp_l
     pmat = np.array([[bar_vector(vm[:, k]) @ (mdiag * vp[:, l]) for l in range(m)]
@@ -436,9 +435,9 @@ def _complex_branch_pairs(vp, vm, lam, mdiag, diags):
     smin = np.linalg.svd(pmat, compute_uv=False).min()
     if smin <= _NULL_NORM:
         diags.warnings.extend([f"degenerate eigenvalue {lam:.6g} has a near-singular pairing"] * m)
-        return [ModePair(lam, vp[:, k], vm[:, k], False, False) for k in range(m)]
-    vp = vp @ np.linalg.inv(pmat)
-    return [ModePair(lam, vp[:, k], vm[:, k], True, False) for k in range(m)]
+    else:
+        vp = vp @ np.linalg.inv(pmat)
+    return [ModePair(lam, vp[:, k], vm[:, k], False) for k in range(m)]
 
 
 def _eigen_pairs(dyn: DynamicalMatrix, tol: Tolerances):
@@ -447,8 +446,8 @@ def _eigen_pairs(dyn: DynamicalMatrix, tol: Tolerances):
 
     Returns ``(pairs, diagnostics)``.  Vectors come back raw (not rescaled);
     :func:`normalize_pairs` turns them into the unit-norm transform.
-    A defective matrix is not an error: affected pairs come back with
-    ``norm_ok=False`` and ``diagnostics.defective`` set.
+    A defective matrix is not an error: its pairs come back raw with
+    ``diagnostics.defective`` set.
 
     Raises
     ------
@@ -474,7 +473,7 @@ def _eigen_pairs(dyn: DynamicalMatrix, tol: Tolerances):
             if info_a.geometric < info_a.algebraic:
                 for k in range(info_a.algebraic // 2):
                     pairs.append(ModePair(info_a.value, vecs[:, idx_a[k]],
-                                          vecs[:, idx_a[-1 - k]], False, False))
+                                          vecs[:, idx_a[-1 - k]], False))
                 continue
             graded = _real_branch_pairs(vecs[:, idx_a], complex(info_a.value.real),
                                         mdiag, diags)
@@ -498,7 +497,7 @@ def _eigen_pairs(dyn: DynamicalMatrix, tol: Tolerances):
         if info_a.geometric < info_a.algebraic or info_b.geometric < info_b.algebraic:
             for k in range(info_a.algebraic):
                 pairs.append(ModePair(complex(info_a.value), vecs[:, idx_a[k]],
-                                      vecs[:, idx_b[k]], False, False))
+                                      vecs[:, idx_b[k]], False))
             continue
         if abs(info_a.value.imag) <= real_tol:
             pairs.extend(p for p, _ in _real_branch_pairs(
@@ -692,7 +691,7 @@ def _stack_fast_path(hmats: np.ndarray, tol: Tolerances):
         evals, vecs = np.linalg.eig(dyn)
     except np.linalg.LinAlgError:  # one point failed to converge; classify meets it alone
         return np.zeros(count, dtype=bool), np.zeros(count, dtype=int), freqs, np.zeros(count)
-    cluster_tol = _CLUSTER_SAFETY * scale
+    cluster_tol = CLUSTER_SAFETY * scale
     real_tol = (tol.eig * np.maximum(scale, 1.0))[:, None]
     # a singleton cluster's value is the mean of one eigenvalue, which turns
     # -0.0 into +0.0 exactly as adding 0.0 does

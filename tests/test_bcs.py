@@ -294,6 +294,43 @@ def test_jordan_form_requires_degenerate_gap():
         qb.bcs_jordan_form(qb.BcsParams(1.0, 0.3, 1.0, 0.05))
 
 
+def _near_gap(epsilons, ks):
+    """delta = +/-eps (1 +/- 10^-k) at gamma = 0.3 eps: forms on both sides of
+    the Jordan points delta = +/-eps, down to the last bit of delta."""
+    for eps in epsilons:
+        for sign in (1.0, -1.0):
+            for side in (1.0, -1.0):
+                for k in ks:
+                    yield qb.BcsParams(eps, 0.3 * eps, sign * eps * (1.0 + side * 10.0 ** -k))
+
+
+def test_uv_refuses_exactly_where_classify_finds_the_jordan_block():
+    # one rule for the Jordan point: the closed forms and the eigensolve agree
+    # at every scale of eps, also within rounding distance of the gap
+    verdicts = []
+    for p in _near_gap((1.0, 2.5, 0.4, 1e3, 1e-3), 6.0 + np.arange(81) / 8):
+        jordan = qb.classify(qb.bcs_form(p)).classification == qb.StabilityClass.NON_DIAGONALIZABLE
+        try:
+            qb.bcs_uv(p)
+            refused = False
+        except DegenerateGap:
+            refused = True
+        verdicts.append((p.epsilon, p.delta, refused, jordan))
+    assert [v for v in verdicts if v[2] != v[3]] == []
+    assert 0 < sum(v[3] for v in verdicts) < len(verdicts)
+
+
+def test_closed_evolution_matches_expm_next_to_the_gap():
+    worst = 0.0
+    for p in _near_gap((1.0, 2.5, 0.4), np.arange(6.0, 16.01, 0.5)):
+        dyn = qb.dynamical_matrix(qb.bcs_form(p))
+        for t in (1.0, 5.0):
+            u = qb.propagate(dyn, t).U
+            err = np.abs(u - qb.bcs_closed_evolution(p, t)).max() / max(np.abs(u).max(), 1.0)
+            worst = max(worst, err)
+    assert worst <= 1e-9
+
+
 @pytest.mark.parametrize("delta", [1.0, -1.0])
 def test_jordan_form_structure(delta):
     p = bcs(delta)

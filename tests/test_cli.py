@@ -1,4 +1,6 @@
+import builtins
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -118,6 +120,23 @@ def test_oracle_solves_once(capsys, monkeypatch, form_file):
                      "--levels", "3")
     assert code == 0
     assert len(calls) == 1
+
+
+def test_analyze_reads_its_form_file_once(capsys, monkeypatch, form_file):
+    # the printed digest names the bytes that were parsed, not a second read
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if file == form_file:
+            opened.append(args)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, out, _ = run(capsys, "analyze", form_file)
+    assert code == 0
+    assert len(opened) == 1
+    assert json.loads(out)["input_digest"] == hashlib.sha256(Path(form_file).read_bytes()).hexdigest()
 
 
 def test_analyze_csv_deterministic(capsys, form_file):
@@ -576,6 +595,18 @@ def test_bcs_point_report_perturbed(capsys):
     assert doc["thresholds"]["reentry_window"] is not None
     assert "note" in doc["thresholds"]
     assert len(doc["sigma"]) == 4
+
+
+@pytest.mark.parametrize("tol", [[], ["--tol-eig", "1e-3"]])
+def test_bcs_amplitudes_are_null_exactly_at_the_jordan_verdict(capsys, tol):
+    # --tol-eig moves the realness cut only; the gap is the eigensolve's cluster rule
+    for k in range(3, 17):
+        for delta in (1.0 + 10.0 ** -k, 1.0 - 10.0 ** -k, -1.0 - 10.0 ** -k, -1.0 + 10.0 ** -k):
+            code, out, _ = run(capsys, "bcs", "--delta", repr(delta), *tol)
+            doc = json.loads(out)
+            assert code == 0
+            jordan = doc["classification"] == "NonDiagonalizable"
+            assert (doc["u"] is None, doc["v"] is None) == (jordan, jordan), (delta, tol)
 
 
 def test_bcs_sweep_boundaries(capsys):

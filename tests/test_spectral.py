@@ -55,7 +55,6 @@ def test_defective_case_forwarded_not_raised():
     pairs, diags = report.pairs, report.diagnostics
     assert diags.defective
     assert len(pairs) == 2
-    assert not any(p.norm_ok for p in pairs)
     bad = [c for c in diags.clusters if c.geometric < c.algebraic]
     assert len(bad) == 2
     assert all(c.algebraic == 2 and c.geometric == 1 for c in bad)
@@ -192,7 +191,7 @@ def test_pairing_failure_on_asymmetric_spectrum():
 def test_null_norm_on_synthetic_pair():
     w_plus = np.array([1.0, 0.0], dtype=complex)
     w_minus = np.array([1.0, 0.0], dtype=complex)  # bar(w-) M w+ = 0
-    pair = ModePair(1.0 + 0j, w_plus, w_minus, False, False)
+    pair = ModePair(1.0 + 0j, w_plus, w_minus, False)
     with pytest.raises(NullNorm):
         qb.normalize_pairs([pair], qb.EigenDiagnostics(0.0, cluster_tol=0.0, real_tol=0.0))
 
