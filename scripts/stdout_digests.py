@@ -3,7 +3,9 @@
 
 Builds the op lists of the four ``perfbench`` workloads at each seed, plus
 each workload's known-defect ops, then a fixed list of single-point ``bcs``
-argvs that no benchmark op runs, and runs every op in-process through
+argvs that no benchmark op runs, then argvs that must be refused as usage
+errors (non-finite model parameters, and ``--out`` paths that are a
+directory or lie in a missing one), and runs every op in-process through
 ``perfbench/run.py``'s ``call`` (stdout captured; importing ``run`` pins
 BLAS to one thread).  Each line reads ``<exit code> <sha256 of stdout>
 <argv>``; fixture paths in the argv are printed relative to the fixture
@@ -65,6 +67,20 @@ def bcs_point_argvs():
                 yield ["bcs", "--delta", repr(delta), *tol]
 
 
+def refused_argvs(root: str):
+    """Non-finite ``bcs`` and ``sweep`` parameters, then unwritable ``--out``
+    paths inside ``root`` next to a form file written there."""
+    yield from (["bcs", "--delta", "nan"], ["bcs", "--kappa", "inf"], ["bcs", "--delta", "inf"],
+                ["bcs", "--kappa", "nan"], ["bcs", "--epsilon", "inf"],
+                ["bcs", "--sweep", "0:1:3", "--kappa", "nan"],
+                ["sweep", "--delta", "0:1:3", "--epsilon", "inf"])
+    form = workloads.Fixtures(root, 0).bcs("bcs05", 0.5)
+    missing = os.path.join(root, "no", "such", "dir")
+    yield ["analyze", form, "--out", os.path.join(missing, "x.json")]
+    yield ["analyze", form, "--out", root]
+    yield ["sweep", "--delta", "0:1:3", "--out", os.path.join(missing, "x.csv")]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seed", type=int, nargs="+", default=[1])
@@ -73,6 +89,9 @@ def main(argv=None) -> int:
         print(line, flush=True)
     for argv in bcs_point_argvs():
         print(digest_line(argv), flush=True)
+    with tempfile.TemporaryDirectory() as root:
+        for argv in refused_argvs(root):
+            print(digest_line(argv, root), flush=True)
     return 0
 
 

@@ -24,12 +24,10 @@ from .spectral import (
     CLASS_CODES,
     CLASS_LABELS,
     BogoliubovTransform,
-    EigenDiagnostics,
     ModePair,
     StabilityClass,
     StabilityColumns,
     StabilityReport,
-    Tolerances,
     classify,
     classify_stack,
     normalize_pairs,

@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import QuadraticForm, bar, bar_symmetrize, build_form, dynamical_matrix, metric_signs, quadratic_matrix
 from .errors import DegenerateGap, NotDegenerate, Overflow
-from .spectral import CLUSTER_SAFETY, StabilityColumns, Tolerances, classify, classify_stack
+from .spectral import StabilityColumns, _cuts, classify, classify_stack
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,7 @@ def _stacked_hmats(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return h
 
 
-def bcs_sweep(epsilon: float, gammas, deltas, kappas,
-              tol: Tolerances = Tolerances()) -> BcsSweep:
+def bcs_sweep(epsilon: float, gammas, deltas, kappas, tol_eig: float = 1e-9) -> BcsSweep:
     """Classify the model at every point of the grid deltas x kappas x gammas.
 
     delta is the outermost axis, then kappa, then gamma; a fixed parameter
@@ -152,8 +151,8 @@ def bcs_sweep(epsilon: float, gammas, deltas, kappas,
     a[:, 0, 1] = a[:, 1, 0] = kappa
     b = np.zeros((delta.size, 2, 2), dtype=complex)
     b[:, 0, 1] = b[:, 1, 0] = delta
-    columns = classify_stack(_stacked_hmats(a, b), tol, lambda i: classify(bcs_form(
-        BcsParams(epsilon, float(gamma[i]), float(delta[i]), float(kappa[i]))), tol))
+    columns = classify_stack(_stacked_hmats(a, b), lambda i: classify(bcs_form(
+        BcsParams(epsilon, float(gamma[i]), float(delta[i]), float(kappa[i]))), tol_eig), tol_eig)
     return BcsSweep(**vars(columns), epsilon=epsilon, gamma=gamma, delta=delta, kappa=kappa)
 
 
@@ -187,11 +186,13 @@ def bcs_alpha(p: BcsParams) -> complex:
 
 
 def _at_gap(p: BcsParams, alpha: complex) -> bool:
-    """|delta| = eps as :func:`classify` sees it: gamma +/- alpha within one cluster radius."""
-    return 2.0 * abs(alpha) <= CLUSTER_SAFETY * bcs_sigma(p)[0]  # sigma_1 = ||Hmat||_2
+    """|delta| = eps as :func:`classify` sees it: gamma +/- alpha within one
+    cluster radius of sigma_1 = ||Hmat||_2, whatever the realness cut."""
+    cluster_tol, _, _ = _cuts(bcs_sigma(p)[0], 0.0)
+    return 2.0 * abs(alpha) <= cluster_tol
 
 
-def bcs_lambda(p: BcsParams, tol: Tolerances = Tolerances()) -> tuple:
+def bcs_lambda(p: BcsParams, tol_eig: float = 1e-9) -> tuple:
     """Mode-frequency representatives (lambda_plus, lambda_minus).
 
     kappa = 0: lambda_nu = nu gamma + alpha, which already encodes the
@@ -204,7 +205,7 @@ def bcs_lambda(p: BcsParams, tol: Tolerances = Tolerances()) -> tuple:
     if p.kappa == 0.0:
         al = bcs_alpha(p)
         return (p.gamma + al, -p.gamma + al)
-    return tuple(complex(lam) for lam in classify(bcs_form(p), tol).mode_frequencies)
+    return tuple(complex(lam) for lam in classify(bcs_form(p), tol_eig).mode_frequencies)
 
 
 def bcs_lambda_formula(p: BcsParams) -> tuple:

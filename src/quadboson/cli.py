@@ -14,9 +14,11 @@ Classification codes in CSV output: 0 = PositiveDefinite,
 Exit codes: 0 success; 2 usage, bad sweep range, a grid or an analyze
 --emit-modes report whose buffers would exceed the 1 GiB memory budget
 (checked before allocating or solving), oracle --nmax/--levels below 1,
-a non-finite --complex-time, a negative or non-finite
---tol-eig/--tol-struct, or a bcs --format its mode does not write (a
-single point writes doc, --sweep csv); 3 unreadable, undecodable or
+a non-finite --complex-time or --epsilon/--gamma/--delta/--kappa value, a
+negative or non-finite --tol-eig/--tol-struct, a bcs --format its mode
+does not write (a single point writes doc, --sweep csv), an --out path
+that is a directory or lies in a missing directory (refused before any
+solve), or any other failure to write --out; 3 unreadable, undecodable or
 malformed form file;
 4 structural validation failure; 5 numerical failure (overflow, including
 finite input entries too large to symmetrize or rank-test and bcs
@@ -41,6 +43,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 
@@ -116,14 +119,29 @@ def _check_budget(nbytes: int, what: str):
                        f"above the {MEMORY_BUDGET} B budget")
 
 
+def _check_out(out_path):
+    """Refuse an ``--out`` path that is a directory or lies in a missing one,
+    before any solve."""
+    if not out_path:
+        return
+    if os.path.isdir(out_path):
+        raise BadRange(f"--out {out_path!r} is a directory")
+    folder = os.path.dirname(out_path)
+    if folder and not os.path.isdir(folder):
+        raise BadRange(f"--out {out_path!r} lies in {folder!r}, which is not a directory")
+
+
 def _emit(lines, out_path):
     """Write ``lines`` and a final newline to ``out_path`` or stdout, without
     a copy of the document with the newline appended."""
     text = "\n".join(lines)  # the one line itself when there is one
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                fh.write("\n")
+        except OSError as exc:
+            raise BadRange(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
         sys.stdout.write("\n")
@@ -160,14 +178,16 @@ def _dumps(value, depth: int = 0) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
 
 
-def _tolerances(args) -> spectral.Tolerances:
-    return spectral.Tolerances(eig=args.tol_eig)
-
-
-def _check_tolerances(args):
+def _check_numbers(args):
+    """Refuse a negative or non-finite tolerance, and a non-finite number in a
+    plain float option, before any form is built."""
     for flag, value in (("--tol-eig", args.tol_eig), ("--tol-struct", args.tol_struct)):
         if not 0.0 <= value < np.inf:
             raise BadRange(f"{flag} must be a finite number >= 0, got {value!r}")
+    for name in ("epsilon", "gamma", "delta", "kappa", "complex_time"):
+        value = getattr(args, name, None)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise BadRange(f"--{name.replace('_', '-')} must be finite, got {value!r}")
 
 
 def _mode_table(report, bt):
@@ -180,22 +200,21 @@ def _mode_table(report, bt):
             c = bar_vector(bt.W[:, n + i]) @ (mdiag * bt.W[:, i])
             residuals[i] = float(abs(c - 1.0))
     return [{"lambda": [lam.real, lam.imag],
-             "hermitian": bool(abs(lam.imag) <= report.diagnostics.real_tol),
+             "hermitian": bool(abs(lam.imag) <= report.real_tol),
              "norm_residual": res}
             for lam, res in zip(report.mode_frequencies, residuals)]
 
 
 def cmd_analyze(args) -> int:
-    tol = _tolerances(args)
     form, digest = formio.read_form(args.input, tol_struct=args.tol_struct)
     if args.emit_modes:
         n = form.n_modes
         _check_budget(4 * n ** 3 * EMIT_MODES_ENTRY_BYTES,
                       f"--emit-modes report of {n} modes")
-    report = spectral.classify(form, tol)
+    report = spectral.classify(form, args.tol_eig)
     bt = None
     try:
-        bt = spectral.normalize_pairs(report.pairs, report.diagnostics)
+        bt = spectral.normalize_pairs(report)
     except NotDiagonalizable:
         pass  # a Jordan point has no modes; the warnings below say so
     except NullNorm:
@@ -210,7 +229,7 @@ def cmd_analyze(args) -> int:
     if not report.diagonalizable:
         warnings.append("Jordan blocks detected; no boson-diagonal form exists")
         if report.zero_mode_count == 0 and np.all(
-                np.abs(report.mode_frequencies.imag) <= report.diagnostics.real_tol):
+                np.abs(report.mode_frequencies.imag) <= report.real_tol):
             warnings.append("eigenvalues all real and non-zero")
     doc["warnings"] = warnings
     if args.emit_modes and bt is not None:
@@ -239,7 +258,7 @@ def cmd_analyze(args) -> int:
 def _bcs_sweep(args, gammas, deltas, kappas):
     """:func:`bcs.bcs_sweep` with an invalid model parameter reported as a bad range."""
     try:
-        return bcs_mod.bcs_sweep(args.epsilon, gammas, deltas, kappas, _tolerances(args))
+        return bcs_mod.bcs_sweep(args.epsilon, gammas, deltas, kappas, args.tol_eig)
     except np.linalg.LinAlgError:  # a ValueError too, but a failed solve is no bad range
         raise
     except ValueError as exc:
@@ -273,13 +292,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_evolve(args) -> int:
     parsed = _parse_range(args.t)
-    if not math.isfinite(args.complex_time):
-        raise BadRange(f"--complex-time must be finite, got {args.complex_time!r}")
     form = formio.load_form(args.input, tol_struct=args.tol_struct)
     if not isinstance(parsed, float):
         _check_budget(parsed[2] * (EVOLVE_ROW_BYTES + EVOLVE_MODE_BYTES * form.n_modes),
                       f"evolve time grid of {parsed[2]} points")
-    lams = spectral.classify(form, _tolerances(args)).mode_frequencies
+    lams = spectral.classify(form, args.tol_eig).mode_frequencies
     shift = 1j * args.complex_time
     ts = [complex(t_real) + shift for t_real in _axis(parsed)]
     header = ("t_re,t_im,max_abs_u,symplectic_residual,"
@@ -362,9 +379,8 @@ def cmd_bcs(args) -> int:
 def cmd_oracle(args) -> int:
     if args.nmax < 1 or args.levels < 1:
         raise BadRange(f"--nmax and --levels must be >= 1, got {args.nmax} and {args.levels}")
-    tol = _tolerances(args)
     form = formio.load_form(args.input, tol_struct=args.tol_struct)
-    report = oracle.fock_spectrum_check(form, args.nmax, args.levels, tol)
+    report = oracle.fock_spectrum_check(form, args.nmax, args.levels, args.tol_eig)
     if args.format == "doc":
         _emit([_dumps(report.to_dict())], args.out)
         return 0
@@ -462,7 +478,8 @@ def main(argv=None) -> int:
     if args.format is None:
         args.format = args.default_format
     try:
-        _check_tolerances(args)
+        _check_numbers(args)
+        _check_out(args.out)
         return args.func(args)
     except BadRange as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,4 +65,4 @@ class ParseError(QuadBosonError):
 
 
 class BadRange(QuadBosonError):
-    """A sweep specification is empty or inverted."""
+    """A usage error: a bad range or option value, or an unwritable output path."""

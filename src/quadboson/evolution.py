@@ -162,11 +162,10 @@ def mode_evolution(df: DiagonalForm, t: complex) -> np.ndarray:
 
 def growth_class(report: StabilityReport) -> GrowthClass:
     """||U(t)|| growth from the spectrum and Jordan blocks in ``report``, a form's classify."""
-    diags = report.diagnostics
-    rate = max((abs(c.value.imag) for c in diags.clusters), default=0.0)
-    poly = max((c.max_block - 1 for c in diags.clusters if c.geometric < c.algebraic),
+    rate = max((abs(c.value.imag) for c in report.clusters), default=0.0)
+    poly = max((c.max_block - 1 for c in report.clusters if c.geometric < c.algebraic),
                default=0)
-    if rate > diags.real_tol:
+    if rate > report.real_tol:
         kind = GrowthKind.EXPONENTIAL
     else:
         kind = GrowthKind.POLYNOMIAL_TIMES_OSCILLATION if poly >= 1 else GrowthKind.QUASIPERIODIC

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import MEMORY_BUDGET, QuadraticForm
 from .errors import DimensionCap, WrongRegime
-from .spectral import StabilityClass, Tolerances, classify
+from .spectral import StabilityClass, classify
 
 # A dense complex H of dimension 8192 takes 16 * 8192**2 B = 1 GiB, the
 # memory budget, and the hermitian eigensolve works on a second copy of it.
@@ -195,7 +195,7 @@ class FockSpectrumReport:
 
 
 def fock_spectrum_check(form: QuadraticForm, n_max: int, k_levels: int,
-                        tol: Tolerances = Tolerances()) -> FockSpectrumReport:
+                        tol_eig: float = 1e-9) -> FockSpectrumReport:
     """Compare the truncated spectrum against the mode lattice.
 
     The prediction is the k lowest lattice levels sum_i lambda_i (n_i + 1/2)
@@ -220,7 +220,7 @@ def fock_spectrum_check(form: QuadraticForm, n_max: int, k_levels: int,
     """
     if k_levels < 1:
         raise ValueError("k_levels must be >= 1")
-    report = classify(form, tol)
+    report = classify(form, tol_eig)
     if report.classification is not StabilityClass.POSITIVE_DEFINITE:
         raise WrongRegime(
             f"form classifies as {report.classification.value}; the lattice "

@@ -18,8 +18,9 @@ Conventions (all recorded so results are reproducible):
   eigenspace against the M-bilinear form;
 * modes are ordered by descending (Re lambda, Im lambda).
 
-:func:`classify` is the one entry into a form's eigensolve; the pairs and
-diagnostics of its :class:`StabilityReport` are what every consumer reads.
+:func:`classify` is the one entry into a form's eigensolve; its
+:class:`StabilityReport`, with the pairs, cuts and clusters of that
+eigensolve, is the one value every consumer reads.
 :func:`classify_stack` classifies a stack of forms with one batched
 eigensolve.  It replays :func:`classify`'s choices only where they cannot
 hinge on a tie: every eigenvalue its own cluster, away from zero, with one
@@ -60,16 +61,20 @@ _NULL_NORM = 1e-8
 _NEAR_DEFECT_NORM = 1e-3
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """The one numerical knob: ``eig`` sets the realness, zero and positivity
-    cut eig * max(||M Hmat||_2, 1).  The other cuts are fixed because roundoff
-    sets them: the cluster radius 32 sqrt(u) ||M Hmat||_2 absorbs the
-    O(sqrt(u)) split of a Jordan block, rank tests cut at 4x that radius,
-    and generalized norms at or below 1e-8 count as vanishing.
-    """
+def _cuts(scale, tol_eig: float):
+    """(cluster radius, realness cut, real-branch cut) of a generator with
+    2-norm ``scale``, elementwise for an array of scales.
 
-    eig: float = 1e-9
+    ``tol_eig``, the one numerical knob, sets the realness, zero and
+    positivity cut tol_eig * max(scale, 1).  The cluster radius is fixed,
+    because roundoff sets it: 32 sqrt(u) scale absorbs the O(sqrt(u)) split
+    of a Jordan block.  The pairing reads a pair as real only below the
+    real-branch cut, where lambda and its conjugate share a cluster: a pair
+    inside only the realness cut has a null M-norm.
+    """
+    cluster_tol = CLUSTER_SAFETY * scale
+    real_tol = tol_eig * np.maximum(scale, 1.0)
+    return cluster_tol, real_tol, np.minimum(real_tol, 0.5 * cluster_tol)
 
 
 class StabilityClass(str, Enum):
@@ -112,17 +117,6 @@ class ClusterInfo:
     rank_gap: float
 
 
-@dataclass
-class EigenDiagnostics:
-    eig_residual: float
-    cluster_tol: float  # eigenvalues this close merge; lambda meets -lambda within it
-    real_tol: float  # |Im lambda| (|lambda|) at or below it counts as real (zero)
-    pairing_residuals: list = field(default_factory=list)
-    defective: bool = False
-    clusters: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class BogoliubovTransform:
     """Normalized transform W with columns (w_1..w_n, w_1bar..w_nbar).
@@ -158,8 +152,13 @@ class BogoliubovTransform:
 @dataclass(frozen=True)
 class StabilityReport:
     """Regime verdict of :func:`classify`, and the one value its eigensolve leaves.
-    ``pairs`` are the raw mode pairs in ``mode_frequencies`` order, left out of
-    :meth:`to_dict`; :func:`normalize_pairs` turns them into the transform.
+
+    ``eig_residual`` is max |M Hmat V - V Lambda| / ||M Hmat||_2 of the
+    eigensolve.  Eigenvalues within ``cluster_tol`` merge into one of the
+    ``clusters``, and lambda meets -lambda within it; |Im lambda| (|lambda|)
+    at or below ``real_tol`` counts as real (zero).  ``pairs`` are the raw
+    mode pairs in ``mode_frequencies`` order, left out of :meth:`to_dict`;
+    :func:`normalize_pairs` turns them into the transform.
     """
 
     classification: StabilityClass
@@ -167,8 +166,13 @@ class StabilityReport:
     mode_frequencies: np.ndarray
     diagonalizable: bool
     zero_mode_count: int
-    diagnostics: EigenDiagnostics
-    pairs: list = field(default_factory=list, repr=False)
+    eig_residual: float
+    cluster_tol: float
+    real_tol: float
+    clusters: tuple
+    pairing_residuals: tuple
+    warnings: tuple
+    pairs: list = field(repr=False)
 
     def to_dict(self) -> dict:
         """Flat document form: tag, [re, im] frequencies, spectra, diagnostics."""
@@ -180,7 +184,7 @@ class StabilityReport:
                 "max_block": c.max_block,
                 "rank_gap": c.rank_gap,
             }
-            for c in self.diagnostics.clusters
+            for c in self.clusters
             if c.geometric < c.algebraic
         ]
         return {
@@ -189,10 +193,10 @@ class StabilityReport:
             "zero_mode_count": self.zero_mode_count,
             "mode_frequencies": [[l.real, l.imag] for l in self.mode_frequencies],
             "h_eigenvalues": [float(x) for x in self.h_eigenvalues],
-            "pairing_residuals": [float(x) for x in self.diagnostics.pairing_residuals],
-            "eig_residual": self.diagnostics.eig_residual,
+            "pairing_residuals": [float(x) for x in self.pairing_residuals],
+            "eig_residual": self.eig_residual,
             "defects": defects,
-            "warnings": list(self.diagnostics.warnings),
+            "warnings": list(self.warnings),
         }
 
 
@@ -232,7 +236,10 @@ def _cluster_indices(values: np.ndarray, radius: float) -> list:
 
     A sweep in sorted :func:`_sweep_key` order: each eigenvalue meets only
     the later ones whose key lies within ``radius`` of its own, and links to
-    those with abs(a - b) <= radius.
+    those with abs(a - b) <= radius.  When an eigenvalue links to all of its
+    window, every later one inside that window already shares its group
+    with the rest of the window, so it starts its own window where that one
+    ended: k near-equal eigenvalues cost O(k) steps, not k^2 / 2.
     """
     m = values.size
     vals = values.tolist()
@@ -246,13 +253,20 @@ def _cluster_indices(values: np.ndarray, radius: float) -> list:
             a = parent[a]
         return a
 
+    joined = 0  # sorted positions below this, after the current one, share its group
     for p, i in enumerate(order):
-        for q in range(p + 1, m):
+        end, whole = m, True
+        for q in range(max(p + 1, joined), m):
             j = order[q]
             if key[j] - key[i] > radius:
+                end = q
                 break
             if abs(vals[i] - vals[j]) <= radius:
                 parent[find(i)] = find(j)
+            else:
+                whole = False
+        if whole:
+            joined = end
     groups = {}
     for i in range(m):
         groups.setdefault(find(i), []).append(i)
@@ -293,12 +307,11 @@ def _max_block(shifted: np.ndarray, algebraic: int) -> int:
     return size
 
 
-def _analyze(matrix: np.ndarray, tol: Tolerances):
-    """Eigendecompose, cluster and rank-test: (vecs, clusters, diagnostics)."""
-    scale = max(np.linalg.norm(matrix, 2), np.finfo(float).tiny)
+def _analyze(matrix: np.ndarray, scale: float, cluster_tol: float):
+    """Eigendecompose, cluster and rank-test: (vecs, (info, indices) per
+    cluster, eig residual)."""
     evals, vecs = np.linalg.eig(matrix)
     residual = np.abs(matrix @ vecs - vecs * evals[None, :]).max() / scale
-    cluster_tol = CLUSTER_SAFETY * scale
     clusters = []
     for idx in _cluster_indices(evals, cluster_tol):
         value = complex(evals[idx].mean())
@@ -311,11 +324,7 @@ def _analyze(matrix: np.ndarray, tol: Tolerances):
         geo = min(geo, alg)
         blk = _max_block(shifted, alg) if geo < alg else 1
         clusters.append((ClusterInfo(value, alg, geo, blk, gap), idx))
-    infos = [c for c, _ in clusters]
-    diags = EigenDiagnostics(eig_residual=residual, cluster_tol=cluster_tol,
-                             real_tol=tol.eig * max(scale, 1.0), clusters=infos,
-                             defective=any(c.geometric < c.algebraic for c in infos))
-    return vecs, clusters, diags
+    return vecs, clusters, residual
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +388,7 @@ def _match_clusters(clusters, cluster_tol: float):
     return groups
 
 
-def _real_branch_pairs(vecs_plus, value, mdiag, diags):
+def _real_branch_pairs(vecs_plus, value, mdiag, warnings):
     """Pairs from one real eigenvalue cluster (or a self-paired zero cluster).
 
     The M-Gram matrix on the eigenspace is diagonalized; positive directions
@@ -395,12 +404,12 @@ def _real_branch_pairs(vecs_plus, value, mdiag, diags):
         w = vecs_plus @ q[:, k]
         ok = abs(d[k]) > _NULL_NORM
         if not ok:
-            diags.warnings.append(
+            warnings.append(
                 f"near-null M-norm {d[k]:.3e} at eigenvalue {value:.6g}; "
                 "input is adjacent to a non-diagonalizable point"
             )
         elif abs(d[k]) < _NEAR_DEFECT_NORM:
-            diags.warnings.append(
+            warnings.append(
                 f"small M-norm {d[k]:.3e} at eigenvalue {value:.6g}; "
                 "results may be ill-conditioned (near-defective input)"
             )
@@ -411,7 +420,7 @@ def _real_branch_pairs(vecs_plus, value, mdiag, diags):
     return out
 
 
-def _complex_branch_pairs(vp, vm, lam, mdiag, diags):
+def _complex_branch_pairs(vp, vm, lam, mdiag, warnings):
     """Pairs for a complex eigenvalue cluster and its negation partner."""
     m = vp.shape[1]
     if m == 1:
@@ -419,11 +428,11 @@ def _complex_branch_pairs(vp, vm, lam, mdiag, diags):
         c = bar_vector(wm) @ (mdiag * wp)
         ok = abs(c) > _NULL_NORM
         if not ok:
-            diags.warnings.append(
+            warnings.append(
                 f"near-null generalized norm {abs(c):.3e} at eigenvalue {lam:.6g}"
             )
         elif abs(c) < _NEAR_DEFECT_NORM:
-            diags.warnings.append(
+            warnings.append(
                 f"small generalized norm {abs(c):.3e} at eigenvalue {lam:.6g}; "
                 "near-defective input"
             )
@@ -434,20 +443,22 @@ def _complex_branch_pairs(vp, vm, lam, mdiag, diags):
                      for k in range(m)])
     smin = np.linalg.svd(pmat, compute_uv=False).min()
     if smin <= _NULL_NORM:
-        diags.warnings.extend([f"degenerate eigenvalue {lam:.6g} has a near-singular pairing"] * m)
+        warnings.extend([f"degenerate eigenvalue {lam:.6g} has a near-singular pairing"] * m)
     else:
         vp = vp @ np.linalg.inv(pmat)
     return [ModePair(lam, vp[:, k], vm[:, k], False) for k in range(m)]
 
 
-def _eigen_pairs(dyn: DynamicalMatrix, tol: Tolerances):
+def _eigen_pairs(dyn: DynamicalMatrix, tol_eig: float):
     """Solve M @ Hmat and match the spectrum into n (lambda, -lambda) pairs:
     the eigensolve step of :func:`classify`.
 
-    Returns ``(pairs, diagnostics)``.  Vectors come back raw (not rescaled);
-    :func:`normalize_pairs` turns them into the unit-norm transform.
-    A defective matrix is not an error: its pairs come back raw with
-    ``diagnostics.defective`` set.
+    Returns ``(pairs, fields)``: ``fields`` are the eigensolve's
+    :class:`StabilityReport` fields, ``eig_residual``, ``cluster_tol``,
+    ``real_tol``, ``clusters``, ``pairing_residuals`` and ``warnings``.
+    Vectors come back raw (not rescaled); :func:`normalize_pairs` turns them
+    into the unit-norm transform.  A defective matrix is not an error: its
+    pairs come back raw, and its clusters record the Jordan blocks.
 
     Raises
     ------
@@ -457,17 +468,17 @@ def _eigen_pairs(dyn: DynamicalMatrix, tol: Tolerances):
     """
     n = dyn.n_modes
     mdiag = metric_signs(n)
-    vecs, clusters, diags = _analyze(dyn.matrix, tol)
-    # the real branch needs lambda and its conjugate in one cluster: a pair
-    # only inside the realness cut has a null M-norm, so it is complex here
-    real_tol = min(diags.real_tol, 0.5 * diags.cluster_tol)
+    scale = max(np.linalg.norm(dyn.matrix, 2), np.finfo(float).tiny)
+    cluster_tol, real_tol, branch_tol = _cuts(scale, tol_eig)
+    vecs, clusters, eig_residual = _analyze(dyn.matrix, scale, cluster_tol)
+    residuals, warnings = [], []
 
     pairs = []
-    for ka, kb in _match_clusters(clusters, diags.cluster_tol):
+    for ka, kb in _match_clusters(clusters, cluster_tol):
         info_a, idx_a = clusters[ka]
         if ka == kb:
             # zero cluster: partners live in the same eigenspace
-            diags.pairing_residuals.extend([abs(2 * info_a.value)] * (info_a.algebraic // 2))
+            residuals.extend([abs(2 * info_a.value)] * (info_a.algebraic // 2))
             if info_a.algebraic % 2:
                 raise PairingFailure("zero eigenvalue with odd multiplicity")
             if info_a.geometric < info_a.algebraic:
@@ -476,7 +487,7 @@ def _eigen_pairs(dyn: DynamicalMatrix, tol: Tolerances):
                                           vecs[:, idx_a[-1 - k]], False))
                 continue
             graded = _real_branch_pairs(vecs[:, idx_a], complex(info_a.value.real),
-                                        mdiag, diags)
+                                        mdiag, warnings)
             # every positive-norm direction yields one mode; its partner is
             # the conjugate image living in the same eigenspace
             kept = [p for p, d in graded if d >= 0]
@@ -488,60 +499,62 @@ def _eigen_pairs(dyn: DynamicalMatrix, tol: Tolerances):
             pairs.extend(kept)
             continue
         info_b, idx_b = clusters[kb]
-        diags.pairing_residuals.extend(
-            [abs(info_a.value + info_b.value)] * info_a.algebraic)
+        residuals.extend([abs(info_a.value + info_b.value)] * info_a.algebraic)
         # orient: a = the +lambda side
-        if (abs(info_a.value.imag) > real_tol and info_a.value.imag < info_b.value.imag) or (
-                abs(info_a.value.imag) <= real_tol and info_a.value.real < info_b.value.real):
+        if (abs(info_a.value.imag) > branch_tol and info_a.value.imag < info_b.value.imag) or (
+                abs(info_a.value.imag) <= branch_tol and info_a.value.real < info_b.value.real):
             info_a, idx_a, info_b, idx_b = info_b, idx_b, info_a, idx_a
         if info_a.geometric < info_a.algebraic or info_b.geometric < info_b.algebraic:
             for k in range(info_a.algebraic):
                 pairs.append(ModePair(complex(info_a.value), vecs[:, idx_a[k]],
                                       vecs[:, idx_b[k]], False))
             continue
-        if abs(info_a.value.imag) <= real_tol:
+        if abs(info_a.value.imag) <= branch_tol:
             pairs.extend(p for p, _ in _real_branch_pairs(
-                vecs[:, idx_a], complex(info_a.value.real), mdiag, diags))
+                vecs[:, idx_a], complex(info_a.value.real), mdiag, warnings))
         else:
             pairs.extend(_complex_branch_pairs(vecs[:, idx_a], vecs[:, idx_b],
-                                               complex(info_a.value), mdiag, diags))
+                                               complex(info_a.value), mdiag, warnings))
 
     if len(pairs) != n:
         raise PairingFailure(f"expected {n} pairs, built {len(pairs)}")
     pairs.sort(key=lambda p: (-p.lam.real, -p.lam.imag))
-    return pairs, diags
+    return pairs, dict(eig_residual=eig_residual, cluster_tol=cluster_tol, real_tol=real_tol,
+                       clusters=tuple(info for info, _ in clusters),
+                       pairing_residuals=tuple(residuals), warnings=tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
 # normalization
 
-def normalize_pairs(pairs, diags: EigenDiagnostics) -> BogoliubovTransform:
-    """Rescale pairs to unit generalized norm and assemble the transform.
+def normalize_pairs(report: StabilityReport) -> BogoliubovTransform:
+    """Rescale the report's pairs to unit generalized norm and assemble the transform.
 
     Every pair is scaled by the principal branch of 1/sqrt(c) with
     c = wbar_minus M w_plus; hermitian pairs re-derive the partner as
     T w_plus* so the norm reduces to the usual positive one.  Conjugate
     complex pairs (lambda, -lambda*) are linked afterwards so the two
     quadruple members are exact images of each other, w' = i T w*.
-    ``diags`` is the eigensolve's (``report.diagnostics``): a pair with
-    |Re lambda| <= ``real_tol`` is its own quadruple, and partners are
-    matched within ``cluster_tol``.  The transform carries the pair
-    frequencies and ``real_tol``, so the diagonal forms read both from it.
+    A pair with |Re lambda| <= ``report.real_tol`` is its own quadruple,
+    and partners are matched within ``report.cluster_tol``.  The transform
+    carries the pair frequencies and ``real_tol``, so the diagonal forms
+    read both from it.
 
     Raises
     ------
     NotDiagonalizable
-        ``diags`` records a Jordan block, so no boson-diagonal form exists.
+        The report records a Jordan block, so no boson-diagonal form exists.
     NullNorm
         |c| below the fixed null-norm cut: a degenerate direction, or one
         next to a Jordan point.  Propagators and growth classes still apply.
     """
-    if diags.defective:
-        bad = [c for c in diags.clusters if c.geometric < c.algebraic]
+    if not report.diagonalizable:
+        bad = [c for c in report.clusters if c.geometric < c.algebraic]
         raise NotDiagonalizable(
             "Jordan blocks at eigenvalue(s) "
             + ", ".join(f"{c.value:.6g} (block size {c.max_block})" for c in bad)
         )
+    pairs = report.pairs
     if not pairs:
         raise NullNorm("no pairs to normalize")
     two_n = pairs[0].w_plus.shape[0]
@@ -584,12 +597,12 @@ def normalize_pairs(pairs, diags: EigenDiagnostics) -> BogoliubovTransform:
     linked = set()
     for i, p in enumerate(pairs):
         # a purely imaginary pair is its own quadruple
-        if p.hermitian_pair or i in linked or abs(p.lam.real) <= diags.real_tol:
+        if p.hermitian_pair or i in linked or abs(p.lam.real) <= report.real_tol:
             continue
         target = -np.conj(p.lam)
         cand = [j for j in range(n) if j != i and j not in linked
                 and not pairs[j].hermitian_pair
-                and abs(lams[j] - target) <= diags.cluster_tol]
+                and abs(lams[j] - target) <= report.cluster_tol]
         if len(cand) == 1:
             j = cand[0]
             cols_plus[:, j] = 1j * bar_vector(cols_plus[:, i].conj())
@@ -597,14 +610,14 @@ def normalize_pairs(pairs, diags: EigenDiagnostics) -> BogoliubovTransform:
             linked.update((i, j))
 
     w_full = np.concatenate([cols_plus, cols_minus], axis=1)
-    return BogoliubovTransform(w_full, lams, diags.real_tol)
+    return BogoliubovTransform(w_full, lams, report.real_tol)
 
 
 # ---------------------------------------------------------------------------
 # classification
 
-def classify(form: QuadraticForm, tol: Tolerances = Tolerances()) -> StabilityReport:
-    """Stability regime of a form.
+def classify(form: QuadraticForm, tol_eig: float = 1e-9) -> StabilityReport:
+    """Stability regime of a form; ``tol_eig`` sets the realness cut (see :func:`_cuts`).
 
     PositiveDefinite    Hmat > 0: discrete positive spectrum, fully stable.
     StableNonPositive   Hmat has nonpositive directions but all frequencies
@@ -617,16 +630,17 @@ def classify(form: QuadraticForm, tol: Tolerances = Tolerances()) -> StabilityRe
     """
     ext = extended_matrix(form)
     h_eigs = np.linalg.eigvalsh(ext.matrix)
-    pairs, diags = _eigen_pairs(dynamical_matrix(ext), tol)
+    pairs, fields = _eigen_pairs(dynamical_matrix(ext), tol_eig)
+    real_tol = fields["real_tol"]
     freqs = np.array([p.lam for p in pairs])
-    any_complex = bool(np.any(np.abs(freqs.imag) > diags.real_tol))
-    zero_modes = int(np.sum(np.abs(freqs) <= diags.real_tol))
-    diagonalizable = not diags.defective
+    any_complex = bool(np.any(np.abs(freqs.imag) > real_tol))
+    zero_modes = int(np.sum(np.abs(freqs) <= real_tol))
+    diagonalizable = not any(c.geometric < c.algebraic for c in fields["clusters"])
     if not diagonalizable:
         label = StabilityClass.NON_DIAGONALIZABLE
     elif any_complex:
         label = StabilityClass.UNSTABLE_COMPLEX
-    elif h_eigs.min() > diags.real_tol:
+    elif h_eigs.min() > real_tol:
         label = StabilityClass.POSITIVE_DEFINITE
     else:
         label = StabilityClass.STABLE_NON_POSITIVE
@@ -636,8 +650,8 @@ def classify(form: QuadraticForm, tol: Tolerances = Tolerances()) -> StabilityRe
         mode_frequencies=freqs,
         diagonalizable=diagonalizable,
         zero_mode_count=zero_modes,
-        diagnostics=diags,
         pairs=pairs,
+        **fields,
     )
 
 
@@ -664,7 +678,7 @@ def _magnitude(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _stack_fast_path(hmats: np.ndarray, tol: Tolerances):
+def _stack_fast_path(hmats: np.ndarray, tol_eig: float):
     """Batched classify of finite extended matrices: (taken, code, freqs, min sigma).
 
     One call each to eigvalsh, the 2-norm and eig serves the stack; these
@@ -691,8 +705,8 @@ def _stack_fast_path(hmats: np.ndarray, tol: Tolerances):
         evals, vecs = np.linalg.eig(dyn)
     except np.linalg.LinAlgError:  # one point failed to converge; classify meets it alone
         return np.zeros(count, dtype=bool), np.zeros(count, dtype=int), freqs, np.zeros(count)
-    cluster_tol = CLUSTER_SAFETY * scale
-    real_tol = (tol.eig * np.maximum(scale, 1.0))[:, None]
+    cluster_tol, real_tol, branch_tol = _cuts(scale, tol_eig)
+    real_tol, branch_tol = real_tol[:, None], branch_tol[:, None]
     # a singleton cluster's value is the mean of one eigenvalue, which turns
     # -0.0 into +0.0 exactly as adding 0.0 does
     values = evals + 0.0
@@ -708,8 +722,8 @@ def _stack_fast_path(hmats: np.ndarray, tol: Tolerances):
     sel = np.flatnonzero(taken)
     if sel.size == 0:
         return taken, np.zeros(count, dtype=int), freqs, min_sigma
-    values, vecs, partner, real_tol = values[sel], vecs[sel], partner[sel], real_tol[sel]
-    branch_tol = np.minimum(real_tol, 0.5 * cluster_tol[sel][:, None])  # as in _eigen_pairs
+    values, vecs, partner = values[sel], vecs[sel], partner[sel]
+    real_tol, branch_tol = real_tol[sel], branch_tol[sel]
     rows = rows[: sel.size]
     # _match_clusters visits clusters by decreasing |value| (a stable sort);
     # the first member of each pair it meets leads the pair
@@ -748,8 +762,8 @@ def _stack_fast_path(hmats: np.ndarray, tol: Tolerances):
     return taken, code, freqs, min_sigma
 
 
-def classify_stack(hmats, tol: Tolerances,
-                   scalar: Callable[[int], StabilityReport]) -> StabilityColumns:
+def classify_stack(hmats, scalar: Callable[[int], StabilityReport],
+                   tol_eig: float = 1e-9) -> StabilityColumns:
     """:func:`classify` over a stack of extended matrices, shape (N, 2n, 2n).
 
     Points whose entries and 2-norm are finite and whose spectrum leaves no
@@ -769,7 +783,7 @@ def classify_stack(hmats, tol: Tolerances,
     taken = np.zeros(count, dtype=bool)
     if finite.size:
         taken[finite], code[finite], freqs[finite], min_sigma[finite] = _stack_fast_path(
-            hmats[finite], tol)
+            hmats[finite], tol_eig)
     for i in np.flatnonzero(~taken):
         report = scalar(i)
         code[i] = CLASS_CODES[report.classification]
@@ -778,7 +792,7 @@ def classify_stack(hmats, tol: Tolerances,
     return StabilityColumns(code, freqs, min_sigma, np.abs(freqs.imag).max(axis=1))
 
 
-def sqrt_metric_spectrum(form: QuadraticForm, tol: Tolerances = Tolerances()) -> np.ndarray:
+def sqrt_metric_spectrum(form: QuadraticForm, tol_eig: float = 1e-9) -> np.ndarray:
     """Spectrum of the hermitian matrix sqrt(Hmat) M sqrt(Hmat).
 
     For positive semidefinite forms this equals the spectrum of M @ Hmat,
@@ -788,11 +802,12 @@ def sqrt_metric_spectrum(form: QuadraticForm, tol: Tolerances = Tolerances()) ->
     Raises
     ------
     WrongRegime
-        Hmat has an eigenvalue below -tol.eig * ||Hmat||.
+        Hmat has an eigenvalue below minus the positivity cut of
+        :func:`classify`, tol_eig * max(||Hmat||_2, 1).
     """
     h = extended_matrix(form).matrix
     w, v = np.linalg.eigh(h)
-    floor = -tol.eig * max(np.abs(w).max(), 1.0)
+    floor = -_cuts(np.abs(w).max(), tol_eig)[1]
     if w.min() < floor:
         raise WrongRegime(
             f"form is not positive semidefinite (min eigenvalue {w.min():.3e})"

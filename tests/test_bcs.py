@@ -115,7 +115,7 @@ def test_classify_stack_matches_classify_on_random_forms(rng):
     for n in (1, 2, 3, 5):
         forms = [random_form(rng, n, shift) for shift in (None, 0.5, -0.5) for _ in range(4)]
         forms.append(qb.build_form(np.zeros((n, n)), np.zeros((n, n))))  # one zero cluster
-        cols = qb.classify_stack([qb.extended_matrix(f).matrix for f in forms], qb.Tolerances(),
+        cols = qb.classify_stack([qb.extended_matrix(f).matrix for f in forms],
                                  lambda i: qb.classify(forms[i]))
         for i, form in enumerate(forms):
             report = qb.classify(form)
@@ -254,7 +254,7 @@ def test_generic_pipeline_reproduces_analytic_amplitudes():
         p = bcs(delta)
         u, v = qb.bcs_uv(p)
         report = qb.classify(qb.bcs_form(p))
-        bt = qb.normalize_pairs(report.pairs, report.diagnostics)
+        bt = qb.normalize_pairs(report)
         assert abs(bt.W[0, 0]) == pytest.approx(abs(u), abs=1e-10)
         assert abs(bt.W[3, 0]) == pytest.approx(abs(v), abs=1e-10)
         wa = qb.bcs_transform(p)

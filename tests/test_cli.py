@@ -829,11 +829,51 @@ def test_huge_non_hermitian_form_exits_4(capsys, tmp_path):
         assert "not hermitian" in err
 
 
-@pytest.mark.parametrize("argv", [("bcs", "--delta", "nan"), ("bcs", "--kappa", "inf")])
-def test_non_finite_bcs_point_exits_4(capsys, argv):
+@pytest.mark.parametrize("argv", [
+    ("bcs", "--delta", "nan"), ("bcs", "--kappa", "inf"), ("bcs", "--delta", "inf"),
+    ("bcs", "--kappa", "nan"), ("bcs", "--epsilon", "inf"),
+    ("bcs", "--sweep", "0:1:3", "--kappa", "nan"),
+    ("sweep", "--delta", "0:1:3", "--epsilon", "inf")])
+def test_non_finite_model_parameter_exits_2(capsys, monkeypatch, argv):
+    # a usage error like a non-finite range, refused before any form is built
+    def failing(*args, **kwargs):
+        raise PairingFailure("a form was built")
+
+    monkeypatch.setattr(qb.bcs, "build_form", failing)
     code, out, err = run(capsys, *argv)
-    assert (code, out) == (4, "")
-    assert "finite" in err
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --") and "must be finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "FORM", "--out", "ROOT/no/such/dir/x.json"),
+    ("analyze", "FORM", "--out", "ROOT"),
+    ("sweep", "--delta", "0:1:3", "--out", "ROOT/no/such/dir/x.csv")])
+def test_unwritable_out_path_exits_2_before_solving(capsys, monkeypatch, form_file, tmp_path,
+                                                    argv):
+    def failing(*args, **kwargs):
+        raise PairingFailure("the solve ran")
+
+    monkeypatch.setattr(spectral, "classify", failing)
+    monkeypatch.setattr(qb.bcs, "classify_stack", failing)
+    argv = [a.replace("FORM", form_file).replace("ROOT", str(tmp_path)) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --out ") and err.count("\n") == 1
+
+
+def test_write_failure_of_out_exits_2(capsys, monkeypatch, form_file, tmp_path):
+    real_open = builtins.open
+
+    def full_disk(path, *args, **kwargs):
+        if str(path).endswith("x.json"):
+            raise OSError(28, "No space left on device")
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", full_disk)
+    code, out, err = run(capsys, "analyze", form_file, "--out", str(tmp_path / "x.json"))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --out {str(tmp_path / 'x.json')!r}: No space left on device\n"
 
 
 # ---------------------------------------------------------------------------
@@ -896,7 +936,7 @@ def _analyze_doc(path):
     form = qb.load_form(path)
     report = qb.classify(form)
     assert report.diagonalizable
-    bt = qb.normalize_pairs(report.pairs, report.diagnostics)
+    bt = qb.normalize_pairs(report)
     doc = report.to_dict()
     doc.update(input_digest=qb.form_digest(path), n_modes=form.n_modes,
                mode_table=cli._mode_table(report, bt), thresholds=None,

@@ -83,7 +83,7 @@ def test_matches_closed_form_jordan():
 def test_mode_evolution_phases():
     form = qb.build_form([[1.0]], [[0.0]])
     report = qb.classify(form)
-    bt = qb.normalize_pairs(report.pairs, report.diagnostics)
+    bt = qb.normalize_pairs(report)
     df = qb.diagonal_form(bt)
     phases = qb.mode_evolution(df, np.pi)
     assert phases[0, 0] == pytest.approx(-1.0, abs=1e-12)
@@ -93,7 +93,7 @@ def test_mode_evolution_phases():
 def test_mode_evolution_unimodular_for_real_spectrum():
     form = qb.bcs_form(bcs(0.97))
     report = qb.classify(form)
-    bt = qb.normalize_pairs(report.pairs, report.diagnostics)
+    bt = qb.normalize_pairs(report)
     df = qb.diagonal_form(bt)
     for t in (0.3, 2.0, 17.0):
         mags = np.abs(qb.mode_evolution(df, t))
@@ -103,7 +103,7 @@ def test_mode_evolution_unimodular_for_real_spectrum():
 def test_mode_evolution_growth_and_decay():
     form = qb.bcs_form(bcs(1.2))
     report = qb.classify(form)
-    bt = qb.normalize_pairs(report.pairs, report.diagnostics)
+    bt = qb.normalize_pairs(report)
     df = qb.diagonal_form(bt)
     phases = qb.mode_evolution(df, 1.0)
     # |e^{-i lam t}| = e^{Im lam} for the growing member, reciprocal decay
@@ -115,7 +115,7 @@ def test_mode_evolution_consistent_with_propagator():
     for delta in (0.5, 1.2):
         form = qb.bcs_form(bcs(delta))
         report = qb.classify(form)
-        bt = qb.normalize_pairs(report.pairs, report.diagnostics)
+        bt = qb.normalize_pairs(report)
         df = qb.diagonal_form(bt)
         t = 0.8
         u = qb.propagate(qb.dynamical_matrix(form), t).U

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -15,7 +17,7 @@ def _pipeline(form):
     """Transform from classify's pairs."""
     report = qb.classify(form)
     assert report.diagonalizable
-    return qb.normalize_pairs(report.pairs, report.diagnostics)
+    return qb.normalize_pairs(report)
 
 
 def test_single_mode_trivial():
@@ -214,10 +216,10 @@ def test_invariant_single_mode_is_number_operator():
 
 def test_flip_mode_swaps_growth_labels():
     report = qb.classify(qb.bcs_form(bcs(1.2)))
-    pairs, diags = report.pairs, report.diagnostics
-    flipped = [qb.flip_mode(p) for p in pairs]
-    assert [f.lam for f in flipped] == [-p.lam for p in pairs]
-    bt = qb.normalize_pairs(sorted(flipped, key=lambda p: (-p.lam.real, -p.lam.imag)), diags)
+    flipped = [qb.flip_mode(p) for p in report.pairs]
+    assert [f.lam for f in flipped] == [-p.lam for p in report.pairs]
+    bt = qb.normalize_pairs(dataclasses.replace(
+        report, pairs=sorted(flipped, key=lambda p: (-p.lam.real, -p.lam.imag))))
     assert bt.metric_residual <= 1e-10
 
 
@@ -225,11 +227,10 @@ def test_flip_mode_on_real_pair_leaves_adjoint_convention():
     # flipping a real mode gives frequency -lambda; the adjoint relation is
     # traded away, so the pair normalizes through the bilinear norm
     report = qb.classify(qb.build_form([[1.0]], [[0.0]]))
-    pairs, diags = report.pairs, report.diagnostics
-    flipped = qb.flip_mode(pairs[0])
+    flipped = qb.flip_mode(report.pairs[0])
     assert flipped.lam == pytest.approx(-1.0)
     assert not flipped.hermitian_pair
-    bt = qb.normalize_pairs([flipped], diags)
+    bt = qb.normalize_pairs(dataclasses.replace(report, pairs=[flipped]))
     assert bt.metric_residual <= 1e-12
     df = qb.diagonal_form(bt)
     h = qb.extended_matrix(qb.build_form([[1.0]], [[0.0]])).matrix
@@ -256,10 +257,10 @@ _near_defective_forms = st.one_of(
 def test_every_diagonalizable_verdict_gets_its_diagonal_form(form, eig_tol):
     # one verdict per form: whatever classify calls diagonalizable, every
     # consumer of its pairs accepts, with classify's zero modes and realness
-    report = qb.classify(form, qb.Tolerances(eig_tol))
+    report = qb.classify(form, eig_tol)
     if not report.diagonalizable:
         return
-    bt = qb.normalize_pairs(report.pairs, report.diagnostics)
+    bt = qb.normalize_pairs(report)
     df = qb.diagonal_form(bt)
     cd = qb.coordinate_diagonal(bt)
     assert df.invariants.shape[0] == form.n_modes
@@ -278,7 +279,7 @@ def test_near_gap_accuracy_follows_the_conditioning(k, side):
     p = bcs(1.0 + side * 10.0 ** -k)
     report = qb.classify(qb.bcs_form(p))
     assert report.diagonalizable
-    bt = qb.normalize_pairs(report.pairs, report.diagnostics)
+    bt = qb.normalize_pairs(report)
     mh = qb.dynamical_matrix(qb.bcs_form(p)).matrix
     scale = np.linalg.norm(mh, 2)
     u = np.finfo(float).eps / 2

@@ -206,7 +206,7 @@ def test_vector_operator_commutators():
     # the cutoff boundary
     form = qb.bcs_form(bcs(0.5))
     report = qb.classify(form)
-    bt = qb.normalize_pairs(report.pairs, report.diagnostics)
+    bt = qb.normalize_pairs(report)
     df = qb.diagonal_form(bt)
     n_max = 8
     ops = qb.fock_operators(2, n_max)

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -18,13 +19,13 @@ from conftest import bcs, multiset_dev, random_form
 def test_single_mode_identity_transform():
     form = qb.build_form([[1.0]], [[0.0]])
     report = qb.classify(form)
-    pairs, diags = report.pairs, report.diagnostics
+    pairs = report.pairs
     assert len(pairs) == 1
     assert pairs[0].lam == pytest.approx(1.0)
     assert pairs[0].hermitian_pair
-    assert diags.eig_residual <= 1e-12
-    assert max(diags.pairing_residuals) <= 1e-12
-    bt = qb.normalize_pairs(pairs, diags)
+    assert report.eig_residual <= 1e-12
+    assert max(report.pairing_residuals) <= 1e-12
+    bt = qb.normalize_pairs(report)
     assert np.abs(np.abs(bt.W) - np.eye(2)).max() <= 1e-12
     assert bt.metric_residual <= 1e-12
 
@@ -52,14 +53,13 @@ def test_complex_representatives_upper_half_plane():
 
 def test_defective_case_forwarded_not_raised():
     report = qb.classify(qb.bcs_form(bcs(1.0)))
-    pairs, diags = report.pairs, report.diagnostics
-    assert diags.defective
-    assert len(pairs) == 2
-    bad = [c for c in diags.clusters if c.geometric < c.algebraic]
+    assert not report.diagonalizable
+    assert len(report.pairs) == 2
+    bad = [c for c in report.clusters if c.geometric < c.algebraic]
     assert len(bad) == 2
     assert all(c.algebraic == 2 and c.geometric == 1 for c in bad)
     with pytest.raises(NotDiagonalizable, match="Jordan blocks at eigenvalue"):
-        qb.normalize_pairs(pairs, diags)
+        qb.normalize_pairs(report)
 
 
 @settings(max_examples=25, deadline=None)
@@ -68,7 +68,7 @@ def test_metric_identity_random(seed, n, shift):
     rng = np.random.default_rng(seed)
     form = random_form(rng, n, shift=shift)
     report = qb.classify(form)
-    pairs, bt = report.pairs, qb.normalize_pairs(report.pairs, report.diagnostics)
+    pairs, bt = report.pairs, qb.normalize_pairs(report)
     assert bt.metric_residual <= 1e-10
     assert np.abs(bt.W @ bt.W_inv - np.eye(2 * n)).max() <= 1e-9
     # both members of every pair are genuine eigenvectors
@@ -93,7 +93,7 @@ def test_hermitian_limit_real_spectrum(seed, n):
     rng = np.random.default_rng(seed)
     form = random_form(rng, n, shift=0.4)
     report = qb.classify(form)
-    pairs, bt = report.pairs, qb.normalize_pairs(report.pairs, report.diagnostics)
+    pairs, bt = report.pairs, qb.normalize_pairs(report)
     assert all(p.hermitian_pair for p in pairs)
     assert np.abs(qb.bar(bt.W) - bt.W.conj().T).max() <= 1e-9
 
@@ -152,7 +152,7 @@ def test_sqrt_sandwich_rejects_indefinite(rng):
 def test_degenerate_identical_oscillators():
     form = qb.build_form(np.eye(2), np.zeros((2, 2)))
     report = qb.classify(form)
-    pairs, bt = report.pairs, qb.normalize_pairs(report.pairs, report.diagnostics)
+    pairs, bt = report.pairs, qb.normalize_pairs(report)
     assert [p.lam for p in pairs] == [pytest.approx(1.0)] * 2
     assert bt.metric_residual <= 1e-12
 
@@ -162,7 +162,7 @@ def test_mixed_signature_degenerate_eigenvalue():
     # the second mode's representative is -omega
     form = qb.build_form(np.diag([1.0, -1.0]), np.zeros((2, 2)))
     report = qb.classify(form)
-    pairs, bt = report.pairs, qb.normalize_pairs(report.pairs, report.diagnostics)
+    pairs, bt = report.pairs, qb.normalize_pairs(report)
     lams = sorted(p.lam.real for p in pairs)
     assert lams == [pytest.approx(-1.0), pytest.approx(1.0)]
     assert report.classification is qb.StabilityClass.STABLE_NON_POSITIVE
@@ -174,7 +174,7 @@ def test_zero_mode_at_positivity_threshold():
     assert report.classification is qb.StabilityClass.STABLE_NON_POSITIVE
     assert report.diagonalizable
     assert report.zero_mode_count == 1
-    pairs, bt = report.pairs, qb.normalize_pairs(report.pairs, report.diagnostics)
+    pairs, bt = report.pairs, qb.normalize_pairs(report)
     assert bt.metric_residual <= 1e-9
     # the finite transform still carries the analytic u, v at alpha = gamma
     u = np.sqrt((1.0 + 0.3) / 0.6)
@@ -185,20 +185,21 @@ def test_pairing_failure_on_asymmetric_spectrum():
     # no valid form reaches this branch, so the eigensolve step meets a fake matrix
     fake = DynamicalMatrix(1, np.diag([1.0, 2.0]).astype(complex))
     with pytest.raises(PairingFailure):
-        spectral._eigen_pairs(fake, qb.Tolerances())
+        spectral._eigen_pairs(fake, 1e-9)
 
 
 def test_null_norm_on_synthetic_pair():
     w_plus = np.array([1.0, 0.0], dtype=complex)
     w_minus = np.array([1.0, 0.0], dtype=complex)  # bar(w-) M w+ = 0
     pair = ModePair(1.0 + 0j, w_plus, w_minus, False)
+    report = dataclasses.replace(qb.classify(qb.build_form([[1.0]], [[0.0]])), pairs=[pair])
     with pytest.raises(NullNorm):
-        qb.normalize_pairs([pair], qb.EigenDiagnostics(0.0, cluster_tol=0.0, real_tol=0.0))
+        qb.normalize_pairs(report)
 
 
 def test_near_defective_warning():
-    diags = qb.classify(qb.bcs_form(bcs(1.0 - 1e-7))).diagnostics
-    assert any("near" in w or "small" in w for w in diags.warnings)
+    report = qb.classify(qb.bcs_form(bcs(1.0 - 1e-7)))
+    assert any("near" in w or "small" in w for w in report.warnings)
 
 
 def test_classification_four_regimes():
@@ -227,9 +228,9 @@ def test_one_realness_cut_matches_the_per_mode_rule(form):
     # verdict of the per-mode rule |Im lambda| <= eig * max(1, |lambda|),
     # and the CLI mode table prints that verdict
     report = qb.classify(form)
-    eig = qb.Tolerances().eig
+    eig = 1e-9
     lams = report.mode_frequencies
-    verdict = [bool(abs(l.imag) <= report.diagnostics.real_tol) for l in lams]
+    verdict = [bool(abs(l.imag) <= report.real_tol) for l in lams]
     assert verdict == [bool(abs(l.imag) <= eig * max(1.0, abs(l))) for l in lams]
     assert [row["hermitian"] for row in _mode_table(report, None)] == verdict
 
@@ -260,6 +261,72 @@ def test_a_power_of_two_scales_frequencies_and_keeps_verdicts(seed, n, shift, k)
         assert scaled.classification is own.classification
 
 
+@pytest.mark.parametrize("k, label, zero_modes", [
+    (0, "StableNonPositive", 1), (900, "StableNonPositive", 1), (990, "UnstableComplex", 0)])
+def test_the_realness_cut_has_an_absolute_floor_below_norm_one(k, label, zero_modes):
+    # below ||M Hmat|| = 1 the realness and zero cut is tol_eig itself, so a
+    # tiny unstable form reads every frequency as zero until it is scaled up
+    scale = 2.0 ** k
+    report = qb.classify(qb.build_form([[1.26e-301 * scale]], [[(6.40 + 1.00j) * 1e-301 * scale]]))
+    assert report.real_tol == 1e-9
+    assert (report.classification.value, report.zero_mode_count) == (label, zero_modes)
+    assert report.mode_frequencies[0].imag == pytest.approx(6.3539e-301 * scale, rel=1e-4)
+
+
+def _single_linkage(values, radius):
+    """Brute-force groups: components of every pair with abs(a - b) <= radius,
+    ordered by smallest index, each ascending."""
+    m = len(values)
+    label = list(range(m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            if abs(complex(values[i]) - complex(values[j])) <= radius and label[i] != label[j]:
+                old, new = max(label[i], label[j]), min(label[i], label[j])
+                label = [new if x == old else x for x in label]
+    groups = {}
+    for i, lab in enumerate(label):
+        groups.setdefault(lab, []).append(i)
+    return list(groups.values())
+
+
+def _planted_spectrum(rng, radius):
+    """Shuffled eigenvalues: near-equal and dense clusters, chains with steps
+    just under or exactly at ``radius`` (linked end to end) or just beyond
+    it, and loose points, on real, imaginary and complex centres."""
+    parts = []
+    for _ in range(rng.integers(1, 6)):
+        centre = complex(*rng.normal(size=2)) * rng.choice([1.0, 1e-3, 1e3])
+        centre = rng.choice([centre, centre.real, 1j * centre.imag])
+        k = int(rng.integers(1, 40))
+        direction = np.exp(1j * rng.choice([0.0, np.pi / 2, rng.uniform(0, 2 * np.pi)]))
+        kind = rng.integers(0, 5)
+        if kind == 4:
+            offsets = 1e-3 * radius * (rng.normal(size=k) + 1j * rng.normal(size=k))
+        elif kind == 0:
+            offsets = 0.3 * radius * (rng.normal(size=k) + 1j * rng.normal(size=k))
+        elif kind == 1:
+            offsets = np.cumsum(np.full(k, rng.choice([0.999, 1.0]) * radius * direction))
+        elif kind == 2:
+            offsets = np.arange(k) * np.nextafter(radius, np.inf) * direction
+        else:
+            offsets = radius * (rng.uniform(-3, 3, k) + 1j * rng.uniform(-3, 3, k))
+        parts.append(centre + offsets)
+    return rng.permutation(np.concatenate(parts))
+
+
+def test_clusters_match_brute_force_single_linkage():
+    # the sweep that skips pairs already joined finds exactly the
+    # single-linkage groups
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        radius = 2.0 ** int(rng.integers(-30, 6))
+        values = _planted_spectrum(rng, radius)
+        assert spectral._cluster_indices(values, radius) == _single_linkage(values, radius)
+    values = np.concatenate([np.full(40, 2.0 + 1j), np.full(30, -2.0 + 1j), [0.0, 0.5, 1.0]])
+    assert spectral._cluster_indices(values, 0.5) == [list(range(40)), list(range(40, 70)),
+                                                      [70, 71, 72]]
+
+
 def test_batched_magnitudes_are_abs_bit_for_bit():
     # _stack_fast_path decides with _magnitude where classify uses abs(complex)
     rng = np.random.default_rng(11)
@@ -269,20 +336,20 @@ def test_batched_magnitudes_are_abs_bit_for_bit():
 
 
 def test_classification_invariants():
-    tol = qb.Tolerances()
+    eig = 1e-9
     for delta in (0.5, 0.97, 1.0, 1.2, float(np.sqrt(0.91))):
-        report = qb.classify(qb.bcs_form(bcs(delta)), tol)
+        report = qb.classify(qb.bcs_form(bcs(delta)), eig)
         freqs = report.mode_frequencies
         scale = max(np.abs(freqs).max(), 1.0)
         if report.classification is qb.StabilityClass.POSITIVE_DEFINITE:
-            assert report.h_eigenvalues.min() > tol.eig
-            assert np.abs(freqs.imag).max() <= tol.eig * scale
+            assert report.h_eigenvalues.min() > eig
+            assert np.abs(freqs.imag).max() <= eig * scale
         elif report.classification is qb.StabilityClass.STABLE_NON_POSITIVE:
-            assert report.h_eigenvalues.min() <= tol.eig
-            assert np.abs(freqs.imag).max() <= tol.eig * scale
+            assert report.h_eigenvalues.min() <= eig
+            assert np.abs(freqs.imag).max() <= eig * scale
             assert report.diagonalizable
         elif report.classification is qb.StabilityClass.UNSTABLE_COMPLEX:
-            assert np.abs(freqs.imag).max() > tol.eig * scale
+            assert np.abs(freqs.imag).max() > eig * scale
         else:
             assert not report.diagonalizable
 
@@ -312,7 +379,7 @@ def test_degenerate_imaginary_eigenvalues():
     assert report.diagonalizable
     y = np.sqrt(0.8 ** 2 - 0.3 ** 2)
     assert np.allclose(report.mode_frequencies, [1j * y, 1j * y], atol=1e-10)
-    pairs, bt = report.pairs, qb.normalize_pairs(report.pairs, report.diagnostics)
+    pairs, bt = report.pairs, qb.normalize_pairs(report)
     assert bt.metric_residual <= 1e-10
     h = qb.extended_matrix(form).matrix
     lams = np.array([p.lam for p in pairs])
@@ -331,7 +398,7 @@ def test_degenerate_full_complex_quadruples():
     b[2, 3] = b[3, 2] = 1.2
     form = qb.build_form(a, b)
     report = qb.classify(form)
-    pairs, bt = report.pairs, qb.normalize_pairs(report.pairs, report.diagnostics)
+    pairs, bt = report.pairs, qb.normalize_pairs(report)
     assert bt.metric_residual <= 1e-9
     lams = np.array([p.lam for p in pairs])
     h = qb.extended_matrix(form).matrix
@@ -359,7 +426,7 @@ def test_three_mode_composite_mixed_regimes():
     assert lams[0] == pytest.approx(2.0, abs=1e-10)
     assert sorted(l.imag for l in lams[1:]) == [
         pytest.approx(0.6633249580710799, abs=1e-10)] * 2
-    pairs, bt = report.pairs, qb.normalize_pairs(report.pairs, report.diagnostics)
+    pairs, bt = report.pairs, qb.normalize_pairs(report)
     assert bt.metric_residual <= 1e-10
     h = qb.extended_matrix(form).matrix
     target = np.diag(np.concatenate([lams, lams]))
@@ -378,7 +445,7 @@ def test_purely_imaginary_pair_full_pipeline():
     lams = report.mode_frequencies
     assert abs(lams[0].imag) <= 1e-10 and lams[0].real > 0
     assert abs(lams[1].real) <= 1e-10 and lams[1].imag > 0
-    pairs, bt = report.pairs, qb.normalize_pairs(report.pairs, report.diagnostics)
+    pairs, bt = report.pairs, qb.normalize_pairs(report)
     assert bt.metric_residual <= 1e-10
     h = qb.extended_matrix(form).matrix
     target = np.diag(np.concatenate([lams, lams]))
@@ -389,9 +456,9 @@ def test_purely_imaginary_pair_full_pipeline():
 
 
 def test_spectrum_structure_jordan_blocks():
-    clusters = qb.classify(qb.bcs_form(bcs(1.0))).diagnostics.clusters
+    clusters = qb.classify(qb.bcs_form(bcs(1.0))).clusters
     assert sorted(c.max_block for c in clusters) == [2, 2]
-    clusters = qb.classify(qb.bcs_form(bcs(0.5))).diagnostics.clusters
+    clusters = qb.classify(qb.bcs_form(bcs(0.5))).clusters
     assert all(c.max_block == 1 and c.geometric == c.algebraic for c in clusters)
 
 
@@ -414,7 +481,7 @@ def test_normalize_pairs_refuses_every_jordan_verdict(form):
     report = qb.classify(form)
     if not report.diagonalizable:
         with pytest.raises(NotDiagonalizable, match="Jordan blocks at eigenvalue"):
-            qb.normalize_pairs(report.pairs, report.diagnostics)
+            qb.normalize_pairs(report)
 
 
 @pytest.mark.parametrize("form", [qb.build_form([[10.0]], [[10.0]]),
