@@ -5,7 +5,10 @@ Builds the op lists of the four ``perfbench`` workloads at each seed, plus
 each workload's known-defect ops, then a fixed list of single-point ``bcs``
 argvs that no benchmark op runs, then argvs that must be refused as usage
 errors (non-finite model parameters, and ``--out`` paths that are a
-directory or lie in a missing one), and runs every op in-process through
+directory or lie in a missing one), then argvs that put the document writer
+and the CSV table of every subcommand to work (``--format doc`` of
+``sweep``, ``evolve`` and ``oracle``, ``--format csv`` of ``analyze``), and
+runs every op in-process through
 ``perfbench/run.py``'s ``call`` (stdout captured; importing ``run`` pins
 BLAS to one thread).  Each line reads ``<exit code> <sha256 of stdout>
 <argv>``; fixture paths in the argv are printed relative to the fixture
@@ -81,6 +84,29 @@ def refused_argvs(root: str):
     yield ["sweep", "--delta", "0:1:3", "--out", os.path.join(missing, "x.csv")]
 
 
+def writer_argvs(root: str):
+    """``--format doc`` of 1-D and 2-D ``sweep`` grids, of ``evolve`` at real
+    and complex times and of ``oracle``, then ``analyze --format csv``, on
+    form files written into ``root``."""
+    fx = workloads.Fixtures(root, 0)
+    bcs = fx.bcs("bcs05", 0.5)
+    jordan = fx.bcs("bcs_jordan", 1.0)
+    random2, random8 = fx.random("r2i", 2, "indefinite"), fx.random("r8p", 8, "pd")
+    doc = ["--format", "doc"]
+    yield ["sweep", "--delta", "0:1.5:31", *doc]
+    yield ["sweep", "--delta", "0.9:1.1:21", "--kappa", "0.05", *doc]
+    yield ["sweep", "--delta", "0:1.5:7", "--kappa", "-0.1:0.1:5", *doc]
+    yield ["sweep", "--gamma", "0.1:0.9:5", "--delta", "0.5:1.5:5", *doc]
+    for form in (bcs, jordan, random2, random8):
+        yield ["evolve", form, "--t", "0:2:11", *doc]
+        yield ["evolve", form, "--t", "0:2:11", "--complex-time", "0.5", *doc]
+    yield ["oracle", "--input", bcs, "--nmax", "8", "--levels", "4", *doc]
+    yield ["oracle", "--input", fx.random("r2p", 2, "pd"), "--nmax", "10", "--levels", "6", *doc]
+    for form in (bcs, jordan, random2, random8):
+        yield ["analyze", form, "--format", "csv"]
+        yield ["analyze", form, "--format", "csv", "--emit-modes"]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seed", type=int, nargs="+", default=[1])
@@ -91,6 +117,9 @@ def main(argv=None) -> int:
         print(digest_line(argv), flush=True)
     with tempfile.TemporaryDirectory() as root:
         for argv in refused_argvs(root):
+            print(digest_line(argv, root), flush=True)
+    with tempfile.TemporaryDirectory() as root:
+        for argv in writer_argvs(root):
             print(digest_line(argv, root), flush=True)
     return 0
 

@@ -11,9 +11,11 @@ oracle    truncated-Fock comparison table for a form file
 Classification codes in CSV output: 0 = PositiveDefinite,
 1 = StableNonPositive, 2 = UnstableComplex, 3 = NonDiagonalizable.
 
-Exit codes: 0 success; 2 usage, bad sweep range, a grid or an analyze
---emit-modes report whose buffers would exceed the 1 GiB memory budget
-(checked before allocating or solving), oracle --nmax/--levels below 1,
+Exit codes: 0 success; 2 usage, bad sweep range, a form file to parse, a
+dense analyze or evolve solve, a grid or an analyze --emit-modes report
+whose buffers would exceed the 1 GiB memory budget (checked from the file
+size, n or the step counts before reading, allocating or solving), oracle
+--nmax/--levels below 1,
 a non-finite --complex-time or --epsilon/--gamma/--delta/--kappa value, a
 negative or non-finite --tol-eig/--tol-struct, a bcs --format its mode
 does not write (a single point writes doc, --sweep csv), an --out path
@@ -31,7 +33,8 @@ allocating).  At a Jordan point analyze prints no modes and exits 0.
 Floats are printed with ``repr`` (shortest round-trip, locale independent)
 so identical inputs and flags give byte-identical output.  ``--format doc``
 output is exactly ``json.dumps(doc, indent=2, sort_keys=True)`` of the
-document, with every complex matrix as nested ``[re, im]`` lists.
+document, with every complex matrix as nested ``[re, im]`` lists; one
+writer spells every document itself, without calling ``json.dumps``.
 
 :func:`main` may be called any number of times in one process; it builds
 its parser on the first call and reuses it.
@@ -41,17 +44,17 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import bcs as bcs_mod
 from . import evolution, formio, normal_modes, oracle, spectral
-from .core import MEMORY_BUDGET, bar_vector, dynamical_matrix, metric_signs
+from .core import MEMORY_BUDGET, dynamical_matrix, metric_signs
 from .errors import (
     BadRange,
     DimensionCap,
@@ -104,12 +107,16 @@ def _axis(parsed) -> np.ndarray:
 # row is a tuple of a complex, two floats and an array of n magnitudes, then
 # a line or, costlier, a dict of `--format doc`: 2.0 kB at n = 1 and 2, 2.9 kB
 # at n = 8 and 5.9 kB at n = 32 for doc, about 0.6 to 1.5 kB for csv.
-# `analyze --emit-modes` grows with the n x 2n x 2n invariants: 230 B per
+# `analyze --emit-modes` grows with the n x 2n x 2n invariants: 227 B per
 # entry of them between n = 16 and 32, for doc written with --out or to stdout.
+# The dense solve of `analyze` and `evolve` grows with the (2n)^2 entries of
+# Hmat: 148-150 B per entry for `analyze` and 168 B for a one-time `evolve`,
+# n = 64 to 192.
 SWEEP_POINT_BYTES = 4096
 EVOLVE_ROW_BYTES = 2048
 EVOLVE_MODE_BYTES = 256
 EMIT_MODES_ENTRY_BYTES = 320
+DENSE_ENTRY_BYTES = 192
 
 
 def _check_budget(nbytes: int, what: str):
@@ -117,6 +124,11 @@ def _check_budget(nbytes: int, what: str):
     if nbytes > MEMORY_BUDGET:
         raise BadRange(f"{what} needs about {nbytes:.3g} B of buffers, "
                        f"above the {MEMORY_BUDGET} B budget")
+
+
+def _check_dense(n: int):
+    """Refuse a form whose dense 2n x 2n solve would exceed the memory budget."""
+    _check_budget((2 * n) ** 2 * DENSE_ENTRY_BYTES, f"the dense solve of {n} modes")
 
 
 def _check_out(out_path):
@@ -147,35 +159,58 @@ def _emit(lines, out_path):
         sys.stdout.write("\n")
 
 
-def _dumps(value, depth: int = 0) -> str:
+def _dumps(value, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, of ``value``
-    with every ndarray read as the nested ``[re, im]`` lists of its entries,
-    written as if nested ``depth`` levels deep.
+    with every ndarray read as the nested ``[re, im]`` lists of its entries;
+    ``pad`` is the newline and indentation of the line ``value`` starts on.
 
-    A dict holding a dict or an ndarray is walked key by key.  A finite
-    complex array of non-zero size fills a ``%r`` template of its shape with
-    Python floats, whose repr is json's.  Anything else, and an array json
-    would spell otherwise (NaN, Infinity, ``[]``), goes through ``json.dumps``
-    re-indented, which is safe because JSON strings escape their newlines.
+    Dicts (string keys, sorted), lists and tuples, strings, floats, ints,
+    bools and None are spelled as json spells them: strings by json's own
+    ASCII encoder, floats by ``float.__repr__`` and NaN and the infinities
+    as ``NaN``, ``Infinity`` and ``-Infinity``.  A finite complex array of
+    non-zero size fills a ``%r`` template of its shape with Python floats;
+    any other array is written as its nested lists.  Any other value raises
+    ``TypeError``, as ``json.dumps`` does.
     """
-    pad = "\n" + "  " * depth
-    if isinstance(value, dict) and any(isinstance(v, (dict, np.ndarray))
-                                       for v in value.values()):
-        inner = pad + "  "
-        return ("{" + inner + ("," + inner).join(
-            f"{json.dumps(k)}: {_dumps(value[k], depth + 1)}" for k in sorted(value))
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in value]) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return ("{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + _dumps(value[k], inner) for k in sorted(value)])
             + pad + "}")
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     if isinstance(value, np.ndarray):
         a = np.asarray(value, dtype=complex)
-        if a.size and np.isfinite(a).all():
-            template = "%r"
-            for level, size in enumerate((*a.shape, 2)[::-1]):
-                inner = "\n" + "  " * (depth + a.ndim + 1 - level)
-                template = ("[" + inner + ("," + inner).join([template] * size)
-                            + inner[:-2] + "]")
-            return template % tuple(a.ravel().view(float).tolist())
-        value = np.stack([a.real, a.imag], axis=-1).tolist()
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+        if not (a.size and np.isfinite(a).all()):
+            return _dumps(np.stack([a.real, a.imag], axis=-1).tolist(), pad)
+        template = "%r"
+        for level, size in enumerate((*a.shape, 2)[::-1]):
+            step = pad + "  " * (a.ndim + 1 - level)
+            template = "[" + step + ("," + step).join([template] * size) + step[:-2] + "]"
+        return template % tuple(a.ravel().view(float).tolist())
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _check_numbers(args):
@@ -192,21 +227,24 @@ def _check_numbers(args):
 
 def _mode_table(report, bt):
     """Per-mode rows: frequency, hermitian flag, norm residual (None without ``bt``)."""
-    residuals = [None] * len(report.mode_frequencies)
+    lams = report.mode_frequencies.tolist()
+    residuals = [None] * len(lams)
     if bt is not None:
-        n = bt.n_modes
-        mdiag = metric_signs(n)
-        for i in range(n):
-            c = bar_vector(bt.W[:, n + i]) @ (mdiag * bt.W[:, i])
-            residuals[i] = float(abs(c - 1.0))
+        # mode i's generalized norm bar(w_{n+i}) M w_i from contiguous rows,
+        # which take the BLAS path of the fresh vectors they stand for
+        n, w = bt.n_modes, bt.W
+        bars = np.concatenate([w[n:, n:], w[:n, n:]]).T.copy()
+        cols = (metric_signs(n)[:, None] * w[:, :n]).T.copy()
+        residuals = [float(abs(b @ c - 1.0)) for b, c in zip(bars, cols)]
     return [{"lambda": [lam.real, lam.imag],
              "hermitian": bool(abs(lam.imag) <= report.real_tol),
              "norm_residual": res}
-            for lam, res in zip(report.mode_frequencies, residuals)]
+            for lam, res in zip(lams, residuals)]
 
 
 def cmd_analyze(args) -> int:
     form, digest = formio.read_form(args.input, tol_struct=args.tol_struct)
+    _check_dense(form.n_modes)
     if args.emit_modes:
         n = form.n_modes
         _check_budget(4 * n ** 3 * EMIT_MODES_ENTRY_BYTES,
@@ -234,7 +272,8 @@ def cmd_analyze(args) -> int:
     doc["warnings"] = warnings
     if args.emit_modes and bt is not None:
         df = normal_modes.diagonal_form(bt)
-        doc["diagonal_form"] = df.to_dict()
+        doc["diagonal_form"] = {**df.to_dict(), "extract_b": df.extract_b,
+                                "extract_bbar": df.extract_bbar}
         doc["invariants"] = df.invariants
     if args.format == "doc":
         _emit([_dumps(doc)], args.out)
@@ -296,6 +335,7 @@ def cmd_evolve(args) -> int:
     if not isinstance(parsed, float):
         _check_budget(parsed[2] * (EVOLVE_ROW_BYTES + EVOLVE_MODE_BYTES * form.n_modes),
                       f"evolve time grid of {parsed[2]} points")
+    _check_dense(form.n_modes)
     lams = spectral.classify(form, args.tol_eig).mode_frequencies
     shift = 1j * args.complex_time
     ts = [complex(t_real) + shift for t_real in _axis(parsed)]

@@ -14,6 +14,7 @@ are pure functions, so values can be shared freely across workers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +30,15 @@ MEMORY_BUDGET = 1 << 30
 # ---------------------------------------------------------------------------
 # structural constants
 
+@functools.lru_cache(maxsize=64)
 def metric_signs(n_modes: int) -> np.ndarray:
-    """Diagonal (+1..+1, -1..-1) of M, so M X = signs[:, None] * X and X M = X * signs."""
-    return np.concatenate([np.ones(n_modes), -np.ones(n_modes)])
+    """Diagonal (+1..+1, -1..-1) of M, so M X = signs[:, None] * X and X M = X * signs.
+
+    One read-only array per n, shared by every caller.
+    """
+    signs = np.ones(2 * n_modes)
+    signs[n_modes:] = -1.0
+    return _freeze(signs)
 
 
 def metric(n_modes: int) -> np.ndarray:
@@ -70,7 +77,13 @@ def bar(matrix: np.ndarray) -> np.ndarray:
     stack of matrices (leading axes) is barred matrix by matrix.
     """
     half = matrix.shape[-1] // 2
-    return np.roll(np.swapaxes(matrix, -1, -2), (half, half), axis=(-2, -1))
+    flipped = np.swapaxes(matrix, -1, -2)
+    out = np.empty_like(flipped)  # np.roll's layout: the transpose's own
+    out[..., :half, :half] = flipped[..., half:, half:]
+    out[..., :half, half:] = flipped[..., half:, :half]
+    out[..., half:, :half] = flipped[..., :half, half:]
+    out[..., half:, half:] = flipped[..., :half, :half]
+    return out
 
 
 def bar_vector(vec: np.ndarray) -> np.ndarray:
@@ -155,6 +168,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def frobenius_norm(x: np.ndarray):
+    """``np.linalg.norm(x)`` of a complex array, the 2-norm of a vector and
+    the Frobenius norm of a matrix, by that function's own steps (two real
+    dot products of the raveled array and a square root) without its
+    argument handling."""
+    x = x.ravel(order="K")
+    return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 def _defect(m: np.ndarray, image: np.ndarray):
     """Frobenius norms ||m - image|| and ||m|| for the relative structure
     test, and the factor both were divided by: 1, or, when a norm overflows
@@ -162,12 +184,12 @@ def _defect(m: np.ndarray, image: np.ndarray):
     so that the ratio stays meaningful.  Finite norms keep their bits.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        defect, size = np.linalg.norm(m - image), np.linalg.norm(m)
+        defect, size = frobenius_norm(m - image), frobenius_norm(m)
     if np.isfinite(defect) and np.isfinite(size):
         return defect, size, 1.0
     scale = float(np.abs(m.view(float)).max())
     m, image = m / scale, image / scale
-    return np.linalg.norm(m - image), np.linalg.norm(m), scale
+    return frobenius_norm(m - image), frobenius_norm(m), scale
 
 
 def build_form(A, B, tol_struct: float = DEFAULT_TOL_STRUCT) -> QuadraticForm:
@@ -203,7 +225,7 @@ def build_form(A, B, tol_struct: float = DEFAULT_TOL_STRUCT) -> QuadraticForm:
     n = A.shape[0]
     if n < 1:
         raise DimensionMismatch("need at least one mode")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise StructureViolation("A and B must contain only finite entries")
 
     herm_defect, herm_size, scale = _defect(A, A.conj().T)
@@ -220,7 +242,7 @@ def build_form(A, B, tol_struct: float = DEFAULT_TOL_STRUCT) -> QuadraticForm:
         )
     with np.errstate(over="ignore", invalid="ignore"):
         A, B = 0.5 * (A + A.conj().T), 0.5 * (B + B.T)
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise Overflow("A and B entries overflow the float range when symmetrized")
     return QuadraticForm(n, _freeze(A), _freeze(B))
 
@@ -231,8 +253,11 @@ def extended_matrix(form: QuadraticForm) -> ExtendedMatrix:
     The result is hermitian and bar-symmetric (T Hmat^t T = Hmat) by
     construction from a validated form.
     """
-    h = np.block([[form.A, form.B], [form.B.conj(), form.A.T]])
-    return ExtendedMatrix(form.n_modes, _freeze(h))
+    n = form.n_modes
+    h = np.empty((2 * n, 2 * n), dtype=complex)
+    h[:n, :n], h[:n, n:] = form.A, form.B
+    h[n:, :n], h[n:, n:] = form.B.conj(), form.A.T
+    return ExtendedMatrix(n, _freeze(h))
 
 
 def dynamical_matrix(form: QuadraticForm | ExtendedMatrix) -> DynamicalMatrix:

@@ -65,4 +65,5 @@ class ParseError(QuadBosonError):
 
 
 class BadRange(QuadBosonError):
-    """A usage error: a bad range or option value, or an unwritable output path."""
+    """A usage error: a bad range or option value, an unwritable output path,
+    or an input whose buffers would exceed the memory budget."""

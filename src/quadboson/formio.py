@@ -17,11 +17,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 
-from .core import QuadraticForm, build_form
-from .errors import ParseError
+from .core import MEMORY_BUDGET, QuadraticForm, build_form
+from .errors import BadRange, ParseError
+
+# Peak bytes of reading and parsing a form file per byte of the file (the
+# bytes, the decoded text, the JSON lists and the arrays): tracemalloc
+# measures 5.0-5.1 for files of 0.5 to 4.4 MB; rounded up.
+PARSE_BYTES_PER_FILE_BYTE = 6
 
 
 def _reject_constant(token: str):
@@ -82,9 +88,20 @@ def loads_form(text: str, tol_struct: float = 1e-12) -> QuadraticForm:
 
 
 def read_form(path, tol_struct: float = 1e-12) -> tuple[QuadraticForm, str]:
-    """Read and validate a form file: the form and the :func:`form_digest` of the bytes parsed."""
+    """Read and validate a form file: the form and the :func:`form_digest` of the bytes parsed.
+
+    Raises
+    ------
+    BadRange
+        Parsing the file would need more than ``MEMORY_BUDGET`` bytes,
+        checked from its size before it is read.
+    """
     try:
         with open(path, "rb") as fh:
+            need = os.fstat(fh.fileno()).st_size * PARSE_BYTES_PER_FILE_BYTE
+            if need > MEMORY_BUDGET:
+                raise BadRange(f"parsing form file {path} needs about {need:.3g} B, "
+                               f"above the {MEMORY_BUDGET} B budget")
             raw = fh.read()
         text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")  # as text mode reads
     except (OSError, UnicodeDecodeError) as exc:

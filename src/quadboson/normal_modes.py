@@ -27,6 +27,11 @@ from .core import bar_symmetrize, coord_map, coord_metric, metric_signs, quadrat
 from .spectral import BogoliubovTransform, ModePair
 
 
+def _pairs(a: np.ndarray) -> list:
+    """Nested ``[re, im]`` lists of a complex array's entries."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
 @dataclass(frozen=True)
 class DiagonalForm:
     """Boson-like diagonal representation of a form.
@@ -84,8 +89,8 @@ class DiagonalForm:
                                   self.zero_point_energy.imag],
             "hermitian_flags": [bool(x) for x in self.hermitian_flags],
             "zero_modes": [bool(x) for x in self.zero_modes],
-            "extract_b": [[[v.real, v.imag] for v in row] for row in self.extract_b],
-            "extract_bbar": [[[v.real, v.imag] for v in row] for row in self.extract_bbar],
+            "extract_b": _pairs(self.extract_b),
+            "extract_bbar": _pairs(self.extract_bbar),
         }
 
 

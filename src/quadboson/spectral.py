@@ -45,6 +45,7 @@ from .core import (
     bar_vector,
     dynamical_matrix,
     extended_matrix,
+    frobenius_norm,
     metric_signs,
 )
 from .errors import NotDiagonalizable, NullNorm, Overflow, PairingFailure, WrongRegime
@@ -59,6 +60,9 @@ _RANK_SAFETY = 4.0 * CLUSTER_SAFETY
 _NULL_NORM = 1e-8
 # Soft alarm on nearly vanishing generalized norms (adjacent to a Jordan point).
 _NEAR_DEFECT_NORM = 1e-3
+# The eigenvector matrix of a 1 x 1 hermitian eigenproblem.
+_UNIT = np.ones((1, 1), dtype=complex)
+_UNIT.setflags(write=False)
 
 
 def _cuts(scale, tol_eig: float):
@@ -312,13 +316,16 @@ def _analyze(matrix: np.ndarray, scale: float, cluster_tol: float):
     cluster, eig residual)."""
     evals, vecs = np.linalg.eig(matrix)
     residual = np.abs(matrix @ vecs - vecs * evals[None, :]).max() / scale
+    # a singleton cluster's value is its eigenvalue plus 0.0, the bits of the
+    # mean of one eigenvalue (-0.0 parts turn into +0.0)
+    singles = (evals + 0.0).tolist()
     clusters = []
     for idx in _cluster_indices(evals, cluster_tol):
-        value = complex(evals[idx].mean())
         alg = len(idx)
         if alg == 1:
-            clusters.append((ClusterInfo(value, 1, 1, 1, np.inf), idx))
+            clusters.append((ClusterInfo(singles[idx[0]], 1, 1, 1, np.inf), idx))
             continue
+        value = complex(evals[idx].mean())
         shifted = matrix - value * np.eye(matrix.shape[0])
         geo, gap = _nullity(shifted, _RANK_SAFETY * scale)
         geo = min(geo, alg)
@@ -399,7 +406,11 @@ def _real_branch_pairs(vecs_plus, value, mdiag, warnings):
     out = []
     gram = vecs_plus.conj().T @ (mdiag[:, None] * vecs_plus)
     gram = 0.5 * (gram + gram.conj().T)
-    d, q = np.linalg.eigh(gram)
+    if gram.shape == (1, 1):
+        # LAPACK's n = 1 case of eigh: the eigenvalue Re g, the eigenvector 1
+        d, q = gram[0].real, _UNIT
+    else:
+        d, q = np.linalg.eigh(gram)
     for k in range(d.size):
         w = vecs_plus @ q[:, k]
         ok = abs(d[k]) > _NULL_NORM
@@ -468,7 +479,8 @@ def _eigen_pairs(dyn: DynamicalMatrix, tol_eig: float):
     """
     n = dyn.n_modes
     mdiag = metric_signs(n)
-    scale = max(np.linalg.norm(dyn.matrix, 2), np.finfo(float).tiny)
+    # the largest singular value, as np.linalg.norm(·, 2) takes it
+    scale = max(np.linalg.svd(dyn.matrix, compute_uv=False).max(), np.finfo(float).tiny)
     cluster_tol, real_tol, branch_tol = _cuts(scale, tol_eig)
     vecs, clusters, eig_residual = _analyze(dyn.matrix, scale, cluster_tol)
     residuals, warnings = [], []
@@ -568,7 +580,7 @@ def normalize_pairs(report: StabilityReport) -> BogoliubovTransform:
     for i, p in enumerate(pairs):
         if p.hermitian_pair:
             c = (p.w_plus.conj() @ (mdiag * p.w_plus)).real
-            if abs(c) <= _NULL_NORM * (np.linalg.norm(p.w_plus) ** 2):
+            if abs(c) <= _NULL_NORM * (frobenius_norm(p.w_plus) ** 2):
                 raise NullNorm(
                     f"mode {i} (lambda={p.lam:.6g}) has vanishing M-norm {c:.3e}"
                 )
@@ -581,7 +593,7 @@ def normalize_pairs(report: StabilityReport) -> BogoliubovTransform:
             cols_minus[:, i] = bar_vector(w.conj())
         else:
             c = bar_vector(p.w_minus) @ (mdiag * p.w_plus)
-            if abs(c) <= _NULL_NORM * np.linalg.norm(p.w_plus) * np.linalg.norm(p.w_minus):
+            if abs(c) <= _NULL_NORM * frobenius_norm(p.w_plus) * frobenius_norm(p.w_minus):
                 raise NullNorm(
                     f"mode {i} (lambda={p.lam:.6g}) has vanishing generalized "
                     f"norm |c|={abs(c):.3e}"
@@ -633,8 +645,8 @@ def classify(form: QuadraticForm, tol_eig: float = 1e-9) -> StabilityReport:
     pairs, fields = _eigen_pairs(dynamical_matrix(ext), tol_eig)
     real_tol = fields["real_tol"]
     freqs = np.array([p.lam for p in pairs])
-    any_complex = bool(np.any(np.abs(freqs.imag) > real_tol))
-    zero_modes = int(np.sum(np.abs(freqs) <= real_tol))
+    any_complex = bool((np.abs(freqs.imag) > real_tol).any())
+    zero_modes = int((np.abs(freqs) <= real_tol).sum())
     diagonalizable = not any(c.geometric < c.algebraic for c in fields["clusters"])
     if not diagonalizable:
         label = StabilityClass.NON_DIAGONALIZABLE

@@ -18,7 +18,7 @@ import scipy.linalg
 from hypothesis import given, settings
 
 import quadboson as qb
-from quadboson import CLASS_CODES, cli, spectral
+from quadboson import CLASS_CODES, cli, formio, spectral
 from quadboson.core import MEMORY_BUDGET
 from quadboson.errors import PairingFailure
 from quadboson.cli import main
@@ -336,6 +336,44 @@ def test_emit_modes_is_refused_before_solving(capsys, monkeypatch, tmp_path, for
     assert run(capsys, "analyze", form_file, "--emit-modes")[0] == 0 and len(calls) == 2
 
 
+def test_a_form_file_too_large_to_parse_is_refused_before_parsing(capsys, monkeypatch,
+                                                                  form_file):
+    def no_loads(*args, **kwargs):
+        raise AssertionError("json.loads called")
+
+    need = os.path.getsize(form_file) * formio.PARSE_BYTES_PER_FILE_BYTE
+    monkeypatch.setattr(formio.json, "loads", no_loads)
+    monkeypatch.setattr(formio, "MEMORY_BUDGET", need - 1)
+    for argv in (("analyze", form_file), ("evolve", form_file, "--t", "0:1:3"),
+                 ("oracle", "--input", form_file)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "budget" in err, argv
+    monkeypatch.setattr(formio, "MEMORY_BUDGET", need)
+    with pytest.raises(AssertionError, match="json.loads"):
+        main(["analyze", form_file])
+    # at the 1 GiB budget a form file of the benchmark's largest size (n =
+    # 256, 6.2 MB) is far inside
+    assert MEMORY_BUDGET // formio.PARSE_BYTES_PER_FILE_BYTE > 25 * 6.2e6
+
+
+def test_a_dense_solve_over_budget_is_refused_before_solving(capsys, monkeypatch, form_file):
+    calls = _count_eigensolves(monkeypatch)
+    need = (2 * 2) ** 2 * cli.DENSE_ENTRY_BYTES
+    argvs = (("analyze", form_file), ("evolve", form_file, "--t", "1"))
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", need - 1)
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, calls) == (2, "", []) and "budget" in err, argv
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", need)
+    for argv in argvs:
+        assert run(capsys, *argv)[0] == 0, argv
+    assert len(calls) == 2
+    # at 1 GiB the refusal starts far above the benchmark's n = 256
+    refused = next(n for n in range(1, 10_000)
+                   if (2 * n) ** 2 * cli.DENSE_ENTRY_BYTES > MEMORY_BUDGET)
+    assert refused > 1000
+
+
 def _peak_bytes(argv):
     """Traced peak of one successful ``main(argv)``."""
     tracemalloc.start()
@@ -361,6 +399,21 @@ def test_budget_figures_bound_the_measured_bytes(tmp_path, form_file, fmt):
                                "--format", fmt, "--out", out], 200, 600)
     assert 0 < sweep <= cli.SWEEP_POINT_BYTES
     assert 0 < evolve <= cli.EVOLVE_ROW_BYTES + 2 * cli.EVOLVE_MODE_BYTES
+
+
+def test_dense_and_parse_budgets_bound_the_measured_bytes(tmp_path, rng, capsys):
+    small, large = (_form_file_of(tmp_path, n, rng) for n in (48, 96))
+    run(capsys, "evolve", small, "--t", "1")  # loads scipy outside the traced runs
+    entries = (2 * 96) ** 2 - (2 * 48) ** 2
+    for argv in (["analyze"], ["evolve", "--t", "1"]):
+        peaks = [_peak_bytes([argv[0], path, *argv[1:], "--out", str(tmp_path / "out")])
+                 for path in (small, large)]
+        assert 0 < (peaks[1] - peaks[0]) / entries <= cli.DENSE_ENTRY_BYTES, argv
+    tracemalloc.start()
+    qb.load_form(large)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= os.path.getsize(large) * formio.PARSE_BYTES_PER_FILE_BYTE
 
 
 def test_emit_modes_budget_bounds_the_measured_bytes(tmp_path, rng):
@@ -930,6 +983,14 @@ def test_writer_matches_json_dumps_on_special_entries(shape, nan):
         values.flat[0] = complex(1.0, math.nan)
     doc = {"a": values, "b": {"c": [{"d": values.size}], "e": values}, "f": "x\ny"}
     assert cli._dumps(doc) == json.dumps(_as_lists(doc), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.float32(0.5), {1, 2}, 1j, b"x"])
+def test_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps({"a": [value]})
+    with pytest.raises(TypeError):
+        cli._dumps({"a": [value]})
 
 
 def _analyze_doc(path):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import quadboson as qb
-from quadboson.core import metric_signs
+from quadboson.core import frobenius_norm, metric_signs
 from quadboson.errors import DimensionMismatch, Overflow, StructureViolation
 
 from conftest import multiset_dev, random_form
@@ -201,3 +201,50 @@ def test_coordinate_generator_block_structure():
     lhs = qb.coord_metric(2) @ hc
     rhs = 1j * np.block([[cf.U.T, cf.T], [-cf.V, -cf.U]])
     assert np.abs(lhs - rhs).max() <= 1e-14
+
+
+def test_extended_matrix_equals_the_block_assembly_bit_for_bit():
+    rng = np.random.default_rng(29)
+    forms = [random_form(rng, n) for n in (1, 2, 3, 6)]
+    forms.append(qb.bcs_form(qb.BcsParams(1.0, 0.3, 0.5, 0.05)))
+    # -0.0 real and imaginary parts in every block, as a form may hold them
+    signed = np.array([[complex(-0.0, -0.0), complex(1.0, -0.0)],
+                       [complex(-0.0, 2.0), complex(-1.5, 0.0)]])
+    forms.append(qb.QuadraticForm(2, signed, signed.T.copy()))
+    forms.append(qb.build_form([[1.0, -0.0], [-0.0, 2.0]],
+                               [[complex(-0.0, 0.5), -0.0], [-0.0, complex(0.25, -0.0)]]))
+    for form in forms:
+        want = np.block([[form.A, form.B], [form.B.conj(), form.A.T]])
+        got = qb.extended_matrix(form).matrix
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_metric_signs_is_one_read_only_array_per_n():
+    for n in (1, 2, 5):
+        signs = metric_signs(n)
+        assert signs is metric_signs(n)
+        want = np.concatenate([np.ones(n), -np.ones(n)])
+        assert signs.dtype == want.dtype and signs.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            signs[0] = 2.0
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (6, 6), (3, 4, 4)])
+def test_bar_copies_the_blocks_of_the_half_roll(shape):
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    x.flat[0] = complex(-0.0, -0.0)
+    half = shape[-1] // 2
+    want = np.roll(np.swapaxes(x, -1, -2), (half, half), axis=(-2, -1))
+    got = qb.bar(x)
+    assert got.strides == want.strides and got.tobytes() == want.tobytes()
+
+
+def test_frobenius_norm_is_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(37)
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    signed = np.array([complex(-0.0, 0.5), complex(1.0, -0.0), complex(-0.0, -0.0)])
+    for x in (m, m[:, 2], m[1], m.T, signed, m * 1e200, m * 1e-200):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = frobenius_norm(x), np.linalg.norm(x)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

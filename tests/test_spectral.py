@@ -603,3 +603,109 @@ def test_windowed_matching_matches_the_greedy_scan(values, tol, sizes):
                 for idx, size in zip(groups, sizes)]
     assert (_outcome(spectral._match_clusters, clusters, tol)
             == _outcome(_quadratic_match_clusters, clusters, tol))
+
+
+# ---------------------------------------------------------------------------
+# bit-identity rules of the per-call shortcuts
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# entries whose real or imaginary part is -0.0 next to ordinary ones
+_SIGNED = [complex(re, im) for re in (-0.0, 0.0, 1.5, -2.0) for im in (-0.0, 0.0, 0.75, -3.0)]
+
+
+def _bit_test_forms():
+    """Random PD and indefinite forms, BCS forms in every regime and at the
+    Jordan point, and a form whose entries carry -0.0 parts."""
+    rng = np.random.default_rng(17)
+    forms = [random_form(rng, n, shift) for n in (1, 2, 3, 5) for shift in (0.5, -0.5)]
+    forms += [qb.bcs_form(bcs(d, k)) for d in (0.0, 0.5, 0.97, 1.0, 1.2, -0.5) for k in (0.0, 0.05)]
+    forms.append(qb.build_form([[1.0, -0.0], [-0.0, 2.0]],
+                               [[complex(-0.0, 0.5), -0.0], [-0.0, complex(0.25, -0.0)]]))
+    return forms
+
+
+def test_a_singleton_cluster_value_has_the_bits_of_its_mean():
+    spectra = [np.linalg.eig(qb.dynamical_matrix(f).matrix)[0] for f in _bit_test_forms()]
+    for evals in spectra + [np.array(_SIGNED)]:
+        singles = (evals + 0.0).tolist()
+        for i in range(evals.size):
+            assert _same_bits(singles[i], complex(evals[[i]].mean()))
+    # eig returns a diagonal matrix's entries, -0.0 parts included
+    signed = np.diag([complex(-0.0, 0.75), complex(1.5, -0.0), complex(-2.0, -0.0),
+                      complex(-0.0, -3.0)])
+    for m in [qb.dynamical_matrix(form).matrix for form in _bit_test_forms()] + [signed]:
+        evals = np.linalg.eig(m)[0]
+        scale = np.linalg.norm(m, 2)
+        _, clusters, _ = spectral._analyze(m, scale, spectral.CLUSTER_SAFETY * scale)
+        for info, idx in clusters:
+            if len(idx) == 1:
+                assert _same_bits(info.value, complex(evals[idx].mean()))
+
+
+def _eigh_real_branch_pairs(vecs_plus, value, mdiag, warnings):
+    """The real-branch pairing with eigh at every size, the reference for the
+    1 x 1 shortcut."""
+    out = []
+    gram = vecs_plus.conj().T @ (mdiag[:, None] * vecs_plus)
+    gram = 0.5 * (gram + gram.conj().T)
+    d, q = np.linalg.eigh(gram)
+    for k in range(d.size):
+        w = vecs_plus @ q[:, k]
+        if not abs(d[k]) > spectral._NULL_NORM:
+            warnings.append(f"near-null M-norm {d[k]:.3e} at eigenvalue {value:.6g}; "
+                            "input is adjacent to a non-diagonalizable point")
+        elif abs(d[k]) < spectral._NEAR_DEFECT_NORM:
+            warnings.append(f"small M-norm {d[k]:.3e} at eigenvalue {value:.6g}; "
+                            "results may be ill-conditioned (near-defective input)")
+        if d[k] >= 0:
+            out.append((ModePair(value, w, qb.bar_vector(w.conj()), True), d[k]))
+        else:
+            out.append((ModePair(-value, qb.bar_vector(w.conj()), w, True), d[k]))
+    return out
+
+
+def test_a_one_by_one_gram_reads_as_its_own_eigendecomposition():
+    vectors = [np.array(_SIGNED[i:i + 4])[:, None] for i in range(0, len(_SIGNED), 4)]
+    for form in _bit_test_forms():
+        vecs = np.linalg.eig(qb.dynamical_matrix(form).matrix)[1]
+        vectors += [vecs[:, [k]] for k in range(vecs.shape[1])]
+    for vp in vectors:
+        mdiag = qb.core.metric_signs(vp.shape[0] // 2)
+        gram = vp.conj().T @ (mdiag[:, None] * vp)
+        gram = 0.5 * (gram + gram.conj().T)
+        d, q = np.linalg.eigh(gram)
+        assert _same_bits(d, gram[0].real) and _same_bits(q, spectral._UNIT)
+        got, want = [], []
+        pairs = spectral._real_branch_pairs(vp, complex(0.5, -0.0), mdiag, got)
+        reference = _eigh_real_branch_pairs(vp, complex(0.5, -0.0), mdiag, want)
+        assert got == want
+        for (p, dp), (r, dr) in zip(pairs, reference, strict=True):
+            assert _same_bits(dp, dr) and _same_bits(p.lam, r.lam)
+            assert _same_bits(p.w_plus, r.w_plus) and _same_bits(p.w_minus, r.w_minus)
+            assert p.hermitian_pair and r.hermitian_pair
+
+
+def test_the_largest_singular_value_is_the_two_norm_bit_for_bit():
+    for form in _bit_test_forms():
+        m = qb.dynamical_matrix(form).matrix
+        assert _same_bits(np.linalg.svd(m, compute_uv=False).max(), np.linalg.norm(m, 2))
+
+
+def test_mode_table_residuals_keep_the_per_mode_bits():
+    checked = 0
+    for form in _bit_test_forms():
+        report = qb.classify(form)
+        try:
+            bt = qb.normalize_pairs(report)
+        except (NotDiagonalizable, NullNorm):
+            continue
+        n, mdiag = bt.n_modes, qb.core.metric_signs(bt.n_modes)
+        want = [float(abs(qb.bar_vector(bt.W[:, n + i]) @ (mdiag * bt.W[:, i]) - 1.0))
+                for i in range(n)]
+        assert _same_bits([row["norm_residual"] for row in _mode_table(report, bt)], want)
+        checked += 1
+    assert checked >= 15
