@@ -7,7 +7,9 @@ argvs that no benchmark op runs, then argvs that must be refused as usage
 errors (non-finite model parameters, and ``--out`` paths that are a
 directory or lie in a missing one), then argvs that put the document writer
 and the CSV table of every subcommand to work (``--format doc`` of
-``sweep``, ``evolve`` and ``oracle``, ``--format csv`` of ``analyze``), and
+``sweep``, ``evolve`` and ``oracle``, ``--format csv`` of ``analyze``), then
+``bcs`` and ``sweep`` argvs on the outer edge of the reentry window, where
+roundoff splits a Jordan pair differently at +lambda and -lambda, and
 runs every op in-process through
 ``perfbench/run.py``'s ``call`` (stdout captured; importing ``run`` pins
 BLAS to one thread).  Each line reads ``<exit code> <sha256 of stdout>
@@ -107,6 +109,18 @@ def writer_argvs(root: str):
         yield ["analyze", form, "--format", "csv", "--emit-modes"]
 
 
+def outer_edge_argvs():
+    """Single-point ``bcs`` at nine (kappa, delta) on the outer edge of the
+    reentry window, then a ``sweep`` over two of them, Jordan points all."""
+    for kappa, delta in ((0.02, 1.0022197585580783), (-0.02, 1.0022197585580783),
+                         (0.02, 1.0022197585583092), (-0.02, 1.0022197585583092),
+                         (0.005, 1.0001388792450476), (0.01, 1.0005554013201237),
+                         (0.01, 1.0005554013203608), (0.03, 1.0049875621119793),
+                         (0.07, 1.026861453383234)):
+        yield ["bcs", "--delta", repr(delta), "--kappa", repr(kappa)]
+    yield ["sweep", "--delta", "1.0022197585580783:1.0022197585583092:3", "--kappa", "0.02"]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seed", type=int, nargs="+", default=[1])
@@ -121,6 +135,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as root:
         for argv in writer_argvs(root):
             print(digest_line(argv, root), flush=True)
+    for argv in outer_edge_argvs():
+        print(digest_line(argv), flush=True)
     return 0
 
 

@@ -12,10 +12,10 @@ Classification codes in CSV output: 0 = PositiveDefinite,
 1 = StableNonPositive, 2 = UnstableComplex, 3 = NonDiagonalizable.
 
 Exit codes: 0 success; 2 usage, bad sweep range, a form file to parse, a
-dense analyze or evolve solve, a grid or an analyze --emit-modes report
+dense analyze or evolve solve, a grid or an analyze --emit-modes doc
 whose buffers would exceed the 1 GiB memory budget (checked from the file
-size, n or the step counts before reading, allocating or solving), oracle
---nmax/--levels below 1,
+size or the bytes read from a pipe, n or the step counts before parsing,
+allocating or solving), oracle --nmax/--levels below 1,
 a non-finite --complex-time or --epsilon/--gamma/--delta/--kappa value, a
 negative or non-finite --tol-eig/--tol-struct, a bcs --format its mode
 does not write (a single point writes doc, --sweep csv), an --out path
@@ -26,9 +26,9 @@ malformed form file;
 finite input entries too large to symmetrize or rank-test and bcs
 parameters whose squares leave the float range, wrong regime, including an
 oracle check whose compared levels need an occupation above nmax // 2, a
-vanishing generalized norm where analyze --emit-modes needs
-the transform, an oracle Fock dimension above the cap, checked before
-allocating).  At a Jordan point analyze prints no modes and exits 0.
+vanishing generalized norm where analyze --emit-modes needs the
+transform for its doc, an oracle Fock dimension above the cap, checked
+before allocating).  At a Jordan point analyze prints no modes and exits 0.
 
 Floats are printed with ``repr`` (shortest round-trip, locale independent)
 so identical inputs and flags give byte-identical output.  ``--format doc``
@@ -245,7 +245,8 @@ def _mode_table(report, bt):
 def cmd_analyze(args) -> int:
     form, digest = formio.read_form(args.input, tol_struct=args.tol_struct)
     _check_dense(form.n_modes)
-    if args.emit_modes:
+    emit_modes = args.emit_modes and args.format == "doc"  # CSV prints no diagonal form
+    if emit_modes:
         n = form.n_modes
         _check_budget(4 * n ** 3 * EMIT_MODES_ENTRY_BYTES,
                       f"--emit-modes report of {n} modes")
@@ -256,7 +257,7 @@ def cmd_analyze(args) -> int:
     except NotDiagonalizable:
         pass  # a Jordan point has no modes; the warnings below say so
     except NullNorm:
-        if args.emit_modes:
+        if emit_modes:
             raise
     doc = report.to_dict()
     doc["input_digest"] = digest
@@ -270,7 +271,7 @@ def cmd_analyze(args) -> int:
                 np.abs(report.mode_frequencies.imag) <= report.real_tol):
             warnings.append("eigenvalues all real and non-zero")
     doc["warnings"] = warnings
-    if args.emit_modes and bt is not None:
+    if emit_modes and bt is not None:
         df = normal_modes.diagonal_form(bt)
         doc["diagonal_form"] = {**df.to_dict(), "extract_b": df.extract_b,
                                 "extract_bbar": df.extract_bbar}
@@ -466,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="classify a form file and report its modes")
     p.add_argument("input", help="form file (JSON, see README for schema)")
     p.add_argument("--emit-modes", action="store_true",
-                   help="include extraction rows and invariants in the report")
+                   help="add extraction rows and invariants to a doc report (csv ignores it)")
     p.set_defaults(func=cmd_analyze, default_format="doc")
 
     p = sub.add_parser("sweep", parents=[common],

@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 
 import numpy as np
 
@@ -87,6 +88,13 @@ def loads_form(text: str, tol_struct: float = 1e-12) -> QuadraticForm:
     return build_form(a, b, tol_struct=tol_struct)
 
 
+def _check_parse_budget(size: int, path):
+    need = size * PARSE_BYTES_PER_FILE_BYTE
+    if need > MEMORY_BUDGET:
+        raise BadRange(f"parsing form file {path} needs about {need:.3g} B, "
+                       f"above the {MEMORY_BUDGET} B budget")
+
+
 def read_form(path, tol_struct: float = 1e-12) -> tuple[QuadraticForm, str]:
     """Read and validate a form file: the form and the :func:`form_digest` of the bytes parsed.
 
@@ -94,15 +102,20 @@ def read_form(path, tol_struct: float = 1e-12) -> tuple[QuadraticForm, str]:
     ------
     BadRange
         Parsing the file would need more than ``MEMORY_BUDGET`` bytes,
-        checked from its size before it is read.
+        checked from its size before it is read, or for a pipe from the
+        bytes read before more are.
     """
     try:
         with open(path, "rb") as fh:
-            need = os.fstat(fh.fileno()).st_size * PARSE_BYTES_PER_FILE_BYTE
-            if need > MEMORY_BUDGET:
-                raise BadRange(f"parsing form file {path} needs about {need:.3g} B, "
-                               f"above the {MEMORY_BUDGET} B budget")
-            raw = fh.read()
+            info = os.fstat(fh.fileno())
+            if stat.S_ISREG(info.st_mode):
+                _check_parse_budget(info.st_size, path)
+                raw = fh.read()
+            else:  # a pipe has no size up front: count its bytes as they come
+                raw = bytearray()
+                while chunk := fh.read(1 << 16):
+                    raw += chunk
+                    _check_parse_budget(len(raw), path)
         text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")  # as text mode reads
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read form file: {exc}") from None

@@ -23,14 +23,13 @@ Conventions (all recorded so results are reproducible):
 eigensolve, is the one value every consumer reads.
 :func:`classify_stack` classifies a stack of forms with one batched
 eigensolve.  It replays :func:`classify`'s choices only where they cannot
-hinge on a tie: every eigenvalue its own cluster, away from zero, with one
-mutual negation partner and no near-null M-norm.  Every other point goes
-through :func:`classify` itself.
+hinge on a tie: every group of the spectrum clustered with its negation is
+one pair {x, -y} of distinct eigenvalues, and no M-norm is near null.  Every
+other point goes through :func:`classify` itself.
 """
 
 from __future__ import annotations
 
-import bisect
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -313,14 +312,27 @@ def _max_block(shifted: np.ndarray, algebraic: int) -> int:
 
 def _analyze(matrix: np.ndarray, scale: float, cluster_tol: float):
     """Eigendecompose, cluster and rank-test: (vecs, (info, indices) per
-    cluster, eig residual)."""
+    cluster, mirror per cluster, eig residual).
+
+    The spectrum is clustered together with its exact negation, so its
+    groups come in mirror images and one radius decides both clusters and
+    partners.  A cluster holds a group's original eigenvalues, in the order
+    of the first; its mirror is the cluster of that one's negation, None
+    when the mirror group holds no original eigenvalue.
+    """
     evals, vecs = np.linalg.eig(matrix)
     residual = np.abs(matrix @ vecs - vecs * evals[None, :]).max() / scale
+    m = evals.size
+    groups = [g for g in _cluster_indices(np.concatenate([evals, -evals]), cluster_tol)
+              if g[0] < m]
+    owner = {i: k for k, g in enumerate(groups) for i in g}
     # a singleton cluster's value is its eigenvalue plus 0.0, the bits of the
     # mean of one eigenvalue (-0.0 parts turn into +0.0)
     singles = (evals + 0.0).tolist()
-    clusters = []
-    for idx in _cluster_indices(evals, cluster_tol):
+    clusters, mirror = [], []
+    for group in groups:
+        idx = [i for i in group if i < m]
+        mirror.append(owner.get(idx[0] + m))
         alg = len(idx)
         if alg == 1:
             clusters.append((ClusterInfo(singles[idx[0]], 1, 1, 1, np.inf), idx))
@@ -331,67 +343,35 @@ def _analyze(matrix: np.ndarray, scale: float, cluster_tol: float):
         geo = min(geo, alg)
         blk = _max_block(shifted, alg) if geo < alg else 1
         clusters.append((ClusterInfo(value, alg, geo, blk, gap), idx))
-    return vecs, clusters, residual
+    return vecs, clusters, mirror, residual
 
 
 # ---------------------------------------------------------------------------
 # pairing
 
-def _nearest_unused(values: list, used: list, target: complex, candidates):
-    """(index, distance) of the unused candidate nearest to ``target``, the
-    first one at a tie; (None, inf) when none is left."""
-    best, best_d = None, np.inf
-    for j in candidates:
-        if not used[j]:
-            d = abs(values[j] - target)
-            if d < best_d:
-                best, best_d = j, d
-    return best, best_d
+def _match_clusters(clusters, mirror):
+    """Match clusters into (c, c') groups with c' the mirror of c.
 
-
-def _match_clusters(clusters, cluster_tol: float):
-    """Match clusters into (c, c') groups with value(c') = -value(c).
-
-    Zero clusters self-match.  Greedy over decreasing |value|: each cluster
-    takes the nearest unused one to its negation, the first at a tie.  A
-    missing or size-mismatched partner means the eigensolve lost the spectral
+    A zero cluster is its own mirror.  Clusters are visited by decreasing
+    |value|, the first met leading its pair.  A cluster without a mirror, or
+    whose mirror differs in size, means the eigensolve lost the spectral
     symmetry.
     """
-    values = [info.value for info, _ in clusters]
-    # a partner within the pairing radius 2 cluster_tol has its key within
-    # that radius of -key, inside the wider window searched below
-    key = _sweep_key(values)
-    order = sorted(range(len(values)), key=key.__getitem__)
-    ladder = [key[k] for k in order]
-    width = 4.0 * cluster_tol
     used = [False] * len(clusters)
     groups = []
-    for k in sorted(range(len(clusters)), key=lambda k: -abs(values[k])):
+    for k in sorted(range(len(clusters)), key=lambda k: -abs(clusters[k][0].value)):
         if used[k]:
             continue
-        used[k] = True
-        info = clusters[k][0]
-        # self-match exactly when +v and -v would have been merged into one
-        # cluster (|v - (-v)| <= cluster_tol), keeping the two radii consistent
-        if abs(info.value) <= 0.5 * cluster_tol:
-            groups.append((k, k))
-            continue
-        window = order[bisect.bisect_left(ladder, -key[k] - width):
-                       bisect.bisect_right(ladder, -key[k] + width)]
-        best, best_d = _nearest_unused(values, used, -info.value, sorted(window))
-        if best is None or best_d > 2.0 * cluster_tol:
-            _, best_d = _nearest_unused(values, used, -info.value, range(len(clusters)))
-            raise PairingFailure(
-                f"eigenvalue {info.value} has no partner near {-info.value} "
-                f"(best distance {best_d:.3e})"
-            )
-        if clusters[best][0].algebraic != info.algebraic:
+        info, partner = clusters[k][0], mirror[k]
+        if partner is None:
+            raise PairingFailure(f"eigenvalue {info.value} has no partner near {-info.value}")
+        if clusters[partner][0].algebraic != info.algebraic:
             raise PairingFailure(
                 f"multiplicity mismatch between {info.value} and "
-                f"{clusters[best][0].value}"
+                f"{clusters[partner][0].value}"
             )
-        used[best] = True
-        groups.append((k, best))
+        used[k] = used[partner] = True
+        groups.append((k, partner))
     return groups
 
 
@@ -474,19 +454,19 @@ def _eigen_pairs(dyn: DynamicalMatrix, tol_eig: float):
     Raises
     ------
     PairingFailure
-        No negation partner within the pairing radius, which a valid input
-        cannot produce.
+        A cluster whose mirror holds no eigenvalue or differs in size, which
+        a valid input cannot produce.
     """
     n = dyn.n_modes
     mdiag = metric_signs(n)
     # the largest singular value, as np.linalg.norm(·, 2) takes it
     scale = max(np.linalg.svd(dyn.matrix, compute_uv=False).max(), np.finfo(float).tiny)
     cluster_tol, real_tol, branch_tol = _cuts(scale, tol_eig)
-    vecs, clusters, eig_residual = _analyze(dyn.matrix, scale, cluster_tol)
+    vecs, clusters, mirror, eig_residual = _analyze(dyn.matrix, scale, cluster_tol)
     residuals, warnings = [], []
 
     pairs = []
-    for ka, kb in _match_clusters(clusters, cluster_tol):
+    for ka, kb in _match_clusters(clusters, mirror):
         info_a, idx_a = clusters[ka]
         if ka == kb:
             # zero cluster: partners live in the same eigenspace
@@ -697,13 +677,13 @@ def _stack_fast_path(hmats: np.ndarray, tol_eig: float):
     are the functions ``classify`` calls per form, so they give its bits, and
     every complex magnitude is :func:`_magnitude`, the bits of ``abs``.
     ``taken`` marks the points whose verdict cannot hinge on a tie, where
-    the steps below replay ``_eigen_pairs`` exactly: every eigenvalue is its
-    own cluster, none is a zero cluster, and each has one mutual negation
-    partner inside the pairing radius, so the greedy ``_match_clusters``
-    can only pick that partner.  Both members of
-    a pair lie on the same side of ``_eigen_pairs``' real-branch cut, and
-    every real pair has |M-norm| > ``_NEAR_DEFECT_NORM``, so the sign that
-    orients it is far above roundoff.  Rows not taken hold garbage.
+    the steps below replay ``_eigen_pairs`` exactly: every group of the
+    spectrum clustered with its negation is one pair {x, -y} of distinct
+    eigenvalues, so every cluster is one eigenvalue, none is a zero
+    cluster, and the mirror of x is y.  Both members of a pair lie on the
+    same side of ``_eigen_pairs``' real-branch cut, and every real pair has
+    |M-norm| > ``_NEAR_DEFECT_NORM``, so the sign that orients it is far
+    above roundoff.  Rows not taken hold garbage.
     """
     count, two_n = hmats.shape[:2]
     n = two_n // 2
@@ -722,15 +702,17 @@ def _stack_fast_path(hmats: np.ndarray, tol_eig: float):
     # a singleton cluster's value is the mean of one eigenvalue, which turns
     # -0.0 into +0.0 exactly as adding 0.0 does
     values = evals + 0.0
-    off = ~np.eye(two_n, dtype=bool)
-    spread = np.where(off, _magnitude(evals[:, :, None] - evals[:, None, :]), np.inf)
-    negation = np.where(off, _magnitude(values[:, :, None] + values[:, None, :]), np.inf)
+    spread = np.where(~np.eye(two_n, dtype=bool),
+                      _magnitude(evals[:, :, None] - evals[:, None, :]), np.inf)
+    # |x + y| is the distance of x to -y in the doubled spectrum, x to -x
+    # on the diagonal; it is symmetric, so one link per row makes every
+    # group a pair, and the link is the row's nearest
+    negation = _magnitude(values[:, :, None] + values[:, None, :])
     partner = negation.argmin(axis=2)
     taken = (np.isfinite(scale)
              & (spread.min(axis=(1, 2)) > cluster_tol)
-             & (_magnitude(values) > 0.5 * cluster_tol[:, None]).all(axis=1)
-             & ((negation <= 2.0 * cluster_tol[:, None, None]).sum(axis=2) == 1).all(axis=1)
-             & (partner[rows, partner] == np.arange(two_n)).all(axis=1))
+             & ((negation <= cluster_tol[:, None, None]).sum(axis=2) == 1).all(axis=1)
+             & (partner != np.arange(two_n)).all(axis=1))
     sel = np.flatnonzero(taken)
     if sel.size == 0:
         return taken, np.zeros(count, dtype=int), freqs, min_sigma

@@ -30,6 +30,17 @@ def bcs(delta, kappa=0.0):
     return qb.BcsParams(1.0, 0.3, delta, kappa)
 
 
+# (kappa, delta) on the outer edge of the reentry window, where two real
+# frequencies of opposite Krein signature collide, at gamma = 0.3 eps: here
+# roundoff splits the Jordan pair at +lambda by less than the cluster radius
+# and the one at -lambda by more, or the other way round
+OUTER_EDGE = [(0.02, 1.0022197585580783), (-0.02, 1.0022197585580783),
+              (0.02, 1.0022197585583092), (-0.02, 1.0022197585583092),
+              (0.005, 1.0001388792450476), (0.01, 1.0005554013201237),
+              (0.01, 1.0005554013203608), (0.03, 1.0049875621119793),
+              (0.07, 1.026861453383234)]
+
+
 def multiset_dev(a, b):
     """Greedy nearest-match distance between two complex multisets.
 

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import quadboson as qb
 from quadboson.errors import DegenerateGap, NotDegenerate, Overflow, StructureViolation
 
-from conftest import bcs, multiset_dev, random_form
+from conftest import OUTER_EDGE, bcs, multiset_dev, random_form
 
 SQRT_091 = 0.9539392014169457
 
@@ -109,6 +109,15 @@ def test_sweep_non_finite_parameter_raises_structure_violation(bad):
         qb.bcs_sweep(1.0, [0.3], [0.5, bad], [0.0])
     with pytest.raises(StructureViolation):
         qb.bcs_sweep(1.0, [0.3], [0.5], [0.0, bad])
+
+
+@pytest.mark.parametrize("kappa, delta", OUTER_EDGE)
+def test_the_outer_edge_of_the_reentry_window_is_a_jordan_point(kappa, delta):
+    report = qb.classify(qb.bcs_form(bcs(delta, kappa)))
+    assert report.classification is qb.StabilityClass.NON_DIAGONALIZABLE
+    # every delta within 50 ulps, inside [1, 2) where one ulp is 2^-52
+    band = delta + np.arange(-50, 51) * 2.0 ** -52
+    _assert_columns_match_classify(qb.bcs_sweep(1.0, [0.3], band, [kappa]))
 
 
 def test_classify_stack_matches_classify_on_random_forms(rng):

@@ -18,12 +18,12 @@ import scipy.linalg
 from hypothesis import given, settings
 
 import quadboson as qb
-from quadboson import CLASS_CODES, cli, formio, spectral
+from quadboson import CLASS_CODES, cli, formio, normal_modes, spectral
 from quadboson.core import MEMORY_BUDGET
-from quadboson.errors import PairingFailure
+from quadboson.errors import NullNorm, PairingFailure
 from quadboson.cli import main
 
-from conftest import bcs, random_form
+from conftest import OUTER_EDGE, bcs, random_form
 
 
 @pytest.fixture
@@ -334,6 +334,39 @@ def test_emit_modes_is_refused_before_solving(capsys, monkeypatch, tmp_path, for
     assert run(capsys, "analyze", form_file)[0] == 0 and len(calls) == 1
     monkeypatch.setattr(cli, "MEMORY_BUDGET", need)
     assert run(capsys, "analyze", form_file, "--emit-modes")[0] == 0 and len(calls) == 2
+
+
+def test_csv_ignores_emit_modes(capsys, monkeypatch, form_file):
+    # the CSV table prints no diagonal form, so --emit-modes costs it neither
+    # the emit-modes budget (10240 B at n = 2) nor a vanishing norm
+    def fail(*args):
+        raise AssertionError("diagonal form built")
+
+    monkeypatch.setattr(normal_modes, "diagonal_form", fail)
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", 5000)
+    csv = ("analyze", form_file, "--format", "csv")
+    plain = run(capsys, *csv)
+    assert plain[0] == 0 and run(capsys, *csv, "--emit-modes") == plain
+    code, out, err = run(capsys, "analyze", form_file, "--emit-modes")
+    assert (code, out) == (2, "") and "budget" in err
+
+    def null(report):
+        raise NullNorm("vanishing norm")
+
+    monkeypatch.setattr(spectral, "normalize_pairs", null)
+    plain = run(capsys, *csv)
+    assert plain[0] == 0 and run(capsys, *csv, "--emit-modes") == plain
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", MEMORY_BUDGET)
+    assert run(capsys, "analyze", form_file, "--emit-modes")[0] == 5
+
+
+def test_the_outer_edge_of_the_reentry_window_exits_0(capsys):
+    for kappa, delta in OUTER_EDGE:
+        code, out, _ = run(capsys, "bcs", "--delta", repr(delta), "--kappa", repr(kappa))
+        assert code == 0 and json.loads(out)["classification"] == "NonDiagonalizable"
+    code, out, _ = run(capsys, "sweep", "--delta", "1.0022197585580783:1.0022197585583092:3",
+                       "--kappa", "0.02")
+    assert code == 0 and [row.split(",")[4] for row in out.splitlines()[1:]] == ["3"] * 3
 
 
 def test_a_form_file_too_large_to_parse_is_refused_before_parsing(capsys, monkeypatch,

@@ -1,12 +1,14 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 import quadboson as qb
-from quadboson.errors import ParseError
+from quadboson import formio
+from quadboson.errors import BadRange, ParseError
 
-from conftest import random_form
+from conftest import bcs, random_form
 
 
 def test_roundtrip(tmp_path, rng):
@@ -91,3 +93,31 @@ def test_integer_entries_load_like_their_float_twins():
     ints, floats = qb.loads_form(doc(int)), qb.loads_form(doc(float))
     assert ints.A.tobytes() == floats.A.tobytes()
     assert ints.B.tobytes() == floats.B.tobytes()
+
+
+def _read_through_pipe(data: bytes):
+    """read_form of ``data`` fed through a pipe, as ``cat form.json |`` feeds ``/dev/stdin``."""
+    read_end, write_end = os.pipe()
+    os.write(write_end, data)  # far below the pipe's capacity
+    os.close(write_end)
+    try:
+        return formio.read_form(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+
+
+def test_a_piped_form_is_bounded_by_the_bytes_read(tmp_path, monkeypatch):
+    path = tmp_path / "form.json"
+    qb.save_form(qb.bcs_form(bcs(0.5)), path)
+    data = path.read_bytes()
+    # a pipe has no size to check up front; it reads like the file it carries
+    form, digest = _read_through_pipe(data)
+    want_form, want_digest = formio.read_form(path)
+    assert digest == want_digest
+    assert form.A.tobytes() == want_form.A.tobytes() and form.B.tobytes() == want_form.B.tobytes()
+    # a budget below the parse of those bytes refuses them by path and through a pipe
+    monkeypatch.setattr(formio, "MEMORY_BUDGET", len(data) * formio.PARSE_BYTES_PER_FILE_BYTE - 1)
+    with pytest.raises(BadRange, match="budget"):
+        formio.read_form(path)
+    with pytest.raises(BadRange, match="budget"):
+        _read_through_pipe(data)

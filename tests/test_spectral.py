@@ -184,7 +184,11 @@ def test_zero_mode_at_positivity_threshold():
 def test_pairing_failure_on_asymmetric_spectrum():
     # no valid form reaches this branch, so the eigensolve step meets a fake matrix
     fake = DynamicalMatrix(1, np.diag([1.0, 2.0]).astype(complex))
-    with pytest.raises(PairingFailure):
+    with pytest.raises(PairingFailure, match="no partner"):
+        spectral._eigen_pairs(fake, 1e-9)
+    # the cluster at 2, met first, holds two eigenvalues, its mirror at -2 one
+    fake = DynamicalMatrix(2, np.diag([2.0, 2.0, -2.0, 1.0]).astype(complex))
+    with pytest.raises(PairingFailure, match="multiplicity mismatch"):
         spectral._eigen_pairs(fake, 1e-9)
 
 
@@ -497,8 +501,8 @@ def test_exact_null_direction_raises_no_warning(form):
     assert [d["rank_gap"] for d in report.to_dict()["defects"]] == [np.inf] * form.n_modes
 
 
-# The O(m^2) clustering and matching that the sweeps replaced, kept as the
-# reference the sweeps must reproduce exactly.
+# The O(m^2) clustering that the sweep replaced, kept as the reference the
+# sweep must reproduce exactly.
 
 def _quadratic_cluster_indices(values, radius):
     m = values.size
@@ -518,40 +522,6 @@ def _quadratic_cluster_indices(values, radius):
     for i in range(m):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
-
-
-def _quadratic_match_clusters(clusters, cluster_tol):
-    order = sorted(range(len(clusters)), key=lambda k: -abs(clusters[k][0].value))
-    used = [False] * len(clusters)
-    groups = []
-    for k in order:
-        if used[k]:
-            continue
-        used[k] = True
-        info = clusters[k][0]
-        if abs(info.value) <= 0.5 * cluster_tol:
-            groups.append((k, k))
-            continue
-        best, best_d = None, np.inf
-        for m in range(len(clusters)):
-            if used[m]:
-                continue
-            d = abs(clusters[m][0].value + info.value)
-            if d < best_d:
-                best, best_d = m, d
-        if best is None or best_d > 2.0 * cluster_tol:
-            raise PairingFailure(
-                f"eigenvalue {info.value} has no partner near {-info.value} "
-                f"(best distance {best_d:.3e})"
-            )
-        if clusters[best][0].algebraic != info.algebraic:
-            raise PairingFailure(
-                f"multiplicity mismatch between {info.value} and "
-                f"{clusters[best][0].value}"
-            )
-        used[best] = True
-        groups.append((k, best))
-    return groups
 
 
 # Points of a lattice of spacing 1/4 (chains at radius 1/4 or 1/2, exact ties,
@@ -577,32 +547,10 @@ def _spectra(draw):
     return np.array(draw(st.permutations(points)), dtype=complex)
 
 
-def _outcome(match, clusters, tol):
-    try:
-        return match(clusters, tol)
-    except PairingFailure as exc:
-        return str(exc)
-
-
 @settings(max_examples=300, deadline=None)
 @given(_spectra(), _RADII)
 def test_cluster_sweep_matches_the_pairwise_union(values, radius):
     assert spectral._cluster_indices(values, radius) == _quadratic_cluster_indices(values, radius)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_spectra(), _RADII, st.lists(st.sampled_from([1, 1, 2]), min_size=24, max_size=24))
-# 2 meets two partners at one distance and must take the first
-@example(np.array([2.0, -1.75 + 0.25j, -1.75 - 0.25j]), 0.25, [1] * 24)
-@example(np.array([2.0, -1.75 + 0.25j, -1.75 - 0.25j, 1.75 + 0.25j, 1.75 - 0.25j]), 0.25, [1] * 24)
-def test_windowed_matching_matches_the_greedy_scan(values, tol, sizes):
-    # clusters as _analyze makes them, with drawn multiplicities; a spectrum
-    # that lost a partner or a multiplicity must raise the same message
-    groups = spectral._cluster_indices(values, tol)
-    clusters = [(spectral.ClusterInfo(complex(values[idx].mean()), size, size, 1, np.inf), idx)
-                for idx, size in zip(groups, sizes)]
-    assert (_outcome(spectral._match_clusters, clusters, tol)
-            == _outcome(_quadratic_match_clusters, clusters, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -640,10 +588,62 @@ def test_a_singleton_cluster_value_has_the_bits_of_its_mean():
     for m in [qb.dynamical_matrix(form).matrix for form in _bit_test_forms()] + [signed]:
         evals = np.linalg.eig(m)[0]
         scale = np.linalg.norm(m, 2)
-        _, clusters, _ = spectral._analyze(m, scale, spectral.CLUSTER_SAFETY * scale)
+        _, clusters, _, _ = spectral._analyze(m, scale, spectral.CLUSTER_SAFETY * scale)
         for info, idx in clusters:
             if len(idx) == 1:
                 assert _same_bits(info.value, complex(evals[idx].mean()))
+
+
+def _assert_clusters_mirror_the_doubled_spectrum(form):
+    """The clusters of _analyze are the pairwise-union groups of the spectrum
+    and its negation, restricted to the original indices, and each one's
+    mirror is the mirror-image group, of the same size."""
+    m = qb.dynamical_matrix(form).matrix
+    scale = max(np.linalg.svd(m, compute_uv=False).max(), np.finfo(float).tiny)
+    tol = spectral.CLUSTER_SAFETY * scale
+    evals = np.linalg.eig(m)[0]
+    size = evals.size
+    doubled = _quadratic_cluster_indices(np.concatenate([evals, -evals]), tol)
+    _, clusters, mirror, _ = spectral._analyze(m, scale, tol)
+    kept = [g for g in doubled if g[0] < size]
+    assert [idx for _, idx in clusters] == [[i for i in g if i < size] for g in kept]
+    for group, (info, _), k in zip(kept, clusters, mirror, strict=True):
+        assert sorted(kept[k]) == sorted((i + size) % (2 * size) for i in group)
+        assert clusters[k][0].algebraic == info.algebraic
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.sampled_from([None, 0.5, -0.5]))
+def test_clusters_are_the_groups_of_the_doubled_spectrum(seed, n, shift):
+    _assert_clusters_mirror_the_doubled_spectrum(
+        random_form(np.random.default_rng(seed), n, shift))
+
+
+def test_clusters_of_the_bit_test_forms_are_the_groups_of_the_doubled_spectrum():
+    for form in _bit_test_forms():
+        _assert_clusters_mirror_the_doubled_spectrum(form)
+
+
+@pytest.mark.parametrize("f", [0.5, 0.99, 1.01, 1.5, 1.99])
+def test_partners_pair_within_the_cluster_radius_on_both_paths(f):
+    # a fake one-mode spectrum {1, -(1 + d)}: classify pairs 1 with -(1 + d)
+    # only when d is within the cluster radius, about CLUSTER_SAFETY, and the
+    # batched path takes the point only then, leaving the rest to classify
+    d = f * spectral.CLUSTER_SAFETY
+    fake = DynamicalMatrix(1, np.diag([1.0, -1.0 - d]).astype(complex))
+    stack = np.diag([1.0, 1.0 + d])[None]
+
+    def scalar(i):
+        raise LookupError(i)
+
+    if f < 1:
+        assert len(spectral._eigen_pairs(fake, 1e-9)[0]) == 1
+        assert spectral.classify_stack(stack, scalar).code.tolist() == [0]
+    else:
+        with pytest.raises(PairingFailure, match="no partner"):
+            spectral._eigen_pairs(fake, 1e-9)
+        with pytest.raises(LookupError):
+            spectral.classify_stack(stack, scalar)
 
 
 def _eigh_real_branch_pairs(vecs_plus, value, mdiag, warnings):
