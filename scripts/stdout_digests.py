@@ -4,8 +4,9 @@
 Builds the op lists of the four ``perfbench`` workloads at each seed, plus
 each workload's known-defect ops, then a fixed list of single-point ``bcs``
 argvs that no benchmark op runs, then argvs that must be refused as usage
-errors (non-finite model parameters, and ``--out`` paths that are a
-directory or lie in a missing one), then argvs that put the document writer
+errors (non-finite model parameters, ``--out`` paths that are a
+directory or lie in a missing one, and ranges wider than the float range),
+then argvs that put the document writer
 and the CSV table of every subcommand to work (``--format doc`` of
 ``sweep``, ``evolve`` and ``oracle``, ``--format csv`` of ``analyze``), then
 ``bcs`` and ``sweep`` argvs on the outer edge of the reentry window, where
@@ -74,7 +75,8 @@ def bcs_point_argvs():
 
 def refused_argvs(root: str):
     """Non-finite ``bcs`` and ``sweep`` parameters, then unwritable ``--out``
-    paths inside ``root`` next to a form file written there."""
+    paths inside ``root`` next to a form file written there, then ``evolve``,
+    ``sweep`` and ``bcs --sweep`` ranges wider than the float range."""
     yield from (["bcs", "--delta", "nan"], ["bcs", "--kappa", "inf"], ["bcs", "--delta", "inf"],
                 ["bcs", "--kappa", "nan"], ["bcs", "--epsilon", "inf"],
                 ["bcs", "--sweep", "0:1:3", "--kappa", "nan"],
@@ -84,6 +86,10 @@ def refused_argvs(root: str):
     yield ["analyze", form, "--out", os.path.join(missing, "x.json")]
     yield ["analyze", form, "--out", root]
     yield ["sweep", "--delta", "0:1:3", "--out", os.path.join(missing, "x.csv")]
+    # ranges whose width hi - lo is beyond the float range
+    yield ["evolve", form, "--t", "-1e308:1e308:3"]
+    yield ["sweep", "--delta", "-1e308:1e308:3"]
+    yield ["bcs", "--sweep", "-1e308:1e308:3"]
 
 
 def writer_argvs(root: str):

@@ -11,7 +11,8 @@ oracle    truncated-Fock comparison table for a form file
 Classification codes in CSV output: 0 = PositiveDefinite,
 1 = StableNonPositive, 2 = UnstableComplex, 3 = NonDiagonalizable.
 
-Exit codes: 0 success; 2 usage, bad sweep range, a form file to parse, a
+Exit codes: 0 success; 2 usage, bad sweep range (including a range whose
+width max - min is beyond the float range), a form file to parse, a
 dense analyze or evolve solve, a grid or an analyze --emit-modes doc
 whose buffers would exceed the 1 GiB memory budget (checked from the file
 size or the bytes read from a pipe, n or the step counts before parsing,
@@ -28,7 +29,8 @@ parameters whose squares leave the float range, wrong regime, including an
 oracle check whose compared levels need an occupation above nmax // 2, a
 vanishing generalized norm where analyze --emit-modes needs the
 transform for its doc, an oracle Fock dimension above the cap, checked
-before allocating).  At a Jordan point analyze prints no modes and exits 0.
+before allocating); 141 stdout closed by its reader (``| head``), quietly.
+At a Jordan point analyze prints no modes and exits 0.
 
 Floats are printed with ``repr`` (shortest round-trip, locale independent)
 so identical inputs and flags give byte-identical output.  ``--format doc``
@@ -92,6 +94,8 @@ def _parse_range(spec: str):
         raise BadRange(f"need at least 2 steps, got {steps}")
     if not lo < hi:
         raise BadRange(f"range minimum {lo} must be below maximum {hi}")
+    if not math.isfinite(hi - lo):
+        raise BadRange(f"range width {hi} - ({lo}) is beyond the float range")
     return lo, hi, steps
 
 
@@ -104,7 +108,7 @@ def _axis(parsed) -> np.ndarray:
 # two grid sizes and rounded up.  A sweep point (parameter columns, the
 # stacked Hmat and M Hmat, eigenvectors, pairwise distances, output rows)
 # costs 2.2 kB for `sweep` csv and doc and `bcs --sweep` alike.  An `evolve`
-# row is a tuple of a complex, two floats and an array of n magnitudes, then
+# row is a tuple of a complex, two floats and a list of n magnitudes, then
 # a line or, costlier, a dict of `--format doc`: 2.0 kB at n = 1 and 2, 2.9 kB
 # at n = 8 and 5.9 kB at n = 32 for doc, about 0.6 to 1.5 kB for csv.
 # `analyze --emit-modes` grows with the n x 2n x 2n invariants: 227 B per
@@ -157,6 +161,7 @@ def _emit(lines, out_path):
     else:
         sys.stdout.write(text)
         sys.stdout.write("\n")
+        sys.stdout.flush()  # a closed pipe raises here, not in the exit flush
 
 
 def _dumps(value, pad: str = "\n") -> str:
@@ -346,18 +351,17 @@ def cmd_evolve(args) -> int:
     for stack in evolution.propagate_grid(dynamical_matrix(form), ts):
         peaks += stack.max_abs.tolist()
         residuals += stack.symplectic_residual.tolist()
-    mags = np.abs(np.exp((-1j * lams) * np.array(ts)[:, None]))
+    mags = np.abs(np.exp((-1j * lams) * np.array(ts)[:, None])).tolist()
     rows = list(zip(ts, peaks, residuals, mags))
     if args.format == "doc":
         docs = [{"t": [t.real, t.imag], "max_abs_u": mx, "symplectic_residual": sr,
-                 "mode_phase_mags": [float(m) for m in mags]}
-                for t, mx, sr, mags in rows]
+                 "mode_phase_mags": row}
+                for t, mx, sr, row in rows]
         _emit([_dumps(docs)], args.out)
         return 0
+    # every field is a Python float here, so repr is _fmt
     lines = [header]
-    for t, mx, sr, mags in rows:
-        lines.append(f"{_fmt(t.real)},{_fmt(t.imag)},{_fmt(mx)},{_fmt(sr)},"
-                     + ",".join(_fmt(m) for m in mags))
+    lines += [",".join(map(repr, (t.real, t.imag, mx, sr, *row))) for t, mx, sr, row in rows]
     _emit(lines, args.out)
     return 0
 
@@ -514,6 +518,10 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# the code a shell reports for a command that SIGPIPE ended
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     if args.format is None:
@@ -522,6 +530,13 @@ def main(argv=None) -> int:
         _check_numbers(args)
         _check_out(args.out)
         return args.func(args)
+    except BrokenPipeError:
+        # the reader left (`| head`): the exit flush of what stdout still
+        # buffers goes to devnull, so no traceback follows
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except BadRange as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

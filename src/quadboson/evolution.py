@@ -6,10 +6,12 @@ defective generators, unlike spectral methods).  U satisfies the metric
 identity U M Ubar = M at every complex time; it additionally equals a
 standard Bogoliubov transform (Ubar = U+) only for real t.
 
-A time grid runs in stacks: each stack of times goes through one call of
-``expm``, of the matmul and of the 2-norm, and every time gets the bits of
-its own single-time computation, since each kernel runs the same code on
-every matrix of a stack.  ``propagate`` is the one-time case.
+A time grid runs in stacks: each stack of times runs the compiled Padé
+kernels of ``scipy.linalg.expm`` per time, then one stacked matmul per
+squaring level, one for the residuals and one 2-norm call, and every time
+gets the bits of its own single-time ``expm`` computation, since each
+kernel runs the same code on every matrix of a stack.  ``propagate`` is the
+one-time case.
 """
 
 from __future__ import annotations
@@ -85,9 +87,58 @@ class PropagatorStack:
     symplectic_residual: np.ndarray
 
 
+def _expm_stack(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm`` of a (k, N, N) complex stack, bit for bit.
+
+    A slice with nonzero entries both below and above its diagonal (every
+    slice of a form's M Hmat t at t != 0) runs the statements expm itself
+    runs for it: the compiled ``pick_pade_structure`` and ``pade_UV_calc``
+    on one reused (5, N, N) workspace, then ``s`` squarings with ``@``.
+    That skips expm's per-slice ``bandwidth`` call and its batch wrapper.
+    The squarings run level by level: one stacked matmul of the whole stack
+    while every slice needs one more, then of the slices that do.  A
+    stacked matmul runs on each slice the gemm its own 2-D ``@`` runs.
+    Every other slice (t = 0, a diagonal or triangular generator) goes
+    through expm itself.
+    """
+    from scipy.linalg import expm
+    from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+
+    size = a.shape[-1]
+    nonzero = a != 0
+    below = np.tril(np.ones((size, size), dtype=bool), -1)
+    mixed = (nonzero & below).any(axis=(1, 2)) & (nonzero & below.T).any(axis=(1, 2))
+    out = np.empty_like(a)
+    if not mixed.all():
+        out[~mixed] = expm(a[~mixed])
+    squarings = np.zeros(len(a), dtype=int)
+    am = np.empty((5, size, size), dtype=a.dtype)
+    for k in np.flatnonzero(mixed).tolist():
+        am[0] = a[k]
+        m, s = pick_pade_structure(am)
+        if m < 0:
+            raise MemoryError("scipy.linalg.expm could not allocate sufficient memory "
+                              f"while trying to compute the Pade structure (error code {m}).")
+        info = pade_UV_calc(am, m)
+        if info != 0:
+            raise (MemoryError if info <= -11 else RuntimeError)(
+                f"scipy.linalg.expm failed computing the exponential (error code {info}).")
+        out[k] = am[0]
+        squarings[k] = s
+    for level in range(squarings.max(initial=0)):
+        deeper = squarings > level
+        if deeper.all():  # no gather and scatter copies, a tenth of a 64 x 64 stack's expm
+            out = out @ out
+        else:
+            w = out[deeper]
+            out[deeper] = w @ w
+    return out
+
+
 def propagate_stack(dyn: DynamicalMatrix, times: Sequence) -> PropagatorStack:
     """Exact propagators U(t) = exp(-i (M Hmat) t) at a stack of real or
-    complex times, with one ``expm``, one matmul and one 2-norm call.
+    complex times, through :func:`_expm_stack`, one matmul and one 2-norm
+    call.
 
     Raises
     ------
@@ -98,11 +149,9 @@ def propagate_stack(dyn: DynamicalMatrix, times: Sequence) -> PropagatorStack:
         ||t M Hmat||_1 is beyond its float range; nothing is silently
         saturated, and no residual is computed.
     """
-    from scipy.linalg import expm  # only the propagators need scipy
-
     scales = -1j * np.asarray(times, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # the guard below reports it
-        u = expm(scales[:, None, None] * dyn.matrix)
+        u = _expm_stack(scales[:, None, None] * dyn.matrix)
     peaks = np.abs(u).max(axis=(1, 2))
     over = np.flatnonzero(~(peaks <= _ENTRY_GUARD))  # NaN included
     if over.size:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -236,6 +237,39 @@ def test_sweep_bad_ranges(capsys, form_file):
     for argv in (("--nmax", "0"), ("--levels", "0"), ("--levels", "-1")):
         code, out, err = run(capsys, "oracle", "--input", form_file, *argv)
         assert code == 2 and out == "" and ">= 1" in err
+
+
+@pytest.mark.parametrize("argv", [("evolve", "FORM", "--t", "-1e308:1e308:3"),
+                                  ("sweep", "--delta", "-1e308:1e308:3"),
+                                  ("bcs", "--sweep", "-1e308:1e308:3")],
+                         ids=["evolve", "sweep", "bcs-sweep"])
+def test_a_range_wider_than_the_float_range_is_refused(capsys, monkeypatch, form_file, argv):
+    # hi - lo overflows: np.linspace would warn and give [nan, inf, 1e308]
+    def no_grid(parsed):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(cli, "_axis", no_grid)
+    argv = [form_file if a == "FORM" else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: range width 1e+308 - (-1e+308) is beyond the float range\n"
+
+
+def test_a_reader_closing_stdout_early_ends_quietly():
+    # `quadboson sweep ... | head -1`: the 1.4 MB table outgrows the pipe, so
+    # the write is still blocked when the reader closes its end
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "quadboson.cli", "sweep",
+                             "--delta", "0:1.5:20000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"epsilon,gamma,delta,kappa,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (cli.EXIT_BROKEN_PIPE, b"")
 
 
 @pytest.mark.parametrize("argv", [("sweep", "--delta", "-0.5:0.5:11"),

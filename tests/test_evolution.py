@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import quadboson as qb
-from quadboson.core import bar, metric_signs
+from quadboson.core import DynamicalMatrix, bar, metric_signs
 from quadboson.errors import Overflow, StepTooLarge
 
 from conftest import bcs, random_form
@@ -213,21 +213,30 @@ def _same_bits(x, ref):
 
 @pytest.mark.parametrize("n, steps", [(1, 4500), (2, 1500), (8, 150), (32, 9)])
 def test_stacked_propagation_matches_single_times_bit_for_bit(rng, n, steps):
-    forms = [random_form(rng, n, shift=0.5), random_form(rng, n, shift=-0.5)]
+    forms = [random_form(rng, n, shift=0.5), random_form(rng, n, shift=-0.5),
+             qb.build_form(np.diag(rng.normal(size=n)), np.zeros((n, n)))]
     if n == 2:
         forms.append(qb.bcs_form(bcs(1.0)))  # the defective Jordan form
+    dyns = [qb.dynamical_matrix(form) for form in forms]
+    # expm's triangular squarings, which no form's generator takes
+    upper = np.triu(rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n)))
+    dyns.append(DynamicalMatrix(n, 4.0 * upper))
     per = max(1, qb.evolution._STACK_BYTES // (16 * (2 * n) ** 2))
     assert steps > per  # the grid spans more than one stack
-    for form in forms:
-        dyn = qb.dynamical_matrix(form)
+    grid = np.linspace(-2.0, 3.0, steps)
+    zero = steps // 3
+    grid[zero] = 0.0  # a t = 0 slice among the others of its stack
+    for dyn in dyns:
         for shift in (0.0, 0.3j, -0.2j):
-            times = [complex(t) + shift for t in np.linspace(-2.0, 3.0, steps)]
+            times = [complex(t) + shift for t in grid]
+            stack = (-1j * np.array(times))[:, None, None] * dyn.matrix
+            _same_bits(qb.evolution._expm_stack(stack), sla.expm(stack))
             stacks = list(qb.propagate_grid(dyn, times))
             assert [len(s.U) for s in stacks[:-1]] == [per] * (len(stacks) - 1)
             u = np.concatenate([s.U for s in stacks])
             peaks = np.concatenate([s.max_abs for s in stacks])
             sym = np.concatenate([s.symplectic_residual for s in stacks])
-            picks = range(steps) if steps <= 150 else range(0, steps, 37)
+            picks = [*(range(steps) if steps <= 150 else range(0, steps, 37)), zero]
             for i in picks:
                 ref_u, ref_peak, ref_sym = _single_time(dyn, times[i])
                 _same_bits(u[i], ref_u)
