@@ -63,6 +63,8 @@ def main(argv=None) -> int:
     ap.add_argument("--metric", default="wall_s", help="end-to-end metric to count wins on")
     ap.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
     args = ap.parse_args(argv)
+    if args.pairs < 2:  # the quartiles of each side need two runs
+        ap.error(f"--pairs must be at least 2, got {args.pairs}")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}

@@ -35,9 +35,7 @@ from .spectral import (
 )
 from .normal_modes import (
     CoordinateDiagonalForm,
-    DiagonalForm,
     coordinate_diagonal,
-    diagonal_form,
     flip_mode,
 )
 from .evolution import (

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QuadraticForm, bar, bar_symmetrize, build_form, dynamical_matrix, metric_signs, quadratic_matrix
+from .core import (QuadraticForm, _hmat, _symmetrized, bar, bar_symmetrize, build_form,
+                   dynamical_matrix, metric_signs, quadratic_matrix)
 from .errors import DegenerateGap, NotDegenerate, Overflow
 from .spectral import StabilityColumns, _cuts, classify, classify_stack
 
@@ -105,22 +106,6 @@ class BcsSweep(StabilityColumns):
     kappa: np.ndarray
 
 
-def _stacked_hmats(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked [[A, B], [B*, A^t]] after build_form's symmetrization, in the
-    same elementwise operations, so every float and zero sign (the B* block
-    carries -0.0 imaginary parts) and every overflow is that of
-    ``extended_matrix(bcs_form(p))``."""
-    with np.errstate(all="ignore"):  # non-finite points warn or raise in classify
-        a = 0.5 * (a + a.conj().swapaxes(1, 2))
-        b = 0.5 * (b + b.swapaxes(1, 2))
-    h = np.empty((a.shape[0], 4, 4), dtype=complex)
-    h[:, :2, :2] = a
-    h[:, :2, 2:] = b
-    h[:, 2:, :2] = b.conj()
-    h[:, 2:, 2:] = a.swapaxes(1, 2)
-    return h
-
-
 def bcs_sweep(epsilon: float, gammas, deltas, kappas, tol_eig: float = 1e-9) -> BcsSweep:
     """Classify the model at every point of the grid deltas x kappas x gammas.
 
@@ -151,7 +136,9 @@ def bcs_sweep(epsilon: float, gammas, deltas, kappas, tol_eig: float = 1e-9) -> 
     a[:, 0, 1] = a[:, 1, 0] = kappa
     b = np.zeros((delta.size, 2, 2), dtype=complex)
     b[:, 0, 1] = b[:, 1, 0] = delta
-    columns = classify_stack(_stacked_hmats(a, b), lambda i: classify(bcs_form(
+    with np.errstate(all="ignore"):  # non-finite points warn or raise in classify
+        hmats = _hmat(*_symmetrized(a, b))  # build_form's and extended_matrix's own steps
+    columns = classify_stack(hmats, lambda i: classify(bcs_form(
         BcsParams(epsilon, float(gamma[i]), float(delta[i]), float(kappa[i]))), tol_eig), tol_eig)
     return BcsSweep(**vars(columns), epsilon=epsilon, gamma=gamma, delta=delta, kappa=kappa)
 

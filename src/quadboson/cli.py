@@ -20,7 +20,8 @@ allocating or solving), oracle --nmax/--levels below 1,
 a non-finite --complex-time or --epsilon/--gamma/--delta/--kappa value, a
 negative or non-finite --tol-eig/--tol-struct, a bcs --format its mode
 does not write (a single point writes doc, --sweep csv), an --out path
-that is a directory or lies in a missing directory (refused before any
+that is a directory or lies in a missing directory, no --out in a process
+started with stdout closed (``>&-``) (these three refused before any
 solve), or any other failure to write --out; 3 unreadable, undecodable or
 malformed form file;
 4 structural validation failure; 5 numerical failure (overflow, including
@@ -31,6 +32,10 @@ vanishing generalized norm where analyze --emit-modes needs the
 transform for its doc, an oracle Fock dimension above the cap, checked
 before allocating); 141 stdout closed by its reader (``| head``), quietly.
 At a Jordan point analyze prints no modes and exits 0.
+
+``analyze`` reads everything per mode from the one ``BogoliubovTransform``:
+the mode table's norm residuals and, with --emit-modes, the extraction
+rows, flags and invariants of its diagonal representation.
 
 Floats are printed with ``repr`` (shortest round-trip, locale independent)
 so identical inputs and flags give byte-identical output.  ``--format doc``
@@ -55,8 +60,8 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import bcs as bcs_mod
-from . import evolution, formio, normal_modes, oracle, spectral
-from .core import MEMORY_BUDGET, dynamical_matrix, metric_signs
+from . import evolution, formio, oracle, spectral
+from .core import MEMORY_BUDGET, dynamical_matrix
 from .errors import (
     BadRange,
     DimensionCap,
@@ -137,8 +142,10 @@ def _check_dense(n: int):
 
 def _check_out(out_path):
     """Refuse an ``--out`` path that is a directory or lies in a missing one,
-    before any solve."""
+    and a missing ``--out`` when the process has no stdout, before any solve."""
     if not out_path:
+        if sys.stdout is None:  # started with fd 1 closed (``>&-``)
+            raise BadRange("stdout is closed; write the output with --out FILE")
         return
     if os.path.isdir(out_path):
         raise BadRange(f"--out {out_path!r} is a directory")
@@ -233,14 +240,7 @@ def _check_numbers(args):
 def _mode_table(report, bt):
     """Per-mode rows: frequency, hermitian flag, norm residual (None without ``bt``)."""
     lams = report.mode_frequencies.tolist()
-    residuals = [None] * len(lams)
-    if bt is not None:
-        # mode i's generalized norm bar(w_{n+i}) M w_i from contiguous rows,
-        # which take the BLAS path of the fresh vectors they stand for
-        n, w = bt.n_modes, bt.W
-        bars = np.concatenate([w[n:, n:], w[:n, n:]]).T.copy()
-        cols = (metric_signs(n)[:, None] * w[:, :n]).T.copy()
-        residuals = [float(abs(b @ c - 1.0)) for b, c in zip(bars, cols)]
+    residuals = [None] * len(lams) if bt is None else bt.norm_residuals
     return [{"lambda": [lam.real, lam.imag],
              "hermitian": bool(abs(lam.imag) <= report.real_tol),
              "norm_residual": res}
@@ -277,10 +277,9 @@ def cmd_analyze(args) -> int:
             warnings.append("eigenvalues all real and non-zero")
     doc["warnings"] = warnings
     if emit_modes and bt is not None:
-        df = normal_modes.diagonal_form(bt)
-        doc["diagonal_form"] = {**df.to_dict(), "extract_b": df.extract_b,
-                                "extract_bbar": df.extract_bbar}
-        doc["invariants"] = df.invariants
+        doc["diagonal_form"] = {**bt.to_dict(), "extract_b": bt.extract_b,
+                                "extract_bbar": bt.extract_bbar}
+        doc["invariants"] = bt.invariants
     if args.format == "doc":
         _emit([_dumps(doc)], args.out)
     else:
@@ -351,8 +350,17 @@ def cmd_evolve(args) -> int:
     for stack in evolution.propagate_grid(dynamical_matrix(form), ts):
         peaks += stack.max_abs.tolist()
         residuals += stack.symplectic_residual.tolist()
-    mags = np.abs(np.exp((-1j * lams) * np.array(ts)[:, None])).tolist()
-    rows = list(zip(ts, peaks, residuals, mags))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mags = np.abs(np.exp((-1j * lams) * np.array(ts)[:, None]))
+    # U(t)'s largest entry is at least its largest mode magnitude over 2n, so
+    # beyond 2n times the guard is growth that expm lost (at |t| ~ 1e82 it
+    # returns a bounded, wrong U); NaN included
+    beyond = np.flatnonzero(~(mags <= 2 * form.n_modes * evolution._ENTRY_GUARD).all(axis=1))
+    if beyond.size:
+        i = beyond[0]
+        raise Overflow(f"mode magnitudes reach {mags[i].max():.3e} at t={ts[i]}, so U(t) "
+                       f"has entries beyond the guard {evolution._ENTRY_GUARD:.0e}")
+    rows = list(zip(ts, peaks, residuals, mags.tolist()))
     if args.format == "doc":
         docs = [{"t": [t.real, t.imag], "max_abs_u": mx, "symplectic_residual": sr,
                  "mode_phase_mags": row}
@@ -533,9 +541,10 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader left (`| head`): the exit flush of what stdout still
         # buffers goes to devnull, so no traceback follows
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        if sys.stdout is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return EXIT_BROKEN_PIPE
     except BadRange as exc:
         print(f"error: {exc}", file=sys.stderr)

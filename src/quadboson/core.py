@@ -192,6 +192,20 @@ def _defect(m: np.ndarray, image: np.ndarray):
     return frobenius_norm(m - image), frobenius_norm(m), scale
 
 
+def _symmetrized(A: np.ndarray, B: np.ndarray) -> tuple:
+    """0.5 (A + A+) and 0.5 (B + B^t), matrix by matrix over leading axes."""
+    return 0.5 * (A + A.conj().swapaxes(-1, -2)), 0.5 * (B + B.swapaxes(-1, -2))
+
+
+def _hmat(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The block matrix [[A, B], [B*, A^t]], matrix by matrix over leading axes."""
+    n = A.shape[-1]
+    h = np.empty((*A.shape[:-2], 2 * n, 2 * n), dtype=complex)
+    h[..., :n, :n], h[..., :n, n:] = A, B
+    h[..., n:, :n], h[..., n:, n:] = B.conj(), A.swapaxes(-1, -2)
+    return h
+
+
 def build_form(A, B, tol_struct: float = DEFAULT_TOL_STRUCT) -> QuadraticForm:
     """Validate and build a QuadraticForm from matrices A and B.
 
@@ -241,7 +255,7 @@ def build_form(A, B, tol_struct: float = DEFAULT_TOL_STRUCT) -> QuadraticForm:
             f"exceeds {tol_struct:.1e} * ||B||"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        A, B = 0.5 * (A + A.conj().T), 0.5 * (B + B.T)
+        A, B = _symmetrized(A, B)
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise Overflow("A and B entries overflow the float range when symmetrized")
     return QuadraticForm(n, _freeze(A), _freeze(B))
@@ -253,11 +267,7 @@ def extended_matrix(form: QuadraticForm) -> ExtendedMatrix:
     The result is hermitian and bar-symmetric (T Hmat^t T = Hmat) by
     construction from a validated form.
     """
-    n = form.n_modes
-    h = np.empty((2 * n, 2 * n), dtype=complex)
-    h[:n, :n], h[:n, n:] = form.A, form.B
-    h[n:, :n], h[n:, n:] = form.B.conj(), form.A.T
-    return ExtendedMatrix(n, _freeze(h))
+    return ExtendedMatrix(form.n_modes, _freeze(_hmat(form.A, form.B)))
 
 
 def dynamical_matrix(form: QuadraticForm | ExtendedMatrix) -> DynamicalMatrix:

@@ -24,8 +24,7 @@ import numpy as np
 
 from .core import DynamicalMatrix, bar, metric_signs
 from .errors import Overflow, StepTooLarge
-from .normal_modes import DiagonalForm
-from .spectral import StabilityReport
+from .spectral import BogoliubovTransform, StabilityReport
 
 # fail loudly instead of returning Inf-contaminated matrices
 _ENTRY_GUARD = 1e100
@@ -197,7 +196,7 @@ def propagate(dyn: DynamicalMatrix, t: complex) -> Propagator:
     return Propagator(complex(t), stack.U[0], float(stack.symplectic_residual[0]))
 
 
-def mode_evolution(df: DiagonalForm, t: complex) -> np.ndarray:
+def mode_evolution(bt: BogoliubovTransform, t: complex) -> np.ndarray:
     """Per-mode phase factors (e^{-i lambda_i t}, e^{+i lambda_i t}).
 
     In the diagonal representation every mode evolves by a pure phase,
@@ -205,7 +204,7 @@ def mode_evolution(df: DiagonalForm, t: complex) -> np.ndarray:
     exponentially growing/decaying for complex ones.  Conjugating the full
     propagator by the transform reproduces these on the diagonal.
     """
-    phases = np.exp(-1j * np.asarray(df.lambdas) * complex(t))
+    phases = np.exp(-1j * bt.lambdas * complex(t))
     return np.stack([phases, 1.0 / phases], axis=1)
 
 

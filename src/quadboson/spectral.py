@@ -21,6 +21,10 @@ Conventions (all recorded so results are reproducible):
 :func:`classify` is the one entry into a form's eigensolve; its
 :class:`StabilityReport`, with the pairs, cuts and clusters of that
 eigensolve, is the one value every consumer reads.
+:func:`normalize_pairs` turns the report into a
+:class:`BogoliubovTransform`, which is also the form's boson-diagonal
+representation: its extraction rows, flags, norm residuals and conserved
+bilinears are read from W alone, each on first read.
 :func:`classify_stack` classifies a stack of forms with one batched
 eigensolve.  It replays :func:`classify`'s choices only where they cannot
 hinge on a tie: every group of the spectrum clustered with its negation is
@@ -41,6 +45,7 @@ from .core import (
     QuadraticForm,
     DynamicalMatrix,
     bar,
+    bar_symmetrize,
     bar_vector,
     dynamical_matrix,
     extended_matrix,
@@ -120,6 +125,11 @@ class ClusterInfo:
     rank_gap: float
 
 
+def _pairs(a: np.ndarray) -> list:
+    """Nested ``[re, im]`` lists of a complex array's entries."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
 @dataclass(frozen=True)
 class BogoliubovTransform:
     """Normalized transform W with columns (w_1..w_n, w_1bar..w_nbar).
@@ -129,6 +139,13 @@ class BogoliubovTransform:
     counts as real (zero), as in ``classify``'s verdict.  Satisfies
     W M Wbar = M, so the inverse is the metric conjugate M Wbar M, no matrix
     inversion involved.
+
+    W is also the form's diagonal representation
+    H = sum_i lambda_i (b'bar_i b'_i + 1/2): the mode operators are read off
+    as b'_i = (row i of W^-1) . Z and b'bar_i = Z+ . (M w_i).  For real
+    lambda_i the two are mutual adjoints; for complex lambda_i they are not,
+    and that failure is structural, not numerical.  Every reading is
+    computed on first read.
     """
 
     W: np.ndarray
@@ -141,15 +158,84 @@ class BogoliubovTransform:
 
     @cached_property
     def W_inv(self) -> np.ndarray:
-        """M Wbar M, computed on first read."""
+        """M Wbar M."""
         mdiag = metric_signs(self.n_modes)
         return mdiag[:, None] * bar(self.W) * mdiag
 
     @cached_property
     def metric_residual(self) -> float:
-        """||W M Wbar - M||_2, the metric identity's defect, computed on first read."""
+        """||W M Wbar - M||_2, the metric identity's defect."""
         mdiag = metric_signs(self.n_modes)
         return float(np.linalg.norm((self.W * mdiag) @ bar(self.W) - np.diag(mdiag), 2))
+
+    @cached_property
+    def extract_b(self) -> np.ndarray:
+        """Coefficient rows of b'_i on Z, the first n rows of W^-1."""
+        return self.W_inv[:self.n_modes].copy()
+
+    @cached_property
+    def extract_bbar(self) -> np.ndarray:
+        """Coefficient vectors of b'bar_i on Z+, the columns M w_i, as rows."""
+        n = self.n_modes
+        return (metric_signs(n)[:, None] * self.W[:, :n]).T.copy()
+
+    @cached_property
+    def hermitian_flags(self) -> np.ndarray:
+        """True where lambda_i is real, so that b'bar_i is the adjoint of b'_i."""
+        return np.abs(self.lambdas.imag) <= self.real_tol
+
+    @cached_property
+    def zero_modes(self) -> np.ndarray:
+        """True where |lambda_i| <= real_tol: mode i's harmonic term vanishes from H."""
+        return np.abs(self.lambdas) <= self.real_tol
+
+    @cached_property
+    def norm_residuals(self) -> list:
+        """|wbar_{n+i} M w_i - 1| per mode, from contiguous rows, which take the
+        BLAS path of the fresh vectors they stand for."""
+        n, w = self.n_modes, self.W
+        bars = np.concatenate([w[n:, n:], w[:n, n:]]).T.copy()  # bar(W)[:n], half the work
+        return [float(abs(b @ c - 1.0)) for b, c in zip(bars, self.extract_bbar)]
+
+    @cached_property
+    def invariants(self) -> np.ndarray:
+        """Conserved bilinears b'bar_i b'_i = Z+ K_i Z as the (n, 2n, 2n) stack
+        of K_i = outer(M w_i, row i of W^-1).
+
+        Each K_i satisfies Ubar(t) K_i U(t) = K_i for the exact propagator at
+        any complex time, because the defining rows and columns are
+        left/right eigenvectors of the generator with opposite eigenvalues.
+        """
+        return self.extract_bbar[:, :, None] * self.extract_b[:, None, :]
+
+    @property
+    def zero_point_energy(self) -> complex:
+        """Ground-state offset sum_i lambda_i / 2."""
+        return complex(self.lambdas.sum() / 2.0)
+
+    def commutator_matrix(self) -> np.ndarray:
+        """Matrix of [b'_i, b'bar_j]; the identity when the transform is exact."""
+        return self.extract_b @ (metric_signs(self.n_modes)[:, None] * self.extract_bbar.T)
+
+    def reconstruct_extended(self) -> np.ndarray:
+        """Reassemble Hmat = sum_i lambda_i (K_i + K_ibar)."""
+        two_n = 2 * self.n_modes
+        out = np.zeros((two_n, two_n), dtype=complex)
+        for lam, k in zip(self.lambdas, self.invariants):
+            out += lam * bar_symmetrize(k)
+        return out
+
+    def to_dict(self) -> dict:
+        """Document form of the diagonal representation, arrays as [re, im] lists."""
+        return {
+            "lambdas": [[l.real, l.imag] for l in self.lambdas],
+            "zero_point_energy": [self.zero_point_energy.real,
+                                  self.zero_point_energy.imag],
+            "hermitian_flags": [bool(x) for x in self.hermitian_flags],
+            "zero_modes": [bool(x) for x in self.zero_modes],
+            "extract_b": _pairs(self.extract_b),
+            "extract_bbar": _pairs(self.extract_bbar),
+        }
 
 
 @dataclass(frozen=True)

@@ -187,7 +187,7 @@ def test_criterion_09_invariant_conservation():
     ok = True
     for form in forms:
         report = qb.classify(form)
-        ks = qb.diagonal_form(qb.normalize_pairs(report)).invariants
+        ks = qb.normalize_pairs(report).invariants
         dyn = qb.dynamical_matrix(form)
         for t in (0.3, 1.0, 3.0):
             u = qb.propagate(dyn, t).U

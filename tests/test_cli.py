@@ -19,7 +19,7 @@ import scipy.linalg
 from hypothesis import given, settings
 
 import quadboson as qb
-from quadboson import CLASS_CODES, cli, formio, normal_modes, spectral
+from quadboson import CLASS_CODES, cli, formio, spectral
 from quadboson.core import MEMORY_BUDGET
 from quadboson.errors import NullNorm, PairingFailure
 from quadboson.cli import main
@@ -272,6 +272,26 @@ def test_a_reader_closing_stdout_early_ends_quietly():
     assert (proc.wait(), err) == (cli.EXIT_BROKEN_PIPE, b"")
 
 
+def test_a_closed_stdout_is_refused_unless_out_is_given(capsys, tmp_path):
+    # `quadboson bcs --delta 0.5 >&-`: started with fd 1 closed, Python has
+    # no sys.stdout, so the command asks for --out before it solves
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    out = tmp_path / "bcs.json"
+
+    def closed(*argv):
+        return subprocess.run([sys.executable, "-m", "quadboson.cli", "bcs", "--delta", "0.5",
+                               *argv], stderr=subprocess.PIPE, env=env,
+                              preexec_fn=lambda: os.close(1), timeout=120)
+
+    proc = closed()
+    assert (proc.returncode, proc.stderr) == (
+        2, b"error: stdout is closed; write the output with --out FILE\n")
+    proc = closed("--out", str(out))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert out.read_text(encoding="utf-8") == run(capsys, "bcs", "--delta", "0.5")[1]
+
+
 @pytest.mark.parametrize("argv", [("sweep", "--delta", "-0.5:0.5:11"),
                                   ("evolve", "FORM", "--t", "-1:1:5"),
                                   ("bcs", "--sweep", "-1.2:-0.8:5"),
@@ -376,7 +396,8 @@ def test_csv_ignores_emit_modes(capsys, monkeypatch, form_file):
     def fail(*args):
         raise AssertionError("diagonal form built")
 
-    monkeypatch.setattr(normal_modes, "diagonal_form", fail)
+    monkeypatch.setattr(spectral.BogoliubovTransform, "invariants", property(fail))
+    monkeypatch.setattr(spectral.BogoliubovTransform, "to_dict", fail)
     monkeypatch.setattr(cli, "MEMORY_BUDGET", 5000)
     csv = ("analyze", form_file, "--format", "csv")
     plain = run(capsys, *csv)
@@ -624,6 +645,25 @@ def test_evolve_overflow_prints_only_its_error(tmp_path):
     assert (proc.returncode, proc.stdout) == (5, "")
     assert proc.stderr.startswith("error: expm gave non-finite propagator entries")
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_evolve_growth_that_expm_loses_exits_5(capsys, tmp_path):
+    # an unstable one-mode form (lambda = 0.637i) at t = 1e82: expm returns a
+    # bounded, wrong U (max |U| = 1), while |e^{-i lambda t}| overflows
+    path = tmp_path / "unstable1.json"
+    qb.save_form(qb.build_form([[0.1257302210933933]],
+                               [[complex(0.6404226504432821, 0.10490011715303971)]]), path)
+    peak = np.abs(qb.propagate(qb.dynamical_matrix(qb.load_form(path)), 1e82).U).max()
+    assert peak <= 1.0 + 1e-12
+    assert run(capsys, "evolve", str(path), "--t", "0:1e82:2") == (
+        5, "", "error: mode magnitudes reach inf at t=(1e+82+0j), so U(t) has entries "
+               "beyond the guard 1e+100\n")
+    # growth that expm resolves, below the guard, is still printed
+    code, out, _ = run(capsys, "evolve", str(path), "--t", "0:300:2")
+    row = [float(x) for x in out.splitlines()[2].split(",")]
+    # (|U|'s largest entry is at least its largest mode magnitude over 2n = 2)
+    assert code == 0 and 1e82 < row[2] <= 1e100 and row[-1] <= 2 * row[2]
 
 
 _SCIPY_PROBE = """
@@ -1068,9 +1108,9 @@ def _analyze_doc(path):
     doc = report.to_dict()
     doc.update(input_digest=qb.form_digest(path), n_modes=form.n_modes,
                mode_table=cli._mode_table(report, bt), thresholds=None,
-               diagonal_form=qb.diagonal_form(bt).to_dict(),
+               diagonal_form=bt.to_dict(),
                invariants=[[[[v.real, v.imag] for v in row] for row in k]
-                           for k in qb.diagonal_form(bt).invariants])
+                           for k in bt.invariants])
     return doc
 
 
@@ -1154,6 +1194,25 @@ def test_stdout_digests_repeat(capsys):
     first = list(script.digest_lines([1], tiny=True))
     assert first == list(script.digest_lines([1], tiny=True))
     assert len(first) == 57 and all(line.split()[0] in "02345" for line in first)
+
+
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+def test_bench_pair_refuses_fewer_than_two_pairs_before_a_run(capsys, monkeypatch, pairs):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_pair.py"
+    spec = importlib.util.spec_from_file_location("bench_pair", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def fail(*args):
+        raise AssertionError("benchmark run started")
+
+    monkeypatch.setattr(script, "run_once", fail)
+    monkeypatch.setattr(script, "source_ids", fail)
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--parent", ".", "--change", ".", "--workload", "sweep-grid",
+                     "--seed", "1", "--pairs", pairs, "--label", "never"])
+    assert exc.value.code == 2
+    assert f"--pairs must be at least 2, got {pairs}" in capsys.readouterr().err
 
 
 def _five_commands(form_file, out):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import quadboson as qb
-from quadboson.core import frobenius_norm, metric_signs
+from quadboson.core import _hmat, _symmetrized, frobenius_norm, metric_signs
 from quadboson.errors import DimensionMismatch, Overflow, StructureViolation
 
 from conftest import multiset_dev, random_form
@@ -216,6 +216,18 @@ def test_extended_matrix_equals_the_block_assembly_bit_for_bit():
     for form in forms:
         want = np.block([[form.A, form.B], [form.B.conj(), form.A.T]])
         got = qb.extended_matrix(form).matrix
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # stacked, as bcs_sweep assembles a grid: raw matrices with rounding
+    # noise and signed zeros, symmetrized and laid out matrix by matrix
+    raw = [(f.A + 1e-14j * rng.normal(size=f.A.shape), f.B + 1e-14 * rng.normal(size=f.B.shape))
+           for f in forms[:-2] if f.n_modes == 2]
+    raw.append((np.array([[1.0, -0.0], [-0.0, 2.0]], dtype=complex),
+                np.array([[complex(-0.0, 0.5), -0.0], [-0.0, complex(0.25, -0.0)]])))
+    a, b = (np.stack(m) for m in zip(*raw))
+    stacked = _hmat(*_symmetrized(a, b))
+    assert stacked.shape == (len(raw), 4, 4)
+    for (a_k, b_k), got in zip(raw, stacked):
+        want = qb.extended_matrix(qb.build_form(a_k, b_k)).matrix
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

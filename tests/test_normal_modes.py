@@ -23,29 +23,26 @@ def _pipeline(form):
 def test_single_mode_trivial():
     form = qb.build_form([[1.0]], [[0.0]])
     bt = _pipeline(form)
-    df = qb.diagonal_form(bt)
-    assert np.abs(np.abs(df.extract_b[0]) - np.array([1.0, 0.0])).max() <= 1e-12
-    assert np.abs(np.abs(df.extract_bbar[0]) - np.array([1.0, 0.0])).max() <= 1e-12
-    assert df.zero_point_energy == pytest.approx(0.5)
-    assert df.hermitian_flags.all()
+    assert np.abs(np.abs(bt.extract_b[0]) - np.array([1.0, 0.0])).max() <= 1e-12
+    assert np.abs(np.abs(bt.extract_bbar[0]) - np.array([1.0, 0.0])).max() <= 1e-12
+    assert bt.zero_point_energy == pytest.approx(0.5)
+    assert bt.hermitian_flags.all()
 
 
 def test_bcs_frequencies_and_zero_point():
     # both frequencies from nu*gamma + sqrt(1 - delta^2); ground offset
     # (lam+ + lam-)/2 collapses to sqrt(1 - delta^2)
     bt = _pipeline(qb.bcs_form(bcs(0.5)))
-    df = qb.diagonal_form(bt)
-    assert np.allclose(np.sort(df.lambdas.real),
+    assert np.allclose(np.sort(bt.lambdas.real),
                        [0.5660254037844386, 1.1660254037844386], atol=1e-10)
-    assert df.zero_point_energy.real == pytest.approx(0.8660254037844386, abs=1e-10)
-    assert abs(df.zero_point_energy.imag) <= 1e-12
+    assert bt.zero_point_energy.real == pytest.approx(0.8660254037844386, abs=1e-10)
+    assert abs(bt.zero_point_energy.imag) <= 1e-12
 
 
 def test_complex_mode_frequencies_flagged():
     bt = _pipeline(qb.bcs_form(bcs(1.2)))
-    df = qb.diagonal_form(bt)
-    assert not df.hermitian_flags.any()
-    assert np.allclose(df.lambdas.imag, 0.6633249580710799, atol=1e-10)
+    assert not bt.hermitian_flags.any()
+    assert np.allclose(bt.lambdas.imag, 0.6633249580710799, atol=1e-10)
 
 
 @settings(max_examples=20, deadline=None)
@@ -54,16 +51,15 @@ def test_commutation_and_reconstruction(seed, n, shift):
     rng = np.random.default_rng(seed)
     form = random_form(rng, n, shift=shift)
     bt = _pipeline(form)
-    df = qb.diagonal_form(bt)
-    assert np.abs(df.commutator_matrix() - np.eye(n)).max() <= 1e-9
+    assert np.abs(bt.commutator_matrix() - np.eye(n)).max() <= 1e-9
     # [b'_i, b'_j] = 0 and [b'bar_i, b'bar_j] = 0 on the extraction rows
     mt = qb.metric(n) @ qb.block_swap(n)
-    same_kind = df.extract_b @ mt @ df.extract_b.T
+    same_kind = bt.extract_b @ mt @ bt.extract_b.T
     assert np.abs(same_kind).max() <= 1e-9
-    same_kind_bar = df.extract_bbar @ mt.T @ df.extract_bbar.T
+    same_kind_bar = bt.extract_bbar @ mt.T @ bt.extract_bbar.T
     assert np.abs(same_kind_bar).max() <= 1e-9
     h = qb.extended_matrix(form).matrix
-    assert np.abs(df.reconstruct_extended() - h).max() <= 1e-8 * max(
+    assert np.abs(bt.reconstruct_extended() - h).max() <= 1e-8 * max(
         np.abs(h).max(), 1.0)
 
 
@@ -71,29 +67,26 @@ def test_adjoint_relation_real_modes_only():
     # real lambda: b'bar is the adjoint of b' (rows related by conjugation);
     # complex lambda: the relation must fail
     bt = _pipeline(qb.bcs_form(bcs(0.5)))
-    df = qb.diagonal_form(bt)
     for i in range(2):
-        assert np.abs(np.conj(df.extract_b[i]) - df.extract_bbar[i]).max() <= 1e-10
+        assert np.abs(np.conj(bt.extract_b[i]) - bt.extract_bbar[i]).max() <= 1e-10
 
     bt = _pipeline(qb.bcs_form(bcs(1.2)))
-    df = qb.diagonal_form(bt)
     for i in range(2):
-        assert np.abs(np.conj(df.extract_b[i]) - df.extract_bbar[i]).max() > 0.1
+        assert np.abs(np.conj(bt.extract_b[i]) - bt.extract_bbar[i]).max() > 0.1
 
 
 def test_complex_conjugation_links_opposite_modes():
     # above the gap: b'_nu^dag = i b'_{-nu} and bbar'_nu^dag = i bbar'_{-nu}
     bt = _pipeline(qb.bcs_form(bcs(1.2)))
-    df = qb.diagonal_form(bt)
     n = 2
 
     def adjoint_row(row):
         return np.concatenate([np.conj(row[n:]), np.conj(row[:n])])
 
-    assert np.abs(adjoint_row(df.extract_b[0]) - 1j * df.extract_b[1]).max() <= 1e-12
-    swap_cols = np.concatenate([1j * df.extract_bbar[1][n:],
-                                1j * df.extract_bbar[1][:n]])
-    assert np.abs(np.conj(df.extract_bbar[0]) - swap_cols).max() <= 1e-12
+    assert np.abs(adjoint_row(bt.extract_b[0]) - 1j * bt.extract_b[1]).max() <= 1e-12
+    swap_cols = np.concatenate([1j * bt.extract_bbar[1][n:],
+                                1j * bt.extract_bbar[1][:n]])
+    assert np.abs(np.conj(bt.extract_bbar[0]) - swap_cols).max() <= 1e-12
 
 
 def test_coordinate_diagonal_trivial():
@@ -132,8 +125,7 @@ def test_coordinate_zero_mode_returned_unscaled():
     assert list(cd.zero_modes) == [False, True]
     assert cd.Tprime[1] == 0.0 and cd.Vprime[1] == 0.0
     assert cd.Tprime[0] == pytest.approx(0.6, abs=1e-9)
-    df = qb.diagonal_form(bt)
-    assert list(df.zero_modes) == [False, True]
+    assert list(bt.zero_modes) == [False, True]
 
 
 def test_coordinate_nonhermitian_conjugation_relations():
@@ -161,7 +153,7 @@ def test_quadrature_sum_equals_mode_number(seed, shift):
     form = random_form(rng, 2, shift=shift)
     bt = _pipeline(form)
     cd = qb.coordinate_diagonal(bt)
-    ks = qb.diagonal_form(bt).invariants
+    ks = bt.invariants
     for i in range(2):
         lhs = (coordinate_quadratic_matrix(cd.extract_q[i], 2)
                + coordinate_quadratic_matrix(cd.extract_p[i], 2))
@@ -194,7 +186,7 @@ def test_invariants_conserved(seed, n, shift):
     rng = np.random.default_rng(seed)
     form = random_form(rng, n, shift=shift)
     bt = _pipeline(form)
-    ks = qb.diagonal_form(bt).invariants
+    ks = bt.invariants
     dyn = qb.dynamical_matrix(form)
     for t in (0.7, 0.4 + 0.3j):
         prop = qb.propagate(dyn, t)
@@ -208,7 +200,7 @@ def test_invariants_conserved(seed, n, shift):
 def test_invariant_single_mode_is_number_operator():
     form = qb.build_form([[1.0]], [[0.0]])
     bt = _pipeline(form)
-    ks = qb.diagonal_form(bt).invariants
+    ks = bt.invariants
     expected = np.zeros((2, 2))
     expected[0, 0] = 1.0
     assert np.abs(ks[0] - expected).max() <= 1e-12
@@ -232,9 +224,8 @@ def test_flip_mode_on_real_pair_leaves_adjoint_convention():
     assert not flipped.hermitian_pair
     bt = qb.normalize_pairs(dataclasses.replace(report, pairs=[flipped]))
     assert bt.metric_residual <= 1e-12
-    df = qb.diagonal_form(bt)
     h = qb.extended_matrix(qb.build_form([[1.0]], [[0.0]])).matrix
-    assert np.abs(df.reconstruct_extended() - h).max() <= 1e-12
+    assert np.abs(bt.reconstruct_extended() - h).max() <= 1e-12
 
 
 # forms that classify may call diagonalizable next to a Jordan point: random
@@ -261,11 +252,10 @@ def test_every_diagonalizable_verdict_gets_its_diagonal_form(form, eig_tol):
     if not report.diagonalizable:
         return
     bt = qb.normalize_pairs(report)
-    df = qb.diagonal_form(bt)
     cd = qb.coordinate_diagonal(bt)
-    assert df.invariants.shape[0] == form.n_modes
-    assert report.zero_mode_count == df.zero_modes.sum() == cd.zero_modes.sum()
-    assert list(df.hermitian_flags) == list(cd.hermitian_flags) == [
+    assert bt.invariants.shape[0] == form.n_modes
+    assert report.zero_mode_count == bt.zero_modes.sum() == cd.zero_modes.sum()
+    assert list(bt.hermitian_flags) == list(cd.hermitian_flags) == [
         row["hermitian"] for row in _mode_table(report, bt)]
 
 

@@ -207,18 +207,17 @@ def test_vector_operator_commutators():
     form = qb.bcs_form(bcs(0.5))
     report = qb.classify(form)
     bt = qb.normalize_pairs(report)
-    df = qb.diagonal_form(bt)
     n_max = 8
     ops = qb.fock_operators(2, n_max)
     dim = (n_max + 1) ** 2
     occ = [(i, j) for i in range(n_max + 1) for j in range(n_max + 1)]
     low = [k for k, (i, j) in enumerate(occ) if i + j <= n_max // 2]
     for i in range(2):
-        bi = qb.fock_vector_operator(df.extract_b[i], ops)
+        bi = qb.fock_vector_operator(bt.extract_b[i], ops)
         for j in range(2):
             n = 2
-            bbar_row = np.concatenate([df.extract_bbar[j][n:],
-                                       df.extract_bbar[j][:n]])
+            bbar_row = np.concatenate([bt.extract_bbar[j][n:],
+                                       bt.extract_bbar[j][:n]])
             bj_bar = qb.fock_vector_operator(bbar_row, ops)
             comm = bi @ bj_bar - bj_bar @ bi
             block = comm[np.ix_(low, low)]
