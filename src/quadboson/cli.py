@@ -25,7 +25,8 @@ started with stdout closed (``>&-``) (these three refused before any
 solve), or any other failure to write --out; 3 unreadable, undecodable or
 malformed form file;
 4 structural validation failure; 5 numerical failure (overflow, including
-finite input entries too large to symmetrize or rank-test and bcs
+finite input entries too large to symmetrize or rank-test, an evolve
+time whose mode magnitudes pass 2n times the entry guard, and bcs
 parameters whose squares leave the float range, wrong regime, including an
 oracle check whose compared levels need an occupation above nmax // 2, a
 vanishing generalized norm where analyze --emit-modes needs the
