@@ -44,6 +44,7 @@ import numpy as np
 from .core import (
     QuadraticForm,
     DynamicalMatrix,
+    _freeze,
     bar,
     bar_symmetrize,
     bar_vector,
@@ -145,7 +146,7 @@ class BogoliubovTransform:
     as b'_i = (row i of W^-1) . Z and b'bar_i = Z+ . (M w_i).  For real
     lambda_i the two are mutual adjoints; for complex lambda_i they are not,
     and that failure is structural, not numerical.  Every reading is
-    computed on first read.
+    computed on first read; the array readings are read-only.
     """
 
     W: np.ndarray
@@ -160,7 +161,7 @@ class BogoliubovTransform:
     def W_inv(self) -> np.ndarray:
         """M Wbar M."""
         mdiag = metric_signs(self.n_modes)
-        return mdiag[:, None] * bar(self.W) * mdiag
+        return _freeze(mdiag[:, None] * bar(self.W) * mdiag)
 
     @cached_property
     def metric_residual(self) -> float:
@@ -171,31 +172,31 @@ class BogoliubovTransform:
     @cached_property
     def extract_b(self) -> np.ndarray:
         """Coefficient rows of b'_i on Z, the first n rows of W^-1."""
-        return self.W_inv[:self.n_modes].copy()
+        return _freeze(self.W_inv[:self.n_modes].copy())
 
     @cached_property
     def extract_bbar(self) -> np.ndarray:
         """Coefficient vectors of b'bar_i on Z+, the columns M w_i, as rows."""
         n = self.n_modes
-        return (metric_signs(n)[:, None] * self.W[:, :n]).T.copy()
+        return _freeze((metric_signs(n)[:, None] * self.W[:, :n]).T.copy())
 
     @cached_property
     def hermitian_flags(self) -> np.ndarray:
         """True where lambda_i is real, so that b'bar_i is the adjoint of b'_i."""
-        return np.abs(self.lambdas.imag) <= self.real_tol
+        return _freeze(np.abs(self.lambdas.imag) <= self.real_tol)
 
     @cached_property
     def zero_modes(self) -> np.ndarray:
         """True where |lambda_i| <= real_tol: mode i's harmonic term vanishes from H."""
-        return np.abs(self.lambdas) <= self.real_tol
+        return _freeze(np.abs(self.lambdas) <= self.real_tol)
 
     @cached_property
-    def norm_residuals(self) -> list:
+    def norm_residuals(self) -> tuple:
         """|wbar_{n+i} M w_i - 1| per mode, from contiguous rows, which take the
         BLAS path of the fresh vectors they stand for."""
         n, w = self.n_modes, self.W
         bars = np.concatenate([w[n:, n:], w[:n, n:]]).T.copy()  # bar(W)[:n], half the work
-        return [float(abs(b @ c - 1.0)) for b, c in zip(bars, self.extract_bbar)]
+        return tuple([float(abs(b @ c - 1.0)) for b, c in zip(bars, self.extract_bbar)])
 
     @cached_property
     def invariants(self) -> np.ndarray:
@@ -206,7 +207,7 @@ class BogoliubovTransform:
         any complex time, because the defining rows and columns are
         left/right eigenvectors of the generator with opposite eigenvalues.
         """
-        return self.extract_bbar[:, :, None] * self.extract_b[:, None, :]
+        return _freeze(self.extract_bbar[:, :, None] * self.extract_b[:, None, :])
 
     @property
     def zero_point_energy(self) -> complex:
