@@ -42,9 +42,10 @@ class NotDegenerate(QuadBosonError):
 
 
 class Overflow(QuadBosonError):
-    """A computed value left the float range: propagator entries beyond the
-    representable guard (1e100), or finite input entries too large to
-    symmetrize or rank-test."""
+    """A computed value left the float range or its resolution: propagator
+    entries beyond the representable guard (1e100), a time where
+    ||t M Hmat||_1 reaches 2^53 and no digit of U is correct, or finite input
+    entries too large to symmetrize or rank-test."""
 
 
 class StepTooLarge(QuadBosonError):

@@ -28,6 +28,9 @@ from .spectral import BogoliubovTransform, StabilityReport
 
 # fail loudly instead of returning Inf-contaminated matrices
 _ENTRY_GUARD = 1e100
+# 1/u, u = 2^-53 the unit roundoff: from ||t M Hmat||_1 = 1/u on, expm
+# resolves no digit of U
+_RESOLUTION_CUT = 2.0 ** 53
 # Bytes of U per stack of times: a whole grid of up to 1024 times fits in one
 # stack at n = 2, a stack holds 4 times at n = 32.
 _STACK_BYTES = 256 * 1024
@@ -49,10 +52,6 @@ class Propagator:
     def adjoint_residual(self) -> float:
         """||Ubar - U+|| (2-norm), computed on access."""
         return float(np.linalg.norm(bar(self.U) - self.U.conj().T, 2))
-
-    @property
-    def n_modes(self) -> int:
-        return self.U.shape[0] // 2
 
 
 class GrowthKind(str, Enum):
@@ -142,13 +141,18 @@ def propagate_stack(dyn: DynamicalMatrix, times: Sequence) -> PropagatorStack:
     Raises
     ------
     Overflow
-        At the first time, in stack order, where an entry of U exceeds 1e100
-        in magnitude (strong instability at large |t|) or ``expm`` returned
-        a non-finite entry, which it also does for a bounded U when
-        ||t M Hmat||_1 is beyond its float range; nothing is silently
+        At the first time, in stack order, where ||t M Hmat||_1 reaches
+        2^53 = 1/u (the exponential's condition number is |t| ||M Hmat||, so
+        no digit of U is correct there, and ``expm`` does not run), an entry
+        of U exceeds 1e100 in magnitude (strong instability at large |t|),
+        or ``expm`` returned a non-finite entry.  Nothing is silently
         saturated, and no residual is computed.
     """
-    scales = -1j * np.asarray(times, dtype=complex)
+    with np.errstate(over="ignore"):  # an infinite size is past the cut
+        sizes = np.abs(np.asarray(times, dtype=complex)) * np.linalg.norm(dyn.matrix, 1)
+    cut = np.flatnonzero(sizes >= _RESOLUTION_CUT)
+    stop = cut[0] if cut.size else len(sizes)
+    scales = -1j * np.asarray(times[:stop], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # the guard below reports it
         u = _expm_stack(scales[:, None, None] * dyn.matrix)
     peaks = np.abs(u).max(axis=(1, 2))
@@ -160,11 +164,14 @@ def propagate_stack(dyn: DynamicalMatrix, times: Sequence) -> PropagatorStack:
                 f"propagator entries reach {peaks[i]:.3e} at t={times[i]}; "
                 f"the guard is {_ENTRY_GUARD:.0e}"
             )
-        # a Python float product saturates to inf without a warning
-        size = abs(times[i]) * float(np.linalg.norm(dyn.matrix, 1))
         raise Overflow(
             f"expm gave non-finite propagator entries at t={times[i]}, "
-            f"where ||t M Hmat||_1 = {size:.3e}"
+            f"where ||t M Hmat||_1 = {sizes[i]:.3e}"
+        )
+    if cut.size:
+        raise Overflow(
+            f"||t M Hmat||_1 = {sizes[stop]:.3e} at t={times[stop]} reaches 2^53 = 1/u, "
+            "where expm resolves no digit of U"
         )
     signs = metric_signs(dyn.n_modes)
     sym = np.linalg.norm((u * signs) @ bar(u) - np.diag(signs), 2, axis=(1, 2))
@@ -175,7 +182,8 @@ def propagate_grid(dyn: DynamicalMatrix, times: Sequence) -> Iterator[Propagator
     """``propagate_stack`` over a time grid, in grid order, in stacks of at
     most 256 KiB of U, so memory stays bounded whatever the grid length.
 
-    Raises ``Overflow`` at the first time over the guard, in grid order.
+    Raises ``Overflow`` at the first time past the resolution cut or over
+    the guard, in grid order.
     """
     per = max(1, _STACK_BYTES // (16 * dyn.matrix.shape[0] ** 2))
     for start in range(0, len(times), per):
@@ -189,8 +197,9 @@ def propagate(dyn: DynamicalMatrix, t: complex) -> Propagator:
     Raises
     ------
     Overflow
-        Any entry exceeds 1e100 in magnitude (strong instability at large
-        |t|); nothing is silently saturated.
+        ||t M Hmat||_1 reaches 2^53, where no digit of U is correct, or an
+        entry exceeds 1e100 in magnitude (strong instability at large |t|);
+        nothing is silently saturated.
     """
     stack = propagate_stack(dyn, [t])
     return Propagator(complex(t), stack.U[0], float(stack.symplectic_residual[0]))

@@ -37,10 +37,6 @@ class CoordinateDiagonalForm:
     hermitian_flags: np.ndarray
     zero_modes: np.ndarray
 
-    @property
-    def n_modes(self) -> int:
-        return self.Tprime.size
-
 
 def coordinate_diagonal(bt: BogoliubovTransform) -> CoordinateDiagonalForm:
     """Coordinate/momentum extraction rows with the T' = V' = lambda scaling.

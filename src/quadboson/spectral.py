@@ -126,11 +126,6 @@ class ClusterInfo:
     rank_gap: float
 
 
-def _pairs(a: np.ndarray) -> list:
-    """Nested ``[re, im]`` lists of a complex array's entries."""
-    return np.stack([a.real, a.imag], axis=-1).tolist()
-
-
 @dataclass(frozen=True)
 class BogoliubovTransform:
     """Normalized transform W with columns (w_1..w_n, w_1bar..w_nbar).
@@ -227,15 +222,16 @@ class BogoliubovTransform:
         return out
 
     def to_dict(self) -> dict:
-        """Document form of the diagonal representation, arrays as [re, im] lists."""
+        """Document form of the diagonal representation: scalars as [re, im]
+        lists, the extraction rows as their read-only complex arrays."""
         return {
             "lambdas": [[l.real, l.imag] for l in self.lambdas],
             "zero_point_energy": [self.zero_point_energy.real,
                                   self.zero_point_energy.imag],
             "hermitian_flags": [bool(x) for x in self.hermitian_flags],
             "zero_modes": [bool(x) for x in self.zero_modes],
-            "extract_b": _pairs(self.extract_b),
-            "extract_bbar": _pairs(self.extract_bbar),
+            "extract_b": self.extract_b,
+            "extract_bbar": self.extract_bbar,
         }
 
 

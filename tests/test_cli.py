@@ -21,7 +21,7 @@ from hypothesis import given, settings
 import quadboson as qb
 from quadboson import CLASS_CODES, cli, formio, spectral
 from quadboson.core import MEMORY_BUDGET
-from quadboson.errors import NullNorm, PairingFailure
+from quadboson.errors import NullNorm, Overflow, PairingFailure
 from quadboson.cli import main
 
 from conftest import OUTER_EDGE, bcs, random_form
@@ -649,21 +649,37 @@ def test_evolve_overflow_prints_only_its_error(tmp_path):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_evolve_growth_that_expm_loses_exits_5(capsys, tmp_path):
-    # an unstable one-mode form (lambda = 0.637i) at t = 1e82: expm returns a
-    # bounded, wrong U (max |U| = 1), while |e^{-i lambda t}| overflows
+    # an unstable one-mode form (lambda = 0.637i) at t = 1e82, where expm would
+    # return a bounded, wrong U (max |U| = 1) while |e^{-i lambda t}| overflows:
+    # ||t M Hmat||_1 = 7.7e81 is past the resolution cut, so the library refuses it
     path = tmp_path / "unstable1.json"
     qb.save_form(qb.build_form([[0.1257302210933933]],
                                [[complex(0.6404226504432821, 0.10490011715303971)]]), path)
-    peak = np.abs(qb.propagate(qb.dynamical_matrix(qb.load_form(path)), 1e82).U).max()
-    assert peak <= 1.0 + 1e-12
+    with pytest.raises(Overflow) as exc:
+        qb.propagate(qb.dynamical_matrix(qb.load_form(path)), 1e82)
+    assert str(exc.value) == ("||t M Hmat||_1 = 7.747e+81 at t=1e+82 reaches 2^53 = 1/u, "
+                              "where expm resolves no digit of U")
     assert run(capsys, "evolve", str(path), "--t", "0:1e82:2") == (
-        5, "", "error: mode magnitudes reach inf at t=(1e+82+0j), so U(t) has entries "
-               "beyond the guard 1e+100\n")
+        5, "", "error: ||t M Hmat||_1 = 7.747e+81 at t=(1e+82+0j) reaches 2^53 = 1/u, "
+               "where expm resolves no digit of U\n")
     # growth that expm resolves, below the guard, is still printed
     code, out, _ = run(capsys, "evolve", str(path), "--t", "0:300:2")
     row = [float(x) for x in out.splitlines()[2].split(",")]
     # (|U|'s largest entry is at least its largest mode magnitude over 2n = 2)
     assert code == 0 and 1e82 < row[2] <= 1e100 and row[-1] <= 2 * row[2]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_evolve_refuses_times_past_the_resolution_cut(capsys, tmp_path):
+    # a stable one-mode form (lambda = sqrt(0.75), ||M Hmat||_1 = 1.5): at t = 1e16
+    # expm returns max |U| = 0.77 with a symplectic residual of 1.4, no digit right
+    path = tmp_path / "stable1.json"
+    qb.save_form(qb.build_form([[1.0]], [[0.5]]), path)
+    assert run(capsys, "evolve", str(path), "--t", "0:1e16:2") == (
+        5, "", "error: ||t M Hmat||_1 = 1.500e+16 at t=(1e+16+0j) reaches 2^53 = 1/u, "
+               "where expm resolves no digit of U\n")
+    code, out, err = run(capsys, "evolve", str(path), "--t", "0:1e15:2")
+    assert (code, err) == (0, "") and len(out.splitlines()) == 3
 
 
 _SCIPY_PROBE = """
@@ -707,15 +723,19 @@ def test_evolve_grid_crossing_the_guard_reports_its_first_time(capsys, tmp_path)
 
 
 def test_non_finite_propagator_names_the_generator_size(capsys, tmp_path, huge_file):
-    # a bounded U whose expm returns NaN (norm near 1e200) and a finite U over
-    # the guard (unstable pairing form at t = 400) get different messages
+    # a bounded U past the resolution cut (norm near 1e200), growth that expm
+    # overflows (unstable pairing form at t = 5e5) and a finite U over the guard
+    # (the same form at t = 400) get different messages
     norm = np.linalg.norm(qb.dynamical_matrix(qb.load_form(huge_file)).matrix, 1)
-    expected = ("error: expm gave non-finite propagator entries at t=(0.5+0j), "
-                f"where ||t M Hmat||_1 = {0.5 * norm:.3e}\n")
+    expected = (f"error: ||t M Hmat||_1 = {0.5 * norm:.3e} at t=(0.5+0j) reaches "
+                "2^53 = 1/u, where expm resolves no digit of U\n")
     assert run(capsys, "evolve", huge_file, "--t", "0:1:3") == (5, "", expected)
-    assert expected.endswith("= 5.500e+199\n")
+    assert expected.startswith("error: ||t M Hmat||_1 = 5.500e+199 ")
     path = tmp_path / "bcs12.json"
     qb.save_form(qb.bcs_form(bcs(1.2)), path)
+    assert run(capsys, "evolve", str(path), "--t", "5e5") == (
+        5, "", "error: expm gave non-finite propagator entries at t=(500000+0j), "
+               "where ||t M Hmat||_1 = 1.250e+06\n")
     code, out, err = run(capsys, "evolve", str(path), "--t", "400")
     assert (code, out) == (5, "")
     assert err.startswith("error: propagator entries reach 1.5")
@@ -939,8 +959,8 @@ def test_overflowing_inputs_exit_5(capsys, huge_file, huge_jordan_file, argv):
     code, out, err = run(capsys, *(a.format(huge=huge_file, jordan=huge_jordan_file)
                                    for a in argv))
     assert (code, out) == (5, "")
-    # evolve meets expm's non-finite entries, the others the float range
-    assert ("expm gave non-finite" if argv[0] == "evolve" else "float range") in err
+    # evolve meets the resolution cut, the others the float range
+    assert ("reaches 2^53 = 1/u" if argv[0] == "evolve" else "float range") in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -1108,10 +1128,8 @@ def _analyze_doc(path):
     doc = report.to_dict()
     doc.update(input_digest=qb.form_digest(path), n_modes=form.n_modes,
                mode_table=cli._mode_table(report, bt), thresholds=None,
-               diagonal_form=bt.to_dict(),
-               invariants=[[[[v.real, v.imag] for v in row] for row in k]
-                           for k in bt.invariants])
-    return doc
+               diagonal_form=bt.to_dict(), invariants=bt.invariants)
+    return _as_lists(doc)
 
 
 def _evolve_docs(path, times, shift):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import quadboson as qb
 from quadboson.cli import main
 
 # a numerical warning escaping to stderr is a failure, not noise
@@ -160,7 +161,9 @@ def form_dir():
         yield Path(root)
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# the same 200 draws on every run, and no failure database in the working tree
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow],
+          derandomize=True, database=None)
 @given(data=st.data())
 def test_fuzzed_argvs_exit_with_a_documented_code(form_dir, data):
     path = form_dir / "form.json"
@@ -177,3 +180,18 @@ def test_fuzzed_argvs_exit_with_a_documented_code(form_dir, data):
         assert emitted in EXIT_CODES and (emitted == 0 or out_modes == "")
         if code == 0 and json.loads(out)["diagonalizable"]:
             assert emitted == 0
+
+
+@pytest.mark.parametrize("a, b, t", [
+    # an unstable one-mode form, where expm returns a bounded, wrong U at t = 1e82
+    ([[0.1257302210933933]], [[complex(0.6404226504432821, 0.10490011715303971)]],
+     "--t=0.0:1e+82:2"),
+    # a stable one-mode form, whose U at t = 1e16 has no correct digit
+    ([[1.0]], [[0.5]], "--t=0:1e16:2"),
+    # entries near 1e200, where expm returns NaN for a bounded U
+    ([[1e200, 0.0], [0.0, 1e200]], [[0.0, 1e199], [1e199, 0.0]], "--t=0:1:3"),
+])
+def test_evolve_past_the_resolution_cut_exits_5(form_dir, a, b, t):
+    path = form_dir / "cut.json"
+    qb.save_form(qb.build_form(a, b), path)
+    assert run(["evolve", str(path), t]) == (5, "")

@@ -256,6 +256,60 @@ def test_stacked_overflow_raises_at_the_first_time_over_the_guard():
     assert f"at t={times[first]};" in str(exc.value)
 
 
+def test_stacked_refusal_names_the_first_time_past_the_cut_or_the_guard():
+    # the resolution cut and the entry guard are checked together in stack
+    # order: the first time that fails either one names the error
+    dyn = qb.dynamical_matrix(qb.bcs_form(bcs(1.2)))  # ||M Hmat||_1 = 2.5
+    cut = ("||t M Hmat||_1 = 2.500e+20 at t=1e+20 reaches 2^53 = 1/u, "
+           "where expm resolves no digit of U")
+    for times, expected in (([1.0, 1e20, 400.0], cut),
+                            ([1.0, 400.0, 1e20], "propagator entries reach 1.5")):
+        with pytest.raises(Overflow) as exc:
+            list(qb.propagate_grid(dyn, times))
+        assert str(exc.value).startswith(expected)
+    # past the cut in the second stack: the first stack is still returned
+    per = qb.evolution._STACK_BYTES // (16 * 4 ** 2)
+    stacks = []
+    with pytest.raises(Overflow) as exc:
+        for stack in qb.propagate_grid(dyn, [1.0] * per + [1e20]):
+            stacks.append(stack)
+    assert [len(s.U) for s in stacks] == [per] and str(exc.value) == cut
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_returned_propagators_have_mode_magnitudes_within_the_guard(rng):
+    # U(t)'s largest entry is at least its largest mode magnitude |e^{-i lambda t}|
+    # over 2n, so a returned U whose mode magnitudes pass 2n times the entry
+    # guard is growth that expm lost.  The entry guard and the resolution cut
+    # leave none, for stable and unstable forms (n <= 8, entries scaled 1e-3 to
+    # 1e3) at times log-spaced up to the cut, shifted into complex time; the
+    # unstable one-mode form at t = 1e82, where expm returns a bounded U, needs the cut
+    forms = [qb.build_form([[0.1257302210933933]],
+                           [[complex(0.6404226504432821, 0.10490011715303971)]]),
+             qb.build_form([[1.0]], [[0.5]]), qb.bcs_form(bcs(1.0)), qb.bcs_form(bcs(1.2))]
+    for n in range(1, 9):
+        for shift in (0.5, -0.5):
+            for scale in (1e-3, 1.0, 1e3):
+                form = random_form(rng, n, shift=shift)
+                forms.append(qb.build_form(scale * form.A, scale * form.B))
+    returned = 0
+    for form in forms:
+        dyn = qb.dynamical_matrix(form)
+        lams = qb.classify(form).mode_frequencies
+        reach = qb.evolution._RESOLUTION_CUT / np.linalg.norm(dyn.matrix, 1)
+        for t_re in [*np.geomspace(1e-2, reach, 24), 1e82]:
+            for t in (complex(t_re), t_re + 0.3j, t_re - 2j):
+                try:
+                    (stack,) = qb.propagate_grid(dyn, [t])
+                except Overflow:
+                    continue
+                with np.errstate(over="ignore", invalid="ignore"):
+                    mags = np.abs(np.exp(-1j * lams * t))
+                assert mags.max() <= 2 * form.n_modes * qb.evolution._ENTRY_GUARD, (form, t)
+                returned += 1
+    assert returned > len(forms)
+
+
 def test_jordan_norm_grows_linearly():
     dyn = qb.dynamical_matrix(qb.bcs_form(bcs(1.0)))
     ts = np.linspace(10.0, 100.0, 16)
