@@ -8,7 +8,15 @@ first.  Both trees are git checkouts with no uncommitted change under
 every run's result and record lines (the record carries nproc, the pinned
 BLAS thread variables and the BLAS build), each side's median and
 quartiles per end-to-end metric, and the number of pairs the change won on
-the named metric (ties count for neither side).
+the named metric (ties count for neither side).  For every end-to-end
+metric it also writes the change's relative change of the median (signed,
+worse > 0) and a verdict against the metric's ``bound`` in BENCHMARK.json,
+and prints one line per metric:
+
+- ``unresolved`` when the parent's IQR / median exceeds the bound, unless
+  every change run beats every parent run;
+- otherwise ``worse`` when the median is worse by more than the bound,
+  else ``ok``.
 
 Usage, with the two commits cloned side by side:
 
@@ -52,6 +60,22 @@ def summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def verdict(parent: list, change: list, better: str, bound: float) -> dict:
+    """Relative change of the change's median over the parent's, signed so
+    that worse > 0, and its verdict against ``bound`` (see the module doc)."""
+    sign = 1.0 if better == "lower" else -1.0
+    p = summary(parent)
+    relative = sign * (summary(change)["median"] - p["median"]) / p["median"]
+    beats_every_run = max(sign * v for v in change) < min(sign * v for v in parent)
+    if p["iqr"] / p["median"] > bound and not beats_every_run:
+        word = "unresolved"
+    elif relative > bound:
+        word = "worse"
+    else:
+        word = "ok"
+    return {"bound": bound, "relative_change": relative, "verdict": word}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", type=Path, required=True, help="parent source tree")
@@ -68,6 +92,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     if args.metric not in better:
         ap.error(f"--metric must be one of {sorted(better)}")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -89,6 +114,8 @@ def main(argv=None) -> int:
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent_v, change_v))
     losses = sum(sign * (c - p) > 0 for p, c in zip(parent_v, change_v))
     stats = {side: {m: summary(values(side, m)) for m in better} for side in sides}
+    verdicts = {m: verdict(values("parent", m), values("change", m), better[m], bound[m])
+                for m in better}
     gap = abs(stats["change"][args.metric]["median"] - stats["parent"][args.metric]["median"])
     doc = {
         "label": args.label,
@@ -102,10 +129,16 @@ def main(argv=None) -> int:
         "change_losses": losses,
         "median_gap_exceeds_parent_iqr": gap > stats["parent"][args.metric]["iqr"],
         "stats": stats,
+        "verdicts": verdicts,
         "runs": runs,
     }
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    for m, v in verdicts.items():
+        print(f"{m}: parent median {stats['parent'][m]['median']:.6g} (IQR "
+              f"{stats['parent'][m]['iqr']:.3g}), change median "
+              f"{stats['change'][m]['median']:.6g}, {v['relative_change']:+.1%} "
+              f"(bound {v['bound']:.0%}): {v['verdict']}")
     print(f"{args.metric}: change won {wins} of {args.pairs} pairs, parent median "
           f"{stats['parent'][args.metric]['median']:.6g} (IQR "
           f"{stats['parent'][args.metric]['iqr']:.3g}), change median "

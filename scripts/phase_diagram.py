@@ -56,10 +56,9 @@ def main():
     if th.reentry_window:
         inner, outer = th.reentry_window
         print(f"  reentry window: ({inner:.6f}, {outer:.6f})")
-        print(f"  outer edge, closed-form candidates: "
-              f"sqrt reading {th.delta_c_outer_sqrt_formula:.6f}, "
-              f"literal reading {th.delta_c_outer_literal_formula:.6f} "
-              f"(numeric value above is authoritative)")
+        print(f"  outer edge is the sqrt reading "
+              f"{th.delta_c_outer_sqrt_formula:.6f}; the literal reading "
+              f"{th.delta_c_outer_literal_formula:.6f} is for comparison")
 
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("delta,kappa,classification,max_im_lambda,min_sigma\n")

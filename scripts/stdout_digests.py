@@ -62,7 +62,7 @@ def digest_lines(seeds, tiny: bool = False):
 
 def bcs_point_argvs():
     """Single-point ``bcs`` in every regime, with and without kappa (kappa != 0
-    bisects the reentry edge), then on both sides of the gaps delta = +/-1 down
+    reports the reentry window), then on both sides of the gaps delta = +/-1 down
     to 10^-15, with and without ``--tol-eig 1e-3``."""
     for delta in (0.0, 0.5, 0.97, 1.0, 1.2, -0.5):
         for kappa in (0.0, 0.05, 0.2):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (QuadraticForm, _hmat, _symmetrized, bar, bar_symmetrize, build_form,
-                   dynamical_matrix, metric_signs, quadratic_matrix)
+                   metric_signs, quadratic_matrix)
 from .errors import DegenerateGap, NotDegenerate, Overflow
 from .spectral import StabilityColumns, _cuts, classify, classify_stack
 
@@ -54,7 +54,7 @@ class BcsParams:
 
 @dataclass(frozen=True)
 class BcsThresholds:
-    """Critical gap values.
+    """Critical gap values, every one a closed form.
 
     ``positivity`` is where H stops being positive definite and, for
     kappa = 0, coincides with the onset of negative real frequencies;
@@ -62,10 +62,10 @@ class BcsThresholds:
     kappa != 0 the instability sets in at ``instability_onset`` and, when
     |kappa| < gamma^2 / sqrt(eps^2 - gamma^2), the spectrum returns to real
     values on ``reentry_window = (delta_c_plus, delta_c_outer)``.  The outer
-    edge is determined numerically by bisection on max |Im lambda|; the two
-    closed-form readings of it are reported alongside for comparison (their
-    printed source is dimensionally ambiguous, so the numeric value is
-    authoritative).
+    edge is the sqrt reading eps sqrt(1 + kappa^2/gamma^2), also reported as
+    ``delta_c_outer_sqrt_formula``; the printed source is dimensionally
+    ambiguous, and its literal reading eps^2 (1 + kappa^2/gamma^2) is
+    reported for comparison.
     """
 
     positivity: float
@@ -179,7 +179,7 @@ def _at_gap(p: BcsParams, alpha: complex) -> bool:
     return 2.0 * abs(alpha) <= cluster_tol
 
 
-def bcs_lambda(p: BcsParams, tol_eig: float = 1e-9) -> tuple:
+def bcs_lambda(p: BcsParams) -> tuple:
     """Mode-frequency representatives (lambda_plus, lambda_minus).
 
     kappa = 0: lambda_nu = nu gamma + alpha, which already encodes the
@@ -192,7 +192,7 @@ def bcs_lambda(p: BcsParams, tol_eig: float = 1e-9) -> tuple:
     if p.kappa == 0.0:
         al = bcs_alpha(p)
         return (p.gamma + al, -p.gamma + al)
-    return tuple(complex(lam) for lam in classify(bcs_form(p), tol_eig).mode_frequencies)
+    return tuple(complex(lam) for lam in classify(bcs_form(p)).mode_frequencies)
 
 
 def bcs_lambda_formula(p: BcsParams) -> tuple:
@@ -396,17 +396,14 @@ def bcs_jordan_form(p: BcsParams) -> JordanDecoupledForm:
     )
 
 
-def _max_imag_frequency(p: BcsParams) -> float:
-    ht = dynamical_matrix(bcs_form(p)).matrix
-    return float(np.abs(np.linalg.eigvals(ht).imag).max())
-
-
 def bcs_thresholds(p: BcsParams) -> BcsThresholds:
-    """Critical gap values; the kappa != 0 outer edge is found numerically.
+    """Critical gap values, each a closed form.
 
-    Bisection runs on max |Im lambda(delta)| from dense eigensolves, unstable
-    above 1e-10 max(1, eps), so the reported outer edge does not depend on any
-    closed-form reading; both closed-form candidates are attached for comparison.
+    The kappa != 0 reentry window runs from delta_c_plus = sqrt(eps^2 -
+    gamma^2) + |kappa| to eps sqrt(1 + kappa^2 / gamma^2), where the root
+    sqrt(eps^2 (1 + kappa^2/gamma^2) - delta^2) of :func:`bcs_lambda_formula`
+    turns imaginary.  The literal reading eps^2 (1 + kappa^2/gamma^2) of the
+    printed source is attached for comparison.
     """
     eps2, gamma2, kappa2 = _squares(p.epsilon, p.gamma, p.kappa)
     positivity = float(np.sqrt(eps2 - gamma2))
@@ -421,20 +418,7 @@ def bcs_thresholds(p: BcsParams) -> BcsThresholds:
     literal_formula = float(eps2 * (1.0 + kappa2 / gamma2))
     window = None
     if abs(p.kappa) < gamma2 / positivity:
-        threshold = 1e-10 * max(1.0, p.epsilon)
-        lo = inner_top * (1.0 + 1e-9)
-        hi = lo + max(0.01 * p.epsilon, 2.0 * abs(sqrt_formula - inner_top))
-        for _ in range(60):
-            if _max_imag_frequency(BcsParams(p.epsilon, p.gamma, hi, p.kappa)) > threshold:
-                break
-            hi += 0.05 * p.epsilon
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if _max_imag_frequency(BcsParams(p.epsilon, p.gamma, mid, p.kappa)) > threshold:
-                hi = mid
-            else:
-                lo = mid
-        window = (float(inner_top), float(0.5 * (lo + hi)))
+        window = (float(inner_top), sqrt_formula)
     return BcsThresholds(
         positivity=positivity,
         dynamical=float(p.epsilon),

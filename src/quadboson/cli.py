@@ -406,8 +406,8 @@ def cmd_bcs(args) -> int:
     }
     if base.kappa != 0.0:
         doc["thresholds"]["note"] = (
-            "outer reentry edge from numeric bisection; the closed-form "
-            "readings are dimensionally ambiguous and reported for comparison"
+            "outer reentry edge is the sqrt reading eps*sqrt(1+kappa^2/gamma^2); "
+            "the literal reading is reported for comparison"
         )
     if base.kappa == 0.0:
         try:

@@ -246,7 +246,8 @@ def ode_cross_check(dyn: DynamicalMatrix, t: float, steps: int,
         Number of RK4 steps (>= 1); global error scales like (t/steps)^4.
     target : float, optional
         If given, raise StepTooLarge up front when the step-size error
-        estimate cannot reach the target, with a suggested step count.
+        estimate exceeds the target or the float range, with a suggested
+        step count where one exists within the float range.
     """
     from scipy.linalg import expm
 
@@ -260,14 +261,17 @@ def ode_cross_check(dyn: DynamicalMatrix, t: float, steps: int,
     gen = -1j * ht
     if target is not None and t != 0.0:
         hnorm = np.linalg.norm(ht, 2)
-        growth = np.exp(max(np.max(np.linalg.eigvals(ht).imag), 0.0) * abs(t))
-        est = abs(t) * (abs(t) * hnorm / steps) ** 4 * hnorm * growth / 30.0
-        if est > target:
-            need = int(np.ceil(abs(t) * hnorm * (abs(t) * hnorm * growth
-                                                 / (30.0 * target)) ** 0.25))
+        with np.errstate(over="ignore", divide="ignore"):  # non-finite values are refused below
+            growth = np.exp(max(np.max(np.linalg.eigvals(ht).imag), 0.0) * abs(t))
+            est = abs(t) * (abs(t) * hnorm / steps) ** 4 * hnorm * growth / 30.0
+            need = np.ceil(abs(t) * hnorm * (abs(t) * hnorm * growth
+                                             / (30.0 * target)) ** 0.25)
+        if est > target or not np.isfinite(est):
+            advice = (f"use at least ~{int(need)} steps" if np.isfinite(need)
+                      else "no step count within the float range reaches it")
             raise StepTooLarge(
                 f"{steps} steps give an error estimate {est:.3e} above the "
-                f"target {target:.3e}; use at least ~{need} steps"
+                f"target {target:.3e}; {advice}"
             )
     h = t / steps
     u = np.eye(ht.shape[0], dtype=complex)

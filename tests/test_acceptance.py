@@ -168,9 +168,9 @@ def test_criterion_08_reentry_of_stability():
     ok &= abs(flips[1] - 1.00394) <= step + 1e-9
     outer_num = th.reentry_window[1]
     ok &= abs(flips[2] - outer_num) <= step + 1e-9
-    # the numerically bisected outer edge is authoritative; both closed-form
-    # readings are reported, and only the sqrt one matches
-    print(f"    outer edge: numeric {outer_num:.10f}, sqrt-form "
+    # the outer edge is the sqrt reading of the printed formula; the literal
+    # reading is reported for comparison and does not match the grid's flip
+    print(f"    outer edge: window {outer_num:.10f}, sqrt-form "
           f"{th.delta_c_outer_sqrt_formula:.10f}, literal-form "
           f"{th.delta_c_outer_literal_formula:.10f}")
     ok &= abs(outer_num - th.delta_c_outer_sqrt_formula) <= 1e-6

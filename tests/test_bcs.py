@@ -1,3 +1,6 @@
+from decimal import Decimal, localcontext
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -404,12 +407,50 @@ def test_thresholds_perturbed_window():
     assert th.reentry_window is not None
     inner, outer = th.reentry_window
     assert inner == pytest.approx(1.0039392014169457, abs=1e-9)
-    # the bisected outer edge lands on the sqrt reading of the printed
-    # formula, not the literal one
-    assert outer == pytest.approx(1.0137937550497031, abs=1e-7)
+    # the outer edge is the sqrt reading of the printed formula, not the literal one
+    assert outer == th.delta_c_outer_sqrt_formula
     assert th.delta_c_outer_sqrt_formula == pytest.approx(1.0137937550497031,
                                                           abs=1e-12)
     assert abs(outer - th.delta_c_outer_literal_formula) > 1e-2
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 7.3])
+def test_reentry_window_edges_are_the_closed_forms(eps, scale):
+    # the outer edge is eps sqrt(1 + kappa^2/gamma^2) at any scale, to the five
+    # roundings of its float evaluation: over this grid the error stays below 1.5 ulp
+    for ratio in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8):
+        gamma = ratio * eps
+        kappa_max = gamma ** 2 / math.sqrt(eps ** 2 - gamma ** 2)
+        for kappa in (0.3 * kappa_max, -0.3 * kappa_max, 0.9 * kappa_max, -0.9 * kappa_max):
+            p = qb.BcsParams(scale * eps, scale * gamma, 0.0, scale * kappa)
+            th = qb.bcs_thresholds(p)
+            inner, outer = th.reentry_window
+            with localcontext() as ctx:
+                ctx.prec = 50
+                k, g = Decimal(p.kappa), Decimal(p.gamma)
+                exact = Decimal(p.epsilon) * (1 + k * k / (g * g)).sqrt()
+                assert abs(Decimal(outer) - exact) <= 2 * Decimal(math.ulp(outer)), p
+            assert outer == th.delta_c_outer_sqrt_formula
+            if scale * eps < 0.5:  # below the absolute verdict floor
+                continue
+            width = outer - inner
+            verdicts = [qb.classify(qb.bcs_form(qb.BcsParams(p.epsilon, p.gamma, d, p.kappa)))
+                        .classification for d in (inner - width / 100, inner + width / 100,
+                                                  outer - width / 100, outer + width / 100)]
+            unstable, stable = (qb.StabilityClass.UNSTABLE_COMPLEX,
+                                qb.StabilityClass.STABLE_NON_POSITIVE)
+            assert verdicts == [unstable, stable, stable, unstable], p
+
+
+def test_thresholds_run_no_eigensolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bcs_thresholds ran an eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    th = qb.bcs_thresholds(qb.BcsParams(1.0, 0.3, 0.0, 0.05))
+    assert th.reentry_window[1] == th.delta_c_outer_sqrt_formula
 
 
 def test_thresholds_no_window_for_large_kappa():

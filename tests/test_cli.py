@@ -1233,6 +1233,44 @@ def test_bench_pair_refuses_fewer_than_two_pairs_before_a_run(capsys, monkeypatc
     assert f"--pairs must be at least 2, got {pairs}" in capsys.readouterr().err
 
 
+def test_bench_pair_writes_a_verdict_per_metric(capsys, monkeypatch, tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_pair", root / "scripts" / "bench_pair.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    # metric: (parent runs, change runs, verdict, relative change); bounds from BENCHMARK.json
+    cases = {
+        "wall_s": ([1.0] * 4, [1.1] * 4, "ok", 0.1),
+        "op_p50_ms": ([1.0] * 4, [1.5] * 4, "worse", 0.5),
+        "op_p90_ms": ([0.5, 1.5, 0.5, 1.5], [1.0] * 4, "unresolved", 0.0),
+        "setup_s": ([1.0, 2.0, 1.0, 2.0], [0.5] * 4, "ok", -2.0 / 3.0),  # beats every run
+        "peak_rss_mb": ([100.0] * 4, [104.0] * 4, "ok", 0.04),
+        "ok_frac": ([1.0] * 4, [0.98] * 4, "worse", 0.02),  # higher is better
+    }
+    parent = tmp_path / "parent"
+    seen = {parent: 0, root: 0}
+
+    def run_once(tree, args):
+        i = seen[tree]
+        seen[tree] += 1
+        column = 0 if tree == parent else 1
+        return {"record": {}, "result": {"metrics": {
+            m: {"value": runs[column][i]} for m, runs in cases.items()}}}
+
+    monkeypatch.setattr(script, "run_once", run_once)
+    monkeypatch.setattr(script, "source_ids", lambda tree: {})
+    monkeypatch.chdir(tmp_path)
+    assert script.main(["--parent", str(parent), "--change", str(root), "--workload",
+                        "sweep-grid", "--seed", "1", "--pairs", "4", "--label", "t"]) == 0
+    verdicts = json.loads((tmp_path / "BENCH_t.json").read_text())["verdicts"]
+    lines = capsys.readouterr().out.splitlines()
+    for m, (_, _, word, relative) in cases.items():
+        assert verdicts[m]["verdict"] == word, m
+        assert verdicts[m]["relative_change"] == pytest.approx(relative), m
+        assert [line for line in lines if line.startswith(f"{m}: parent median")
+                and line.endswith(f": {word}")], m
+
+
 def _five_commands(form_file, out):
     """argvs of all five subcommands, non-default flags next to their defaults."""
     return [("analyze", form_file, "--emit-modes", "--tol-eig", "1e-3"),

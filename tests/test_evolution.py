@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -183,6 +185,12 @@ def test_ode_cross_check_validation():
         qb.ode_cross_check(dyn, 1.0 + 1.0j, 10)
     with pytest.raises(StepTooLarge):
         qb.ode_cross_check(dyn, 10.0, 3, target=1e-12)
+    # the growth estimate leaves the float range: refused, with no RuntimeWarning
+    unstable = qb.dynamical_matrix(qb.bcs_form(bcs(1.2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepTooLarge, match="no step count"):
+            qb.ode_cross_check(unstable, 2000.0, 10, target=1e-6)
     # generous budget passes the pre-check and integrates
     assert qb.ode_cross_check(dyn, 1.0, 2000, target=1e-6) <= 1e-9
 
