@@ -28,10 +28,9 @@ def main():
     for label, delta in cases:
         p = qb.BcsParams(args.epsilon, args.gamma, delta)
         form = qb.bcs_form(p)
-        dyn = qb.dynamical_matrix(form)
         g = qb.growth_class(qb.classify(form))
         norms, residuals = [], []
-        for stack in qb.propagate_grid(dyn, ts):
+        for stack in qb.propagate_grid(form, ts):
             norms += np.linalg.norm(stack.U, 2, axis=(1, 2)).tolist()
             residuals += stack.symplectic_residual.tolist()
         rows += [(label, delta, t, nu, sr) for t, nu, sr in zip(ts.tolist(), norms, residuals)]

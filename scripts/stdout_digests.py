@@ -10,8 +10,9 @@ then argvs that put the document writer
 and the CSV table of every subcommand to work (``--format doc`` of
 ``sweep``, ``evolve`` and ``oracle``, ``--format csv`` of ``analyze``), then
 ``bcs`` and ``sweep`` argvs on the outer edge of the reentry window, where
-roundoff splits a Jordan pair differently at +lambda and -lambda, and
-runs every op in-process through
+roundoff splits a Jordan pair differently at +lambda and -lambda, then a
+``bcs`` point whose outer edge is representable although kappa^2/gamma^2
+is not, and runs every op in-process through
 ``perfbench/run.py``'s ``call`` (stdout captured; importing ``run`` pins
 BLAS to one thread).  Each line reads ``<exit code> <sha256 of stdout>
 <argv>``; fixture paths in the argv are printed relative to the fixture
@@ -117,7 +118,9 @@ def writer_argvs(root: str):
 
 def outer_edge_argvs():
     """Single-point ``bcs`` at nine (kappa, delta) on the outer edge of the
-    reentry window, then a ``sweep`` over two of them, Jordan points all."""
+    reentry window, then a ``sweep`` over two of them, Jordan points all,
+    then a ``bcs`` point whose outer edge eps sqrt(1 + kappa^2/gamma^2) =
+    1e250 is representable although kappa^2/gamma^2 = 1e500 is not."""
     for kappa, delta in ((0.02, 1.0022197585580783), (-0.02, 1.0022197585580783),
                          (0.02, 1.0022197585583092), (-0.02, 1.0022197585583092),
                          (0.005, 1.0001388792450476), (0.01, 1.0005554013201237),
@@ -125,6 +128,7 @@ def outer_edge_argvs():
                          (0.07, 1.026861453383234)):
         yield ["bcs", "--delta", repr(delta), "--kappa", repr(kappa)]
     yield ["sweep", "--delta", "1.0022197585580783:1.0022197585583092:3", "--kappa", "0.02"]
+    yield ["bcs", "--delta", "0.5", "--gamma", "1e-100", "--kappa", "1e150"]
 
 
 def main(argv=None) -> int:

@@ -2,9 +2,6 @@
 quadratic boson forms via generalized (non-adjoint) Bogoliubov transforms."""
 
 from .core import (
-    CoordinateForm,
-    DynamicalMatrix,
-    ExtendedMatrix,
     QuadraticForm,
     bar,
     bar_symmetrize,
@@ -13,10 +10,6 @@ from .core import (
     build_form,
     coord_map,
     coord_metric,
-    coordinate_form,
-    coordinate_matrix,
-    dynamical_matrix,
-    extended_matrix,
     metric,
     quadratic_matrix,
 )

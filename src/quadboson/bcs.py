@@ -23,6 +23,7 @@ Regimes at kappa = 0 (delta >= 0):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +138,7 @@ def bcs_sweep(epsilon: float, gammas, deltas, kappas, tol_eig: float = 1e-9) -> 
     b = np.zeros((delta.size, 2, 2), dtype=complex)
     b[:, 0, 1] = b[:, 1, 0] = delta
     with np.errstate(all="ignore"):  # non-finite points warn or raise in classify
-        hmats = _hmat(*_symmetrized(a, b))  # build_form's and extended_matrix's own steps
+        hmats = _hmat(*_symmetrized(a, b))  # build_form's and QuadraticForm.hmat's own steps
     columns = classify_stack(hmats, lambda i: classify(bcs_form(
         BcsParams(epsilon, float(gamma[i]), float(delta[i]), float(kappa[i]))), tol_eig), tol_eig)
     return BcsSweep(**vars(columns), epsilon=epsilon, gamma=gamma, delta=delta, kappa=kappa)
@@ -414,8 +415,12 @@ def bcs_thresholds(p: BcsParams) -> BcsThresholds:
                        "ratios to it leave the float range")
     onset = positivity - abs(p.kappa)
     inner_top = positivity + abs(p.kappa)
-    sqrt_formula = float(p.epsilon * np.sqrt(1.0 + kappa2 / gamma2))
-    literal_formula = float(eps2 * (1.0 + kappa2 / gamma2))
+    ratio = kappa2 / gamma2
+    if math.isfinite(ratio):
+        sqrt_formula = float(p.epsilon * np.sqrt(1.0 + ratio))
+    else:  # kappa^2/gamma^2 overflows where |kappa|/gamma need not
+        sqrt_formula = p.epsilon * math.hypot(1.0, abs(p.kappa) / p.gamma)
+    literal_formula = float(eps2 * (1.0 + ratio))
     window = None
     if abs(p.kappa) < gamma2 / positivity:
         window = (float(inner_top), sqrt_formula)

@@ -62,7 +62,7 @@ import numpy as np
 
 from . import bcs as bcs_mod
 from . import evolution, formio, oracle, spectral
-from .core import MEMORY_BUDGET, dynamical_matrix
+from .core import MEMORY_BUDGET
 from .errors import (
     BadRange,
     DimensionCap,
@@ -347,7 +347,7 @@ def cmd_evolve(args) -> int:
     header = ("t_re,t_im,max_abs_u,symplectic_residual,"
               + ",".join(f"mode{i+1}_phase_mag" for i in range(form.n_modes)))
     peaks, residuals = [], []
-    for stack in evolution.propagate_grid(dynamical_matrix(form), ts):
+    for stack in evolution.propagate_grid(form, ts):
         peaks += stack.max_abs.tolist()
         residuals += stack.symplectic_residual.tolist()
     mags = np.abs(np.exp((-1j * lams) * np.array(ts)[:, None]))

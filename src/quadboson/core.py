@@ -8,8 +8,10 @@ and B symmetric, acting on the operator vector Z = (b_1..b_n, b+_1..b+_n):
 The commutation metric M = diag(+1..+1, -1..-1) turns Hmat into the
 non-hermitian generator M @ Hmat that drives the Heisenberg evolution.
 Block order is fixed: annihilation block first, creation block second.
-All containers here are immutable after construction and all operations
-are pure functions, so values can be shared freely across workers.
+A :class:`QuadraticForm` is the one form value: Hmat, the generator and the
+real coordinate/momentum matrix are its readings, each computed on first
+read.  Values are immutable after construction and all operations are pure
+functions, so values can be shared freely across workers.
 """
 
 from __future__ import annotations
@@ -127,37 +129,46 @@ class QuadraticForm:
         Hermitian n x n coefficient of b+_i b_j (dimensionless energy units).
     B : np.ndarray
         Symmetric n x n coefficient of the pairing terms b+_i b+_j.
+
+    The form's three matrices, ``hmat``, ``generator`` and
+    ``coordinate_matrix``, are readings of (A, B), each computed on first
+    read; they are read-only arrays.
     """
 
     n_modes: int
     A: np.ndarray
     B: np.ndarray
 
+    @functools.cached_property
+    def hmat(self) -> np.ndarray:
+        """The hermitian 2n x 2n block matrix Hmat = [[A, B], [B*, A^t]].
 
-@dataclass(frozen=True)
-class ExtendedMatrix:
-    """Hermitian 2n x 2n matrix [[A, B], [B*, A^t]] of the form."""
+        Hermitian and bar-symmetric (T Hmat^t T = Hmat) by construction
+        from a validated form.
+        """
+        return _freeze(_hmat(self.A, self.B))
 
-    n_modes: int
-    matrix: np.ndarray
+    @functools.cached_property
+    def generator(self) -> np.ndarray:
+        """M Hmat = [[A, B], [-B*, -A^t]], the generator of i dZ/dt = (M Hmat) Z.
 
+        A row sign flip of ``hmat``, so the two share floating-point entries
+        up to sign.
+        """
+        return _freeze(metric_signs(self.n_modes)[:, None] * self.hmat)
 
-@dataclass(frozen=True)
-class DynamicalMatrix:
-    """Non-hermitian evolution generator M @ Hmat = [[A, B], [-B*, -A^t]]."""
+    @functools.cached_property
+    def coordinate_matrix(self) -> np.ndarray:
+        """Real symmetric 2n x 2n matrix [[V, U], [U^t, T]] of the
+        coordinate/momentum representation H = (1/2) R^t [[V, U], [U^t, T]] R.
 
-    n_modes: int
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class CoordinateForm:
-    """Real coordinate/momentum representation H = (1/2) R^t [[V, U], [U^t, T]] R."""
-
-    n_modes: int
-    V: np.ndarray
-    T: np.ndarray
-    U: np.ndarray
+        V = Re(A + B), T = Re(A - B), U = Im(B - A); these coincide with the
+        blocks of S+ Hmat S for the unitary S of :func:`coord_map`.
+        """
+        v = (self.A + self.B).real
+        t = (self.A - self.B).real
+        u = (self.B - self.A).imag
+        return _freeze(np.block([[v, u], [u.T, t]]))
 
 
 # ---------------------------------------------------------------------------
@@ -259,40 +270,3 @@ def build_form(A, B, tol_struct: float = DEFAULT_TOL_STRUCT) -> QuadraticForm:
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise Overflow("A and B entries overflow the float range when symmetrized")
     return QuadraticForm(n, _freeze(A), _freeze(B))
-
-
-def extended_matrix(form: QuadraticForm) -> ExtendedMatrix:
-    """Assemble the hermitian 2n x 2n block matrix [[A, B], [B*, A^t]].
-
-    The result is hermitian and bar-symmetric (T Hmat^t T = Hmat) by
-    construction from a validated form.
-    """
-    return ExtendedMatrix(form.n_modes, _freeze(_hmat(form.A, form.B)))
-
-
-def dynamical_matrix(form: QuadraticForm | ExtendedMatrix) -> DynamicalMatrix:
-    """Assemble M @ Hmat, the generator of i dZ/dt = (M Hmat) Z.
-
-    Computed as a row sign flip of :func:`extended_matrix`'s output, so the
-    two share floating-point entries up to sign.  Pass the form's
-    ExtendedMatrix instead of the form when it is already assembled.
-    """
-    ext = form if isinstance(form, ExtendedMatrix) else extended_matrix(form)
-    return DynamicalMatrix(ext.n_modes, _freeze(metric_signs(ext.n_modes)[:, None] * ext.matrix))
-
-
-def coordinate_form(form: QuadraticForm) -> CoordinateForm:
-    """Real (V, T, U) blocks of the coordinate/momentum representation.
-
-    V = Re(A + B), T = Re(A - B), U = Im(B - A); these coincide with the
-    blocks of S+ Hmat S for the unitary S of :func:`coord_map`.
-    """
-    v = (form.A + form.B).real.copy()
-    t = (form.A - form.B).real.copy()
-    u = (form.B - form.A).imag.copy()
-    return CoordinateForm(form.n_modes, _freeze(v), _freeze(t), _freeze(u))
-
-
-def coordinate_matrix(cf: CoordinateForm) -> np.ndarray:
-    """Real symmetric 2n x 2n matrix [[V, U], [U^t, T]]."""
-    return np.block([[cf.V, cf.U], [cf.U.T, cf.T]])

@@ -11,7 +11,8 @@ kernels of ``scipy.linalg.expm`` per time, then one stacked matmul per
 squaring level, one for the residuals and one 2-norm call, and every time
 gets the bits of its own single-time ``expm`` computation, since each
 kernel runs the same code on every matrix of a stack.  ``propagate`` is the
-one-time case.
+one-time case.  The propagators and ``ode_cross_check`` take the form and
+read its ``generator``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DynamicalMatrix, bar, metric_signs
+from .core import QuadraticForm, bar, metric_signs
 from .errors import Overflow, StepTooLarge
 from .spectral import BogoliubovTransform, StabilityReport
 
@@ -88,19 +89,26 @@ class PropagatorStack:
 def _expm_stack(a: np.ndarray) -> np.ndarray:
     """``scipy.linalg.expm`` of a (k, N, N) complex stack, bit for bit.
 
-    A slice with nonzero entries both below and above its diagonal (every
-    slice of a form's M Hmat t at t != 0) runs the statements expm itself
-    runs for it: the compiled ``pick_pade_structure`` and ``pade_UV_calc``
-    on one reused (5, N, N) workspace, then ``s`` squarings with ``@``.
-    That skips expm's per-slice ``bandwidth`` call and its batch wrapper.
-    The squarings run level by level: one stacked matmul of the whole stack
-    while every slice needs one more, then of the slices that do.  A
-    stacked matmul runs on each slice the gemm its own 2-D ``@`` runs.
-    Every other slice (t = 0, a diagonal or triangular generator) goes
-    through expm itself.
+    A slice with nonzero entries both below and above its diagonal runs the
+    statements expm itself runs for it: the compiled ``pick_pade_structure``
+    and ``pade_UV_calc`` on one reused (5, N, N) workspace, then ``s``
+    squarings with ``@``.  That skips expm's per-slice ``bandwidth`` call
+    and its batch wrapper.  The squarings run level by level: one stacked
+    matmul of the whole stack while every slice needs one more, then of the
+    slices that do.  A stacked matmul runs on each slice the gemm its own
+    2-D ``@`` runs.  Every other slice goes through expm itself.  For a
+    form's generator times t those are t = 0 and diagonal generators
+    (B = 0 with a diagonal A); a triangular slice reaches this only through
+    a direct call.  A scipy without these private kernels runs the whole
+    stack through expm, the statements this loop copies, so the bits are
+    the same.
     """
     from scipy.linalg import expm
-    from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+
+    try:
+        from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+    except ImportError:
+        return expm(a)
 
     size = a.shape[-1]
     nonzero = a != 0
@@ -133,10 +141,10 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def propagate_stack(dyn: DynamicalMatrix, times: Sequence) -> PropagatorStack:
-    """Exact propagators U(t) = exp(-i (M Hmat) t) at a stack of real or
-    complex times, through :func:`_expm_stack`, one matmul and one 2-norm
-    call.
+def propagate_stack(form: QuadraticForm, times: Sequence) -> PropagatorStack:
+    """Exact propagators U(t) = exp(-i (M Hmat) t) of a form at a stack of
+    real or complex times, from its ``generator``, through
+    :func:`_expm_stack`, one matmul and one 2-norm call.
 
     Raises
     ------
@@ -148,13 +156,14 @@ def propagate_stack(dyn: DynamicalMatrix, times: Sequence) -> PropagatorStack:
         or ``expm`` returned a non-finite entry.  Nothing is silently
         saturated, and no residual is computed.
     """
+    generator = form.generator
     with np.errstate(over="ignore"):  # an infinite size is past the cut
-        sizes = np.abs(np.asarray(times, dtype=complex)) * np.linalg.norm(dyn.matrix, 1)
+        sizes = np.abs(np.asarray(times, dtype=complex)) * np.linalg.norm(generator, 1)
     cut = np.flatnonzero(sizes >= _RESOLUTION_CUT)
     stop = cut[0] if cut.size else len(sizes)
     scales = -1j * np.asarray(times[:stop], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # the guard below reports it
-        u = _expm_stack(scales[:, None, None] * dyn.matrix)
+        u = _expm_stack(scales[:, None, None] * generator)
     peaks = np.abs(u).max(axis=(1, 2))
     over = np.flatnonzero(~(peaks <= _ENTRY_GUARD))  # NaN included
     if over.size:
@@ -173,24 +182,24 @@ def propagate_stack(dyn: DynamicalMatrix, times: Sequence) -> PropagatorStack:
             f"||t M Hmat||_1 = {sizes[stop]:.3e} at t={times[stop]} reaches 2^53 = 1/u, "
             "where expm resolves no digit of U"
         )
-    signs = metric_signs(dyn.n_modes)
+    signs = metric_signs(form.n_modes)
     sym = np.linalg.norm((u * signs) @ bar(u) - np.diag(signs), 2, axis=(1, 2))
     return PropagatorStack(u, peaks, sym)
 
 
-def propagate_grid(dyn: DynamicalMatrix, times: Sequence) -> Iterator[PropagatorStack]:
+def propagate_grid(form: QuadraticForm, times: Sequence) -> Iterator[PropagatorStack]:
     """``propagate_stack`` over a time grid, in grid order, in stacks of at
     most 256 KiB of U, so memory stays bounded whatever the grid length.
 
     Raises ``Overflow`` at the first time past the resolution cut or over
     the guard, in grid order.
     """
-    per = max(1, _STACK_BYTES // (16 * dyn.matrix.shape[0] ** 2))
+    per = max(1, _STACK_BYTES // (16 * (2 * form.n_modes) ** 2))
     for start in range(0, len(times), per):
-        yield propagate_stack(dyn, times[start:start + per])
+        yield propagate_stack(form, times[start:start + per])
 
 
-def propagate(dyn: DynamicalMatrix, t: complex) -> Propagator:
+def propagate(form: QuadraticForm, t: complex) -> Propagator:
     """Exact propagator U(t) = exp(-i (M Hmat) t) at a real or complex time:
     the one-time case of :func:`propagate_stack`.
 
@@ -201,7 +210,7 @@ def propagate(dyn: DynamicalMatrix, t: complex) -> Propagator:
         entry exceeds 1e100 in magnitude (strong instability at large |t|);
         nothing is silently saturated.
     """
-    stack = propagate_stack(dyn, [t])
+    stack = propagate_stack(form, [t])
     return Propagator(complex(t), stack.U[0], float(stack.symplectic_residual[0]))
 
 
@@ -230,9 +239,9 @@ def growth_class(report: StabilityReport) -> GrowthClass:
     return GrowthClass(kind, float(rate), int(poly))
 
 
-def ode_cross_check(dyn: DynamicalMatrix, t: float, steps: int,
+def ode_cross_check(form: QuadraticForm, t: float, steps: int,
                     target: float | None = None) -> float:
-    """Integrate dU/dt = -i (M Hmat) U with classical RK4 and compare to expm.
+    """Integrate dU/dt = -i (M Hmat) U of a form with classical RK4 and compare to expm.
 
     Returns ||U_ode - U_exp|| (2-norm).  This is a deliberately independent
     route: no eigensolve, no Pade machinery, just fixed-step integration,
@@ -257,7 +266,7 @@ def ode_cross_check(dyn: DynamicalMatrix, t: float, steps: int,
     steps = int(steps)
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    ht = dyn.matrix
+    ht = form.generator
     gen = -1j * ht
     if target is not None and t != 0.0:
         hnorm = np.linalg.norm(ht, 2)

@@ -18,7 +18,8 @@ Conventions (all recorded so results are reproducible):
   eigenspace against the M-bilinear form;
 * modes are ordered by descending (Re lambda, Im lambda).
 
-:func:`classify` is the one entry into a form's eigensolve; its
+:func:`classify` is the one entry into a form's eigensolve, which it runs
+on the form's own ``hmat`` and ``generator`` readings; its
 :class:`StabilityReport`, with the pairs, cuts and clusters of that
 eigensolve, is the one value every consumer reads.
 :func:`normalize_pairs` turns the report into a
@@ -43,13 +44,10 @@ import numpy as np
 
 from .core import (
     QuadraticForm,
-    DynamicalMatrix,
     _freeze,
     bar,
     bar_symmetrize,
     bar_vector,
-    dynamical_matrix,
-    extended_matrix,
     frobenius_norm,
     metric_signs,
 )
@@ -523,9 +521,9 @@ def _complex_branch_pairs(vp, vm, lam, mdiag, warnings):
     return [ModePair(lam, vp[:, k], vm[:, k], False) for k in range(m)]
 
 
-def _eigen_pairs(dyn: DynamicalMatrix, tol_eig: float):
-    """Solve M @ Hmat and match the spectrum into n (lambda, -lambda) pairs:
-    the eigensolve step of :func:`classify`.
+def _eigen_pairs(generator: np.ndarray, tol_eig: float):
+    """Solve a form's generator M @ Hmat and match the spectrum into n
+    (lambda, -lambda) pairs: the eigensolve step of :func:`classify`.
 
     Returns ``(pairs, fields)``: ``fields`` are the eigensolve's
     :class:`StabilityReport` fields, ``eig_residual``, ``cluster_tol``,
@@ -540,12 +538,12 @@ def _eigen_pairs(dyn: DynamicalMatrix, tol_eig: float):
         A cluster whose mirror holds no eigenvalue or differs in size, which
         a valid input cannot produce.
     """
-    n = dyn.n_modes
+    n = generator.shape[0] // 2
     mdiag = metric_signs(n)
     # the largest singular value, as np.linalg.norm(·, 2) takes it
-    scale = max(np.linalg.svd(dyn.matrix, compute_uv=False).max(), np.finfo(float).tiny)
+    scale = max(np.linalg.svd(generator, compute_uv=False).max(), np.finfo(float).tiny)
     cluster_tol, real_tol, branch_tol = _cuts(scale, tol_eig)
-    vecs, clusters, mirror, eig_residual = _analyze(dyn.matrix, scale, cluster_tol)
+    vecs, clusters, mirror, eig_residual = _analyze(generator, scale, cluster_tol)
     residuals, warnings = [], []
 
     pairs = []
@@ -703,9 +701,8 @@ def classify(form: QuadraticForm, tol_eig: float = 1e-9) -> StabilityReport:
     NonDiagonalizable   Jordan blocks: secular (polynomial-in-t) growth;
                         takes precedence over the other unstable labels.
     """
-    ext = extended_matrix(form)
-    h_eigs = np.linalg.eigvalsh(ext.matrix)
-    pairs, fields = _eigen_pairs(dynamical_matrix(ext), tol_eig)
+    h_eigs = np.linalg.eigvalsh(form.hmat)
+    pairs, fields = _eigen_pairs(form.generator, tol_eig)
     real_tol = fields["real_tol"]
     freqs = np.array([p.lam for p in pairs])
     any_complex = bool((np.abs(freqs.imag) > real_tol).any())
@@ -882,8 +879,7 @@ def sqrt_metric_spectrum(form: QuadraticForm, tol_eig: float = 1e-9) -> np.ndarr
         Hmat has an eigenvalue below minus the positivity cut of
         :func:`classify`, tol_eig * max(||Hmat||_2, 1).
     """
-    h = extended_matrix(form).matrix
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(form.hmat)
     floor = -_cuts(np.abs(w).max(), tol_eig)[1]
     if w.min() < floor:
         raise WrongRegime(

@@ -53,7 +53,7 @@ def test_criterion_02_eigenvalue_formulas():
     worst_lambda = 0.0
     for d in GRID:
         p = bcs(float(d))
-        h = qb.extended_matrix(qb.bcs_form(p)).matrix
+        h = qb.bcs_form(p).hmat
         dense_sigma = np.sort(np.linalg.eigvalsh(h))[::-1]
         sigma = np.repeat(qb.bcs_sigma(p), 2)
         worst_sigma = max(worst_sigma, float(np.abs(np.sort(sigma)[::-1]
@@ -64,7 +64,7 @@ def test_criterion_02_eigenvalue_formulas():
         if min(abs(float(d) - b) for b in BOUNDARIES) <= 1e-6:
             continue
         lp, lm = qb.bcs_lambda(p)
-        dense = np.linalg.eigvals(qb.dynamical_matrix(qb.bcs_form(p)).matrix)
+        dense = np.linalg.eigvals(qb.bcs_form(p).generator)
         worst_lambda = max(worst_lambda,
                            multiset_dev([lp, lm, -lp, -lm], dense))
     ok = worst_sigma <= 1e-10 and worst_lambda <= 1e-10
@@ -106,9 +106,8 @@ def test_criterion_05_symplectic_identity_complex_time():
     ok = True
     adjoint_gap_seen = False
     for idx, form in enumerate(forms):
-        dyn = qb.dynamical_matrix(form)
         for t in (1.0, 1.0j, 1.0 + 1.0j):
-            prop = qb.propagate(dyn, t)
+            prop = qb.propagate(form, t)
             u_norm = np.linalg.norm(prop.U, 2)
             ubar_norm = np.linalg.norm(qb.bar(prop.U), 2)
             ok &= prop.symplectic_residual <= 1e-9 * u_norm * ubar_norm
@@ -123,14 +122,14 @@ def test_criterion_05_symplectic_identity_complex_time():
 
 def test_criterion_06_jordan_propagator():
     p = bcs(1.0)
-    dyn = qb.dynamical_matrix(qb.bcs_form(p))
+    form = qb.bcs_form(p)
     worst = 0.0
     for t in (0.5, 1.0, 5.0):
-        u = qb.propagate(dyn, t).U
+        u = qb.propagate(form, t).U
         worst = max(worst, float(np.abs(u - qb.bcs_closed_evolution(p, t)).max()))
     ok = worst <= 1e-9
     ts = np.linspace(10.0, 100.0, 16)
-    norms = [np.linalg.norm(qb.propagate(dyn, float(t)).U, 2) for t in ts]
+    norms = [np.linalg.norm(qb.propagate(form, float(t)).U, 2) for t in ts]
     slope = float(np.polyfit(np.log(ts), np.log(norms), 1)[0])
     ok &= abs(slope - 1.0) <= 0.05
     _verdict(6, f"closed-form match {worst:.1e} <= 1e-9; ||U(t)|| growth "
@@ -154,7 +153,7 @@ def test_criterion_08_reentry_of_stability():
     stable = []
     for d in grid:
         p = qb.BcsParams(1.0, 0.3, float(d), 0.05)
-        ev = np.linalg.eigvals(qb.dynamical_matrix(qb.bcs_form(p)).matrix)
+        ev = np.linalg.eigvals(qb.bcs_form(p).generator)
         stable.append(bool(np.abs(ev.imag).max() <= 1e-8))
     # collapse to a run-length sequence of stability flags
     seq = [stable[0]]
@@ -188,18 +187,17 @@ def test_criterion_09_invariant_conservation():
     for form in forms:
         report = qb.classify(form)
         ks = qb.normalize_pairs(report).invariants
-        dyn = qb.dynamical_matrix(form)
         for t in (0.3, 1.0, 3.0):
-            u = qb.propagate(dyn, t).U
+            u = qb.propagate(form, t).U
             ubar = qb.bar(u)
             for k in ks:
                 defect = np.linalg.norm(ubar @ k @ u - k, 2)
                 ok &= defect <= 1e-9 * np.linalg.norm(k, 2) * max(
                     np.linalg.norm(u, 2) ** 2, 1.0)
     jf = qb.bcs_jordan_form(bcs(1.0))
-    dyn = qb.dynamical_matrix(qb.bcs_form(bcs(1.0)))
+    jordan = qb.bcs_form(bcs(1.0))
     for t in (0.3, 1.0, 3.0):
-        u = qb.propagate(dyn, t).U
+        u = qb.propagate(jordan, t).U
         ubar = qb.bar(u)
         for k in (jf.pair_invariant, jf.imbalance_invariant):
             ok &= np.abs(ubar @ k @ u - k).max() <= 1e-10 * max(
@@ -216,9 +214,9 @@ def test_criterion_10_ode_cross_validation():
     ok = True
     worst = 0.0
     for d in (0.5, 0.97, 1.0, 1.2):
-        dyn = qb.dynamical_matrix(qb.bcs_form(bcs(d)))
-        u_norm = np.linalg.norm(qb.propagate(dyn, 1.0).U, 2)
-        rel = qb.ode_cross_check(dyn, 1.0, 2000) / u_norm
+        form = qb.bcs_form(bcs(d))
+        u_norm = np.linalg.norm(qb.propagate(form, 1.0).U, 2)
+        rel = qb.ode_cross_check(form, 1.0, 2000) / u_norm
         worst = max(worst, rel)
         ok &= rel <= 1e-8
     _verdict(10, f"RK4(2000) vs expm relative residual {worst:.1e} <= 1e-8 "

@@ -59,7 +59,7 @@ def _assert_columns_match_classify(sw):
 def test_batched_kernels_match_scalar_calls_bit_for_bit():
     # the batched path rests on this: one stacked eig, eigvalsh and 2-norm give
     # the bits of the per-form calls inside classify
-    hmats = np.array([qb.extended_matrix(qb.bcs_form(bcs(d, 0.05))).matrix
+    hmats = np.array([qb.bcs_form(bcs(d, 0.05)).hmat
                       for d in np.linspace(0.0, 1.5, 3001)])
     dyn = qb.core.metric_signs(2)[:, None] * hmats
     evals, vecs = np.linalg.eig(dyn)
@@ -127,7 +127,7 @@ def test_classify_stack_matches_classify_on_random_forms(rng):
     for n in (1, 2, 3, 5):
         forms = [random_form(rng, n, shift) for shift in (None, 0.5, -0.5) for _ in range(4)]
         forms.append(qb.build_form(np.zeros((n, n)), np.zeros((n, n))))  # one zero cluster
-        cols = qb.classify_stack([qb.extended_matrix(f).matrix for f in forms],
+        cols = qb.classify_stack([f.hmat for f in forms],
                                  lambda i: qb.classify(forms[i]))
         for i, form in enumerate(forms):
             report = qb.classify(form)
@@ -153,7 +153,7 @@ def test_sigma_matches_hermitian_eigensolve():
     for kappa in (0.0, 0.05, 0.2):
         for delta in (0.3, 0.5, 0.97, 1.2):
             p = qb.BcsParams(1.0, 0.3, delta, kappa)
-            h = qb.extended_matrix(qb.bcs_form(p)).matrix
+            h = qb.bcs_form(p).hmat
             dense = np.sort(np.linalg.eigvalsh(h))[::-1]
             sig = qb.bcs_sigma(p)
             if sig.size == 2:
@@ -182,7 +182,7 @@ def test_lambda_matches_dense_eigensolve():
     for delta in (0.2, 0.5, 0.97, 1.05, 1.2):
         p = bcs(delta)
         lp, lm = qb.bcs_lambda(p)
-        ht = qb.dynamical_matrix(qb.bcs_form(p)).matrix
+        ht = qb.bcs_form(p).generator
         dense = np.linalg.eigvals(ht)
         assert multiset_dev([lp, lm, -lp, -lm], dense) <= 1e-10
 
@@ -193,7 +193,7 @@ def test_lambda_perturbed_dense_vs_formula():
     for delta in (0.2, 0.7, 0.95, 1.0, 1.008, 1.02, 1.2):
         p = qb.BcsParams(1.0, 0.3, delta, 0.05)
         dense = np.linalg.eigvals(
-            qb.dynamical_matrix(qb.bcs_form(p)).matrix)
+            qb.bcs_form(p).generator)
         lf = qb.bcs_lambda_formula(p)
         assert multiset_dev([lf[0], lf[1], -lf[0], -lf[1]], dense) <= 1e-9
 
@@ -253,7 +253,7 @@ def test_transform_satisfies_metric_and_diagonalizes():
         p = bcs(delta)
         w = qb.bcs_transform(p)
         assert np.abs(w @ m @ qb.bar(w) - m).max() <= 1e-12
-        h = qb.extended_matrix(qb.bcs_form(p)).matrix
+        h = qb.bcs_form(p).hmat
         lp, lm = qb.bcs_lambda(p)
         hp = qb.bar(w) @ h @ w
         assert np.abs(hp - np.diag([lp, lm, lp, lm])).max() <= 1e-10
@@ -284,9 +284,9 @@ def test_closed_evolution_identity_at_zero():
 def test_closed_evolution_matches_expm():
     for delta in (0.3, 0.97, 1.0, 1.2):
         p = bcs(delta)
-        dyn = qb.dynamical_matrix(qb.bcs_form(p))
+        form = qb.bcs_form(p)
         for t in (0.5, 2.0):
-            u = qb.propagate(dyn, t).U
+            u = qb.propagate(form, t).U
             c = qb.bcs_closed_evolution(p, t)
             assert np.abs(u - c).max() <= 1e-9 * max(np.abs(u).max(), 1.0)
 
@@ -335,9 +335,9 @@ def test_uv_refuses_exactly_where_classify_finds_the_jordan_block():
 def test_closed_evolution_matches_expm_next_to_the_gap():
     worst = 0.0
     for p in _near_gap((1.0, 2.5, 0.4), np.arange(6.0, 16.01, 0.5)):
-        dyn = qb.dynamical_matrix(qb.bcs_form(p))
+        form = qb.bcs_form(p)
         for t in (1.0, 5.0):
-            u = qb.propagate(dyn, t).U
+            u = qb.propagate(form, t).U
             err = np.abs(u - qb.bcs_closed_evolution(p, t)).max() / max(np.abs(u).max(), 1.0)
             worst = max(worst, err)
     assert worst <= 1e-9
@@ -351,7 +351,7 @@ def test_jordan_form_structure(delta):
     # the decoupled operators satisfy boson commutation relations
     assert np.abs(jf.transform @ m @ qb.bar(jf.transform) - m).max() <= 1e-12
     # reassembling the two terms reproduces the extended matrix
-    h = qb.extended_matrix(qb.bcs_form(p)).matrix
+    h = qb.bcs_form(p).hmat
     assert np.abs(jf.reconstruct_extended() - h).max() <= 1e-12
     assert jf.pairing_coefficient == pytest.approx(2.0 * delta)
 
@@ -360,10 +360,10 @@ def test_jordan_form_structure(delta):
 def test_jordan_invariants_conserved_and_commuting(delta):
     p = bcs(delta)
     jf = qb.bcs_jordan_form(p)
-    dyn = qb.dynamical_matrix(qb.bcs_form(p))
+    form = qb.bcs_form(p)
     m = qb.metric(2)
     for t in (1.0, 3.0):
-        u = qb.propagate(dyn, t).U
+        u = qb.propagate(form, t).U
         ubar = qb.bar(u)
         for k in (jf.pair_invariant, jf.imbalance_invariant):
             assert np.abs(ubar @ k @ u - k).max() <= 1e-9
@@ -376,7 +376,7 @@ def test_jordan_raw_product_matrices_are_not_invariant():
     # the plain row-product matrix of the imbalance operator picks up a
     # secular piece; only its bar-symmetrization is conserved
     jf = qb.bcs_jordan_form(bcs(1.0))
-    u = qb.propagate(qb.dynamical_matrix(qb.bcs_form(bcs(1.0))), 1.0).U
+    u = qb.propagate(qb.bcs_form(bcs(1.0)), 1.0).U
     drift = np.abs(qb.bar(u) @ jf.imbalance_invariant_raw @ u
                    - jf.imbalance_invariant_raw).max()
     assert drift > 0.1
@@ -385,9 +385,9 @@ def test_jordan_raw_product_matrices_are_not_invariant():
 def test_jordan_decoupled_evolution_law():
     p = bcs(1.0)
     jf = qb.bcs_jordan_form(p)
-    dyn = qb.dynamical_matrix(qb.bcs_form(p))
+    form = qb.bcs_form(p)
     for t in (0.5, 1.0, 5.0):
-        u = qb.propagate(dyn, t).U
+        u = qb.propagate(form, t).U
         v = jf.inverse @ u @ jf.transform
         assert np.abs(v - jf.evolution_matrix(t)).max() <= 1e-9 * max(abs(t), 1.0)
 
@@ -466,9 +466,9 @@ def test_reentry_spectrum_real_inside_window():
     onset = th.instability_onset
     for d in np.linspace(onset + 1e-3, inner - 1e-3, 7):
         p = qb.BcsParams(1.0, 0.3, float(d), 0.05)
-        ev = np.linalg.eigvals(qb.dynamical_matrix(qb.bcs_form(p)).matrix)
+        ev = np.linalg.eigvals(qb.bcs_form(p).generator)
         assert np.abs(ev.imag).max() > 1e-6, d
     for d in np.linspace(inner + 1e-4, outer - 1e-4, 7):
         p = qb.BcsParams(1.0, 0.3, float(d), 0.05)
-        ev = np.linalg.eigvals(qb.dynamical_matrix(qb.bcs_form(p)).matrix)
+        ev = np.linalg.eigvals(qb.bcs_form(p).generator)
         assert np.abs(ev.imag).max() <= 1e-10, d

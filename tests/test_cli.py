@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -19,7 +20,7 @@ import scipy.linalg
 from hypothesis import given, settings
 
 import quadboson as qb
-from quadboson import CLASS_CODES, cli, formio, spectral
+from quadboson import CLASS_CODES, cli, core, formio, spectral
 from quadboson.core import MEMORY_BUDGET
 from quadboson.errors import NullNorm, Overflow, PairingFailure
 from quadboson.cli import main
@@ -424,6 +425,20 @@ def test_the_outer_edge_of_the_reentry_window_exits_0(capsys):
     assert code == 0 and [row.split(",")[4] for row in out.splitlines()[1:]] == ["3"] * 3
 
 
+def test_a_representable_outer_edge_is_printed(capsys):
+    # kappa^2/gamma^2 = 1e500 leaves the float range, eps sqrt(1 + kappa^2/gamma^2)
+    # = 1e250 does not; the literal reading eps^2 (1 + kappa^2/gamma^2) does too
+    code, out, _ = run(capsys, "bcs", "--delta", "0.5", "--gamma", "1e-100", "--kappa", "1e150")
+    assert code == 0
+    thresholds = json.loads(out)["thresholds"]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        want = Decimal(1.0) * (1 + (Decimal(1e150) / Decimal(1e-100)) ** 2).sqrt()
+    got = thresholds["delta_c_outer_sqrt_formula"]
+    assert abs(Decimal(got) - want) <= 2 * Decimal(math.ulp(float(want)))
+    assert thresholds["delta_c_outer_literal_formula"] == math.inf
+
+
 def test_a_form_file_too_large_to_parse_is_refused_before_parsing(capsys, monkeypatch,
                                                                   form_file):
     def no_loads(*args, **kwargs):
@@ -625,6 +640,29 @@ def test_evolve_defective_input_still_traces(capsys, jordan_file):
     assert np.abs(np.array(mags) - 1.0).max() <= 1e-9
 
 
+def test_evolve_assembles_hmat_once(capsys, monkeypatch, form_file):
+    # classify and the propagators read the one form value's hmat and generator
+    calls, hmat = [], core._hmat
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return hmat(a, b)
+
+    monkeypatch.setattr(core, "_hmat", counted)
+    assert run(capsys, "evolve", form_file, "--t", "0:1:3")[0] == 0
+    assert calls == [(2, 2)]
+
+
+def test_evolve_runs_without_scipys_private_pade_kernels(capsys, monkeypatch, jordan_file):
+    argv = ("evolve", jordan_file, "--t", "0:5:6", "--complex-time", "0.5")
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+    monkeypatch.setitem(sys.modules, "scipy.linalg._matfuncs_expm", None)
+    with pytest.raises(ImportError):
+        from scipy.linalg._matfuncs_expm import pade_UV_calc  # noqa: F401
+    assert run(capsys, *argv) == expected
+
+
 def test_evolve_overflow_exit_code(capsys, tmp_path):
     path = tmp_path / "bcs12.json"
     qb.save_form(qb.bcs_form(bcs(1.2)), path)
@@ -656,7 +694,7 @@ def test_evolve_growth_that_expm_loses_exits_5(capsys, tmp_path):
     qb.save_form(qb.build_form([[0.1257302210933933]],
                                [[complex(0.6404226504432821, 0.10490011715303971)]]), path)
     with pytest.raises(Overflow) as exc:
-        qb.propagate(qb.dynamical_matrix(qb.load_form(path)), 1e82)
+        qb.propagate(qb.load_form(path), 1e82)
     assert str(exc.value) == ("||t M Hmat||_1 = 7.747e+81 at t=1e+82 reaches 2^53 = 1/u, "
                               "where expm resolves no digit of U")
     assert run(capsys, "evolve", str(path), "--t", "0:1e82:2") == (
@@ -710,12 +748,12 @@ def test_only_evolve_loads_scipy(form_file):
 def test_evolve_grid_crossing_the_guard_reports_its_first_time(capsys, tmp_path):
     path = tmp_path / "bcs12.json"
     qb.save_form(qb.bcs_form(bcs(1.2)), path)
-    dyn = qb.dynamical_matrix(qb.load_form(path))
+    form = qb.load_form(path)
     for lo, hi, steps in ((0.0, 1000.0, 11), (0.0, 600.0, 3001)):
         # the message a time-by-time loop gives, stopping at the first time over the guard
         for t_re in np.linspace(lo, hi, steps):
             t = complex(t_re)
-            peak = np.abs(scipy.linalg.expm(-1j * t * dyn.matrix)).max()
+            peak = np.abs(scipy.linalg.expm(-1j * t * form.generator)).max()
             if not peak <= 1e100:
                 break
         expected = f"error: propagator entries reach {peak:.3e} at t={t}; the guard is 1e+100\n"
@@ -726,7 +764,7 @@ def test_non_finite_propagator_names_the_generator_size(capsys, tmp_path, huge_f
     # a bounded U past the resolution cut (norm near 1e200), growth that expm
     # overflows (unstable pairing form at t = 5e5) and a finite U over the guard
     # (the same form at t = 400) get different messages
-    norm = np.linalg.norm(qb.dynamical_matrix(qb.load_form(huge_file)).matrix, 1)
+    norm = np.linalg.norm(qb.load_form(huge_file).generator, 1)
     expected = (f"error: ||t M Hmat||_1 = {0.5 * norm:.3e} at t=(0.5+0j) reaches "
                 "2^53 = 1/u, where expm resolves no digit of U\n")
     assert run(capsys, "evolve", huge_file, "--t", "0:1:3") == (5, "", expected)
@@ -1134,12 +1172,11 @@ def _analyze_doc(path):
 
 def _evolve_docs(path, times, shift):
     form = qb.load_form(path)
-    dyn = qb.dynamical_matrix(form)
     lams = qb.classify(form).mode_frequencies
     docs = []
     for t_re in times:
         t = complex(t_re) + 1j * shift
-        prop = qb.propagate(dyn, t)
+        prop = qb.propagate(form, t)
         docs.append({"t": [t.real, t.imag], "max_abs_u": float(np.abs(prop.U).max()),
                      "symplectic_residual": prop.symplectic_residual,
                      "mode_phase_mags": [float(m) for m in np.abs(np.exp(-1j * lams * t))]})

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,15 +15,13 @@ from conftest import multiset_dev, random_form
 def test_harmonic_oscillator():
     form = qb.build_form([[1.0]], [[0.0]])
     assert form.n_modes == 1
-    ext = qb.extended_matrix(form)
-    assert np.array_equal(ext.matrix, np.diag([1.0, 1.0]))
-    dyn = qb.dynamical_matrix(form)
-    assert np.array_equal(dyn.matrix, np.diag([1.0, -1.0]))
+    assert np.array_equal(form.hmat, np.diag([1.0, 1.0]))
+    assert np.array_equal(form.generator, np.diag([1.0, -1.0]))
 
 
 def test_bcs_extended_layout():
     form = qb.bcs_form(qb.BcsParams(1.0, 0.3, 0.5))
-    h = qb.extended_matrix(form).matrix
+    h = form.hmat
     expected = np.array([
         [1.3, 0.0, 0.0, 0.5],
         [0.0, 0.7, 0.5, 0.0],
@@ -37,16 +37,16 @@ def test_bcs_extended_layout():
 
 def test_bcs_dynamical_spectrum_real_case():
     # lam = +/-0.3 + sqrt(1 - delta^2) evaluated at delta = 0.5
-    dyn = qb.dynamical_matrix(qb.bcs_form(qb.BcsParams(1.0, 0.3, 0.5)))
-    ev = np.sort(np.linalg.eigvals(dyn.matrix).real)
+    form = qb.bcs_form(qb.BcsParams(1.0, 0.3, 0.5))
+    ev = np.sort(np.linalg.eigvals(form.generator).real)
     expected = np.sort([1.1660254037844386, 0.5660254037844386,
                         -1.1660254037844386, -0.5660254037844386])
     assert np.allclose(ev, expected, atol=1e-12)
 
 
 def test_bcs_dynamical_spectrum_complex_case():
-    dyn = qb.dynamical_matrix(qb.bcs_form(qb.BcsParams(1.0, 0.3, 1.2)))
-    ev = np.linalg.eigvals(dyn.matrix)
+    form = qb.bcs_form(qb.BcsParams(1.0, 0.3, 1.2))
+    ev = np.linalg.eigvals(form.generator)
     assert np.allclose(np.sort(np.abs(ev.imag)), [0.6633249580710799] * 4,
                        atol=1e-10)
     assert np.allclose(np.sort(np.abs(ev.real)), [0.3] * 4, atol=1e-10)
@@ -117,8 +117,8 @@ def test_form_arrays_are_frozen():
 def test_dynamical_is_exact_metric_product():
     rng = np.random.default_rng(7)
     form = random_form(rng, 3)
-    h = qb.extended_matrix(form).matrix
-    ht = qb.dynamical_matrix(form).matrix
+    h = form.hmat
+    ht = form.generator
     assert np.array_equal(ht, qb.metric(3) @ h)
 
 
@@ -138,8 +138,8 @@ def test_sign_flips_and_half_roll_match_dense_products(n):
 def test_structure_identities_random(seed, n):
     rng = np.random.default_rng(seed)
     form = random_form(rng, n)
-    h = qb.extended_matrix(form).matrix
-    ht = qb.dynamical_matrix(form).matrix
+    h = form.hmat
+    ht = form.generator
     m, t = qb.metric(n), qb.block_swap(n)
     scale = max(np.abs(h).max(), 1.0)
     # hermitian and bar-symmetric extended matrix
@@ -150,18 +150,18 @@ def test_structure_identities_random(seed, n):
 
 
 def test_coordinate_form_trivial():
-    cf = qb.coordinate_form(qb.build_form([[1.0]], [[0.0]]))
-    assert np.array_equal(cf.V, [[1.0]])
-    assert np.array_equal(cf.T, [[1.0]])
-    assert np.array_equal(cf.U, [[0.0]])
+    hc = qb.build_form([[1.0]], [[0.0]]).coordinate_matrix
+    assert np.array_equal(hc[:1, :1], [[1.0]])  # V
+    assert np.array_equal(hc[1:, 1:], [[1.0]])  # T
+    assert np.array_equal(hc[:1, 1:], [[0.0]])  # U
 
 
 def test_coordinate_form_bcs():
     # the pairing enters V with + sign and T with - sign
-    cf = qb.coordinate_form(qb.bcs_form(qb.BcsParams(1.0, 0.3, 0.5)))
-    assert np.allclose(cf.V, [[1.3, 0.5], [0.5, 0.7]], atol=0)
-    assert np.allclose(cf.T, [[1.3, -0.5], [-0.5, 0.7]], atol=0)
-    assert np.abs(cf.U).max() == 0.0
+    hc = qb.bcs_form(qb.BcsParams(1.0, 0.3, 0.5)).coordinate_matrix
+    assert np.allclose(hc[:2, :2], [[1.3, 0.5], [0.5, 0.7]], atol=0)  # V
+    assert np.allclose(hc[2:, 2:], [[1.3, -0.5], [-0.5, 0.7]], atol=0)  # T
+    assert np.abs(hc[:2, 2:]).max() == 0.0  # U
 
 
 @settings(max_examples=30, deadline=None)
@@ -169,8 +169,8 @@ def test_coordinate_form_bcs():
 def test_coordinate_roundtrip_random(seed, n):
     rng = np.random.default_rng(seed)
     form = random_form(rng, n)
-    h = qb.extended_matrix(form).matrix
-    hc = qb.coordinate_matrix(qb.coordinate_form(form))
+    h = form.hmat
+    hc = form.coordinate_matrix
     s = qb.coord_map(n)
     scale = max(np.abs(h).max(), 1.0)
     assert np.abs(s.conj().T @ h @ s - hc).max() <= 1e-12 * scale
@@ -185,7 +185,7 @@ def test_coordinate_roundtrip_random(seed, n):
 def test_coordinate_generator_same_spectrum(seed, n):
     rng = np.random.default_rng(seed)
     form = random_form(rng, n)
-    ht = qb.dynamical_matrix(form).matrix
+    ht = form.generator
     s = qb.coord_map(n)
     ev1 = np.linalg.eigvals(ht)
     ev2 = np.linalg.eigvals(s.conj().T @ ht @ s)
@@ -196,10 +196,10 @@ def test_coordinate_generator_block_structure():
     # Mc Hc = i [[U^t, T], [-V, -U]]
     rng = np.random.default_rng(3)
     form = random_form(rng, 2)
-    cf = qb.coordinate_form(form)
-    hc = qb.coordinate_matrix(cf)
+    hc = form.coordinate_matrix
+    v, u, t = hc[:2, :2], hc[:2, 2:], hc[2:, 2:]
     lhs = qb.coord_metric(2) @ hc
-    rhs = 1j * np.block([[cf.U.T, cf.T], [-cf.V, -cf.U]])
+    rhs = 1j * np.block([[u.T, t], [-v, -u]])
     assert np.abs(lhs - rhs).max() <= 1e-14
 
 
@@ -215,7 +215,7 @@ def test_extended_matrix_equals_the_block_assembly_bit_for_bit():
                                [[complex(-0.0, 0.5), -0.0], [-0.0, complex(0.25, -0.0)]]))
     for form in forms:
         want = np.block([[form.A, form.B], [form.B.conj(), form.A.T]])
-        got = qb.extended_matrix(form).matrix
+        got = form.hmat
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     # stacked, as bcs_sweep assembles a grid: raw matrices with rounding
     # noise and signed zeros, symmetrized and laid out matrix by matrix
@@ -227,8 +227,54 @@ def test_extended_matrix_equals_the_block_assembly_bit_for_bit():
     stacked = _hmat(*_symmetrized(a, b))
     assert stacked.shape == (len(raw), 4, 4)
     for (a_k, b_k), got in zip(raw, stacked):
-        want = qb.extended_matrix(qb.build_form(a_k, b_k)).matrix
+        want = qb.build_form(a_k, b_k).hmat
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _signed_zero_forms(rng):
+    """Random forms whose A and B hold -0.0 real and imaginary parts in a
+    symmetric pattern of entries, so they stay hermitian and symmetric."""
+    forms = []
+    for n in (1, 2, 3, 5):
+        form = random_form(rng, n, shift=rng.choice([None, 0.5, -0.5]))
+        a, b = form.A.copy(), form.B.copy()
+        zero = rng.random((n, n)) < 0.4
+        zero |= zero.T
+        a.real[zero], a.imag[zero] = -0.0, -0.0
+        b.real[zero], b.imag[zero] = -0.0, -0.0
+        forms.append(qb.QuadraticForm(n, a, b))
+    return forms
+
+
+def _coordinate_blocks(form):
+    v = (form.A + form.B).real.copy()
+    t = (form.A - form.B).real.copy()
+    u = (form.B - form.A).imag.copy()
+    return np.block([[v, u], [u.T, t]])
+
+
+READINGS = {
+    "hmat": lambda form: _hmat(form.A, form.B),
+    "generator": lambda form: metric_signs(form.n_modes)[:, None] * _hmat(form.A, form.B),
+    "coordinate_matrix": _coordinate_blocks,
+}
+
+
+@pytest.mark.parametrize("name", sorted(READINGS))
+def test_form_readings_are_read_only_cached_and_bit_equal_to_their_expressions(name):
+    rng = np.random.default_rng(41)
+    for form in _signed_zero_forms(rng):
+        got = getattr(form, name)
+        assert getattr(form, name) is got
+        want = READINGS[name](form)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(form, name, want)
+        assert getattr(form, name) is got
 
 
 def test_metric_signs_is_one_read_only_array_per_n():

@@ -58,7 +58,7 @@ def test_commutation_and_reconstruction(seed, n, shift):
     assert np.abs(same_kind).max() <= 1e-9
     same_kind_bar = bt.extract_bbar @ mt.T @ bt.extract_bbar.T
     assert np.abs(same_kind_bar).max() <= 1e-9
-    h = qb.extended_matrix(form).matrix
+    h = form.hmat
     assert np.abs(bt.reconstruct_extended() - h).max() <= 1e-8 * max(
         np.abs(h).max(), 1.0)
 
@@ -109,7 +109,7 @@ def test_coordinate_diagonalizes_form(seed, n, shift):
     cd = qb.coordinate_diagonal(bt)
     s = qb.coord_map(n)
     wc = s.conj().T @ bt.W @ s
-    hc = qb.coordinate_matrix(qb.coordinate_form(form))
+    hc = form.coordinate_matrix
     hc_diag = wc.T @ hc @ wc
     target = np.diag(np.concatenate([cd.Vprime, cd.Tprime]))
     scale = max(np.abs(hc).max(), 1.0)
@@ -169,7 +169,7 @@ def test_quadrature_rotation_under_evolution():
         bt = _pipeline(form)
         cd = qb.coordinate_diagonal(bt)
         t = 0.7
-        u = qb.propagate(qb.dynamical_matrix(form), t).U
+        u = qb.propagate(form, t).U
         s = qb.coord_map(2)
         uc = s.conj().T @ u @ s
         for i in range(2):
@@ -187,9 +187,8 @@ def test_invariants_conserved(seed, n, shift):
     form = random_form(rng, n, shift=shift)
     bt = _pipeline(form)
     ks = bt.invariants
-    dyn = qb.dynamical_matrix(form)
     for t in (0.7, 0.4 + 0.3j):
-        prop = qb.propagate(dyn, t)
+        prop = qb.propagate(form, t)
         ubar = qb.bar(prop.U)
         for k in ks:
             defect = np.abs(ubar @ k @ prop.U - k).max()
@@ -224,7 +223,7 @@ def test_flip_mode_on_real_pair_leaves_adjoint_convention():
     assert not flipped.hermitian_pair
     bt = qb.normalize_pairs(dataclasses.replace(report, pairs=[flipped]))
     assert bt.metric_residual <= 1e-12
-    h = qb.extended_matrix(qb.build_form([[1.0]], [[0.0]])).matrix
+    h = qb.build_form([[1.0]], [[0.0]]).hmat
     assert np.abs(bt.reconstruct_extended() - h).max() <= 1e-12
 
 
@@ -270,7 +269,7 @@ def test_near_gap_accuracy_follows_the_conditioning(k, side):
     report = qb.classify(qb.bcs_form(p))
     assert report.diagonalizable
     bt = qb.normalize_pairs(report)
-    mh = qb.dynamical_matrix(qb.bcs_form(p)).matrix
+    mh = qb.bcs_form(p).generator
     scale = np.linalg.norm(mh, 2)
     u = np.finfo(float).eps / 2
     _, left, right = sla.eig(mh, left=True)

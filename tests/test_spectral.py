@@ -9,7 +9,6 @@ import hypothesis.strategies as st
 import quadboson as qb
 from quadboson import spectral
 from quadboson.cli import _mode_table
-from quadboson.core import DynamicalMatrix
 from quadboson.errors import NotDiagonalizable, NullNorm, PairingFailure, WrongRegime
 from quadboson.spectral import ModePair
 
@@ -72,7 +71,7 @@ def test_metric_identity_random(seed, n, shift):
     assert bt.metric_residual <= 1e-10
     assert np.abs(bt.W @ bt.W_inv - np.eye(2 * n)).max() <= 1e-9
     # both members of every pair are genuine eigenvectors
-    ht = qb.dynamical_matrix(form).matrix
+    ht = form.generator
     scale = max(np.linalg.norm(ht, 2), 1.0)
     for p in pairs:
         res_p = np.abs(ht @ p.w_plus - p.lam * p.w_plus).max()
@@ -81,7 +80,7 @@ def test_metric_identity_random(seed, n, shift):
         assert res_m <= 1e-8 * scale * np.linalg.norm(p.w_minus)
     # diagonalization: Wbar H W = diag(lam, lam)
     lams = np.array([p.lam for p in pairs])
-    h = qb.extended_matrix(form).matrix
+    h = form.hmat
     target = np.diag(np.concatenate([lams, lams]))
     assert np.abs(qb.bar(bt.W) @ h @ bt.W - target).max() <= 1e-8
 
@@ -103,7 +102,7 @@ def test_hermitian_limit_real_spectrum(seed, n):
 def test_spectrum_symmetry_under_negation_and_conjugation(seed, n, shift):
     rng = np.random.default_rng(seed)
     form = random_form(rng, n, shift=shift)
-    ev = np.linalg.eigvals(qb.dynamical_matrix(form).matrix)
+    ev = np.linalg.eigvals(form.generator)
     scale = max(np.abs(ev).max(), 1.0)
 
     def match(target):
@@ -119,7 +118,7 @@ def test_conjugate_eigenvector_map(seed, n, shift):
     # T w* is an eigenvector with eigenvalue -lambda*
     rng = np.random.default_rng(seed)
     form = random_form(rng, n, shift=shift)
-    ht = qb.dynamical_matrix(form).matrix
+    ht = form.generator
     swap = qb.block_swap(n)
     pairs = qb.classify(form).pairs
     scale = max(np.linalg.norm(ht, 2), 1.0)
@@ -136,7 +135,7 @@ def test_sqrt_sandwich_identity(seed, n):
     # hermitian sqrt(H) M sqrt(H), hence is real
     rng = np.random.default_rng(seed)
     form = random_form(rng, n, shift=0.2)
-    ev = np.linalg.eigvals(qb.dynamical_matrix(form).matrix)
+    ev = np.linalg.eigvals(form.generator)
     assert np.abs(ev.imag).max() <= 1e-9 * max(np.abs(ev).max(), 1.0)
     ref = qb.sqrt_metric_spectrum(form)
     assert np.abs(np.sort(ev.real) - np.sort(ref)).max() <= 1e-9 * max(
@@ -182,12 +181,12 @@ def test_zero_mode_at_positivity_threshold():
 
 
 def test_pairing_failure_on_asymmetric_spectrum():
-    # no valid form reaches this branch, so the eigensolve step meets a fake matrix
-    fake = DynamicalMatrix(1, np.diag([1.0, 2.0]).astype(complex))
+    # no valid form reaches this branch, so the eigensolve step meets a fake generator
+    fake = np.diag([1.0, 2.0]).astype(complex)
     with pytest.raises(PairingFailure, match="no partner"):
         spectral._eigen_pairs(fake, 1e-9)
     # the cluster at 2, met first, holds two eigenvalues, its mirror at -2 one
-    fake = DynamicalMatrix(2, np.diag([2.0, 2.0, -2.0, 1.0]).astype(complex))
+    fake = np.diag([2.0, 2.0, -2.0, 1.0]).astype(complex)
     with pytest.raises(PairingFailure, match="multiplicity mismatch"):
         spectral._eigen_pairs(fake, 1e-9)
 
@@ -258,7 +257,7 @@ def test_a_power_of_two_scales_frequencies_and_keeps_verdicts(seed, n, shift, k)
     scale = 2.0 ** k
     own = qb.classify(form)
     scaled = qb.classify(qb.build_form(form.A * scale, form.B * scale))
-    norm = np.linalg.norm(qb.dynamical_matrix(form).matrix, 2)
+    norm = np.linalg.norm(form.generator, 2)
     assert multiset_dev(_plus_minus(scaled.mode_frequencies, scale),
                         _plus_minus(own.mode_frequencies, 1.0)) <= 1e-13 * norm
     if k >= 0 and norm >= 1.0:
@@ -385,7 +384,7 @@ def test_degenerate_imaginary_eigenvalues():
     assert np.allclose(report.mode_frequencies, [1j * y, 1j * y], atol=1e-10)
     pairs, bt = report.pairs, qb.normalize_pairs(report)
     assert bt.metric_residual <= 1e-10
-    h = qb.extended_matrix(form).matrix
+    h = form.hmat
     lams = np.array([p.lam for p in pairs])
     target = np.diag(np.concatenate([lams, lams]))
     assert np.abs(qb.bar(bt.W) @ h @ bt.W - target).max() <= 1e-9
@@ -405,11 +404,11 @@ def test_degenerate_full_complex_quadruples():
     pairs, bt = report.pairs, qb.normalize_pairs(report)
     assert bt.metric_residual <= 1e-9
     lams = np.array([p.lam for p in pairs])
-    h = qb.extended_matrix(form).matrix
+    h = form.hmat
     target = np.diag(np.concatenate([lams, lams]))
     assert np.abs(qb.bar(bt.W) @ h @ bt.W - target).max() <= 1e-9
     ks = bt.invariants
-    prop = qb.propagate(qb.dynamical_matrix(form), 1.0)
+    prop = qb.propagate(form, 1.0)
     ubar = qb.bar(prop.U)
     for k in ks:
         assert np.abs(ubar @ k @ prop.U - k).max() <= 1e-9
@@ -432,7 +431,7 @@ def test_three_mode_composite_mixed_regimes():
         pytest.approx(0.6633249580710799, abs=1e-10)] * 2
     pairs, bt = report.pairs, qb.normalize_pairs(report)
     assert bt.metric_residual <= 1e-10
-    h = qb.extended_matrix(form).matrix
+    h = form.hmat
     target = np.diag(np.concatenate([lams, lams]))
     assert np.abs(qb.bar(bt.W) @ h @ bt.W - target).max() <= 1e-9
     flags = [p.hermitian_pair for p in pairs]
@@ -451,7 +450,7 @@ def test_purely_imaginary_pair_full_pipeline():
     assert abs(lams[1].real) <= 1e-10 and lams[1].imag > 0
     pairs, bt = report.pairs, qb.normalize_pairs(report)
     assert bt.metric_residual <= 1e-10
-    h = qb.extended_matrix(form).matrix
+    h = form.hmat
     target = np.diag(np.concatenate([lams, lams]))
     assert np.abs(qb.bar(bt.W) @ h @ bt.W - target).max() <= 1e-10
     assert list(bt.hermitian_flags) == [True, False]
@@ -576,7 +575,7 @@ def _bit_test_forms():
 
 
 def test_a_singleton_cluster_value_has_the_bits_of_its_mean():
-    spectra = [np.linalg.eig(qb.dynamical_matrix(f).matrix)[0] for f in _bit_test_forms()]
+    spectra = [np.linalg.eig(f.generator)[0] for f in _bit_test_forms()]
     for evals in spectra + [np.array(_SIGNED)]:
         singles = (evals + 0.0).tolist()
         for i in range(evals.size):
@@ -584,7 +583,7 @@ def test_a_singleton_cluster_value_has_the_bits_of_its_mean():
     # eig returns a diagonal matrix's entries, -0.0 parts included
     signed = np.diag([complex(-0.0, 0.75), complex(1.5, -0.0), complex(-2.0, -0.0),
                       complex(-0.0, -3.0)])
-    for m in [qb.dynamical_matrix(form).matrix for form in _bit_test_forms()] + [signed]:
+    for m in [form.generator for form in _bit_test_forms()] + [signed]:
         evals = np.linalg.eig(m)[0]
         scale = np.linalg.norm(m, 2)
         _, clusters, _, _ = spectral._analyze(m, scale, spectral.CLUSTER_SAFETY * scale)
@@ -597,7 +596,7 @@ def _assert_clusters_mirror_the_doubled_spectrum(form):
     """The clusters of _analyze are the pairwise-union groups of the spectrum
     and its negation, restricted to the original indices, and each one's
     mirror is the mirror-image group, of the same size."""
-    m = qb.dynamical_matrix(form).matrix
+    m = form.generator
     scale = max(np.linalg.svd(m, compute_uv=False).max(), np.finfo(float).tiny)
     tol = spectral.CLUSTER_SAFETY * scale
     evals = np.linalg.eig(m)[0]
@@ -629,7 +628,7 @@ def test_partners_pair_within_the_cluster_radius_on_both_paths(f):
     # only when d is within the cluster radius, about CLUSTER_SAFETY, and the
     # batched path takes the point only then, leaving the rest to classify
     d = f * spectral.CLUSTER_SAFETY
-    fake = DynamicalMatrix(1, np.diag([1.0, -1.0 - d]).astype(complex))
+    fake = np.diag([1.0, -1.0 - d]).astype(complex)
     stack = np.diag([1.0, 1.0 + d])[None]
 
     def scalar(i):
@@ -670,7 +669,7 @@ def _eigh_real_branch_pairs(vecs_plus, value, mdiag, warnings):
 def test_a_one_by_one_gram_reads_as_its_own_eigendecomposition():
     vectors = [np.array(_SIGNED[i:i + 4])[:, None] for i in range(0, len(_SIGNED), 4)]
     for form in _bit_test_forms():
-        vecs = np.linalg.eig(qb.dynamical_matrix(form).matrix)[1]
+        vecs = np.linalg.eig(form.generator)[1]
         vectors += [vecs[:, [k]] for k in range(vecs.shape[1])]
     for vp in vectors:
         mdiag = qb.core.metric_signs(vp.shape[0] // 2)
@@ -690,7 +689,7 @@ def test_a_one_by_one_gram_reads_as_its_own_eigendecomposition():
 
 def test_the_largest_singular_value_is_the_two_norm_bit_for_bit():
     for form in _bit_test_forms():
-        m = qb.dynamical_matrix(form).matrix
+        m = form.generator
         assert _same_bits(np.linalg.svd(m, compute_uv=False).max(), np.linalg.norm(m, 2))
 
 
