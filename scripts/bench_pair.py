@@ -18,6 +18,13 @@ and prints one line per metric:
 - otherwise ``worse`` when the median is worse by more than the bound,
   else ``ok``.
 
+A run's ``setup_s`` includes a fresh import of the package, which is about
+three times slower when no bytecode is cached, so the file also records the
+session's ``PYTHONDONTWRITEBYTECODE`` and, per tree, whether
+``src/quadboson/__pycache__`` held ``.pyc`` files for this interpreter's
+cache tag before the first run.  Sessions that differ there are not
+comparable.
+
 Usage, with the two commits cloned side by side:
 
     git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
@@ -27,6 +34,7 @@ Usage, with the two commits cloned side by side:
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -43,6 +51,12 @@ def source_ids(tree: Path) -> dict:
     if git("status", "--porcelain", "--", "src"):
         sys.exit(f"{tree}: uncommitted changes under src/; the ids would not name what ran")
     return {"git_commit": git("rev-parse", "HEAD"), "src_tree": git("rev-parse", "HEAD:src")}
+
+
+def has_bytecode(tree: Path) -> bool:
+    """Whether the tree's package holds ``.pyc`` files for this interpreter."""
+    cache = tree / "src" / "quadboson" / "__pycache__"
+    return any(cache.glob(f"*.{sys.implementation.cache_tag}.pyc"))
 
 
 def run_once(tree: Path, args) -> dict:
@@ -97,6 +111,7 @@ def main(argv=None) -> int:
         ap.error(f"--metric must be one of {sorted(better)}")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     trees = {side: source_ids(tree) for side, tree in sides.items()}
+    bytecode = {side: has_bytecode(tree) for side, tree in sides.items()}
     runs = []
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -122,6 +137,8 @@ def main(argv=None) -> int:
         "command": f"perfbench/run.py --workload {args.workload} --seed {args.seed} "
                    f"--seconds {args.seconds:g} --trace 0",
         "trees": trees,
+        "pythondontwritebytecode": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "bytecode_before_first_run": bytecode,
         "pairs": args.pairs,
         "metric": args.metric,
         "better": better[args.metric],

@@ -6,11 +6,7 @@ from .core import (
     bar,
     bar_symmetrize,
     bar_vector,
-    block_swap,
     build_form,
-    coord_map,
-    coord_metric,
-    metric,
     quadratic_matrix,
 )
 from .spectral import (
@@ -25,11 +21,6 @@ from .spectral import (
     classify_stack,
     normalize_pairs,
     sqrt_metric_spectrum,
-)
-from .normal_modes import (
-    CoordinateDiagonalForm,
-    coordinate_diagonal,
-    flip_mode,
 )
 from .evolution import (
     GrowthClass,
@@ -66,9 +57,7 @@ from .oracle import (
     fock_ground_energy,
     fock_ground_trend,
     fock_hamiltonian,
-    fock_operators,
     fock_spectrum_check,
-    fock_vector_operator,
 )
 from .formio import dumps_form, form_digest, load_form, loads_form, read_form, save_form
 from . import errors

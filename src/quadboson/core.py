@@ -43,34 +43,6 @@ def metric_signs(n_modes: int) -> np.ndarray:
     return _freeze(signs)
 
 
-def metric(n_modes: int) -> np.ndarray:
-    """Commutation metric M = diag(+1..+1, -1..-1), shape (2n, 2n)."""
-    return np.diag(metric_signs(n_modes))
-
-
-def block_swap(n_modes: int) -> np.ndarray:
-    """Block-swap matrix T = [[0, I], [I, 0]], shape (2n, 2n)."""
-    eye = np.eye(n_modes)
-    zero = np.zeros((n_modes, n_modes))
-    return np.block([[zero, eye], [eye, zero]])
-
-
-def coord_map(n_modes: int) -> np.ndarray:
-    """Unitary S mapping coordinates/momenta to ladder operators, Z = S R.
-
-    S = (1/sqrt(2)) [[I, iI], [I, -iI]]; it satisfies S+ = S^t T.
-    """
-    eye = np.eye(n_modes)
-    return np.block([[eye, 1j * eye], [eye, -1j * eye]]) / np.sqrt(2.0)
-
-
-def coord_metric(n_modes: int) -> np.ndarray:
-    """Commutation metric in the (q, p) representation, S+ M S = [[0, iI], [-iI, 0]]."""
-    eye = np.eye(n_modes)
-    zero = np.zeros((n_modes, n_modes))
-    return np.block([[zero, 1j * eye], [-1j * eye, zero]])
-
-
 def bar(matrix: np.ndarray) -> np.ndarray:
     """Bar involution Mbar = T M^t T, the transpose with both axes half-rolled.
 
@@ -163,7 +135,8 @@ class QuadraticForm:
         coordinate/momentum representation H = (1/2) R^t [[V, U], [U^t, T]] R.
 
         V = Re(A + B), T = Re(A - B), U = Im(B - A); these coincide with the
-        blocks of S+ Hmat S for the unitary S of :func:`coord_map`.
+        blocks of S+ Hmat S for the unitary S = [[I, iI], [I, -iI]] / sqrt(2)
+        that maps R = (q_1..q_n, p_1..p_n) to the ladder operators, Z = S R.
         """
         v = (self.A + self.B).real
         t = (self.A - self.B).real

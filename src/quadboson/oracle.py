@@ -30,37 +30,6 @@ from .spectral import StabilityClass, classify
 DEFAULT_DIM_CAP = math.isqrt(MEMORY_BUDGET // 16)
 
 
-def fock_operators(n_modes: int, n_max: int) -> list:
-    """Dense annihilation matrices for each mode.
-
-    Basis states are occupation tuples (n_1, ..., n_N), 0 <= n_i <= n_max,
-    ordered lexicographically with n_1 most significant.
-    """
-    d = n_max + 1
-    lower = np.diag(np.sqrt(np.arange(1.0, d)), 1)
-    eye = np.eye(d)
-    ops = []
-    for i in range(n_modes):
-        mats = [eye] * n_modes
-        mats[i] = lower
-        out = mats[0]
-        for m in mats[1:]:
-            out = np.kron(out, m)
-        ops.append(out)
-    return ops
-
-
-def fock_vector_operator(row: np.ndarray, ops: list) -> np.ndarray:
-    """Operator sum_k row[k] Z_k with Z = (b_1..b_n, b+_1..b+_n)."""
-    n = len(ops)
-    out = np.zeros_like(ops[0], dtype=complex)
-    for k in range(n):
-        out = out + row[k] * ops[k]
-    for k in range(n):
-        out = out + row[n + k] * ops[k].conj().T
-    return out
-
-
 @dataclass(frozen=True)
 class FockTruncation:
     """Dense truncated Hamiltonian, dim = (n_max + 1)^n_modes.

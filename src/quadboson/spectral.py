@@ -24,8 +24,9 @@ on the form's own ``hmat`` and ``generator`` readings; its
 eigensolve, is the one value every consumer reads.
 :func:`normalize_pairs` turns the report into a
 :class:`BogoliubovTransform`, which is also the form's boson-diagonal
-representation: its extraction rows, flags, norm residuals and conserved
-bilinears are read from W alone, each on first read.
+and coordinate-diagonal representation: its boson and coordinate/momentum
+extraction rows, flags, norm residuals and conserved bilinears are read
+from W alone, each on first read.
 :func:`classify_stack` classifies a stack of forms with one batched
 eigensolve.  It replays :func:`classify`'s choices only where they cannot
 hinge on a tie: every group of the spectrum clustered with its negation is
@@ -112,6 +113,17 @@ class ModePair:
     w_minus: np.ndarray
     hermitian_pair: bool
 
+    def flipped(self) -> ModePair:
+        """The pair with its growth labels swapped: b' -> -b'bar, b'bar -> b'.
+
+        Negates the frequency while preserving commutation relations and the
+        generalized norm.  The result never carries the hermitian-pair
+        convention: the swap trades the adjoint relation (and the
+        positive-norm rule that fixes real-mode signs) for the opposite
+        label, so normalization goes through the bilinear norm.
+        """
+        return ModePair(-self.lam, -self.w_minus, self.w_plus, False)
+
 
 @dataclass(frozen=True)
 class ClusterInfo:
@@ -138,8 +150,12 @@ class BogoliubovTransform:
     H = sum_i lambda_i (b'bar_i b'_i + 1/2): the mode operators are read off
     as b'_i = (row i of W^-1) . Z and b'bar_i = Z+ . (M w_i).  For real
     lambda_i the two are mutual adjoints; for complex lambda_i they are not,
-    and that failure is structural, not numerical.  Every reading is
-    computed on first read; the array readings are read-only.
+    and that failure is structural, not numerical.  The same rows give the
+    coordinates and momenta q'_i = (b'_i + b'bar_i)/sqrt(2) and
+    p'_i = (b'_i - b'bar_i)/(i sqrt(2)), in which
+    H = (1/2) sum_i (T'_i p'_i^2 + V'_i q'_i^2) with T'_i = V'_i = lambda_i.
+    Every reading is computed on first read; the array readings are
+    read-only.
     """
 
     W: np.ndarray
@@ -172,6 +188,25 @@ class BogoliubovTransform:
         """Coefficient vectors of b'bar_i on Z+, the columns M w_i, as rows."""
         n = self.n_modes
         return _freeze((metric_signs(n)[:, None] * self.W[:, :n]).T.copy())
+
+    @cached_property
+    def extract_q(self) -> np.ndarray:
+        """Coefficient rows of q'_i on R = (q_1..q_n, p_1..p_n); hermitian
+        (real) exactly for real modes."""
+        n = self.n_modes
+        return _freeze(_on_coordinates(self.W_inv[:n] + self.W_inv[n:]))
+
+    @cached_property
+    def extract_p(self) -> np.ndarray:
+        """Coefficient rows of p'_i on R = (q_1..q_n, p_1..p_n)."""
+        n = self.n_modes
+        return _freeze(_on_coordinates(-1j * (self.W_inv[:n] - self.W_inv[n:])))
+
+    @cached_property
+    def coordinate_weights(self) -> np.ndarray:
+        """T'_i = V'_i: lambda_i, and 0 for a zero mode, whose rows stay
+        unscaled (the free-particle limit of T'_i V'_i = lambda_i^2 = 0)."""
+        return _freeze(np.where(self.zero_modes, 0.0, self.lambdas))
 
     @cached_property
     def hermitian_flags(self) -> np.ndarray:
@@ -231,6 +266,15 @@ class BogoliubovTransform:
             "extract_b": self.extract_b,
             "extract_bbar": self.extract_bbar,
         }
+
+
+def _on_coordinates(rows: np.ndarray) -> np.ndarray:
+    """The rows on R of (x . Z) / sqrt(2) for rows x on Z: with Z = S R and
+    S = [[I, iI], [I, -iI]] / sqrt(2), they are x S / sqrt(2) =
+    (x_1 + x_2, i (x_1 - x_2)) / 2 over the halves x_1, x_2 of x."""
+    n = rows.shape[1] // 2
+    x1, x2 = rows[:, :n], rows[:, n:]
+    return np.concatenate([x1 + x2, 1j * (x1 - x2)], axis=1) / 2
 
 
 @dataclass(frozen=True)

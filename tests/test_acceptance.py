@@ -10,6 +10,7 @@ import numpy as np
 import quadboson as qb
 
 from conftest import bcs, multiset_dev, random_form
+from references import metric
 
 SQRT_091 = 0.9539392014169457
 GRID = np.linspace(0.0, 1.5, 301)
@@ -202,7 +203,7 @@ def test_criterion_09_invariant_conservation():
         for k in (jf.pair_invariant, jf.imbalance_invariant):
             ok &= np.abs(ubar @ k @ u - k).max() <= 1e-10 * max(
                 np.abs(u).max() ** 2, 1.0)
-    m = qb.metric(2)
+    m = metric(2)
     comm = (jf.pair_invariant @ m @ jf.imbalance_invariant
             - jf.imbalance_invariant @ m @ jf.pair_invariant)
     ok &= np.abs(comm).max() <= 1e-10

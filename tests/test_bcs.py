@@ -10,6 +10,7 @@ import quadboson as qb
 from quadboson.errors import DegenerateGap, NotDegenerate, Overflow, StructureViolation
 
 from conftest import OUTER_EDGE, bcs, multiset_dev, random_form
+from references import metric
 
 SQRT_091 = 0.9539392014169457
 
@@ -248,7 +249,7 @@ def test_uv_degenerate_gap_rejected():
 
 
 def test_transform_satisfies_metric_and_diagonalizes():
-    m = qb.metric(2)
+    m = metric(2)
     for delta in (0.5, 0.97, 1.2):
         p = bcs(delta)
         w = qb.bcs_transform(p)
@@ -347,7 +348,7 @@ def test_closed_evolution_matches_expm_next_to_the_gap():
 def test_jordan_form_structure(delta):
     p = bcs(delta)
     jf = qb.bcs_jordan_form(p)
-    m = qb.metric(2)
+    m = metric(2)
     # the decoupled operators satisfy boson commutation relations
     assert np.abs(jf.transform @ m @ qb.bar(jf.transform) - m).max() <= 1e-12
     # reassembling the two terms reproduces the extended matrix
@@ -361,7 +362,7 @@ def test_jordan_invariants_conserved_and_commuting(delta):
     p = bcs(delta)
     jf = qb.bcs_jordan_form(p)
     form = qb.bcs_form(p)
-    m = qb.metric(2)
+    m = metric(2)
     for t in (1.0, 3.0):
         u = qb.propagate(form, t).U
         ubar = qb.bar(u)

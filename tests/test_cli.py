@@ -1284,8 +1284,15 @@ def test_bench_pair_writes_a_verdict_per_metric(capsys, monkeypatch, tmp_path):
         "peak_rss_mb": ([100.0] * 4, [104.0] * 4, "ok", 0.04),
         "ok_frac": ([1.0] * 4, [0.98] * 4, "worse", 0.02),  # higher is better
     }
-    parent = tmp_path / "parent"
-    seen = {parent: 0, root: 0}
+    # the parent tree holds bytecode for this interpreter, the change tree
+    # only for another one
+    parent, change = tmp_path.resolve() / "parent", tmp_path.resolve() / "change"
+    for tree, tag in ((parent, sys.implementation.cache_tag), (change, "cpython-00")):
+        (tree / "src" / "quadboson" / "__pycache__").mkdir(parents=True)
+        (tree / "src" / "quadboson" / "__pycache__" / f"core.{tag}.pyc").write_bytes(b"")
+    (change / "BENCHMARK.json").write_bytes((root / "BENCHMARK.json").read_bytes())
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    seen = {parent: 0, change: 0}
 
     def run_once(tree, args):
         i = seen[tree]
@@ -1297,9 +1304,12 @@ def test_bench_pair_writes_a_verdict_per_metric(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(script, "run_once", run_once)
     monkeypatch.setattr(script, "source_ids", lambda tree: {})
     monkeypatch.chdir(tmp_path)
-    assert script.main(["--parent", str(parent), "--change", str(root), "--workload",
+    assert script.main(["--parent", str(parent), "--change", str(change), "--workload",
                         "sweep-grid", "--seed", "1", "--pairs", "4", "--label", "t"]) == 0
-    verdicts = json.loads((tmp_path / "BENCH_t.json").read_text())["verdicts"]
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert doc["pythondontwritebytecode"] == "1"
+    assert doc["bytecode_before_first_run"] == {"parent": True, "change": False}
+    verdicts = doc["verdicts"]
     lines = capsys.readouterr().out.splitlines()
     for m, (_, _, word, relative) in cases.items():
         assert verdicts[m]["verdict"] == word, m

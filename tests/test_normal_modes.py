@@ -8,9 +8,11 @@ import hypothesis.strategies as st
 
 import quadboson as qb
 from quadboson.cli import _mode_table
-from quadboson.normal_modes import coordinate_quadratic_matrix
+from quadboson import normal_modes
 
 from conftest import bcs, multiset_dev, random_form
+from references import (block_swap, coord_map, coordinate_quadratic_matrix, coordinate_rows,
+                        metric)
 
 
 def _pipeline(form):
@@ -53,7 +55,7 @@ def test_commutation_and_reconstruction(seed, n, shift):
     bt = _pipeline(form)
     assert np.abs(bt.commutator_matrix() - np.eye(n)).max() <= 1e-9
     # [b'_i, b'_j] = 0 and [b'bar_i, b'bar_j] = 0 on the extraction rows
-    mt = qb.metric(n) @ qb.block_swap(n)
+    mt = metric(n) @ block_swap(n)
     same_kind = bt.extract_b @ mt @ bt.extract_b.T
     assert np.abs(same_kind).max() <= 1e-9
     same_kind_bar = bt.extract_bbar @ mt.T @ bt.extract_bbar.T
@@ -92,12 +94,10 @@ def test_complex_conjugation_links_opposite_modes():
 def test_coordinate_diagonal_trivial():
     form = qb.build_form([[1.0]], [[0.0]])
     bt = _pipeline(form)
-    cd = qb.coordinate_diagonal(bt)
-    assert cd.Tprime[0] == pytest.approx(1.0)
-    assert cd.Vprime[0] == pytest.approx(1.0)
-    assert np.abs(np.abs(cd.extract_q[0]) - np.array([1.0, 0.0])).max() <= 1e-12
-    assert np.abs(np.abs(cd.extract_p[0]) - np.array([0.0, 1.0])).max() <= 1e-12
-    assert cd.hermitian_flags.all()
+    assert bt.coordinate_weights[0] == pytest.approx(1.0)
+    assert np.abs(np.abs(bt.extract_q[0]) - np.array([1.0, 0.0])).max() <= 1e-12
+    assert np.abs(np.abs(bt.extract_p[0]) - np.array([0.0, 1.0])).max() <= 1e-12
+    assert bt.hermitian_flags.all()
 
 
 @settings(max_examples=15, deadline=None)
@@ -106,43 +106,87 @@ def test_coordinate_diagonalizes_form(seed, n, shift):
     rng = np.random.default_rng(seed)
     form = random_form(rng, n, shift=shift)
     bt = _pipeline(form)
-    cd = qb.coordinate_diagonal(bt)
-    s = qb.coord_map(n)
+    weights = bt.coordinate_weights  # T' = V'
+    s = coord_map(n)
     wc = s.conj().T @ bt.W @ s
     hc = form.coordinate_matrix
     hc_diag = wc.T @ hc @ wc
-    target = np.diag(np.concatenate([cd.Vprime, cd.Tprime]))
+    target = np.diag(np.concatenate([weights, weights]))
     scale = max(np.abs(hc).max(), 1.0)
     assert np.abs(hc_diag - target).max() <= 1e-8 * scale
     # T'V' = lambda^2
-    assert np.abs(cd.Tprime * cd.Vprime - bt.lambdas ** 2).max() <= 1e-8 * scale
+    assert np.abs(weights * weights - bt.lambdas ** 2).max() <= 1e-8 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 6), st.sampled_from([0.5, -0.5]))
+def test_coordinate_rows_match_the_dense_scaled_transform(seed, n, shift):
+    # the index arithmetic on W^-1's halves against Mc (S+ W S)^t Mc: the same
+    # rows up to the roundoff of a few additions and scalings
+    bt = _pipeline(random_form(np.random.default_rng(seed), n, shift=shift))
+    ref_q, ref_p = coordinate_rows(bt)
+    tol = 16 * np.finfo(float).eps / 2 * np.abs(bt.W_inv).max()
+    assert np.abs(bt.extract_q - ref_q).max() <= tol
+    assert np.abs(bt.extract_p - ref_p).max() <= tol
+
+
+@pytest.mark.parametrize("name", ["extract_q", "extract_p", "coordinate_weights"])
+def test_coordinate_readings_are_read_only_and_cached(name):
+    bt = _pipeline(qb.bcs_form(bcs(1.2)))
+    first = getattr(bt, name)
+    assert getattr(bt, name) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 1.0
+
+
+@pytest.mark.parametrize("delta", [0.5, float(np.sqrt(0.91)), 1.2])
+def test_coordinate_weights_are_the_frequencies_with_zero_modes_cleared(delta):
+    bt = _pipeline(qb.bcs_form(bcs(delta)))
+    expected = np.where(bt.zero_modes, 0.0, bt.lambdas)
+    assert bt.coordinate_weights.dtype == expected.dtype
+    assert bt.coordinate_weights.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("delta", [0.5, 1.2])
+def test_flipped_swaps_the_vectors_and_negates_the_frequency(delta):
+    for pair in qb.classify(qb.bcs_form(bcs(delta))).pairs:
+        flipped = pair.flipped()
+        assert flipped.lam == -pair.lam
+        assert np.array_equal(flipped.w_plus, -pair.w_minus)
+        assert np.array_equal(flipped.w_minus, pair.w_plus)
+        assert flipped.hermitian_pair is False
+
+
+def test_the_coordinate_api_lives_on_the_transform():
+    gone = ["CoordinateDiagonalForm", "coordinate_diagonal", "flip_mode", "metric",
+            "block_swap", "coord_map", "coord_metric", "fock_operators",
+            "fock_vector_operator"]
+    assert [name for name in gone if hasattr(qb, name)] == []
+    assert [name for name in vars(normal_modes) if not name.startswith("_")] == []
 
 
 def test_coordinate_zero_mode_returned_unscaled():
     form = qb.bcs_form(bcs(float(np.sqrt(0.91))))
     bt = _pipeline(form)
-    cd = qb.coordinate_diagonal(bt)
-    assert list(cd.zero_modes) == [False, True]
-    assert cd.Tprime[1] == 0.0 and cd.Vprime[1] == 0.0
-    assert cd.Tprime[0] == pytest.approx(0.6, abs=1e-9)
+    assert bt.coordinate_weights[1] == 0.0
+    assert bt.coordinate_weights[0] == pytest.approx(0.6, abs=1e-9)
     assert list(bt.zero_modes) == [False, True]
 
 
 def test_coordinate_nonhermitian_conjugation_relations():
     # q'_nu^dag = i q'_{-nu} and p'_nu^dag = -i p'_{-nu} above the gap
     bt = _pipeline(qb.bcs_form(bcs(1.2)))
-    cd = qb.coordinate_diagonal(bt)
-    assert not cd.hermitian_flags.any()
-    assert np.abs(np.conj(cd.extract_q[0]) - 1j * cd.extract_q[1]).max() <= 1e-12
-    assert np.abs(np.conj(cd.extract_p[0]) + 1j * cd.extract_p[1]).max() <= 1e-12
+    assert not bt.hermitian_flags.any()
+    assert np.abs(np.conj(bt.extract_q[0]) - 1j * bt.extract_q[1]).max() <= 1e-12
+    assert np.abs(np.conj(bt.extract_p[0]) + 1j * bt.extract_p[1]).max() <= 1e-12
 
 
 def test_coordinate_rows_hermitian_for_real_modes():
     bt = _pipeline(qb.bcs_form(bcs(0.5)))
-    cd = qb.coordinate_diagonal(bt)
-    assert cd.hermitian_flags.all()
-    assert np.abs(cd.extract_q.imag).max() <= 1e-10
-    assert np.abs(cd.extract_p.imag).max() <= 1e-10
+    assert bt.hermitian_flags.all()
+    assert np.abs(bt.extract_q.imag).max() <= 1e-10
+    assert np.abs(bt.extract_p.imag).max() <= 1e-10
 
 
 @settings(max_examples=10, deadline=None)
@@ -152,11 +196,10 @@ def test_quadrature_sum_equals_mode_number(seed, shift):
     rng = np.random.default_rng(seed)
     form = random_form(rng, 2, shift=shift)
     bt = _pipeline(form)
-    cd = qb.coordinate_diagonal(bt)
     ks = bt.invariants
     for i in range(2):
-        lhs = (coordinate_quadratic_matrix(cd.extract_q[i], 2)
-               + coordinate_quadratic_matrix(cd.extract_p[i], 2))
+        lhs = (coordinate_quadratic_matrix(bt.extract_q[i], 2)
+               + coordinate_quadratic_matrix(bt.extract_p[i], 2))
         rhs = 2.0 * qb.bar_symmetrize(ks[i])
         assert np.abs(lhs - rhs).max() <= 1e-9 * max(np.abs(rhs).max(), 1.0)
 
@@ -167,17 +210,16 @@ def test_quadrature_rotation_under_evolution():
     for delta in (0.5, 1.2):
         form = qb.bcs_form(bcs(delta))
         bt = _pipeline(form)
-        cd = qb.coordinate_diagonal(bt)
         t = 0.7
         u = qb.propagate(form, t).U
-        s = qb.coord_map(2)
+        s = coord_map(2)
         uc = s.conj().T @ u @ s
         for i in range(2):
             c, sn = np.cos(bt.lambdas[i] * t), np.sin(bt.lambdas[i] * t)
-            assert np.abs(cd.extract_q[i] @ uc
-                          - (c * cd.extract_q[i] + sn * cd.extract_p[i])).max() <= 1e-9
-            assert np.abs(cd.extract_p[i] @ uc
-                          - (c * cd.extract_p[i] - sn * cd.extract_q[i])).max() <= 1e-9
+            assert np.abs(bt.extract_q[i] @ uc
+                          - (c * bt.extract_q[i] + sn * bt.extract_p[i])).max() <= 1e-9
+            assert np.abs(bt.extract_p[i] @ uc
+                          - (c * bt.extract_p[i] - sn * bt.extract_q[i])).max() <= 1e-9
 
 
 @settings(max_examples=10, deadline=None)
@@ -207,7 +249,7 @@ def test_invariant_single_mode_is_number_operator():
 
 def test_flip_mode_swaps_growth_labels():
     report = qb.classify(qb.bcs_form(bcs(1.2)))
-    flipped = [qb.flip_mode(p) for p in report.pairs]
+    flipped = [p.flipped() for p in report.pairs]
     assert [f.lam for f in flipped] == [-p.lam for p in report.pairs]
     bt = qb.normalize_pairs(dataclasses.replace(
         report, pairs=sorted(flipped, key=lambda p: (-p.lam.real, -p.lam.imag))))
@@ -218,7 +260,7 @@ def test_flip_mode_on_real_pair_leaves_adjoint_convention():
     # flipping a real mode gives frequency -lambda; the adjoint relation is
     # traded away, so the pair normalizes through the bilinear norm
     report = qb.classify(qb.build_form([[1.0]], [[0.0]]))
-    flipped = qb.flip_mode(report.pairs[0])
+    flipped = report.pairs[0].flipped()
     assert flipped.lam == pytest.approx(-1.0)
     assert not flipped.hermitian_pair
     bt = qb.normalize_pairs(dataclasses.replace(report, pairs=[flipped]))
@@ -251,11 +293,11 @@ def test_every_diagonalizable_verdict_gets_its_diagonal_form(form, eig_tol):
     if not report.diagonalizable:
         return
     bt = qb.normalize_pairs(report)
-    cd = qb.coordinate_diagonal(bt)
-    assert bt.invariants.shape[0] == form.n_modes
-    assert report.zero_mode_count == bt.zero_modes.sum() == cd.zero_modes.sum()
-    assert list(bt.hermitian_flags) == list(cd.hermitian_flags) == [
-        row["hermitian"] for row in _mode_table(report, bt)]
+    n = form.n_modes
+    assert bt.invariants.shape[0] == n
+    assert bt.extract_q.shape == bt.extract_p.shape == (n, 2 * n)
+    assert report.zero_mode_count == bt.zero_modes.sum() == (bt.coordinate_weights == 0).sum()
+    assert list(bt.hermitian_flags) == [row["hermitian"] for row in _mode_table(report, bt)]
 
 
 @pytest.mark.parametrize("side", [1.0, -1.0])

@@ -5,11 +5,12 @@ import quadboson as qb
 from quadboson.errors import DimensionCap, WrongRegime
 
 from conftest import bcs, random_form
+from references import fock_operators, fock_vector_operator
 
 
 def dense_product_hamiltonian(form, n_max):
     """Reference: the form assembled from dense ladder-matrix products."""
-    ops = qb.fock_operators(form.n_modes, n_max)
+    ops = fock_operators(form.n_modes, n_max)
     dim = ops[0].shape[0]
     h = np.zeros((dim, dim), dtype=complex)
     eye = np.eye(dim)
@@ -208,17 +209,17 @@ def test_vector_operator_commutators():
     report = qb.classify(form)
     bt = qb.normalize_pairs(report)
     n_max = 8
-    ops = qb.fock_operators(2, n_max)
+    ops = fock_operators(2, n_max)
     dim = (n_max + 1) ** 2
     occ = [(i, j) for i in range(n_max + 1) for j in range(n_max + 1)]
     low = [k for k, (i, j) in enumerate(occ) if i + j <= n_max // 2]
     for i in range(2):
-        bi = qb.fock_vector_operator(bt.extract_b[i], ops)
+        bi = fock_vector_operator(bt.extract_b[i], ops)
         for j in range(2):
             n = 2
             bbar_row = np.concatenate([bt.extract_bbar[j][n:],
                                        bt.extract_bbar[j][:n]])
-            bj_bar = qb.fock_vector_operator(bbar_row, ops)
+            bj_bar = fock_vector_operator(bbar_row, ops)
             comm = bi @ bj_bar - bj_bar @ bi
             block = comm[np.ix_(low, low)]
             target = (1.0 if i == j else 0.0) * np.eye(len(low))
@@ -230,12 +231,12 @@ def test_jordan_invariants_commute_in_fock_space():
     # vanishes on states away from the truncation boundary
     jf = qb.bcs_jordan_form(bcs(1.0))
     n_max = 10
-    ops = qb.fock_operators(2, n_max)
+    ops = fock_operators(2, n_max)
 
     def op_from_rows(r1, r2):
         n = 2
-        a = qb.fock_vector_operator(r1, ops)
-        b = qb.fock_vector_operator(r2, ops)
+        a = fock_vector_operator(r1, ops)
+        b = fock_vector_operator(r2, ops)
         return a @ b
 
     r_bs_p, r_bs_m, r_bb_p, r_bb_m = jf.inverse
@@ -252,14 +253,14 @@ def test_jordan_form_matches_fock_hamiltonian():
     p = bcs(1.0)
     jf = qb.bcs_jordan_form(p)
     n_max = 8
-    ops = qb.fock_operators(2, n_max)
+    ops = fock_operators(2, n_max)
     r_bs_p, r_bs_m, r_bb_p, r_bb_m = jf.inverse
-    h_dec = (jf.gamma * (qb.fock_vector_operator(r_bb_p, ops)
-                         @ qb.fock_vector_operator(r_bs_p, ops)
-                         - qb.fock_vector_operator(r_bb_m, ops)
-                         @ qb.fock_vector_operator(r_bs_m, ops))
-             + jf.pairing_coefficient * qb.fock_vector_operator(r_bb_m, ops)
-             @ qb.fock_vector_operator(r_bb_p, ops))
+    h_dec = (jf.gamma * (fock_vector_operator(r_bb_p, ops)
+                         @ fock_vector_operator(r_bs_p, ops)
+                         - fock_vector_operator(r_bb_m, ops)
+                         @ fock_vector_operator(r_bs_m, ops))
+             + jf.pairing_coefficient * fock_vector_operator(r_bb_m, ops)
+             @ fock_vector_operator(r_bb_p, ops))
     h_direct = qb.fock_hamiltonian(qb.bcs_form(p), n_max).H_matrix
     occ = [(i, j) for i in range(n_max + 1) for j in range(n_max + 1)]
     low = [k for k, (i, j) in enumerate(occ) if i + j <= n_max // 2]

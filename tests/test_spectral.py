@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
@@ -13,6 +14,7 @@ from quadboson.errors import NotDiagonalizable, NullNorm, PairingFailure, WrongR
 from quadboson.spectral import ModePair
 
 from conftest import bcs, multiset_dev, random_form
+from references import block_swap, planted_form
 
 
 def test_single_mode_identity_transform():
@@ -119,7 +121,7 @@ def test_conjugate_eigenvector_map(seed, n, shift):
     rng = np.random.default_rng(seed)
     form = random_form(rng, n, shift=shift)
     ht = form.generator
-    swap = qb.block_swap(n)
+    swap = block_swap(n)
     pairs = qb.classify(form).pairs
     scale = max(np.linalg.norm(ht, 2), 1.0)
     for p in pairs:
@@ -707,3 +709,35 @@ def test_mode_table_residuals_keep_the_per_mode_bits():
         assert _same_bits([row["norm_residual"] for row in _mode_table(report, bt)], want)
         checked += 1
     assert checked >= 15
+
+
+def test_planted_normal_forms_get_their_planted_answer():
+    # direct sums of blocks with known answers (modes at +-omega, the pairing
+    # model's complex regime and Jordan point, zero modes), mixed by a random
+    # Bogoliubov map U: the verdict, the Jordan blocks and, for a
+    # diagonalizable form, the doubled spectrum {+-lambda} to the roundoff
+    # that u ||M Hmat|| amplified by cond(U) allows.  A failing seed is a defect.
+    u = np.finfo(float).eps / 2
+    kept, failures = [], []
+    for seed in range(300):
+        form, lams, verdict, cond = planted_form(np.random.default_rng(seed))
+        assert form.n_modes <= 16
+        if cond > 1e2:
+            continue
+        kept.append(verdict)
+        report = qb.classify(form)
+        if report.classification != verdict:
+            failures.append((seed, report.classification.value, verdict.value))
+        elif not report.diagonalizable:
+            blocks = [c.max_block for c in report.clusters if c.geometric < c.algebraic]
+            if blocks != [2] * len(blocks):
+                failures.append((seed, "max_block", blocks))
+        else:
+            found = np.concatenate([report.mode_frequencies, -report.mode_frequencies])
+            dist = np.abs(found[:, None] - np.concatenate([lams, -lams])[None, :])
+            err = dist[linear_sum_assignment(dist)].max()
+            bound = 64 * u * max(np.linalg.norm(form.generator, 2), 1.0) * cond
+            if err > bound:
+                failures.append((seed, "frequencies", err, bound))
+    assert failures == []
+    assert len(kept) >= 250 and set(kept) == set(qb.StabilityClass)
