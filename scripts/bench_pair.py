@@ -18,7 +18,7 @@ and prints one line per metric:
 - otherwise ``worse`` when the median is worse by more than the bound,
   else ``ok``.
 
-A run's ``setup_s`` includes a fresh import of the package, which is about
+A run's ``setup_s`` includes a fresh import of the package, which is two to
 three times slower when no bytecode is cached, so the file also records the
 session's ``PYTHONDONTWRITEBYTECODE`` and, per tree, whether
 ``src/quadboson/__pycache__`` held ``.pyc`` files for this interpreter's
