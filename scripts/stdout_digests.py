@@ -12,7 +12,8 @@ and the CSV table of every subcommand to work (``--format doc`` of
 ``bcs`` and ``sweep`` argvs on the outer edge of the reentry window, where
 roundoff splits a Jordan pair differently at +lambda and -lambda, then a
 ``bcs`` point whose outer edge is representable although kappa^2/gamma^2
-is not, and runs every op in-process through
+is not, then ``analyze`` on a zero mode, a Jordan block at zero and a
+purely imaginary frequency, and runs every op in-process through
 ``perfbench/run.py``'s ``call`` (stdout captured; importing ``run`` pins
 BLAS to one thread).  Each line reads ``<exit code> <sha256 of stdout>
 <argv>``; fixture paths in the argv are printed relative to the fixture
@@ -37,6 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import run  # noqa: E402  (pins BLAS threads before numpy is imported)
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from quadboson import cli  # noqa: E402
 
@@ -131,6 +133,23 @@ def outer_edge_argvs():
     yield ["bcs", "--delta", "0.5", "--gamma", "1e-100", "--kappa", "1e150"]
 
 
+def zero_mode_argvs(root: str):
+    """``analyze`` doc, doc ``--emit-modes`` and ``--format csv`` on three
+    form files written into ``root``: two modes with A = diag(1, 0) and
+    B = 0 (StableNonPositive with one zero mode), the free particle
+    A = B = 0.5 (a Jordan block at 0) and one mode with A = 0.5, B = 1
+    (lambda = 0.866i).  No benchmark op analyzes a zero mode."""
+    fx = workloads.Fixtures(root, 0)
+    forms = (fx.form("zero_mode", np.diag([1.0, 0.0]).astype(complex),
+                     np.zeros((2, 2), dtype=complex), "zero"),
+             fx.form("free_particle", np.array([[0.5 + 0j]]), np.array([[0.5 + 0j]]), "jordan"),
+             fx.form("imaginary", np.array([[0.5 + 0j]]), np.array([[1.0 + 0j]]), "complex"))
+    for form in forms:
+        yield ["analyze", form]
+        yield ["analyze", form, "--emit-modes"]
+        yield ["analyze", form, "--format", "csv"]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seed", type=int, nargs="+", default=[1])
@@ -147,6 +166,9 @@ def main(argv=None) -> int:
             print(digest_line(argv, root), flush=True)
     for argv in outer_edge_argvs():
         print(digest_line(argv), flush=True)
+    with tempfile.TemporaryDirectory() as root:
+        for argv in zero_mode_argvs(root):
+            print(digest_line(argv, root), flush=True)
     return 0
 
 

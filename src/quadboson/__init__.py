@@ -53,7 +53,6 @@ from .bcs import (
 )
 from .oracle import (
     FockSpectrumReport,
-    FockTruncation,
     fock_ground_energy,
     fock_ground_trend,
     fock_hamiltonian,

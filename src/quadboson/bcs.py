@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import (QuadraticForm, _hmat, _symmetrized, bar, bar_symmetrize, build_form,
-                   metric_signs, quadratic_matrix)
+from .core import (QuadraticForm, _freeze, _hmat, _symmetrized, bar, bar_symmetrize,
+                   build_form, metric_signs, quadratic_matrix)
 from .errors import DegenerateGap, NotDegenerate, Overflow
-from .spectral import StabilityColumns, _cuts, classify, classify_stack
+from .spectral import DEFAULT_TOL_EIG, StabilityColumns, _cuts, classify, classify_stack
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,8 @@ class BcsSweep(StabilityColumns):
     kappa: np.ndarray
 
 
-def bcs_sweep(epsilon: float, gammas, deltas, kappas, tol_eig: float = 1e-9) -> BcsSweep:
+def bcs_sweep(epsilon: float, gammas, deltas, kappas,
+              tol_eig: float = DEFAULT_TOL_EIG) -> BcsSweep:
     """Classify the model at every point of the grid deltas x kappas x gammas.
 
     delta is the outermost axis, then kappa, then gamma; a fixed parameter
@@ -314,19 +316,39 @@ class JordanDecoupledForm:
     and ``imbalance_invariant`` are their canonical (bar-symmetric) quadratic
     matrices; the ``*_raw`` variants are the plain products of extraction
     rows, which represent the same operators but are not individually
-    invariant under Ubar . U conjugation.
+    invariant under Ubar . U conjugation.  The inverse and the invariants
+    are read off ``transform``, each on first read, as read-only arrays.
     """
 
     transform: np.ndarray
-    inverse: np.ndarray
-    oscillator_coefficient: float
-    pairing_coefficient: float
-    pair_invariant: np.ndarray
-    imbalance_invariant: np.ndarray
-    pair_invariant_raw: np.ndarray
-    imbalance_invariant_raw: np.ndarray
     gamma: float
     delta: float
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """M W_sbar M, whose rows extract (bs_+, bs_-, bsbar_+, bsbar_-)."""
+        signs = metric_signs(2)
+        return _freeze(signs[:, None] * bar(self.transform) * signs)
+
+    @cached_property
+    def pair_invariant_raw(self) -> np.ndarray:
+        """bsbar_- bsbar_+ as a product of extraction rows."""
+        _, _, r_bb_p, r_bb_m = self.inverse
+        return _freeze(quadratic_matrix(r_bb_m, r_bb_p))
+
+    @cached_property
+    def imbalance_invariant_raw(self) -> np.ndarray:
+        """bsbar_+ bs_+ - bsbar_- bs_- as products of extraction rows."""
+        r_bs_p, r_bs_m, r_bb_p, r_bb_m = self.inverse
+        return _freeze(quadratic_matrix(r_bb_p, r_bs_p) - quadratic_matrix(r_bb_m, r_bs_m))
+
+    @cached_property
+    def pair_invariant(self) -> np.ndarray:
+        return _freeze(bar_symmetrize(self.pair_invariant_raw))
+
+    @cached_property
+    def imbalance_invariant(self) -> np.ndarray:
+        return _freeze(bar_symmetrize(self.imbalance_invariant_raw))
 
     def evolution_matrix(self, t: float) -> np.ndarray:
         """Closed evolution in the decoupled basis, Z_s(t) = V(t) Z_s(0).
@@ -345,8 +367,7 @@ class JordanDecoupledForm:
 
     def reconstruct_extended(self) -> np.ndarray:
         """Hmat = gamma * imbalance + 2 delta * pair, exactly."""
-        return (self.oscillator_coefficient * self.imbalance_invariant
-                + self.pairing_coefficient * self.pair_invariant)
+        return self.gamma * self.imbalance_invariant + (2.0 * self.delta) * self.pair_invariant
 
 
 def bcs_jordan_form(p: BcsParams) -> JordanDecoupledForm:
@@ -378,23 +399,7 @@ def bcs_jordan_form(p: BcsParams) -> JordanDecoupledForm:
         w_s = gauge[:, None] * base * gauge
     else:
         w_s = base
-    signs = metric_signs(2)
-    w_inv = signs[:, None] * bar(w_s) * signs
-    r_bs_p, r_bs_m, r_bb_p, r_bb_m = w_inv
-    k_pair = quadratic_matrix(r_bb_m, r_bb_p)
-    k_imb = quadratic_matrix(r_bb_p, r_bs_p) - quadratic_matrix(r_bb_m, r_bs_m)
-    return JordanDecoupledForm(
-        transform=w_s,
-        inverse=w_inv,
-        oscillator_coefficient=p.gamma,
-        pairing_coefficient=2.0 * p.delta,
-        pair_invariant=bar_symmetrize(k_pair),
-        imbalance_invariant=bar_symmetrize(k_imb),
-        pair_invariant_raw=k_pair,
-        imbalance_invariant_raw=k_imb,
-        gamma=p.gamma,
-        delta=p.delta,
-    )
+    return JordanDecoupledForm(w_s, p.gamma, p.delta)
 
 
 def bcs_thresholds(p: BcsParams) -> BcsThresholds:

@@ -62,7 +62,7 @@ import numpy as np
 
 from . import bcs as bcs_mod
 from . import evolution, formio, oracle, spectral
-from .core import MEMORY_BUDGET
+from .core import DEFAULT_TOL_STRUCT, MEMORY_BUDGET
 from .errors import (
     BadRange,
     DimensionCap,
@@ -242,10 +242,8 @@ def _mode_table(report, bt):
     """Per-mode rows: frequency, hermitian flag, norm residual (None without ``bt``)."""
     lams = report.mode_frequencies.tolist()
     residuals = [None] * len(lams) if bt is None else bt.norm_residuals
-    return [{"lambda": [lam.real, lam.imag],
-             "hermitian": bool(abs(lam.imag) <= report.real_tol),
-             "norm_residual": res}
-            for lam, res in zip(lams, residuals)]
+    return [{"lambda": [lam.real, lam.imag], "hermitian": flag, "norm_residual": res}
+            for lam, flag, res in zip(lams, report.hermitian_flags.tolist(), residuals)]
 
 
 def cmd_analyze(args) -> int:
@@ -270,13 +268,11 @@ def cmd_analyze(args) -> int:
     doc["n_modes"] = form.n_modes
     doc["mode_table"] = _mode_table(report, bt)
     doc["thresholds"] = None
-    warnings = list(doc["warnings"])
+    warnings = doc["warnings"]  # a fresh list
     if not report.diagonalizable:
         warnings.append("Jordan blocks detected; no boson-diagonal form exists")
-        if report.zero_mode_count == 0 and np.all(
-                np.abs(report.mode_frequencies.imag) <= report.real_tol):
+        if report.zero_mode_count == 0 and report.hermitian_flags.all():
             warnings.append("eigenvalues all real and non-zero")
-    doc["warnings"] = warnings
     if emit_modes and bt is not None:
         doc["diagonal_form"] = bt.to_dict()
         doc["invariants"] = bt.invariants
@@ -447,9 +443,9 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--tol-eig", type=float, default=1e-9,
+    common.add_argument("--tol-eig", type=float, default=spectral.DEFAULT_TOL_EIG,
                         help="relative eigen/classification tolerance (default 1e-9)")
-    common.add_argument("--tol-struct", type=float, default=1e-12,
+    common.add_argument("--tol-struct", type=float, default=DEFAULT_TOL_STRUCT,
                         help="relative structural validation tolerance (default 1e-12)")
     common.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility and ignored; sweeps run "

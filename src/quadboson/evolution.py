@@ -222,15 +222,14 @@ def mode_evolution(bt: BogoliubovTransform, t: complex) -> np.ndarray:
     exponentially growing/decaying for complex ones.  Conjugating the full
     propagator by the transform reproduces these on the diagonal.
     """
-    phases = np.exp(-1j * bt.lambdas * complex(t))
+    phases = np.exp(-1j * bt.report.mode_frequencies * complex(t))
     return np.stack([phases, 1.0 / phases], axis=1)
 
 
 def growth_class(report: StabilityReport) -> GrowthClass:
     """||U(t)|| growth from the spectrum and Jordan blocks in ``report``, a form's classify."""
     rate = max((abs(c.value.imag) for c in report.clusters), default=0.0)
-    poly = max((c.max_block - 1 for c in report.clusters if c.geometric < c.algebraic),
-               default=0)
+    poly = max((c.max_block - 1 for c in report.defects), default=0)
     if rate > report.real_tol:
         kind = GrowthKind.EXPONENTIAL
     else:

@@ -22,7 +22,7 @@ import stat
 
 import numpy as np
 
-from .core import MEMORY_BUDGET, QuadraticForm, build_form
+from .core import DEFAULT_TOL_STRUCT, MEMORY_BUDGET, QuadraticForm, build_form
 from .errors import BadRange, ParseError
 
 # Peak bytes of reading and parsing a form file per byte of the file (the
@@ -72,7 +72,7 @@ def _parse_matrix(doc: dict, field: str, n: int) -> np.ndarray:
     return mat
 
 
-def loads_form(text: str, tol_struct: float = 1e-12) -> QuadraticForm:
+def loads_form(text: str, tol_struct: float = DEFAULT_TOL_STRUCT) -> QuadraticForm:
     """Parse a form document from a string.  See module docstring for schema."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
@@ -95,7 +95,7 @@ def _check_parse_budget(size: int, path):
                        f"above the {MEMORY_BUDGET} B budget")
 
 
-def read_form(path, tol_struct: float = 1e-12) -> tuple[QuadraticForm, str]:
+def read_form(path, tol_struct: float = DEFAULT_TOL_STRUCT) -> tuple[QuadraticForm, str]:
     """Read and validate a form file: the form and the :func:`form_digest` of the bytes parsed.
 
     Raises
@@ -127,7 +127,7 @@ def read_form(path, tol_struct: float = 1e-12) -> tuple[QuadraticForm, str]:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def load_form(path, tol_struct: float = 1e-12) -> QuadraticForm:
+def load_form(path, tol_struct: float = DEFAULT_TOL_STRUCT) -> QuadraticForm:
     """Read and validate a form file."""
     return read_form(path, tol_struct)[0]
 

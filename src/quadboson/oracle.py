@@ -23,25 +23,11 @@ import numpy as np
 
 from .core import MEMORY_BUDGET, QuadraticForm
 from .errors import DimensionCap, WrongRegime
-from .spectral import StabilityClass, classify
+from .spectral import DEFAULT_TOL_EIG, StabilityClass, classify
 
 # A dense complex H of dimension 8192 takes 16 * 8192**2 B = 1 GiB, the
 # memory budget, and the hermitian eigensolve works on a second copy of it.
 DEFAULT_DIM_CAP = math.isqrt(MEMORY_BUDGET // 16)
-
-
-@dataclass(frozen=True)
-class FockTruncation:
-    """Dense truncated Hamiltonian, dim = (n_max + 1)^n_modes.
-
-    ``H_matrix`` holds 16 dim^2 bytes; ``fock_hamiltonian`` refuses
-    dimensions above its cap before allocating it.
-    """
-
-    n_modes: int
-    n_max: int
-    dim: int
-    H_matrix: np.ndarray
 
 
 def _ladder_moves(n_max: int, n_modes: int) -> dict:
@@ -76,8 +62,9 @@ def _ladder_pair(moves: dict, i: int, di: int, j: int, dj: int):
     return target_i[mid], cols, root_i[mid] * root_j[cols]
 
 
-def fock_hamiltonian(form: QuadraticForm, n_max: int) -> FockTruncation:
-    """Assemble the truncated matrix of the form in the occupation basis.
+def fock_hamiltonian(form: QuadraticForm, n_max: int) -> np.ndarray:
+    """The dense truncated matrix of the form in the occupation basis, of
+    dimension dim = (n_max + 1)^n_modes and 16 dim^2 bytes.
 
     Basis states are occupation tuples (n_1, ..., n_N), 0 <= n_i <= n_max,
     ordered lexicographically with n_1 most significant.  Terms are added
@@ -89,7 +76,8 @@ def fock_hamiltonian(form: QuadraticForm, n_max: int) -> FockTruncation:
     Raises
     ------
     DimensionCap
-        (n_max + 1)^n_modes exceeds ``DEFAULT_DIM_CAP``.
+        (n_max + 1)^n_modes exceeds ``DEFAULT_DIM_CAP``; checked before
+        allocating.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -115,13 +103,12 @@ def fock_hamiltonian(form: QuadraticForm, n_max: int) -> FockTruncation:
             for sign, coef in ((1, form.B[i, j]), (-1, np.conj(form.B[i, j]))):
                 rows, cols, x = _ladder_pair(moves, i, sign, j, sign)
                 h[rows * dim + cols] += 0.5 * (coef * x)
-    return FockTruncation(n, n_max, dim, h.reshape(dim, dim))
+    return h.reshape(dim, dim)
 
 
 def fock_ground_energy(form: QuadraticForm, n_max: int) -> float:
     """Lowest eigenvalue of the truncated matrix."""
-    trunc = fock_hamiltonian(form, n_max)
-    return float(np.linalg.eigvalsh(trunc.H_matrix)[0])
+    return float(np.linalg.eigvalsh(fock_hamiltonian(form, n_max))[0])
 
 
 def fock_ground_trend(form: QuadraticForm, n_max_list) -> list:
@@ -164,7 +151,7 @@ class FockSpectrumReport:
 
 
 def fock_spectrum_check(form: QuadraticForm, n_max: int, k_levels: int,
-                        tol_eig: float = 1e-9) -> FockSpectrumReport:
+                        tol_eig: float = DEFAULT_TOL_EIG) -> FockSpectrumReport:
     """Compare the truncated spectrum against the mode lattice.
 
     The prediction is the k lowest lattice levels sum_i lambda_i (n_i + 1/2)
@@ -195,7 +182,7 @@ def fock_spectrum_check(form: QuadraticForm, n_max: int, k_levels: int,
             f"form classifies as {report.classification.value}; the lattice "
             "comparison needs a positive definite form"
         )
-    trunc = fock_hamiltonian(form, n_max)  # checks the cap before allocating
+    h = fock_hamiltonian(form, n_max)  # checks the cap before allocating
     lams = report.mode_frequencies.real
     budget = n_max // 2
     # An occupation outside the box n_i <= budget + 1 lies above one inside
@@ -213,7 +200,7 @@ def fock_spectrum_check(form: QuadraticForm, n_max: int, k_levels: int,
             f"occupation above n_max // 2 = {budget}; the truncated levels would "
             "be misaligned, so raise the cutoff or compare fewer levels"
         )
-    levels = np.linalg.eigvalsh(trunc.H_matrix)
+    levels = np.linalg.eigvalsh(h)
     observed = levels[:predicted.size]
     return FockSpectrumReport(
         n_max=n_max,

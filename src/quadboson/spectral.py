@@ -20,13 +20,13 @@ Conventions (all recorded so results are reproducible):
 
 :func:`classify` is the one entry into a form's eigensolve, which it runs
 on the form's own ``hmat`` and ``generator`` readings; its
-:class:`StabilityReport`, with the pairs, cuts and clusters of that
-eigensolve, is the one value every consumer reads.
+:class:`StabilityReport` keeps only the pairs, cuts and clusters of that
+eigensolve; its frequencies, flags and verdict are readings of them.
 :func:`normalize_pairs` turns the report into a
 :class:`BogoliubovTransform`, which is also the form's boson-diagonal
-and coordinate-diagonal representation: its boson and coordinate/momentum
-extraction rows, flags, norm residuals and conserved bilinears are read
-from W alone, each on first read.
+and coordinate-diagonal representation: it reads frequencies and flags
+from the report, and its extraction rows, norm residuals and conserved
+bilinears from W alone, each on first read.
 :func:`classify_stack` classifies a stack of forms with one batched
 eigensolve.  It replays :func:`classify`'s choices only where they cannot
 hinge on a tie: every group of the spectrum clustered with its negation is
@@ -54,6 +54,7 @@ from .core import (
 )
 from .errors import NotDiagonalizable, NullNorm, Overflow, PairingFailure, WrongRegime
 
+DEFAULT_TOL_EIG = 1e-9
 # Defective 2-blocks split their eigenvalues by O(sqrt(eps) ||Ht||) under
 # roundoff; the cluster radius (this times ||Ht||) must absorb that.
 CLUSTER_SAFETY = 32.0 * np.sqrt(np.finfo(float).eps)
@@ -135,14 +136,17 @@ class ClusterInfo:
     max_block: int
     rank_gap: float
 
+    @property
+    def defective(self) -> bool:  # a Jordan block
+        return self.geometric < self.algebraic
+
 
 @dataclass(frozen=True)
 class BogoliubovTransform:
     """Normalized transform W with columns (w_1..w_n, w_1bar..w_nbar).
 
-    ``lambdas`` are the mode frequencies in column order, and ``real_tol``
-    the eigensolve's realness cut: |Im lambda_i| (|lambda_i|) at or below it
-    counts as real (zero), as in ``classify``'s verdict.  Satisfies
+    ``report`` is the :class:`StabilityReport` W was built from, whose
+    ``mode_frequencies`` lambda_i are in column order.  Satisfies
     W M Wbar = M, so the inverse is the metric conjugate M Wbar M, no matrix
     inversion involved.
 
@@ -159,8 +163,7 @@ class BogoliubovTransform:
     """
 
     W: np.ndarray
-    lambdas: np.ndarray
-    real_tol: float
+    report: StabilityReport
 
     @property
     def n_modes(self) -> int:
@@ -206,17 +209,7 @@ class BogoliubovTransform:
     def coordinate_weights(self) -> np.ndarray:
         """T'_i = V'_i: lambda_i, and 0 for a zero mode, whose rows stay
         unscaled (the free-particle limit of T'_i V'_i = lambda_i^2 = 0)."""
-        return _freeze(np.where(self.zero_modes, 0.0, self.lambdas))
-
-    @cached_property
-    def hermitian_flags(self) -> np.ndarray:
-        """True where lambda_i is real, so that b'bar_i is the adjoint of b'_i."""
-        return _freeze(np.abs(self.lambdas.imag) <= self.real_tol)
-
-    @cached_property
-    def zero_modes(self) -> np.ndarray:
-        """True where |lambda_i| <= real_tol: mode i's harmonic term vanishes from H."""
-        return _freeze(np.abs(self.lambdas) <= self.real_tol)
+        return _freeze(np.where(self.report.zero_modes, 0.0, self.report.mode_frequencies))
 
     @cached_property
     def norm_residuals(self) -> tuple:
@@ -240,7 +233,7 @@ class BogoliubovTransform:
     @property
     def zero_point_energy(self) -> complex:
         """Ground-state offset sum_i lambda_i / 2."""
-        return complex(self.lambdas.sum() / 2.0)
+        return complex(self.report.mode_frequencies.sum() / 2.0)
 
     def commutator_matrix(self) -> np.ndarray:
         """Matrix of [b'_i, b'bar_j]; the identity when the transform is exact."""
@@ -250,7 +243,7 @@ class BogoliubovTransform:
         """Reassemble Hmat = sum_i lambda_i (K_i + K_ibar)."""
         two_n = 2 * self.n_modes
         out = np.zeros((two_n, two_n), dtype=complex)
-        for lam, k in zip(self.lambdas, self.invariants):
+        for lam, k in zip(self.report.mode_frequencies, self.invariants):
             out += lam * bar_symmetrize(k)
         return out
 
@@ -258,11 +251,11 @@ class BogoliubovTransform:
         """Document form of the diagonal representation: scalars as [re, im]
         lists, the extraction rows as their read-only complex arrays."""
         return {
-            "lambdas": [[l.real, l.imag] for l in self.lambdas],
+            "lambdas": [[l.real, l.imag] for l in self.report.mode_frequencies],
             "zero_point_energy": [self.zero_point_energy.real,
                                   self.zero_point_energy.imag],
-            "hermitian_flags": [bool(x) for x in self.hermitian_flags],
-            "zero_modes": [bool(x) for x in self.zero_modes],
+            "hermitian_flags": [bool(x) for x in self.report.hermitian_flags],
+            "zero_modes": [bool(x) for x in self.report.zero_modes],
             "extract_b": self.extract_b,
             "extract_bbar": self.extract_bbar,
         }
@@ -279,21 +272,17 @@ def _on_coordinates(rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Regime verdict of :func:`classify`, and the one value its eigensolve leaves.
+    """What the eigensolve of :func:`classify` leaves, and the verdict read off it.
 
     ``eig_residual`` is max |M Hmat V - V Lambda| / ||M Hmat||_2 of the
     eigensolve.  Eigenvalues within ``cluster_tol`` merge into one of the
     ``clusters``, and lambda meets -lambda within it; |Im lambda| (|lambda|)
     at or below ``real_tol`` counts as real (zero).  ``pairs`` are the raw
-    mode pairs in ``mode_frequencies`` order, left out of :meth:`to_dict`;
-    :func:`normalize_pairs` turns them into the transform.
+    mode pairs, left out of :meth:`to_dict`.  Every other attribute is a
+    reading of these, computed on first read; array readings are read-only.
     """
 
-    classification: StabilityClass
     h_eigenvalues: np.ndarray
-    mode_frequencies: np.ndarray
-    diagonalizable: bool
-    zero_mode_count: int
     eig_residual: float
     cluster_tol: float
     real_tol: float
@@ -301,6 +290,41 @@ class StabilityReport:
     pairing_residuals: tuple
     warnings: tuple
     pairs: list = field(repr=False)
+
+    @cached_property
+    def mode_frequencies(self) -> np.ndarray:
+        """The representative lambda of every pair, in pair order."""
+        return _freeze(np.array([p.lam for p in self.pairs]))
+
+    @cached_property
+    def hermitian_flags(self) -> np.ndarray:
+        """True where lambda_i is real, so that b'bar_i is the adjoint of b'_i."""
+        return _freeze(np.abs(self.mode_frequencies.imag) <= self.real_tol)
+
+    @cached_property
+    def zero_modes(self) -> np.ndarray:
+        """True where |lambda_i| <= real_tol: mode i's harmonic term vanishes from H."""
+        return _freeze(np.abs(self.mode_frequencies) <= self.real_tol)
+
+    @cached_property
+    def zero_mode_count(self) -> int:
+        return int(self.zero_modes.sum())
+
+    @cached_property
+    def defects(self) -> tuple:
+        """The clusters with a Jordan block."""
+        return tuple(c for c in self.clusters if c.defective)
+
+    @cached_property
+    def diagonalizable(self) -> bool:
+        return not self.defects
+
+    @cached_property
+    def classification(self) -> StabilityClass:
+        """The regime by :func:`_class_codes`; a NaN |Im lambda| is not complex."""
+        any_complex = (np.abs(self.mode_frequencies.imag) > self.real_tol).any()
+        positive = self.h_eigenvalues.min() > self.real_tol
+        return CLASS_LABELS[int(_class_codes(not self.diagonalizable, any_complex, positive))]
 
     def to_dict(self) -> dict:
         """Flat document form: tag, [re, im] frequencies, spectra, diagnostics."""
@@ -312,8 +336,7 @@ class StabilityReport:
                 "max_block": c.max_block,
                 "rank_gap": c.rank_gap,
             }
-            for c in self.clusters
-            if c.geometric < c.algebraic
+            for c in self.defects
         ]
         return {
             "classification": self.classification.value,
@@ -326,6 +349,15 @@ class StabilityReport:
             "defects": defects,
             "warnings": list(self.warnings),
         }
+
+
+def _class_codes(defective, any_complex, positive):
+    """:data:`CLASS_CODES` of the regime, elementwise, by the one precedence rule:
+    Jordan > complex > positive definite > stable non-positive."""
+    return np.where(defective, CLASS_CODES[StabilityClass.NON_DIAGONALIZABLE],
+                    np.where(any_complex, CLASS_CODES[StabilityClass.UNSTABLE_COMPLEX],
+                             np.where(positive, CLASS_CODES[StabilityClass.POSITIVE_DEFINITE],
+                                      CLASS_CODES[StabilityClass.STABLE_NON_POSITIVE])))
 
 
 # ---------------------------------------------------------------------------
@@ -569,12 +601,11 @@ def _eigen_pairs(generator: np.ndarray, tol_eig: float):
     """Solve a form's generator M @ Hmat and match the spectrum into n
     (lambda, -lambda) pairs: the eigensolve step of :func:`classify`.
 
-    Returns ``(pairs, fields)``: ``fields`` are the eigensolve's
-    :class:`StabilityReport` fields, ``eig_residual``, ``cluster_tol``,
-    ``real_tol``, ``clusters``, ``pairing_residuals`` and ``warnings``.
-    Vectors come back raw (not rescaled); :func:`normalize_pairs` turns them
-    into the unit-norm transform.  A defective matrix is not an error: its
-    pairs come back raw, and its clusters record the Jordan blocks.
+    Returns the eigensolve's :class:`StabilityReport` fields by name, all
+    but ``h_eigenvalues``.  Vectors come back raw (not rescaled);
+    :func:`normalize_pairs` turns them into the unit-norm transform.  A
+    defective matrix is not an error: its pairs come back raw, and its
+    clusters record the Jordan blocks.
 
     Raises
     ------
@@ -598,7 +629,7 @@ def _eigen_pairs(generator: np.ndarray, tol_eig: float):
             residuals.extend([abs(2 * info_a.value)] * (info_a.algebraic // 2))
             if info_a.algebraic % 2:
                 raise PairingFailure("zero eigenvalue with odd multiplicity")
-            if info_a.geometric < info_a.algebraic:
+            if info_a.defective:
                 for k in range(info_a.algebraic // 2):
                     pairs.append(ModePair(info_a.value, vecs[:, idx_a[k]],
                                           vecs[:, idx_a[-1 - k]], False))
@@ -621,7 +652,7 @@ def _eigen_pairs(generator: np.ndarray, tol_eig: float):
         if (abs(info_a.value.imag) > branch_tol and info_a.value.imag < info_b.value.imag) or (
                 abs(info_a.value.imag) <= branch_tol and info_a.value.real < info_b.value.real):
             info_a, idx_a, info_b, idx_b = info_b, idx_b, info_a, idx_a
-        if info_a.geometric < info_a.algebraic or info_b.geometric < info_b.algebraic:
+        if info_a.defective or info_b.defective:
             for k in range(info_a.algebraic):
                 pairs.append(ModePair(complex(info_a.value), vecs[:, idx_a[k]],
                                       vecs[:, idx_b[k]], False))
@@ -636,9 +667,9 @@ def _eigen_pairs(generator: np.ndarray, tol_eig: float):
     if len(pairs) != n:
         raise PairingFailure(f"expected {n} pairs, built {len(pairs)}")
     pairs.sort(key=lambda p: (-p.lam.real, -p.lam.imag))
-    return pairs, dict(eig_residual=eig_residual, cluster_tol=cluster_tol, real_tol=real_tol,
-                       clusters=tuple(info for info, _ in clusters),
-                       pairing_residuals=tuple(residuals), warnings=tuple(warnings))
+    return dict(eig_residual=eig_residual, cluster_tol=cluster_tol, real_tol=real_tol,
+                clusters=tuple(info for info, _ in clusters),
+                pairing_residuals=tuple(residuals), warnings=tuple(warnings), pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +685,8 @@ def normalize_pairs(report: StabilityReport) -> BogoliubovTransform:
     quadruple members are exact images of each other, w' = i T w*.
     A pair with |Re lambda| <= ``report.real_tol`` is its own quadruple,
     and partners are matched within ``report.cluster_tol``.  The transform
-    carries the pair frequencies and ``real_tol``, so the diagonal forms
-    read both from it.
+    keeps the report, so its diagonal forms read the pair frequencies and
+    flags from it.
 
     Raises
     ------
@@ -665,11 +696,10 @@ def normalize_pairs(report: StabilityReport) -> BogoliubovTransform:
         |c| below the fixed null-norm cut: a degenerate direction, or one
         next to a Jordan point.  Propagators and growth classes still apply.
     """
-    if not report.diagonalizable:
-        bad = [c for c in report.clusters if c.geometric < c.algebraic]
+    if report.defects:
         raise NotDiagonalizable(
             "Jordan blocks at eigenvalue(s) "
-            + ", ".join(f"{c.value:.6g} (block size {c.max_block})" for c in bad)
+            + ", ".join(f"{c.value:.6g} (block size {c.max_block})" for c in report.defects)
         )
     pairs = report.pairs
     if not pairs:
@@ -710,7 +740,7 @@ def normalize_pairs(report: StabilityReport) -> BogoliubovTransform:
     # link conjugate quadruples: if lambda_j = -lambda_i*, replace pair j by
     # the exact image (i T w_i*, i T w_ibar*), which is normalized whenever
     # pair i is
-    lams = np.array([p.lam for p in pairs])
+    lams = report.mode_frequencies
     linked = set()
     for i, p in enumerate(pairs):
         # a purely imaginary pair is its own quadruple
@@ -727,13 +757,13 @@ def normalize_pairs(report: StabilityReport) -> BogoliubovTransform:
             linked.update((i, j))
 
     w_full = np.concatenate([cols_plus, cols_minus], axis=1)
-    return BogoliubovTransform(w_full, lams, report.real_tol)
+    return BogoliubovTransform(w_full, report)
 
 
 # ---------------------------------------------------------------------------
 # classification
 
-def classify(form: QuadraticForm, tol_eig: float = 1e-9) -> StabilityReport:
+def classify(form: QuadraticForm, tol_eig: float = DEFAULT_TOL_EIG) -> StabilityReport:
     """Stability regime of a form; ``tol_eig`` sets the realness cut (see :func:`_cuts`).
 
     PositiveDefinite    Hmat > 0: discrete positive spectrum, fully stable.
@@ -745,30 +775,7 @@ def classify(form: QuadraticForm, tol_eig: float = 1e-9) -> StabilityReport:
     NonDiagonalizable   Jordan blocks: secular (polynomial-in-t) growth;
                         takes precedence over the other unstable labels.
     """
-    h_eigs = np.linalg.eigvalsh(form.hmat)
-    pairs, fields = _eigen_pairs(form.generator, tol_eig)
-    real_tol = fields["real_tol"]
-    freqs = np.array([p.lam for p in pairs])
-    any_complex = bool((np.abs(freqs.imag) > real_tol).any())
-    zero_modes = int((np.abs(freqs) <= real_tol).sum())
-    diagonalizable = not any(c.geometric < c.algebraic for c in fields["clusters"])
-    if not diagonalizable:
-        label = StabilityClass.NON_DIAGONALIZABLE
-    elif any_complex:
-        label = StabilityClass.UNSTABLE_COMPLEX
-    elif h_eigs.min() > real_tol:
-        label = StabilityClass.POSITIVE_DEFINITE
-    else:
-        label = StabilityClass.STABLE_NON_POSITIVE
-    return StabilityReport(
-        classification=label,
-        h_eigenvalues=h_eigs,
-        mode_frequencies=freqs,
-        diagonalizable=diagonalizable,
-        zero_mode_count=zero_modes,
-        pairs=pairs,
-        **fields,
-    )
+    return StabilityReport(np.linalg.eigvalsh(form.hmat), **_eigen_pairs(form.generator, tol_eig))
 
 
 @dataclass(frozen=True)
@@ -872,16 +879,14 @@ def _stack_fast_path(hmats: np.ndarray, tol_eig: float):
     any_complex = (np.abs(lam.imag) > real_tol).any(axis=1)
     positive = min_sigma[sel] > real_tol[:, 0]
     code = np.zeros(count, dtype=int)
-    code[sel] = np.where(any_complex, CLASS_CODES[StabilityClass.UNSTABLE_COMPLEX],
-                         np.where(positive, CLASS_CODES[StabilityClass.POSITIVE_DEFINITE],
-                                  CLASS_CODES[StabilityClass.STABLE_NON_POSITIVE]))
+    code[sel] = _class_codes(False, any_complex, positive)
     freqs[sel] = lam
     taken[sel] = ok
     return taken, code, freqs, min_sigma
 
 
 def classify_stack(hmats, scalar: Callable[[int], StabilityReport],
-                   tol_eig: float = 1e-9) -> StabilityColumns:
+                   tol_eig: float = DEFAULT_TOL_EIG) -> StabilityColumns:
     """:func:`classify` over a stack of extended matrices, shape (N, 2n, 2n).
 
     Points whose entries and 2-norm are finite and whose spectrum leaves no
@@ -910,7 +915,7 @@ def classify_stack(hmats, scalar: Callable[[int], StabilityReport],
     return StabilityColumns(code, freqs, min_sigma, np.abs(freqs.imag).max(axis=1))
 
 
-def sqrt_metric_spectrum(form: QuadraticForm, tol_eig: float = 1e-9) -> np.ndarray:
+def sqrt_metric_spectrum(form: QuadraticForm, tol_eig: float = DEFAULT_TOL_EIG) -> np.ndarray:
     """Spectrum of the hermitian matrix sqrt(Hmat) M sqrt(Hmat).
 
     For positive semidefinite forms this equals the spectrum of M @ Hmat,

@@ -271,7 +271,7 @@ def test_generic_pipeline_reproduces_analytic_amplitudes():
         assert abs(bt.W[0, 0]) == pytest.approx(abs(u), abs=1e-10)
         assert abs(bt.W[3, 0]) == pytest.approx(abs(v), abs=1e-10)
         wa = qb.bcs_transform(p)
-        bta = qb.BogoliubovTransform(wa, bt.lambdas, bt.real_tol)
+        bta = qb.BogoliubovTransform(wa, bt.report)
         k_generic = bt.invariants
         k_analytic = bta.invariants
         assert np.abs(k_generic - k_analytic).max() <= 1e-10
@@ -354,7 +354,12 @@ def test_jordan_form_structure(delta):
     # reassembling the two terms reproduces the extended matrix
     h = qb.bcs_form(p).hmat
     assert np.abs(jf.reconstruct_extended() - h).max() <= 1e-12
-    assert jf.pairing_coefficient == pytest.approx(2.0 * delta)
+    assert (jf.gamma, jf.delta) == (p.gamma, delta)
+    # the inverse and the invariants are read off the transform once, read-only
+    for name in ("inverse", "pair_invariant", "imbalance_invariant",
+                 "pair_invariant_raw", "imbalance_invariant_raw"):
+        value = getattr(jf, name)
+        assert getattr(jf, name) is value and not value.flags.writeable
 
 
 @pytest.mark.parametrize("delta", [1.0, -1.0])

@@ -28,14 +28,14 @@ def test_single_mode_trivial():
     assert np.abs(np.abs(bt.extract_b[0]) - np.array([1.0, 0.0])).max() <= 1e-12
     assert np.abs(np.abs(bt.extract_bbar[0]) - np.array([1.0, 0.0])).max() <= 1e-12
     assert bt.zero_point_energy == pytest.approx(0.5)
-    assert bt.hermitian_flags.all()
+    assert bt.report.hermitian_flags.all()
 
 
 def test_bcs_frequencies_and_zero_point():
     # both frequencies from nu*gamma + sqrt(1 - delta^2); ground offset
     # (lam+ + lam-)/2 collapses to sqrt(1 - delta^2)
     bt = _pipeline(qb.bcs_form(bcs(0.5)))
-    assert np.allclose(np.sort(bt.lambdas.real),
+    assert np.allclose(np.sort(bt.report.mode_frequencies.real),
                        [0.5660254037844386, 1.1660254037844386], atol=1e-10)
     assert bt.zero_point_energy.real == pytest.approx(0.8660254037844386, abs=1e-10)
     assert abs(bt.zero_point_energy.imag) <= 1e-12
@@ -43,8 +43,8 @@ def test_bcs_frequencies_and_zero_point():
 
 def test_complex_mode_frequencies_flagged():
     bt = _pipeline(qb.bcs_form(bcs(1.2)))
-    assert not bt.hermitian_flags.any()
-    assert np.allclose(bt.lambdas.imag, 0.6633249580710799, atol=1e-10)
+    assert not bt.report.hermitian_flags.any()
+    assert np.allclose(bt.report.mode_frequencies.imag, 0.6633249580710799, atol=1e-10)
 
 
 @settings(max_examples=20, deadline=None)
@@ -97,7 +97,7 @@ def test_coordinate_diagonal_trivial():
     assert bt.coordinate_weights[0] == pytest.approx(1.0)
     assert np.abs(np.abs(bt.extract_q[0]) - np.array([1.0, 0.0])).max() <= 1e-12
     assert np.abs(np.abs(bt.extract_p[0]) - np.array([0.0, 1.0])).max() <= 1e-12
-    assert bt.hermitian_flags.all()
+    assert bt.report.hermitian_flags.all()
 
 
 @settings(max_examples=15, deadline=None)
@@ -115,7 +115,7 @@ def test_coordinate_diagonalizes_form(seed, n, shift):
     scale = max(np.abs(hc).max(), 1.0)
     assert np.abs(hc_diag - target).max() <= 1e-8 * scale
     # T'V' = lambda^2
-    assert np.abs(weights * weights - bt.lambdas ** 2).max() <= 1e-8 * scale
+    assert np.abs(weights * weights - bt.report.mode_frequencies ** 2).max() <= 1e-8 * scale
 
 
 @settings(max_examples=40, deadline=None)
@@ -143,7 +143,7 @@ def test_coordinate_readings_are_read_only_and_cached(name):
 @pytest.mark.parametrize("delta", [0.5, float(np.sqrt(0.91)), 1.2])
 def test_coordinate_weights_are_the_frequencies_with_zero_modes_cleared(delta):
     bt = _pipeline(qb.bcs_form(bcs(delta)))
-    expected = np.where(bt.zero_modes, 0.0, bt.lambdas)
+    expected = np.where(bt.report.zero_modes, 0.0, bt.report.mode_frequencies)
     assert bt.coordinate_weights.dtype == expected.dtype
     assert bt.coordinate_weights.tobytes() == expected.tobytes()
 
@@ -171,20 +171,20 @@ def test_coordinate_zero_mode_returned_unscaled():
     bt = _pipeline(form)
     assert bt.coordinate_weights[1] == 0.0
     assert bt.coordinate_weights[0] == pytest.approx(0.6, abs=1e-9)
-    assert list(bt.zero_modes) == [False, True]
+    assert list(bt.report.zero_modes) == [False, True]
 
 
 def test_coordinate_nonhermitian_conjugation_relations():
     # q'_nu^dag = i q'_{-nu} and p'_nu^dag = -i p'_{-nu} above the gap
     bt = _pipeline(qb.bcs_form(bcs(1.2)))
-    assert not bt.hermitian_flags.any()
+    assert not bt.report.hermitian_flags.any()
     assert np.abs(np.conj(bt.extract_q[0]) - 1j * bt.extract_q[1]).max() <= 1e-12
     assert np.abs(np.conj(bt.extract_p[0]) + 1j * bt.extract_p[1]).max() <= 1e-12
 
 
 def test_coordinate_rows_hermitian_for_real_modes():
     bt = _pipeline(qb.bcs_form(bcs(0.5)))
-    assert bt.hermitian_flags.all()
+    assert bt.report.hermitian_flags.all()
     assert np.abs(bt.extract_q.imag).max() <= 1e-10
     assert np.abs(bt.extract_p.imag).max() <= 1e-10
 
@@ -215,7 +215,8 @@ def test_quadrature_rotation_under_evolution():
         s = coord_map(2)
         uc = s.conj().T @ u @ s
         for i in range(2):
-            c, sn = np.cos(bt.lambdas[i] * t), np.sin(bt.lambdas[i] * t)
+            lam = bt.report.mode_frequencies[i]
+            c, sn = np.cos(lam * t), np.sin(lam * t)
             assert np.abs(bt.extract_q[i] @ uc
                           - (c * bt.extract_q[i] + sn * bt.extract_p[i])).max() <= 1e-9
             assert np.abs(bt.extract_p[i] @ uc
@@ -293,11 +294,12 @@ def test_every_diagonalizable_verdict_gets_its_diagonal_form(form, eig_tol):
     if not report.diagonalizable:
         return
     bt = qb.normalize_pairs(report)
+    assert bt.report is report
     n = form.n_modes
     assert bt.invariants.shape[0] == n
     assert bt.extract_q.shape == bt.extract_p.shape == (n, 2 * n)
-    assert report.zero_mode_count == bt.zero_modes.sum() == (bt.coordinate_weights == 0).sum()
-    assert list(bt.hermitian_flags) == [row["hermitian"] for row in _mode_table(report, bt)]
+    assert report.zero_mode_count == report.zero_modes.sum() == (bt.coordinate_weights == 0).sum()
+    assert list(report.hermitian_flags) == [row["hermitian"] for row in _mode_table(report, bt)]
 
 
 @pytest.mark.parametrize("side", [1.0, -1.0])

@@ -31,16 +31,15 @@ def assert_same_bits(h, ref):
 
 def test_harmonic_oscillator_ladder():
     form = qb.build_form([[1.0]], [[0.0]])
-    trunc = qb.fock_hamiltonian(form, 3)
-    assert trunc.dim == 4
-    w = np.linalg.eigvalsh(trunc.H_matrix)
+    h = qb.fock_hamiltonian(form, 3)
+    assert h.shape == (4, 4)
+    w = np.linalg.eigvalsh(h)
     assert np.allclose(w, [0.5, 1.5, 2.5, 3.5], atol=1e-12)
 
 
 def test_fock_matrix_hermitian(rng):
     form = random_form(rng, 2, shift=0.3)
-    trunc = qb.fock_hamiltonian(form, 6)
-    h = trunc.H_matrix
+    h = qb.fock_hamiltonian(form, 6)
     assert np.abs(h - h.conj().T).max() <= 1e-12 * max(np.abs(h).max(), 1.0)
 
 
@@ -48,13 +47,13 @@ def test_fock_matrix_hermitian(rng):
 def test_direct_assembly_matches_dense_products_bit_for_bit(rng, n_modes):
     for n_max in range(1, 9):
         form = random_form(rng, n_modes)
-        assert_same_bits(qb.fock_hamiltonian(form, n_max).H_matrix,
+        assert_same_bits(qb.fock_hamiltonian(form, n_max),
                          dense_product_hamiltonian(form, n_max))
 
 
 def test_direct_assembly_matches_dense_products_on_bcs():
     form = qb.bcs_form(bcs(0.5, kappa=0.05))
-    assert_same_bits(qb.fock_hamiltonian(form, 8).H_matrix,
+    assert_same_bits(qb.fock_hamiltonian(form, 8),
                      dense_product_hamiltonian(form, 8))
 
 
@@ -259,9 +258,9 @@ def test_jordan_form_matches_fock_hamiltonian():
                          @ fock_vector_operator(r_bs_p, ops)
                          - fock_vector_operator(r_bb_m, ops)
                          @ fock_vector_operator(r_bs_m, ops))
-             + jf.pairing_coefficient * fock_vector_operator(r_bb_m, ops)
+             + 2.0 * jf.delta * fock_vector_operator(r_bb_m, ops)
              @ fock_vector_operator(r_bb_p, ops))
-    h_direct = qb.fock_hamiltonian(qb.bcs_form(p), n_max).H_matrix
+    h_direct = qb.fock_hamiltonian(qb.bcs_form(p), n_max)
     occ = [(i, j) for i in range(n_max + 1) for j in range(n_max + 1)]
     low = [k for k, (i, j) in enumerate(occ) if i + j <= n_max // 2]
     block = (h_dec - h_direct)[np.ix_(low, low)]

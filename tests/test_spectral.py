@@ -219,6 +219,55 @@ def test_classification_four_regimes():
         assert report.classification is expected, delta
 
 
+# (defective, any complex frequency, Hmat positive definite) -> regime
+_PRECEDENCE = [
+    ((False, False, False), qb.StabilityClass.STABLE_NON_POSITIVE),
+    ((False, False, True), qb.StabilityClass.POSITIVE_DEFINITE),
+    ((False, True, False), qb.StabilityClass.UNSTABLE_COMPLEX),
+    ((False, True, True), qb.StabilityClass.UNSTABLE_COMPLEX),
+    ((True, False, False), qb.StabilityClass.NON_DIAGONALIZABLE),
+    ((True, False, True), qb.StabilityClass.NON_DIAGONALIZABLE),
+    ((True, True, False), qb.StabilityClass.NON_DIAGONALIZABLE),
+    ((True, True, True), qb.StabilityClass.NON_DIAGONALIZABLE),
+]
+
+
+def test_class_codes_hold_the_one_precedence_rule():
+    # Jordan > complex > positive definite > stable non-positive, for
+    # scalars (classify) and elementwise (classify_stack) alike
+    columns = np.array([bits for bits, _ in _PRECEDENCE]).T
+    codes = spectral._class_codes(*columns)
+    assert [qb.CLASS_LABELS[c] for c in codes] == [label for _, label in _PRECEDENCE]
+    for bits, label in _PRECEDENCE:
+        assert qb.CLASS_LABELS[int(spectral._class_codes(*bits))] is label
+
+
+def test_a_report_reads_frequencies_flags_and_verdict_off_its_pairs():
+    # a report rebuilt with new pairs keeps no reading of the old ones
+    stable = qb.classify(qb.bcs_form(bcs(0.5)))
+    flipped = dataclasses.replace(stable, pairs=[p.flipped() for p in stable.pairs])
+    assert flipped.mode_frequencies.tolist() == [-p.lam for p in stable.pairs]
+    unstable = qb.classify(qb.bcs_form(bcs(1.2)))
+    moved = dataclasses.replace(stable, pairs=unstable.pairs)
+    assert _same_bits(moved.mode_frequencies, unstable.mode_frequencies)
+    assert list(stable.hermitian_flags) == [True, True]
+    assert list(moved.hermitian_flags) == [False, False]
+    assert stable.classification is qb.StabilityClass.POSITIVE_DEFINITE
+    assert moved.classification is qb.StabilityClass.UNSTABLE_COMPLEX
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.97, 1.0, 1.2])
+def test_report_readings_are_read_only_and_computed_once(delta):
+    report = qb.classify(qb.bcs_form(bcs(delta)))
+    for name in ("mode_frequencies", "hermitian_flags", "zero_modes", "zero_mode_count",
+                 "defects", "diagonalizable", "classification"):
+        value = getattr(report, name)
+        assert getattr(report, name) is value
+        assert not isinstance(value, np.ndarray) or not value.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(report, name, value)
+
+
 _RANDOM_FORMS = st.builds(
     lambda seed, n, pd: random_form(np.random.default_rng(seed), n, shift=0.5 if pd else None),
     st.integers(0, 10_000), st.integers(1, 6), st.booleans())
@@ -455,7 +504,7 @@ def test_purely_imaginary_pair_full_pipeline():
     h = form.hmat
     target = np.diag(np.concatenate([lams, lams]))
     assert np.abs(qb.bar(bt.W) @ h @ bt.W - target).max() <= 1e-10
-    assert list(bt.hermitian_flags) == [True, False]
+    assert list(bt.report.hermitian_flags) == [True, False]
     assert np.abs(bt.reconstruct_extended() - h).max() <= 1e-10
 
 
@@ -637,7 +686,7 @@ def test_partners_pair_within_the_cluster_radius_on_both_paths(f):
         raise LookupError(i)
 
     if f < 1:
-        assert len(spectral._eigen_pairs(fake, 1e-9)[0]) == 1
+        assert len(spectral._eigen_pairs(fake, 1e-9)["pairs"]) == 1
         assert spectral.classify_stack(stack, scalar).code.tolist() == [0]
     else:
         with pytest.raises(PairingFailure, match="no partner"):
@@ -729,10 +778,14 @@ def test_planted_normal_forms_get_their_planted_answer():
         if report.classification != verdict:
             failures.append((seed, report.classification.value, verdict.value))
         elif not report.diagonalizable:
-            blocks = [c.max_block for c in report.clusters if c.geometric < c.algebraic]
+            blocks = [c.max_block for c in report.defects]
             if blocks != [2] * len(blocks):
                 failures.append((seed, "max_block", blocks))
         else:
+            planted_counts = ((lams == 0).sum(), (lams.imag != 0).sum())
+            counts = (report.zero_mode_count, (~report.hermitian_flags).sum())
+            if counts != planted_counts:
+                failures.append((seed, "zero and complex modes", counts, planted_counts))
             found = np.concatenate([report.mode_frequencies, -report.mode_frequencies])
             dist = np.abs(found[:, None] - np.concatenate([lams, -lams])[None, :])
             err = dist[linear_sum_assignment(dist)].max()
