@@ -13,7 +13,8 @@ and the CSV table of every subcommand to work (``--format doc`` of
 roundoff splits a Jordan pair differently at +lambda and -lambda, then a
 ``bcs`` point whose outer edge is representable although kappa^2/gamma^2
 is not, then ``analyze`` on a zero mode, a Jordan block at zero and a
-purely imaginary frequency, and runs every op in-process through
+purely imaginary frequency, then ``sweep`` and ``bcs --sweep`` grids at a
+non-default ``--tol-eig``, and runs every op in-process through
 ``perfbench/run.py``'s ``call`` (stdout captured; importing ``run`` pins
 BLAS to one thread).  Each line reads ``<exit code> <sha256 of stdout>
 <argv>``; fixture paths in the argv are printed relative to the fixture
@@ -150,6 +151,18 @@ def zero_mode_argvs(root: str):
         yield ["analyze", form, "--format", "csv"]
 
 
+def tolerance_argvs():
+    """``sweep`` (CSV and ``--format doc``) and ``bcs --sweep`` over delta in
+    [0.95, 1.0] at ``--tol-eig 1e-3``: the grid ends at the Jordan point
+    delta = eps, which the batched classifier leaves to ``classify``, and
+    delta = 0.952 and 0.953 read StableNonPositive at this tolerance but
+    PositiveDefinite at the default."""
+    tol = ["--tol-eig", "1e-3"]
+    yield ["sweep", "--delta", "0.95:1.0:51", *tol]
+    yield ["sweep", "--delta", "0.95:1.0:51", *tol, "--format", "doc"]
+    yield ["bcs", "--sweep", "0.95:1.0:51", *tol]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seed", type=int, nargs="+", default=[1])
@@ -169,6 +182,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as root:
         for argv in zero_mode_argvs(root):
             print(digest_line(argv, root), flush=True)
+    for argv in tolerance_argvs():
+        print(digest_line(argv), flush=True)
     return 0
 
 

@@ -29,8 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (QuadraticForm, _freeze, _hmat, _symmetrized, bar, bar_symmetrize,
-                   build_form, metric_signs, quadratic_matrix)
+from .core import (QuadraticForm, _freeze, _metric_conjugate, bar_symmetrize, build_form,
+                   quadratic_matrix)
 from .errors import DegenerateGap, NotDegenerate, Overflow
 from .spectral import DEFAULT_TOL_EIG, StabilityColumns, _cuts, classify, classify_stack
 
@@ -88,13 +88,20 @@ class BcsThresholds:
         }
 
 
+def _model(epsilon, gamma, delta, kappa) -> tuple:
+    """The model's A (energies and kappa hopping) and B (anti-diagonal
+    pairing), stacked over the broadcast shape of the parameters."""
+    a = np.zeros((*np.broadcast(epsilon, gamma, delta, kappa).shape, 2, 2), dtype=complex)
+    b = np.zeros_like(a)
+    a[..., 0, 0], a[..., 1, 1] = epsilon + gamma, epsilon - gamma
+    a[..., 0, 1] = a[..., 1, 0] = kappa
+    b[..., 0, 1] = b[..., 1, 0] = delta
+    return a, b
+
+
 def bcs_form(p: BcsParams) -> QuadraticForm:
-    """Quadratic form of the model: A carries the energies and the kappa
-    hopping, B the anti-diagonal pairing."""
-    a = np.array([[p.epsilon + p.gamma, p.kappa],
-                  [p.kappa, p.epsilon - p.gamma]], dtype=complex)
-    b = np.array([[0.0, p.delta], [p.delta, 0.0]], dtype=complex)
-    return build_form(a, b)
+    """Quadratic form of the model, built from :func:`_model`'s matrices."""
+    return build_form(*_model(p.epsilon, p.gamma, p.delta, p.kappa))
 
 
 @dataclass(frozen=True)
@@ -114,10 +121,10 @@ def bcs_sweep(epsilon: float, gammas, deltas, kappas,
 
     delta is the outermost axis, then kappa, then gamma; a fixed parameter
     is a length-1 array.  The whole grid is validated before the first
-    solve, then its stacked Hmat goes through :func:`classify_stack`: one
-    batched eigensolve, and :func:`classify` of :func:`bcs_form` at the
-    points that need it (Jordan points, non-finite parameters).  Every
-    column equals the per-point ``classify(bcs_form(p))`` bit for bit.
+    solve; then :func:`classify_stack` takes the model's stacked A and B: one
+    batched eigensolve, and per-point :func:`classify` where needed (Jordan
+    points, non-finite parameters).  Every column equals the per-point
+    ``classify(bcs_form(p), tol_eig)`` bit for bit.
 
     Raises
     ------
@@ -133,16 +140,7 @@ def bcs_sweep(epsilon: float, gammas, deltas, kappas,
     if not valid.all():  # BcsParams raises the error of the first bad point
         i = int(np.argmin(valid))
         BcsParams(epsilon, float(gamma[i]), float(delta[i]), float(kappa[i]))
-    a = np.zeros((delta.size, 2, 2), dtype=complex)
-    a[:, 0, 0] = epsilon + gamma
-    a[:, 1, 1] = epsilon - gamma
-    a[:, 0, 1] = a[:, 1, 0] = kappa
-    b = np.zeros((delta.size, 2, 2), dtype=complex)
-    b[:, 0, 1] = b[:, 1, 0] = delta
-    with np.errstate(all="ignore"):  # non-finite points warn or raise in classify
-        hmats = _hmat(*_symmetrized(a, b))  # build_form's and QuadraticForm.hmat's own steps
-    columns = classify_stack(hmats, lambda i: classify(bcs_form(
-        BcsParams(epsilon, float(gamma[i]), float(delta[i]), float(kappa[i]))), tol_eig), tol_eig)
+    columns = classify_stack(*_model(epsilon, gamma, delta, kappa), tol_eig)
     return BcsSweep(**vars(columns), epsilon=epsilon, gamma=gamma, delta=delta, kappa=kappa)
 
 
@@ -327,8 +325,7 @@ class JordanDecoupledForm:
     @cached_property
     def inverse(self) -> np.ndarray:
         """M W_sbar M, whose rows extract (bs_+, bs_-, bsbar_+, bsbar_-)."""
-        signs = metric_signs(2)
-        return _freeze(signs[:, None] * bar(self.transform) * signs)
+        return _freeze(_metric_conjugate(self.transform))
 
     @cached_property
     def pair_invariant_raw(self) -> np.ndarray:

@@ -127,7 +127,7 @@ class QuadraticForm:
         A row sign flip of ``hmat``, so the two share floating-point entries
         up to sign.
         """
-        return _freeze(metric_signs(self.n_modes)[:, None] * self.hmat)
+        return _freeze(_generator(self.hmat))
 
     @functools.cached_property
     def coordinate_matrix(self) -> np.ndarray:
@@ -188,6 +188,23 @@ def _hmat(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     h[..., :n, :n], h[..., :n, n:] = A, B
     h[..., n:, :n], h[..., n:, n:] = B.conj(), A.swapaxes(-1, -2)
     return h
+
+
+def _generator(hmat: np.ndarray) -> np.ndarray:
+    """M Hmat, a row sign flip, matrix by matrix over leading axes."""
+    return metric_signs(hmat.shape[-1] // 2)[:, None] * hmat
+
+
+def _metric_conjugate(x: np.ndarray) -> np.ndarray:
+    """M Xbar M over leading axes, the inverse of X when X M Xbar = M."""
+    signs = metric_signs(x.shape[-1] // 2)
+    return signs[:, None] * bar(x) * signs
+
+
+def _metric_defect(x: np.ndarray):
+    """||X M Xbar - M||_2 over leading axes, the metric identity's defect."""
+    signs = metric_signs(x.shape[-1] // 2)
+    return np.linalg.norm((x * signs) @ bar(x) - np.diag(signs), 2, axis=(-2, -1))
 
 
 def build_form(A, B, tol_struct: float = DEFAULT_TOL_STRUCT) -> QuadraticForm:

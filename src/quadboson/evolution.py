@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import QuadraticForm, bar, metric_signs
+from .core import QuadraticForm, _metric_defect, bar
 from .errors import Overflow, StepTooLarge
 from .spectral import BogoliubovTransform, StabilityReport
 
@@ -182,9 +182,7 @@ def propagate_stack(form: QuadraticForm, times: Sequence) -> PropagatorStack:
             f"||t M Hmat||_1 = {sizes[stop]:.3e} at t={times[stop]} reaches 2^53 = 1/u, "
             "where expm resolves no digit of U"
         )
-    signs = metric_signs(form.n_modes)
-    sym = np.linalg.norm((u * signs) @ bar(u) - np.diag(signs), 2, axis=(1, 2))
-    return PropagatorStack(u, peaks, sym)
+    return PropagatorStack(u, peaks, _metric_defect(u))
 
 
 def propagate_grid(form: QuadraticForm, times: Sequence) -> Iterator[PropagatorStack]:
@@ -240,7 +238,7 @@ def growth_class(report: StabilityReport) -> GrowthClass:
 
 def ode_cross_check(form: QuadraticForm, t: float, steps: int,
                     target: float | None = None) -> float:
-    """Integrate dU/dt = -i (M Hmat) U of a form with classical RK4 and compare to expm.
+    """Integrate dU/dt = -i (M Hmat) U with classical RK4 and compare to :func:`propagate`.
 
     Returns ||U_ode - U_exp|| (2-norm).  This is a deliberately independent
     route: no eigensolve, no Pade machinery, just fixed-step integration,
@@ -256,9 +254,10 @@ def ode_cross_check(form: QuadraticForm, t: float, steps: int,
         If given, raise StepTooLarge up front when the step-size error
         estimate exceeds the target or the float range, with a suggested
         step count where one exists within the float range.
-    """
-    from scipy.linalg import expm
 
+    Raises ``Overflow`` from :func:`propagate`, before any step, where the
+    exact U has no correct digit or an entry above 1e100.
+    """
     if isinstance(t, complex) and t.imag != 0:
         raise ValueError("ode_cross_check integrates along real time only")
     t = float(np.real(t))
@@ -281,6 +280,7 @@ def ode_cross_check(form: QuadraticForm, t: float, steps: int,
                 f"{steps} steps give an error estimate {est:.3e} above the "
                 f"target {target:.3e}; {advice}"
             )
+    exact = propagate(form, t).U
     h = t / steps
     u = np.eye(ht.shape[0], dtype=complex)
     for _ in range(steps):
@@ -289,5 +289,4 @@ def ode_cross_check(form: QuadraticForm, t: float, steps: int,
         k3 = gen @ (u + 0.5 * h * k2)
         k4 = gen @ (u + h * k3)
         u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    exact = expm(-1j * t * ht)
     return float(np.linalg.norm(u - exact, 2))

@@ -27,16 +27,16 @@ eigensolve; its frequencies, flags and verdict are readings of them.
 and coordinate-diagonal representation: it reads frequencies and flags
 from the report, and its extraction rows, norm residuals and conserved
 bilinears from W alone, each on first read.
-:func:`classify_stack` classifies a stack of forms with one batched
-eigensolve.  It replays :func:`classify`'s choices only where they cannot
-hinge on a tie: every group of the spectrum clustered with its negation is
-one pair {x, -y} of distinct eigenvalues, and no M-norm is near null.  Every
-other point goes through :func:`classify` itself.
+:func:`classify_stack` classifies stacks of (A, B) matrices with one
+batched eigensolve.  It replays :func:`classify`'s choices only where they
+cannot hinge on a tie: every group of the spectrum clustered with its
+negation is one pair {x, -y} of distinct eigenvalues, and no M-norm is near
+null.  Every other point is built with ``build_form`` and goes through
+:func:`classify` itself, at the same ``tol_eig``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -46,9 +46,14 @@ import numpy as np
 from .core import (
     QuadraticForm,
     _freeze,
-    bar,
+    _generator,
+    _hmat,
+    _metric_conjugate,
+    _metric_defect,
+    _symmetrized,
     bar_symmetrize,
     bar_vector,
+    build_form,
     frobenius_norm,
     metric_signs,
 )
@@ -172,14 +177,12 @@ class BogoliubovTransform:
     @cached_property
     def W_inv(self) -> np.ndarray:
         """M Wbar M."""
-        mdiag = metric_signs(self.n_modes)
-        return _freeze(mdiag[:, None] * bar(self.W) * mdiag)
+        return _freeze(_metric_conjugate(self.W))
 
     @cached_property
     def metric_residual(self) -> float:
         """||W M Wbar - M||_2, the metric identity's defect."""
-        mdiag = metric_signs(self.n_modes)
-        return float(np.linalg.norm((self.W * mdiag) @ bar(self.W) - np.diag(mdiag), 2))
+        return float(_metric_defect(self.W))
 
     @cached_property
     def extract_b(self) -> np.ndarray:
@@ -363,9 +366,8 @@ def _class_codes(defective, any_complex, positive):
 # ---------------------------------------------------------------------------
 # spectrum structure
 
-def _nullity(mat: np.ndarray, tol_abs: float) -> tuple[int, float]:
-    """Number of singular values <= tol_abs, plus the gap across the cut."""
-    sv = np.linalg.svd(mat, compute_uv=False)
+def _nullity(sv: np.ndarray, tol_abs: float) -> tuple[int, float]:
+    """Number of singular values ``sv`` <= tol_abs, plus the gap across the cut."""
     below = sv <= tol_abs
     count = int(np.count_nonzero(below))
     if count == 0 or count == sv.size:
@@ -433,8 +435,9 @@ def _cluster_indices(values: np.ndarray, radius: float) -> list:
     return list(groups.values())
 
 
-def _max_block(shifted: np.ndarray, algebraic: int) -> int:
-    """Largest Jordan block size from the nullity sequence of powers.
+def _max_block(shifted: np.ndarray, sv: np.ndarray, algebraic: int) -> int:
+    """Largest Jordan block size from the nullity sequence of powers of
+    ``shifted``, whose singular values are ``sv``.
 
     The rank cut for (A - value)^k scales with ||A - value||^k: the power of
     a defective direction is exactly zero in theory, so its computed
@@ -447,8 +450,8 @@ def _max_block(shifted: np.ndarray, algebraic: int) -> int:
         That scale ||A - value||^k leaves the float range before the
         nullities settle.
     """
-    base = max(float(np.linalg.svd(shifted, compute_uv=False).max()), np.finfo(float).tiny)
-    power = np.eye(shifted.shape[0], dtype=complex)
+    base = max(float(sv.max()), np.finfo(float).tiny)
+    power = shifted
     prev = 0
     size = 1
     for k in range(1, algebraic + 1):
@@ -457,8 +460,10 @@ def _max_block(shifted: np.ndarray, algebraic: int) -> int:
         except OverflowError:
             raise Overflow(f"Jordan rank test overflows: ||M Hmat - lambda||^{k} = "
                            f"{base:.3e}^{k} is beyond the float range") from None
-        power = power @ shifted
-        null_k, _ = _nullity(power, cut)
+        if k > 1:
+            power = power @ shifted
+            sv = np.linalg.svd(power, compute_uv=False)
+        null_k, _ = _nullity(sv, cut)
         if null_k > prev:
             size = k
             prev = null_k
@@ -496,9 +501,10 @@ def _analyze(matrix: np.ndarray, scale: float, cluster_tol: float):
             continue
         value = complex(evals[idx].mean())
         shifted = matrix - value * np.eye(matrix.shape[0])
-        geo, gap = _nullity(shifted, _RANK_SAFETY * scale)
+        sv = np.linalg.svd(shifted, compute_uv=False)
+        geo, gap = _nullity(sv, _RANK_SAFETY * scale)
         geo = min(geo, alg)
-        blk = _max_block(shifted, alg) if geo < alg else 1
+        blk = _max_block(shifted, sv, alg) if geo < alg else 1
         clusters.append((ClusterInfo(value, alg, geo, blk, gap), idx))
     return vecs, clusters, mirror, residual
 
@@ -801,114 +807,93 @@ def _magnitude(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _stack_fast_path(hmats: np.ndarray, tol_eig: float):
-    """Batched classify of finite extended matrices: (taken, code, freqs, min sigma).
+def classify_stack(A, B, tol_eig: float = DEFAULT_TOL_EIG) -> StabilityColumns:
+    """:func:`classify` over stacks of (N, n, n) matrices A and B, each point
+    hermitian and symmetric as :func:`build_form` requires.
 
-    One call each to eigvalsh, the 2-norm and eig serves the stack; these
-    are the functions ``classify`` calls per form, so they give its bits, and
-    every complex magnitude is :func:`_magnitude`, the bits of ``abs``.
-    ``taken`` marks the points whose verdict cannot hinge on a tie, where
-    the steps below replay ``_eigen_pairs`` exactly: every group of the
-    spectrum clustered with its negation is one pair {x, -y} of distinct
-    eigenvalues, so every cluster is one eigenvalue, none is a zero
-    cluster, and the mirror of x is y.  Both members of a pair lie on the
-    same side of ``_eigen_pairs``' real-branch cut, and every real pair has
-    |M-norm| > ``_NEAR_DEFECT_NORM``, so the sign that orients it is far
-    above roundoff.  Rows not taken hold garbage.
+    The stacked Hmat takes ``build_form``'s steps.  Finite points take one
+    call each to eigvalsh, the 2-norm and eig, the functions ``classify``
+    calls per form, so they give its bits; every complex magnitude is
+    :func:`_magnitude`, the bits of ``abs``.  Where no choice hinges on a tie
+    (one pair {x, -y} of distinct eigenvalues per group of the spectrum
+    clustered with its negation, so no zero cluster and x mirrors y; both
+    members on one side of the real-branch cut; every real |M-norm| above
+    ``_NEAR_DEFECT_NORM``), the steps below replay ``_eigen_pairs`` exactly.
+    Every other point (Jordan points, zero or degenerate clusters, near-null
+    M-norms, non-finite input) goes through
+    ``classify(build_form(A[i], B[i]), tol_eig)``, with its verdict and its
+    exceptions, raised at the first such point in stack order.
     """
-    count, two_n = hmats.shape[:2]
-    n = two_n // 2
-    signs = metric_signs(n)
-    rows = np.arange(count)[:, None]
-    freqs = np.zeros((count, n), dtype=complex)
-    dyn = signs[:, None] * hmats
-    try:
-        min_sigma = np.linalg.eigvalsh(hmats).min(axis=1)
-        scale = np.maximum(np.linalg.norm(dyn, 2, axis=(1, 2)), np.finfo(float).tiny)
-        evals, vecs = np.linalg.eig(dyn)
-    except np.linalg.LinAlgError:  # one point failed to converge; classify meets it alone
-        return np.zeros(count, dtype=bool), np.zeros(count, dtype=int), freqs, np.zeros(count)
-    cluster_tol, real_tol, branch_tol = _cuts(scale, tol_eig)
-    real_tol, branch_tol = real_tol[:, None], branch_tol[:, None]
-    # a singleton cluster's value is the mean of one eigenvalue, which turns
-    # -0.0 into +0.0 exactly as adding 0.0 does
-    values = evals + 0.0
-    spread = np.where(~np.eye(two_n, dtype=bool),
-                      _magnitude(evals[:, :, None] - evals[:, None, :]), np.inf)
-    # |x + y| is the distance of x to -y in the doubled spectrum, x to -x
-    # on the diagonal; it is symmetric, so one link per row makes every
-    # group a pair, and the link is the row's nearest
-    negation = _magnitude(values[:, :, None] + values[:, None, :])
-    partner = negation.argmin(axis=2)
-    taken = (np.isfinite(scale)
-             & (spread.min(axis=(1, 2)) > cluster_tol)
-             & ((negation <= cluster_tol[:, None, None]).sum(axis=2) == 1).all(axis=1)
-             & (partner != np.arange(two_n)).all(axis=1))
-    sel = np.flatnonzero(taken)
-    if sel.size == 0:
-        return taken, np.zeros(count, dtype=int), freqs, min_sigma
-    values, vecs, partner = values[sel], vecs[sel], partner[sel]
-    real_tol, branch_tol = real_tol[sel], branch_tol[sel]
-    rows = rows[: sel.size]
-    # _match_clusters visits clusters by decreasing |value| (a stable sort);
-    # the first member of each pair it meets leads the pair
-    order = np.argsort(-_magnitude(values), axis=1, kind="stable")
-    rank = np.argsort(order, axis=1)
-    leads = rank < np.take_along_axis(rank, partner, axis=1)
-    first = order[np.take_along_axis(leads, order, axis=1)].reshape(-1, n)
-    second = partner[rows, first]
-    a, b = values[rows, first], values[rows, second]
-    a_complex = np.abs(a.imag) > branch_tol
-    b_complex = np.abs(b.imag) > branch_tol
-    # orientation rule of _eigen_pairs: a becomes the +lambda side
-    swap = (a_complex & (a.imag < b.imag)) | (~a_complex & (a.real < b.real))
-    plus = np.where(swap, second, first)
-    lam = values[rows, plus]
-    real = np.abs(lam.imag) <= branch_tol
-    w = vecs[rows[:, :, None], np.arange(two_n)[None, :, None], plus[:, None, :]]
-    m_norm = (signs[:, None] * (w.real ** 2 + w.imag ** 2)).sum(axis=1)
-    ok = ((a_complex == b_complex)
-          & (~real | (np.abs(m_norm) > _NEAR_DEFECT_NORM))).all(axis=1)
-    # a real pair's representative is complex(value.real), negated (imaginary
-    # part -0.0) when its M-norm is negative; a complex one is the value itself
-    negative = real & (m_norm < 0)
-    lam.real = np.where(real, np.where(negative, -lam.real, lam.real), lam.real)
-    lam.imag = np.where(real, np.where(negative, -0.0, 0.0), lam.imag)
-    # pairs sorted by (-Re, -Im), stable from the matching order
-    lam = lam[rows, np.lexsort((-lam.imag, -lam.real), axis=1)]
-    any_complex = (np.abs(lam.imag) > real_tol).any(axis=1)
-    positive = min_sigma[sel] > real_tol[:, 0]
-    code = np.zeros(count, dtype=int)
-    code[sel] = _class_codes(False, any_complex, positive)
-    freqs[sel] = lam
-    taken[sel] = ok
-    return taken, code, freqs, min_sigma
-
-
-def classify_stack(hmats, scalar: Callable[[int], StabilityReport],
-                   tol_eig: float = DEFAULT_TOL_EIG) -> StabilityColumns:
-    """:func:`classify` over a stack of extended matrices, shape (N, 2n, 2n).
-
-    Points whose entries and 2-norm are finite and whose spectrum leaves no
-    choice to a tie take one batched eigensolve (see the module notes); the
-    rest (Jordan points, zero or degenerate clusters, near-null M-norms,
-    non-finite input) go through ``scalar(i)``, the caller's ``classify``
-    of the i-th point's form, so their verdicts and exceptions are classify's.
-    Exceptions are raised at the first such point in stack order.
-    """
-    hmats = np.asarray(hmats, dtype=complex)
-    count, two_n = hmats.shape[:2]
-    n = two_n // 2
-    finite = np.flatnonzero(np.isfinite(hmats).all(axis=(1, 2)))
+    A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
+    count, n = A.shape[:2]
+    two_n = 2 * n
     code = np.zeros(count, dtype=int)
     freqs = np.zeros((count, n), dtype=complex)
     min_sigma = np.zeros(count)
     taken = np.zeros(count, dtype=bool)
-    if finite.size:
-        taken[finite], code[finite], freqs[finite], min_sigma[finite] = _stack_fast_path(
-            hmats[finite], tol_eig)
+    with np.errstate(all="ignore"):  # non-finite points warn or raise in classify
+        hmats = _hmat(*_symmetrized(A, B))
+    points = np.flatnonzero(np.isfinite(hmats).all(axis=(1, 2)))
+    hmats = hmats[points]
+    dyn = _generator(hmats)
+    try:
+        min_sigma[points] = np.linalg.eigvalsh(hmats).min(axis=1)
+        scale = np.maximum(np.linalg.norm(dyn, 2, axis=(1, 2)), np.finfo(float).tiny)
+        evals, vecs = np.linalg.eig(dyn)
+    except np.linalg.LinAlgError:  # one point failed to converge; classify meets it alone
+        pass
+    else:
+        cluster_tol, real_tol, branch_tol = _cuts(scale, tol_eig)
+        # a singleton cluster's value is the mean of one eigenvalue, which
+        # turns -0.0 into +0.0 exactly as adding 0.0 does
+        values = evals + 0.0
+        spread = np.where(~np.eye(two_n, dtype=bool),
+                          _magnitude(evals[:, :, None] - evals[:, None, :]), np.inf)
+        # |x + y| is the distance of x to -y in the doubled spectrum, x to -x
+        # on the diagonal; it is symmetric, so one link per row makes every
+        # group a pair, and the link is the row's nearest
+        negation = _magnitude(values[:, :, None] + values[:, None, :])
+        partner = negation.argmin(axis=2)
+        sel = np.flatnonzero(
+            np.isfinite(scale) & (spread.min(axis=(1, 2)) > cluster_tol)
+            & ((negation <= cluster_tol[:, None, None]).sum(axis=2) == 1).all(axis=1)
+            & (partner != np.arange(two_n)).all(axis=1))
+        points, values, vecs, partner = points[sel], values[sel], vecs[sel], partner[sel]
+        real_tol, branch_tol = real_tol[sel, None], branch_tol[sel, None]
+        rows = np.arange(sel.size)[:, None]
+        # _match_clusters visits clusters by decreasing |value| (a stable sort);
+        # the first member of each pair it meets leads the pair
+        order = np.argsort(-_magnitude(values), axis=1, kind="stable")
+        rank = np.argsort(order, axis=1)
+        leads = rank < np.take_along_axis(rank, partner, axis=1)
+        first = order[np.take_along_axis(leads, order, axis=1)].reshape(-1, n)
+        second = partner[rows, first]
+        a, b = values[rows, first], values[rows, second]
+        a_complex = np.abs(a.imag) > branch_tol
+        b_complex = np.abs(b.imag) > branch_tol
+        # orientation rule of _eigen_pairs: a becomes the +lambda side
+        swap = (a_complex & (a.imag < b.imag)) | (~a_complex & (a.real < b.real))
+        plus = np.where(swap, second, first)
+        lam = values[rows, plus]
+        real = np.abs(lam.imag) <= branch_tol
+        w = vecs[rows[:, :, None], np.arange(two_n)[None, :, None], plus[:, None, :]]
+        m_norm = (metric_signs(n)[:, None] * (w.real ** 2 + w.imag ** 2)).sum(axis=1)
+        ok = ((a_complex == b_complex)
+              & (~real | (np.abs(m_norm) > _NEAR_DEFECT_NORM))).all(axis=1)
+        # a real pair's representative is complex(value.real), negated (imaginary
+        # part -0.0) when its M-norm is negative; a complex one is the value itself
+        negative = real & (m_norm < 0)
+        lam.real = np.where(real, np.where(negative, -lam.real, lam.real), lam.real)
+        lam.imag = np.where(real, np.where(negative, -0.0, 0.0), lam.imag)
+        # pairs sorted by (-Re, -Im), stable from the matching order
+        lam = lam[rows, np.lexsort((-lam.imag, -lam.real), axis=1)]
+        any_complex = (np.abs(lam.imag) > real_tol).any(axis=1)
+        positive = min_sigma[points] > real_tol[:, 0]
+        code[points] = _class_codes(False, any_complex, positive)
+        freqs[points] = lam
+        taken[points] = ok
     for i in np.flatnonzero(~taken):
-        report = scalar(i)
+        report = classify(build_form(A[i], B[i]), tol_eig)
         code[i] = CLASS_CODES[report.classification]
         freqs[i] = report.mode_frequencies
         min_sigma[i] = report.h_eigenvalues.min()

@@ -44,11 +44,12 @@ def test_sweep_validates_every_point_before_solving(monkeypatch):
     assert solved == []
 
 
-def _assert_columns_match_classify(sw):
-    """Every column of a sweep equals per-point classify(bcs_form(p)), bit for bit."""
+def _assert_columns_match_classify(sw, tol_eig=qb.spectral.DEFAULT_TOL_EIG):
+    """Every column of a sweep equals per-point classify(bcs_form(p), tol_eig),
+    bit for bit."""
     for i in range(sw.delta.size):
         p = qb.BcsParams(sw.epsilon, float(sw.gamma[i]), float(sw.delta[i]), float(sw.kappa[i]))
-        report = qb.classify(qb.bcs_form(p))
+        report = qb.classify(qb.bcs_form(p), tol_eig)
         freqs = report.mode_frequencies.view(float)
         got = sw.frequencies[i].view(float)
         assert sw.code[i] == qb.CLASS_CODES[report.classification], p
@@ -97,14 +98,34 @@ def test_sweep_columns_equal_per_point_classify(grid):
     _assert_columns_match_classify(qb.bcs_sweep(*grid))
 
 
-def test_sweep_takes_the_scalar_path_only_where_needed(monkeypatch):
+def _counting_classify(monkeypatch):
+    """Patch classify_stack's per-point classify to record every form it gets."""
     scalar = []
-    classify = qb.bcs.classify
-    monkeypatch.setattr(qb.bcs, "classify", lambda form, tol: scalar.append(form) or classify(form, tol))
+    classify = qb.spectral.classify
+    monkeypatch.setattr(qb.spectral, "classify",
+                        lambda form, tol: scalar.append(form) or classify(form, tol))
+    return scalar
+
+
+def test_sweep_takes_the_scalar_path_only_where_needed(monkeypatch):
+    scalar = _counting_classify(monkeypatch)
     sw = qb.bcs_sweep(1.0, [0.3], [0.5, 1.0, 1.2], [0.0])
     assert len(scalar) == 1 and scalar[0].B[0, 1] == 1.0  # the Jordan point delta = eps
     assert sw.code.tolist() == [0, 3, 2]
     _assert_columns_match_classify(sw)
+
+
+def test_a_sweep_classifies_every_point_at_its_own_tolerance(monkeypatch):
+    # one tol_eig serves the batched and the per-point verdicts: at 1e-3,
+    # delta = 0.952 and 0.953 read StableNonPositive, and the Jordan point
+    # delta = eps = 1.0 takes the per-point path
+    scalar = _counting_classify(monkeypatch)
+    deltas = np.linspace(0.95, 1.0, 51)
+    sw = qb.bcs_sweep(1.0, [0.3], deltas, [0.0], tol_eig=1e-3)
+    assert [f.B[0, 1] for f in scalar] == [1.0]
+    assert sw.code[[2, 3]].tolist() == [1, 1]
+    assert qb.bcs_sweep(1.0, [0.3], deltas[[2, 3]], [0.0]).code.tolist() == [0, 0]
+    _assert_columns_match_classify(sw, 1e-3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -128,8 +149,7 @@ def test_classify_stack_matches_classify_on_random_forms(rng):
     for n in (1, 2, 3, 5):
         forms = [random_form(rng, n, shift) for shift in (None, 0.5, -0.5) for _ in range(4)]
         forms.append(qb.build_form(np.zeros((n, n)), np.zeros((n, n))))  # one zero cluster
-        cols = qb.classify_stack([f.hmat for f in forms],
-                                 lambda i: qb.classify(forms[i]))
+        cols = qb.classify_stack([f.A for f in forms], [f.B for f in forms])
         for i, form in enumerate(forms):
             report = qb.classify(form)
             assert cols.code[i] == qb.CLASS_CODES[report.classification]

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import quadboson as qb
-from quadboson.core import _hmat, _symmetrized, frobenius_norm, metric_signs
+from quadboson.core import (_hmat, _metric_defect, _symmetrized, bar, frobenius_norm,
+                            metric_signs)
 from quadboson.errors import DimensionMismatch, Overflow, StructureViolation
 
 from conftest import multiset_dev, random_form
@@ -121,6 +122,22 @@ def test_dynamical_is_exact_metric_product():
     h = form.hmat
     ht = form.generator
     assert np.array_equal(ht, metric(3) @ h)
+
+
+def test_the_metric_defect_is_the_two_d_two_norm_bit_for_bit():
+    # ||W M Wbar - M||_2 over the last two axes has the bits of the 2-D
+    # np.linalg.norm(m, 2), matrix by matrix and over a stack of transforms
+    rng = np.random.default_rng(3)
+    by_n = {}
+    for k in range(300):
+        n = 1 + k % 4
+        w = qb.normalize_pairs(qb.classify(random_form(rng, n, (0.5, -0.5)[k % 2]))).W
+        want = np.linalg.norm((w * metric_signs(n)) @ bar(w) - metric(n), 2)
+        assert _metric_defect(w) == want
+        by_n.setdefault(n, []).append((w, want))
+    for pairs in by_n.values():
+        stack, wants = zip(*pairs)
+        assert _metric_defect(np.array(stack)).tolist() == list(wants)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])

@@ -196,6 +196,14 @@ def test_ode_cross_check_validation():
     assert qb.ode_cross_check(form, 1.0, 2000, target=1e-6) <= 1e-9
 
 
+def test_ode_cross_check_refuses_an_exact_u_without_a_correct_digit():
+    # ||t M Hmat||_1 = 1.5e16 reaches 2^53: propagate resolves no digit of U,
+    # so no error can be measured against it
+    form = qb.build_form([[1.0]], [[0.5]])
+    with pytest.raises(Overflow, match="2\\^53"):
+        qb.ode_cross_check(form, 1e16, 10)
+
+
 def test_overflow_raises():
     form = qb.bcs_form(bcs(1.2))
     with pytest.raises(Overflow):

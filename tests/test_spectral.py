@@ -674,25 +674,56 @@ def test_clusters_of_the_bit_test_forms_are_the_groups_of_the_doubled_spectrum()
 
 
 @pytest.mark.parametrize("f", [0.5, 0.99, 1.01, 1.5, 1.99])
-def test_partners_pair_within_the_cluster_radius_on_both_paths(f):
-    # a fake one-mode spectrum {1, -(1 + d)}: classify pairs 1 with -(1 + d)
-    # only when d is within the cluster radius, about CLUSTER_SAFETY, and the
-    # batched path takes the point only then, leaving the rest to classify
+def test_partners_pair_within_the_cluster_radius_on_both_paths(f, monkeypatch):
+    # a fake one-mode spectrum {1, -(1 + d)}, which no (A, B) expresses, put
+    # in as the stack's generator: classify pairs 1 with -(1 + d) only when d
+    # is within the cluster radius, about CLUSTER_SAFETY, and the batched
+    # path takes the point only then, leaving the rest to classify
     d = f * spectral.CLUSTER_SAFETY
     fake = np.diag([1.0, -1.0 - d]).astype(complex)
-    stack = np.diag([1.0, 1.0 + d])[None]
 
-    def scalar(i):
-        raise LookupError(i)
+    def scalar(form, tol_eig):
+        raise LookupError(form)
 
+    monkeypatch.setattr(spectral, "_generator", lambda hmats: fake[None])
+    monkeypatch.setattr(spectral, "classify", scalar)
+    stack = np.ones((1, 1, 1)), np.zeros((1, 1, 1))
     if f < 1:
         assert len(spectral._eigen_pairs(fake, 1e-9)["pairs"]) == 1
-        assert spectral.classify_stack(stack, scalar).code.tolist() == [0]
+        assert spectral.classify_stack(*stack).code.tolist() == [0]
     else:
         with pytest.raises(PairingFailure, match="no partner"):
             spectral._eigen_pairs(fake, 1e-9)
         with pytest.raises(LookupError):
-            spectral.classify_stack(stack, scalar)
+            spectral.classify_stack(*stack)
+
+
+def test_classify_stack_matches_classify_on_planted_forms():
+    # Jordan blocks, zero modes and complex quadruples put points through
+    # the per-point path inside stacks of mixed verdicts
+    by_n = {}
+    for seed in range(300):
+        form = planted_form(np.random.default_rng(seed))[0]
+        by_n.setdefault(form.n_modes, []).append(form)
+    for forms in by_n.values():
+        cols = qb.classify_stack([f.A for f in forms], [f.B for f in forms])
+        for i, form in enumerate(forms):
+            report = qb.classify(form)
+            assert cols.code[i] == qb.CLASS_CODES[report.classification]
+            assert cols.frequencies[i].tobytes() == report.mode_frequencies.tobytes()
+            assert cols.min_sigma[i] == report.h_eigenvalues.min()
+
+
+def test_the_jordan_rank_test_takes_one_svd_per_shifted_matrix(monkeypatch):
+    # one for the 2-norm of the generator, then per cluster {+gamma, -gamma}
+    # of two 2-blocks one of the shifted matrix, for its nullity and norm,
+    # and one of its square
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+    report = qb.classify(qb.bcs_form(bcs(1.0)))
+    assert [c.max_block for c in report.defects] == [2, 2]
+    assert len(calls) == 5
 
 
 def _eigh_real_branch_pairs(vecs_plus, value, mdiag, warnings):
