@@ -14,11 +14,14 @@ roundoff splits a Jordan pair differently at +lambda and -lambda, then a
 ``bcs`` point whose outer edge is representable although kappa^2/gamma^2
 is not, then ``analyze`` on a zero mode, a Jordan block at zero and a
 purely imaginary frequency, then ``sweep`` and ``bcs --sweep`` grids at a
-non-default ``--tol-eig``, and runs every op in-process through
-``perfbench/run.py``'s ``call`` (stdout captured; importing ``run`` pins
-BLAS to one thread).  Each line reads ``<exit code> <sha256 of stdout>
-<argv>``; fixture paths in the argv are printed relative to the fixture
-directory, so the lines of two source trees can be compared with ``diff``:
+non-default ``--tol-eig``, then the BCS model at a tiny and at a huge
+energy unit (a ``bcs`` point and ``sweep`` grids at epsilon = 1e-9 and
+1e200, and ``analyze`` of the Jordan point at 1e200), and runs every op
+in-process through ``perfbench/run.py``'s ``call`` (stdout captured;
+importing ``run`` pins BLAS to one thread).  Each line reads ``<exit code>
+<sha256 of stdout> <argv>``; fixture paths in the argv are printed
+relative to the fixture directory, so the lines of two source trees can be
+compared with ``diff``:
 
     python scripts/stdout_digests.py --seed 1 2 > after.txt
     (cd ../parent && python scripts/stdout_digests.py --seed 1 2) > before.txt
@@ -26,11 +29,19 @@ directory, so the lines of two source trees can be compared with ``diff``:
 
 An op that raises out of ``cli.main`` prints ``raised:<exception type>`` in
 place of the exit code.  ``perfbench/`` is imported, never written to.
+
+``tests/golden/stdout_digests.txt`` holds :func:`build_lines` (the Python,
+numpy, scipy and BLAS builds, as ``#`` lines) and then the lines of
+``--seed 1 2``; a tier-1 test compares a fresh run with it.  Where a change
+to the printed bytes is meant, rewrite it with
+
+    python -c "import sys; sys.path.insert(0, 'scripts'); import stdout_digests; stdout_digests.write_golden()"
 """
 
 import argparse
 import hashlib
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -40,8 +51,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import run  # noqa: E402  (pins BLAS threads before numpy is imported)
 import numpy as np  # noqa: E402
+import scipy  # noqa: E402
 import workloads  # noqa: E402
+import quadboson as qb  # noqa: E402
 from quadboson import cli  # noqa: E402
+
+GOLDEN = ROOT / "tests" / "golden" / "stdout_digests.txt"
+GOLDEN_SEEDS = (1, 2)
 
 
 def digest_line(argv, root: str = "") -> str:
@@ -163,27 +179,67 @@ def tolerance_argvs():
     yield ["bcs", "--sweep", "0.95:1.0:51", *tol]
 
 
+def energy_unit_argvs(root: str):
+    """The BCS model at gamma = 0.3 eps with eps = 1e-9, where every
+    frequency lies below 1: a complex ``bcs`` point and a ``sweep`` from the
+    positive definite delta = 0 to the complex regime; then at eps = 1e200,
+    where the Jordan rank test meets ||M Hmat - lambda|| ~ 1e200, a ``sweep``
+    and ``analyze`` of the Jordan point written into ``root``."""
+    yield ["bcs", "--epsilon", "1e-9", "--gamma", "3e-10", "--delta", "1.2e-9"]
+    yield ["sweep", "--epsilon", "1e-9", "--gamma", "3e-10", "--delta", "0:2e-9:5"]
+    yield ["sweep", "--epsilon", "1e200", "--gamma", "3e199", "--delta", "0:1e200:3"]
+    jordan = qb.bcs_form(qb.BcsParams(1e200, 3e199, 1e200, 0.0))
+    yield ["analyze", workloads.Fixtures(root, 0).form("bcs_jordan_1e200", jordan.A, jordan.B,
+                                                       "jordan")]
+
+
+def all_lines(seeds):
+    """Yield every line :func:`main` prints for ``seeds``, in order."""
+    yield from digest_lines(seeds)
+    for argv in bcs_point_argvs():
+        yield digest_line(argv)
+    for argvs in (refused_argvs, writer_argvs):
+        with tempfile.TemporaryDirectory() as root:
+            for argv in argvs(root):
+                yield digest_line(argv, root)
+    for argv in outer_edge_argvs():
+        yield digest_line(argv)
+    with tempfile.TemporaryDirectory() as root:
+        for argv in zero_mode_argvs(root):
+            yield digest_line(argv, root)
+    for argv in tolerance_argvs():
+        yield digest_line(argv)
+    with tempfile.TemporaryDirectory() as root:
+        for argv in energy_unit_argvs(root):
+            yield digest_line(argv, root)
+
+
+def _blas(module) -> str:
+    """Name, version and configuration of the BLAS ``module`` was built with."""
+    blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return " ".join(str(blas.get(key)) for key in ("name", "version", "openblas configuration"))
+
+
+def build_lines() -> list:
+    """The builds the digests depend on, one ``#`` line each: numpy and
+    scipy link BLAS builds of their own."""
+    return [f"# python {' '.join(sys.version.split())} on {platform.machine()}",
+            f"# numpy {np.__version__} with {_blas(np)}",
+            f"# scipy {scipy.__version__} with {_blas(scipy)}"]
+
+
+def write_golden() -> None:
+    """Rewrite the golden file from a fresh run on this build."""
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text("\n".join(build_lines() + list(all_lines(GOLDEN_SEEDS))) + "\n")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seed", type=int, nargs="+", default=[1])
     args = ap.parse_args(argv)
-    for line in digest_lines(args.seed):
+    for line in all_lines(args.seed):
         print(line, flush=True)
-    for argv in bcs_point_argvs():
-        print(digest_line(argv), flush=True)
-    with tempfile.TemporaryDirectory() as root:
-        for argv in refused_argvs(root):
-            print(digest_line(argv, root), flush=True)
-    with tempfile.TemporaryDirectory() as root:
-        for argv in writer_argvs(root):
-            print(digest_line(argv, root), flush=True)
-    for argv in outer_edge_argvs():
-        print(digest_line(argv), flush=True)
-    with tempfile.TemporaryDirectory() as root:
-        for argv in zero_mode_argvs(root):
-            print(digest_line(argv, root), flush=True)
-    for argv in tolerance_argvs():
-        print(digest_line(argv), flush=True)
     return 0
 
 

@@ -23,9 +23,8 @@ does not write (a single point writes doc, --sweep csv), an --out path
 that is a directory or lies in a missing directory, no --out in a process
 started with stdout closed (``>&-``) (these three refused before any
 solve), or any other failure to write --out; 3 unreadable, undecodable or
-malformed form file;
-4 structural validation failure; 5 numerical failure (overflow, including
-finite input entries too large to symmetrize or rank-test, an evolve
+malformed form file; 4 structural validation failure; 5 numerical failure
+(overflow, including finite input entries too large to symmetrize, an evolve
 time where ||t M Hmat||_1 reaches 2^53 and expm resolves no digit of U, and bcs
 parameters whose squares leave the float range, wrong regime, including an
 oracle check whose compared levels need an occupation above nmax // 2, a

@@ -256,7 +256,8 @@ def ode_cross_check(form: QuadraticForm, t: float, steps: int,
         step count where one exists within the float range.
 
     Raises ``Overflow`` from :func:`propagate`, before any step, where the
-    exact U has no correct digit or an entry above 1e100.
+    exact U has no correct digit or an entry above 1e100, and
+    ``StepTooLarge`` where the RK4 iterate leaves the float range.
     """
     if isinstance(t, complex) and t.imag != 0:
         raise ValueError("ode_cross_check integrates along real time only")
@@ -283,10 +284,13 @@ def ode_cross_check(form: QuadraticForm, t: float, steps: int,
     exact = propagate(form, t).U
     h = t / steps
     u = np.eye(ht.shape[0], dtype=complex)
-    for _ in range(steps):
-        k1 = gen @ u
-        k2 = gen @ (u + 0.5 * h * k1)
-        k3 = gen @ (u + 0.5 * h * k2)
-        k4 = gen @ (u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging iterate is refused below
+        for _ in range(steps):
+            k1 = gen @ u
+            k2 = gen @ (u + 0.5 * h * k1)
+            k3 = gen @ (u + 0.5 * h * k2)
+            k4 = gen @ (u + h * k3)
+            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(u).all():
+        raise StepTooLarge(f"{steps} RK4 steps of size {h:.3e} leave the float range")
     return float(np.linalg.norm(u - exact, 2))

@@ -57,7 +57,7 @@ from .core import (
     frobenius_norm,
     metric_signs,
 )
-from .errors import NotDiagonalizable, NullNorm, Overflow, PairingFailure, WrongRegime
+from .errors import NotDiagonalizable, NullNorm, PairingFailure, WrongRegime
 
 DEFAULT_TOL_EIG = 1e-9
 # Defective 2-blocks split their eigenvalues by O(sqrt(eps) ||Ht||) under
@@ -80,14 +80,14 @@ def _cuts(scale, tol_eig: float):
     2-norm ``scale``, elementwise for an array of scales.
 
     ``tol_eig``, the one numerical knob, sets the realness, zero and
-    positivity cut tol_eig * max(scale, 1).  The cluster radius is fixed,
-    because roundoff sets it: 32 sqrt(u) scale absorbs the O(sqrt(u)) split
-    of a Jordan block.  The pairing reads a pair as real only below the
-    real-branch cut, where lambda and its conjugate share a cluster: a pair
-    inside only the realness cut has a null M-norm.
+    positivity cut tol_eig * scale, relative at every scale.  The cluster
+    radius is fixed, because roundoff sets it: 32 sqrt(u) scale absorbs the
+    O(sqrt(u)) split of a Jordan block.  The pairing reads a pair as real
+    only below the real-branch cut, where lambda and its conjugate share a
+    cluster: a pair inside only the realness cut has a null M-norm.
     """
     cluster_tol = CLUSTER_SAFETY * scale
-    real_tol = tol_eig * np.maximum(scale, 1.0)
+    real_tol = tol_eig * scale
     return cluster_tol, real_tol, np.minimum(real_tol, 0.5 * cluster_tol)
 
 
@@ -442,24 +442,19 @@ def _max_block(shifted: np.ndarray, sv: np.ndarray, algebraic: int) -> int:
     The rank cut for (A - value)^k scales with ||A - value||^k: the power of
     a defective direction is exactly zero in theory, so its computed
     singular values are roundoff noise relative to that scale, not to the
-    (possibly collapsed) norm of the power itself.
-
-    Raises
-    ------
-    Overflow
-        That scale ||A - value||^k leaves the float range before the
-        nullities settle.
+    (possibly collapsed) norm of the power itself.  Both are first scaled
+    by the power of two that brings ||A - value|| into [0.5, 1), which
+    leaves the nullities as they are and keeps ||A - value||^k in the float
+    range at every k.
     """
-    base = max(float(sv.max()), np.finfo(float).tiny)
+    unit = 2.0 ** -np.frexp(max(float(sv.max()), np.finfo(float).tiny))[1]
+    shifted, sv = shifted * unit, sv * unit
+    base = float(sv.max())
     power = shifted
     prev = 0
     size = 1
     for k in range(1, algebraic + 1):
-        try:
-            cut = _RANK_SAFETY * base ** k
-        except OverflowError:
-            raise Overflow(f"Jordan rank test overflows: ||M Hmat - lambda||^{k} = "
-                           f"{base:.3e}^{k} is beyond the float range") from None
+        cut = _RANK_SAFETY * base ** k
         if k > 1:
             power = power @ shifted
             sv = np.linalg.svd(power, compute_uv=False)
@@ -911,7 +906,7 @@ def sqrt_metric_spectrum(form: QuadraticForm, tol_eig: float = DEFAULT_TOL_EIG) 
     ------
     WrongRegime
         Hmat has an eigenvalue below minus the positivity cut of
-        :func:`classify`, tol_eig * max(||Hmat||_2, 1).
+        :func:`classify`, tol_eig * ||Hmat||_2.
     """
     w, v = np.linalg.eigh(form.hmat)
     floor = -_cuts(np.abs(w).max(), tol_eig)[1]

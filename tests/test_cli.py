@@ -965,10 +965,10 @@ def test_huge_and_tiny_inputs_get_their_verdicts(capsys, huge_file, tiny_file):
     assert (code, doc["classification"]) == (0, "PositiveDefinite")
     assert np.array(doc["mode_frequencies"]) == pytest.approx(
         np.array([[np.sqrt(0.99) * 1e200, 0.0]] * 2), rel=1e-14)
-    # |lambda| = 6.35e-301 lies below the realness cut tol.eig * max(||M Hmat||, 1)
+    # |lambda| = 6.35e-301 lies above the realness cut tol_eig * ||M Hmat||
     code, out, _ = run(capsys, "analyze", tiny_file)
     doc = json.loads(out)
-    assert (code, doc["classification"], doc["zero_mode_count"]) == (0, "StableNonPositive", 1)
+    assert (code, doc["classification"], doc["zero_mode_count"]) == (0, "UnstableComplex", 0)
     lam = complex(*doc["mode_frequencies"][0])
     expected = 1e-301j * np.sqrt(abs(6.40 + 1.00j) ** 2 - 1.26 ** 2)  # squares at scale 1
     assert lam == pytest.approx(expected, rel=1e-14, abs=0.0)
@@ -976,26 +976,34 @@ def test_huge_and_tiny_inputs_get_their_verdicts(capsys, huge_file, tiny_file):
 
 @pytest.fixture
 def huge_jordan_file(tmp_path):
-    """The BCS Jordan point delta = epsilon at 1e200: finite, but its Jordan
-    rank test squares a norm beyond the float range."""
+    """The BCS Jordan point delta = epsilon at 1e200: finite, although the
+    square of its norm is beyond the float range."""
     path = tmp_path / "huge_jordan.json"
     qb.save_form(qb.bcs_form(qb.BcsParams(1e200, 3e199, 1e200, 0.0)), path)
     return str(path)
 
 
+def test_huge_jordan_points_get_their_verdicts(capsys, huge_jordan_file):
+    # the Jordan rank test runs on the shifted generator scaled to unit norm
+    code, out, _ = run(capsys, "sweep", "--epsilon", "1e200", "--gamma", "3e199",
+                       "--delta", "0:1e200:3")
+    assert code == 0 and [line.split(",")[4] for line in out.splitlines()[1:]] == ["0", "0", "3"]
+    code, out, _ = run(capsys, "analyze", huge_jordan_file)
+    doc = json.loads(out)
+    assert (code, doc["classification"]) == (0, "NonDiagonalizable")
+    assert [d["max_block"] for d in doc["defects"]] == [2, 2]
+
+
 @pytest.mark.parametrize("argv", [
-    ("sweep", "--epsilon", "1e200", "--gamma", "3e199", "--delta", "0:1e200:3"),
     ("bcs", "--epsilon", "1e200", "--gamma", "3e199", "--delta", "1e200"),
     ("bcs", "--delta", "9e307"),
     ("bcs", "--delta", "1e308"),
     ("bcs", "--epsilon", "1e300", "--gamma", "1e299"),
     ("bcs", "--epsilon", "1e160", "--gamma", "1e159", "--kappa", "1e158"),
-    ("analyze", "{jordan}"),
     ("evolve", "{huge}", "--t", "0:1:3"),
 ])
-def test_overflowing_inputs_exit_5(capsys, huge_file, huge_jordan_file, argv):
-    code, out, err = run(capsys, *(a.format(huge=huge_file, jordan=huge_jordan_file)
-                                   for a in argv))
+def test_overflowing_inputs_exit_5(capsys, huge_file, argv):
+    code, out, err = run(capsys, *(a.format(huge=huge_file) for a in argv))
     assert (code, out) == (5, "")
     # evolve meets the resolution cut, the others the float range
     assert ("reaches 2^53 = 1/u" if argv[0] == "evolve" else "float range") in err
@@ -1240,15 +1248,38 @@ def test_doc_output_is_json_dumps_of_the_document(capsys, tmp_path, form_file,
         assert out_path.read_text(encoding="utf-8") == expected
 
 
-def test_stdout_digests_repeat(capsys):
-    """Identical inputs and flags give identical bytes, op by op."""
+def _digest_script():
     path = Path(__file__).resolve().parents[1] / "scripts" / "stdout_digests.py"
     spec = importlib.util.spec_from_file_location("stdout_digests", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_stdout_digests_repeat(capsys):
+    """Identical inputs and flags give identical bytes, op by op."""
+    script = _digest_script()
     first = list(script.digest_lines([1], tiny=True))
     assert first == list(script.digest_lines([1], tiny=True))
     assert len(first) == 57 and all(line.split()[0] in "02345" for line in first)
+
+
+def test_stdout_digests_match_the_golden_file(capsys):
+    """The byte contract: every op of ``scripts/stdout_digests.py --seed 1 2``
+    prints the exit code and stdout digest the golden file holds for it, on
+    the builds the file names."""
+    script = _digest_script()
+    golden = script.GOLDEN.read_text(encoding="utf-8").splitlines()
+    built = [line for line in golden if line.startswith("#")]
+    here = script.build_lines()
+    assert built == here, ("the golden digests were written on\n" + "\n".join(built)
+                           + "\nbut this run is on\n" + "\n".join(here))
+    want = [line for line in golden if not line.startswith("#")]
+    got = list(script.all_lines(script.GOLDEN_SEEDS))
+    differ = [line.split(" ", 2)[2] for line, kept in zip(got, want) if line != kept]
+    assert not differ and len(got) == len(want), (
+        f"{len(got)} lines against the golden file's {len(want)}; stdout or exit "
+        "code differs for\n" + "\n".join(differ))
 
 
 @pytest.mark.parametrize("pairs", ["1", "0", "-3"])

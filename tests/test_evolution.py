@@ -204,6 +204,17 @@ def test_ode_cross_check_refuses_an_exact_u_without_a_correct_digit():
         qb.ode_cross_check(form, 1e16, 10)
 
 
+def test_ode_cross_check_refuses_a_diverging_iterate():
+    # RK4 steps of h = 10 at frequency 1 grow the iterate by |R(-10i)| ~ 400
+    # each, so 1000 of them leave the float range; no numpy warning or
+    # LinAlgError escapes
+    form = qb.build_form([[1.0]], [[0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepTooLarge, match="1000 RK4 steps"):
+            qb.ode_cross_check(form, 1e4, 1000)
+
+
 def test_overflow_raises():
     form = qb.bcs_form(bcs(1.2))
     with pytest.raises(Overflow):

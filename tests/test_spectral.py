@@ -278,7 +278,7 @@ _NEAR_GAP_FORMS = st.builds(lambda k, sign: qb.bcs_form(bcs(1.0 + sign * 10.0 **
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_RANDOM_FORMS, _NEAR_GAP_FORMS))
 def test_one_realness_cut_matches_the_per_mode_rule(form):
-    # the report's one cut eig * max(||M Hmat||, 1) gives every frequency the
+    # the report's one cut eig * ||M Hmat|| gives every frequency the
     # verdict of the per-mode rule |Im lambda| <= eig * max(1, |lambda|),
     # and the CLI mode table prints that verdict
     report = qb.classify(form)
@@ -302,8 +302,8 @@ def _plus_minus(freqs, scale):
 @example(0, 2, -0.5, -1000)
 def test_a_power_of_two_scales_frequencies_and_keeps_verdicts(seed, n, shift, k):
     # 2^k (A, B) has the frequencies of (A, B) times 2^k at any k the float
-    # range holds; the verdict keeps when the realness cut eig * max(||M Hmat||, 1)
-    # scales along, that is when ||M Hmat|| >= 1 and k >= 0
+    # range holds, and the verdict, since the realness cut eig * ||M Hmat||
+    # scales along
     form = random_form(np.random.default_rng(seed), n, shift=shift)
     scale = 2.0 ** k
     own = qb.classify(form)
@@ -311,20 +311,84 @@ def test_a_power_of_two_scales_frequencies_and_keeps_verdicts(seed, n, shift, k)
     norm = np.linalg.norm(form.generator, 2)
     assert multiset_dev(_plus_minus(scaled.mode_frequencies, scale),
                         _plus_minus(own.mode_frequencies, 1.0)) <= 1e-13 * norm
-    if k >= 0 and norm >= 1.0:
-        assert scaled.classification is own.classification
+    assert scaled.classification is own.classification
 
 
-@pytest.mark.parametrize("k, label, zero_modes", [
-    (0, "StableNonPositive", 1), (900, "StableNonPositive", 1), (990, "UnstableComplex", 0)])
-def test_the_realness_cut_has_an_absolute_floor_below_norm_one(k, label, zero_modes):
-    # below ||M Hmat|| = 1 the realness and zero cut is tol_eig itself, so a
-    # tiny unstable form reads every frequency as zero until it is scaled up
+@pytest.mark.parametrize("k", [0, 900, 990])
+def test_the_realness_cut_is_relative_below_norm_one(k):
+    # the realness and zero cut is tol_eig * ||M Hmat|| at every scale, so a
+    # tiny unstable form reads its frequency as complex, as it does scaled up
     scale = 2.0 ** k
-    report = qb.classify(qb.build_form([[1.26e-301 * scale]], [[(6.40 + 1.00j) * 1e-301 * scale]]))
-    assert report.real_tol == 1e-9
-    assert (report.classification.value, report.zero_mode_count) == (label, zero_modes)
+    form = qb.build_form([[1.26e-301 * scale]], [[(6.40 + 1.00j) * 1e-301 * scale]])
+    report = qb.classify(form)
+    assert report.real_tol == 1e-9 * np.linalg.norm(form.generator, 2)
+    assert (report.classification.value, report.zero_mode_count) == ("UnstableComplex", 0)
     assert report.mode_frequencies[0].imag == pytest.approx(6.3539e-301 * scale, rel=1e-4)
+
+
+def _scaled(form, k):
+    return qb.build_form(form.A * 2.0 ** k, form.B * 2.0 ** k)
+
+
+def _scaling_forms(seed, n):
+    """A random form of ``n`` modes (n = 0: a planted draw) from ``seed``."""
+    rng = np.random.default_rng(seed)
+    return planted_form(rng)[0] if n == 0 else random_form(rng, n, shift=rng.choice([0.5, -0.5]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 299), st.integers(0, 4), st.integers(-300, 300))
+@example(0, 0, 300)
+@example(0, 0, -300)
+@example(1, 2, 299)
+def test_power_of_two_rescalings_keep_verdicts_and_zero_modes(seed, n, k):
+    # the cuts are relative, so 2^k (A, B) keeps its verdict and its zero
+    # modes; at even k LAPACK's eig is homogeneous, and the frequencies are
+    # 2^k times the unscaled ones bit for bit, at odd k within roundoff
+    form = _scaling_forms(seed, n)
+    own, scaled = qb.classify(form), qb.classify(_scaled(form, k))
+    assert scaled.classification is own.classification
+    assert scaled.zero_mode_count == own.zero_mode_count
+    if k % 2 == 0:
+        assert _same_bits(scaled.mode_frequencies, own.mode_frequencies * 2.0 ** k)
+    else:
+        assert multiset_dev(_plus_minus(scaled.mode_frequencies, 2.0 ** k),
+                            _plus_minus(own.mode_frequencies, 1.0)) \
+            <= 1e-13 * np.linalg.norm(form.generator, 2)
+
+
+def _rewrites(form, rng):
+    """The form after a mode permutation, after a per-mode phase gauge
+    b_j -> e^{i phi_j} b_j (A -> Dbar A D, B -> Dbar B Dbar) and after
+    complex conjugation."""
+    perm = rng.permutation(form.n_modes)
+    d = np.exp(1j * rng.uniform(0.0, 2 * np.pi, form.n_modes))
+    return (qb.build_form(form.A[np.ix_(perm, perm)], form.B[np.ix_(perm, perm)]),
+            qb.build_form(d.conj()[:, None] * form.A * d, d.conj()[:, None] * form.B * d.conj()),
+            qb.build_form(form.A.conj(), form.B.conj()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 299), st.integers(0, 4))
+def test_basis_rewrites_keep_verdicts_and_zero_modes(seed, n):
+    form = _scaling_forms(seed, n)
+    own = qb.classify(form)
+    for rewritten in _rewrites(form, np.random.default_rng(seed + 1)):
+        report = qb.classify(rewritten)
+        assert report.classification is own.classification
+        assert report.zero_mode_count == own.zero_mode_count
+
+
+def test_a_huge_planted_jordan_form_gets_its_verdict():
+    # at 2^900 the rank test's ||M Hmat - lambda||^2 is beyond the float
+    # range; it runs on the matrix scaled to unit norm, so no Overflow
+    for seed in range(300):
+        form, _, verdict, _ = planted_form(np.random.default_rng(seed))
+        if verdict is qb.StabilityClass.NON_DIAGONALIZABLE:
+            break
+    report = qb.classify(_scaled(form, 900))
+    assert report.classification is qb.StabilityClass.NON_DIAGONALIZABLE
+    assert [c.max_block for c in report.defects] == [c.max_block for c in qb.classify(form).defects]
 
 
 def _single_linkage(values, radius):
