@@ -994,16 +994,28 @@ def test_huge_jordan_points_get_their_verdicts(capsys, huge_jordan_file):
     assert [d["max_block"] for d in doc["defects"]] == [2, 2]
 
 
+@pytest.fixture
+def overflow_file(tmp_path):
+    """A form file whose diagonal entry 1e308 doubles past the float range
+    when the loader symmetrizes A."""
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"n_modes": 1, "A": [[[1e308, 0.0]]], "B": [[[0.0, 0.0]]]}))
+    return str(path)
+
+
 @pytest.mark.parametrize("argv", [
+    ("sweep", "--delta", "0:9e307:3"),
     ("bcs", "--epsilon", "1e200", "--gamma", "3e199", "--delta", "1e200"),
     ("bcs", "--delta", "9e307"),
     ("bcs", "--delta", "1e308"),
     ("bcs", "--epsilon", "1e300", "--gamma", "1e299"),
     ("bcs", "--epsilon", "1e160", "--gamma", "1e159", "--kappa", "1e158"),
+    ("analyze", "{overflow}"),
     ("evolve", "{huge}", "--t", "0:1:3"),
 ])
-def test_overflowing_inputs_exit_5(capsys, huge_file, argv):
-    code, out, err = run(capsys, *(a.format(huge=huge_file) for a in argv))
+def test_overflowing_inputs_exit_5(capsys, huge_file, overflow_file, argv):
+    code, out, err = run(capsys, *(a.format(huge=huge_file, overflow=overflow_file)
+                                   for a in argv))
     assert (code, out) == (5, "")
     # evolve meets the resolution cut, the others the float range
     assert ("reaches 2^53 = 1/u" if argv[0] == "evolve" else "float range") in err
