@@ -28,11 +28,12 @@ and coordinate-diagonal representation: it reads frequencies and flags
 from the report, and its extraction rows, norm residuals and conserved
 bilinears from W alone, each on first read.
 :func:`classify_stack` classifies stacks of (A, B) matrices with one
-batched eigensolve.  It replays :func:`classify`'s choices only where they
-cannot hinge on a tie: every group of the spectrum clustered with its
-negation is one pair {x, -y} of distinct eigenvalues, and no M-norm is near
-null.  Every other point is built with ``build_form`` and goes through
-:func:`classify` itself, at the same ``tol_eig``.
+batched eigensolve.  It takes :func:`classify`'s orientation and sign rules
+only where they cannot hinge on a tie: every group of the spectrum
+clustered with its negation is one pair {x, -y} of distinct eigenvalues,
+exactly one of them on the +lambda side, and no M-norm is near null; so it
+needs no matching order.  Every other point is built with ``build_form``
+and goes through :func:`classify` itself, at the same ``tol_eig``.
 """
 
 from __future__ import annotations
@@ -602,6 +603,10 @@ def _eigen_pairs(generator: np.ndarray, tol_eig: float):
     """Solve a form's generator M @ Hmat and match the spectrum into n
     (lambda, -lambda) pairs: the eigensolve step of :func:`classify`.
 
+    Every matched pair of clusters takes the same steps.  The zero cluster
+    is the one that is its own mirror: it skips orientation, and its real
+    branch keeps only the positive-norm directions.
+
     Returns the eigensolve's :class:`StabilityReport` fields by name, all
     but ``h_eigenvalues``.  Vectors come back raw (not rescaled);
     :func:`normalize_pairs` turns them into the unit-norm transform.  A
@@ -624,43 +629,32 @@ def _eigen_pairs(generator: np.ndarray, tol_eig: float):
 
     pairs = []
     for ka, kb in _match_clusters(clusters, mirror):
-        info_a, idx_a = clusters[ka]
-        if ka == kb:
-            # zero cluster: partners live in the same eigenspace
-            residuals.extend([abs(2 * info_a.value)] * (info_a.algebraic // 2))
-            if info_a.algebraic % 2:
+        (info_a, idx_a), (info_b, idx_b) = clusters[ka], clusters[kb]
+        count, zero = info_a.algebraic, ka == kb
+        if zero:
+            # the zero cluster is its own mirror: its partners share its eigenspace
+            if count % 2:
                 raise PairingFailure("zero eigenvalue with odd multiplicity")
-            if info_a.defective:
-                for k in range(info_a.algebraic // 2):
-                    pairs.append(ModePair(info_a.value, vecs[:, idx_a[k]],
-                                          vecs[:, idx_a[-1 - k]], False))
-                continue
+            count, idx_b = count // 2, idx_a[::-1]
+        elif (info_a.value.imag < info_b.value.imag if abs(info_a.value.imag) > branch_tol
+              else info_a.value.real < info_b.value.real):
+            info_a, idx_a, info_b, idx_b = info_b, idx_b, info_a, idx_a  # a = the +lambda side
+        residuals.extend([abs(info_a.value + info_b.value)] * count)
+        if info_a.defective or info_b.defective:
+            pairs.extend(ModePair(complex(info_a.value), vecs[:, idx_a[k]],
+                                  vecs[:, idx_b[k]], False) for k in range(count))
+            continue
+        if zero or abs(info_a.value.imag) <= branch_tol:
             graded = _real_branch_pairs(vecs[:, idx_a], complex(info_a.value.real),
                                         mdiag, warnings)
-            # every positive-norm direction yields one mode; its partner is
-            # the conjugate image living in the same eigenspace
-            kept = [p for p, d in graded if d >= 0]
-            if len(kept) != info_a.algebraic // 2:
-                raise PairingFailure(
-                    f"zero eigenspace has unbalanced M-signature "
-                    f"({len(kept)} of {info_a.algebraic})"
-                )
-            pairs.extend(kept)
-            continue
-        info_b, idx_b = clusters[kb]
-        residuals.extend([abs(info_a.value + info_b.value)] * info_a.algebraic)
-        # orient: a = the +lambda side
-        if (abs(info_a.value.imag) > branch_tol and info_a.value.imag < info_b.value.imag) or (
-                abs(info_a.value.imag) <= branch_tol and info_a.value.real < info_b.value.real):
-            info_a, idx_a, info_b, idx_b = info_b, idx_b, info_a, idx_a
-        if info_a.defective or info_b.defective:
-            for k in range(info_a.algebraic):
-                pairs.append(ModePair(complex(info_a.value), vecs[:, idx_a[k]],
-                                      vecs[:, idx_b[k]], False))
-            continue
-        if abs(info_a.value.imag) <= branch_tol:
-            pairs.extend(p for p, _ in _real_branch_pairs(
-                vecs[:, idx_a], complex(info_a.value.real), mdiag, warnings))
+            if zero:
+                # only the positive-norm directions are modes; each partner
+                # T w* is the conjugate image in the same eigenspace
+                graded = [(p, d) for p, d in graded if d >= 0]
+                if len(graded) != count:
+                    raise PairingFailure(f"zero eigenspace has unbalanced M-signature "
+                                         f"({len(graded)} of {2 * count})")
+            pairs.extend(p for p, _ in graded)
         else:
             pairs.extend(_complex_branch_pairs(vecs[:, idx_a], vecs[:, idx_b],
                                                complex(info_a.value), mdiag, warnings))
@@ -812,8 +806,10 @@ def classify_stack(A, B, tol_eig: float = DEFAULT_TOL_EIG) -> StabilityColumns:
     :func:`_magnitude`, the bits of ``abs``.  Where no choice hinges on a tie
     (one pair {x, -y} of distinct eigenvalues per group of the spectrum
     clustered with its negation, so no zero cluster and x mirrors y; both
-    members on one side of the real-branch cut; every real |M-norm| above
-    ``_NEAR_DEFECT_NORM``), the steps below replay ``_eigen_pairs`` exactly.
+    members on one side of the real-branch cut and exactly one on the
+    +lambda side; every real |M-norm| above ``_NEAR_DEFECT_NORM``), each
+    pair's +lambda member is picked by ``_eigen_pairs``' orientation rule,
+    and its sign rule and final sort give the same bits in any pair order.
     Every other point (Jordan points, zero or degenerate clusters, near-null
     M-norms, non-finite input) goes through
     ``classify(build_form(A[i], B[i]), tol_eig)``, with its verdict and its
@@ -856,31 +852,29 @@ def classify_stack(A, B, tol_eig: float = DEFAULT_TOL_EIG) -> StabilityColumns:
         points, values, vecs, partner = points[sel], values[sel], vecs[sel], partner[sel]
         real_tol, branch_tol = real_tol[sel, None], branch_tol[sel, None]
         rows = np.arange(sel.size)[:, None]
-        # _match_clusters visits clusters by decreasing |value| (a stable sort);
-        # the first member of each pair it meets leads the pair
-        order = np.argsort(-_magnitude(values), axis=1, kind="stable")
-        rank = np.argsort(order, axis=1)
-        leads = rank < np.take_along_axis(rank, partner, axis=1)
-        first = order[np.take_along_axis(leads, order, axis=1)].reshape(-1, n)
-        second = partner[rows, first]
-        a, b = values[rows, first], values[rows, second]
-        a_complex = np.abs(a.imag) > branch_tol
-        b_complex = np.abs(b.imag) > branch_tol
-        # orientation rule of _eigen_pairs: a becomes the +lambda side
-        swap = (a_complex & (a.imag < b.imag)) | (~a_complex & (a.real < b.real))
-        plus = np.where(swap, second, first)
+        # orientation rule of _eigen_pairs, per member: the +lambda side has
+        # the larger Im, or the larger Re below the real-branch cut
+        mirrored = np.take_along_axis(values, partner, axis=1)
+        complex_side = np.abs(values.imag) > branch_tol
+        plus_side = np.where(complex_side, values.imag > mirrored.imag,
+                             values.real > mirrored.real)
+        plus = np.argsort(~plus_side, axis=1, kind="stable")[:, :n]
         lam = values[rows, plus]
-        real = np.abs(lam.imag) <= branch_tol
+        real = ~complex_side[rows, plus]
         w = vecs[rows[:, :, None], np.arange(two_n)[None, :, None], plus[:, None, :]]
         m_norm = (metric_signs(n)[:, None] * (w.real ** 2 + w.imag ** 2)).sum(axis=1)
-        ok = ((a_complex == b_complex)
-              & (~real | (np.abs(m_norm) > _NEAR_DEFECT_NORM))).all(axis=1)
+        # both members of a pair on one side of the cut, and exactly one of
+        # them the +lambda side (a tie goes to classify)
+        ok = ((complex_side == np.take_along_axis(complex_side, partner, axis=1))
+              & (plus_side != np.take_along_axis(plus_side, partner, axis=1))).all(axis=1)
+        ok &= (~real | (np.abs(m_norm) > _NEAR_DEFECT_NORM)).all(axis=1)
         # a real pair's representative is complex(value.real), negated (imaginary
         # part -0.0) when its M-norm is negative; a complex one is the value itself
         negative = real & (m_norm < 0)
         lam.real = np.where(real, np.where(negative, -lam.real, lam.real), lam.real)
         lam.imag = np.where(real, np.where(negative, -0.0, 0.0), lam.imag)
-        # pairs sorted by (-Re, -Im), stable from the matching order
+        # pairs sorted by (-Re, -Im); the eigenvalues lie farther apart than
+        # the cluster radius, so no two representatives tie
         lam = lam[rows, np.lexsort((-lam.imag, -lam.real), axis=1)]
         any_complex = (np.abs(lam.imag) > real_tol).any(axis=1)
         positive = min_sigma[points] > real_tol[:, 0]
