@@ -16,7 +16,9 @@ is not, then ``analyze`` on a zero mode, a Jordan block at zero and a
 purely imaginary frequency, then ``sweep`` and ``bcs --sweep`` grids at a
 non-default ``--tol-eig``, then the BCS model at a tiny and at a huge
 energy unit (a ``bcs`` point and ``sweep`` grids at epsilon = 1e-9 and
-1e200, and ``analyze`` of the Jordan point at 1e200), and runs every op
+1e200, and ``analyze`` of the Jordan point at 1e200), then ``analyze`` of
+a form file with a JSON boolean entry and of two zero modes in a mixed
+basis, and runs every op
 in-process through ``perfbench/run.py``'s ``call`` (stdout captured;
 importing ``run`` pins BLAS to one thread).  Each line reads ``<exit code>
 <sha256 of stdout> <argv>``; fixture paths in the argv are printed
@@ -52,6 +54,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import run  # noqa: E402  (pins BLAS threads before numpy is imported)
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
+import scipy.linalg  # noqa: E402
 import workloads  # noqa: E402
 import quadboson as qb  # noqa: E402
 from quadboson import cli  # noqa: E402
@@ -193,6 +196,26 @@ def energy_unit_argvs(root: str):
                                                        "jordan")]
 
 
+def boolean_and_zero_pair_argvs(root: str):
+    """``analyze`` of a form file written into ``root`` whose A holds a JSON
+    boolean beside a number (refused), then ``analyze`` and ``analyze
+    --emit-modes`` of two zero modes in a mixed basis: A = diag(1, 0, 0),
+    B = 0 under the Bogoliubov map U = expm(-i M K), K the Hmat of a seeded
+    random form scaled to 2-norm 1."""
+    boolean = Path(root, "boolean_entry.json")
+    boolean.write_text('{"n_modes": 1, "A": [[[1.5, false]]], "B": [[[0.0, 0.0]]]}')
+    yield ["analyze", str(boolean)]
+    rng = np.random.default_rng(2)
+    z, y = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
+    k = qb.build_form(0.5 * (z + z.conj().T), 0.5 * (y + y.T)).hmat
+    u = scipy.linalg.expm(-1j * np.repeat([1.0, -1.0], 3)[:, None] * k / np.linalg.norm(k, 2))
+    planted = qb.build_form(np.diag([1.0, 0.0, 0.0]), np.zeros((3, 3)))
+    h = u.conj().T @ planted.hmat @ u
+    form = workloads.Fixtures(root, 0).form("zero_pair", h[:3, :3], h[:3, 3:], "zero")
+    yield ["analyze", form]
+    yield ["analyze", form, "--emit-modes"]
+
+
 def all_lines(seeds):
     """Yield every line :func:`main` prints for ``seeds``, in order."""
     yield from digest_lines(seeds)
@@ -211,6 +234,9 @@ def all_lines(seeds):
         yield digest_line(argv)
     with tempfile.TemporaryDirectory() as root:
         for argv in energy_unit_argvs(root):
+            yield digest_line(argv, root)
+    with tempfile.TemporaryDirectory() as root:
+        for argv in boolean_and_zero_pair_argvs(root):
             yield digest_line(argv, root)
 
 

@@ -37,7 +37,7 @@ def _reject_constant(token: str):
 
 def _entry_to_complex(entry, field: str, i: int, j: int) -> complex:
     if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-            or not all(isinstance(x, (int, float)) for x in entry)):
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)):
         raise ParseError(f"{field}[{i}][{j}] must be a [re, im] pair, got {entry!r}")
     try:
         re, im = float(entry[0]), float(entry[1])
@@ -48,12 +48,15 @@ def _entry_to_complex(entry, field: str, i: int, j: int) -> complex:
     return complex(re, im)
 
 
-def _parse_matrix(doc: dict, field: str, n: int) -> np.ndarray:
+def _parse_matrix(doc: dict, field: str, n: int, boolean_free: bool) -> np.ndarray:
+    """The n x n complex matrix of ``doc[field]``.  One ``np.array`` call reads
+    well-formed numeric rows; it would read a JSON boolean as 0 or 1, so it
+    is taken only for a ``boolean_free`` document."""
     rows = doc.get(field)
     if not isinstance(rows, list) or len(rows) != n:
         raise ParseError(f"field {field!r} must be a list of {n} rows")
     try:
-        pairs = np.array(rows)
+        pairs = np.array(rows) if boolean_free else None
     except ValueError:  # ragged rows
         pairs = None
     if (pairs is not None and pairs.shape == (n, n, 2) and pairs.dtype.kind in "iuf"
@@ -83,8 +86,11 @@ def loads_form(text: str, tol_struct: float = DEFAULT_TOL_STRUCT) -> QuadraticFo
     n = doc.get("n_modes")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f"field 'n_modes' must be a positive integer, got {n!r}")
-    a = _parse_matrix(doc, "A", n)
-    b = _parse_matrix(doc, "B", n)
+    # neither letter occurs in the keys or numbers of a valid document, and
+    # scanning for them costs far less than for "true" and "false"
+    boolean_free = "t" not in text and "f" not in text
+    a = _parse_matrix(doc, "A", n, boolean_free)
+    b = _parse_matrix(doc, "B", n, boolean_free)
     return build_form(a, b, tol_struct=tol_struct)
 
 

@@ -16,6 +16,10 @@ Conventions (all recorded so results are reproducible):
 * rescaling uses the principal branch of 1/sqrt(c);
 * degenerate diagonalizable eigenvalues are orthogonalized inside their
   eigenspace against the M-bilinear form;
+* zero modes are the positive-norm directions of the zero eigenspace; where
+  several have bilinear cross terms bar(w_i) M w_j above the null-norm cut,
+  they are taken again on an orthonormal basis of the eigenspace fixed by
+  w -> T w*, which makes the cross terms vanish and keeps W M Wbar = M;
 * modes are ordered by descending (Re lambda, Im lambda).
 
 :func:`classify` is the one entry into a form's eigensolve, which it runs
@@ -570,6 +574,33 @@ def _real_branch_pairs(vecs_plus, value, mdiag, warnings):
     return out
 
 
+def _isotropic(directions, mdiag) -> bool:
+    """Whether the bilinear cross terms bar(w_i) M w_j of the unit
+    ``directions`` vanish (to ``_NULL_NORM``), so that their modes commute:
+    [b'_i, b'_j] = 0.  One direction always passes, because T M is
+    antisymmetric."""
+    if len(directions) < 2:
+        return True
+    w = np.array(directions).T
+    w = w / np.sqrt((w.real ** 2 + w.imag ** 2).sum(axis=0))
+    return np.abs(bar_vector(w).T @ (mdiag[:, None] * w)).max() <= _NULL_NORM
+
+
+def _conjugation_fixed_basis(vecs):
+    """An orthonormal basis of span(``vecs``), a space closed under
+    w -> T w*, made of vectors that map fixed: (a, a*) over an orthonormal
+    basis of the real coordinates (Re a, Im a) of the space's fixed vectors
+    (v + T v*) / 2 and (v - T v*) / 2i.  On such a basis the M-Gram matrix
+    is i times a real antisymmetric one, so its eigenvectors of positive
+    eigenvalue span an isotropic space: bar(w_i) M w_j = 0."""
+    n, k = vecs.shape[0] // 2, vecs.shape[1]
+    top, bottom = vecs[:n], vecs[n:].conj()
+    fixed = np.concatenate([top + bottom, -1j * (top - bottom)], axis=1)
+    coords = np.linalg.svd(np.concatenate([fixed.real, fixed.imag]), full_matrices=False)[0]
+    a = (coords[:n, :k] + 1j * coords[n:, :k]) / np.sqrt(2.0)
+    return np.concatenate([a, a.conj()])
+
+
 def _complex_branch_pairs(vp, vm, lam, mdiag, warnings):
     """Pairs for a complex eigenvalue cluster and its negation partner."""
     m = vp.shape[1]
@@ -605,7 +636,8 @@ def _eigen_pairs(generator: np.ndarray, tol_eig: float):
 
     Every matched pair of clusters takes the same steps.  The zero cluster
     is the one that is its own mirror: it skips orientation, and its real
-    branch keeps only the positive-norm directions.
+    branch keeps only the positive-norm directions, made isotropic by
+    :func:`_conjugation_fixed_basis` where they are not.
 
     Returns the eigensolve's :class:`StabilityReport` fields by name, all
     but ``h_eigenvalues``.  Vectors come back raw (not rescaled);
@@ -645,12 +677,18 @@ def _eigen_pairs(generator: np.ndarray, tol_eig: float):
                                   vecs[:, idx_b[k]], False) for k in range(count))
             continue
         if zero or abs(info_a.value.imag) <= branch_tol:
+            mark = len(warnings)
             graded = _real_branch_pairs(vecs[:, idx_a], complex(info_a.value.real),
                                         mdiag, warnings)
             if zero:
                 # only the positive-norm directions are modes; each partner
                 # T w* is the conjugate image in the same eigenspace
                 graded = [(p, d) for p, d in graded if d >= 0]
+                if not _isotropic([p.w_plus for p, _ in graded], mdiag):
+                    del warnings[mark:]
+                    graded = [(p, d) for p, d in _real_branch_pairs(
+                        _conjugation_fixed_basis(vecs[:, idx_a]), complex(info_a.value.real),
+                        mdiag, warnings) if d >= 0]
                 if len(graded) != count:
                     raise PairingFailure(f"zero eigenspace has unbalanced M-signature "
                                          f"({len(graded)} of {2 * count})")

@@ -149,12 +149,17 @@ def test_classify_stack_matches_classify_on_random_forms(rng):
     for n in (1, 2, 3, 5):
         forms = [random_form(rng, n, shift) for shift in (None, 0.5, -0.5) for _ in range(4)]
         forms.append(qb.build_form(np.zeros((n, n)), np.zeros((n, n))))  # one zero cluster
-        cols = qb.classify_stack([f.A for f in forms], [f.B for f in forms])
-        for i, form in enumerate(forms):
-            report = qb.classify(form)
-            assert cols.code[i] == qb.CLASS_CODES[report.classification]
-            assert cols.frequencies[i].tobytes() == report.mode_frequencies.tobytes()
-            assert cols.min_sigma[i] == report.h_eigenvalues.min()
+        # integer entries, whose eigenvalues may tie exactly (+ 0.0 drops the
+        # signed zeros, so build_form's symmetrization keeps every bit)
+        forms += [qb.build_form(np.round(2 * f.A) + 0.0, np.round(2 * f.B) + 0.0)
+                  for f in (random_form(rng, n) for _ in range(4))]
+        for tol_eig in (0.0, 1e-9, 1e-3, 0.5):
+            cols = qb.classify_stack([f.A for f in forms], [f.B for f in forms], tol_eig)
+            for i, form in enumerate(forms):
+                report = qb.classify(form, tol_eig)
+                assert cols.code[i] == qb.CLASS_CODES[report.classification]
+                assert cols.frequencies[i].tobytes() == report.mode_frequencies.tobytes()
+                assert cols.min_sigma[i] == report.h_eigenvalues.min()
 
 
 def test_form_matrices():

@@ -91,7 +91,7 @@ def _form_text(draw):
     n = a.shape[0]
     broken = draw(st.sampled_from([None] * 8 + ["nan", "n_modes", "missing", "string",
                                                 "truncated", "huge_int", "deep", "bytes",
-                                                "not_hermitian"]))
+                                                "not_hermitian", "boolean"]))
     if broken == "not_hermitian":
         a = a + a[0, 0] * np.triu(np.ones((n, n)), 1) + 1.0
     doc = {"n_modes": n, "A": [[[z.real, z.imag] for z in row] for row in a],
@@ -106,6 +106,8 @@ def _form_text(draw):
         doc["B"][0][0] = "1+2j"
     elif broken == "huge_int":
         doc["A"][0][0] = [10 ** 400, 0]
+    elif broken == "boolean":
+        doc["A"][0][0][draw(st.integers(0, 1))] = draw(st.booleans())
     text = json.dumps(doc)
     if broken == "truncated":
         text = text[: draw(st.integers(0, len(text) - 1))]
@@ -169,12 +171,16 @@ def form_dir():
 @given(data=st.data())
 def test_fuzzed_argvs_exit_with_a_documented_code(form_dir, data):
     path = form_dir / "form.json"
-    path.write_bytes(data.draw(_form_text(), label="form"))
+    form = data.draw(_form_text(), label="form")
+    path.write_bytes(form)
     argv = data.draw(_argv(str(path)), label="argv")
     code, out = run(argv)
     assert code in EXIT_CODES
     if code != 0:
         assert out == ""
+    if b"true" in form or b"false" in form:
+        # a JSON boolean is no number: the form is refused
+        assert run(["analyze", str(path)])[0] == 3
     if argv[0] == "analyze":
         # a form analyze calls diagonalizable gets its diagonal form
         code, out = run(argv + ["--format", "doc"])

@@ -81,6 +81,15 @@ def test_rejects_overflow_and_string_entries_with_context(entry):
         qb.loads_form(doc)
 
 
+@pytest.mark.parametrize("entry", ["[true, false]", "[1.5, false]", "[1, true]"])
+def test_rejects_boolean_entries_with_context(entry):
+    # a JSON boolean is no number, alone or beside one (which the one-call
+    # array read would turn into a float row)
+    doc = '{"n_modes": 1, "A": [[%s]], "B": [[[0.0, 0.0]]]}' % entry
+    with pytest.raises(ParseError, match=r"A\[0\]\[0\]"):
+        qb.loads_form(doc)
+
+
 def test_integer_entries_load_like_their_float_twins():
     a = [[[2, 0], [1, -1]], [[1, 1], [3, 0]]]
     b = [[[0, 0], [1, 2]], [[1, 2], [0, 0]]]

@@ -860,7 +860,9 @@ def test_planted_normal_forms_get_their_planted_answer():
     # model's complex regime and Jordan point, zero modes), mixed by a random
     # Bogoliubov map U: the verdict, the Jordan blocks and, for a
     # diagonalizable form, the doubled spectrum {+-lambda} to the roundoff
-    # that u ||M Hmat|| amplified by cond(U) allows.  A failing seed is a defect.
+    # that u ||M Hmat|| amplified by cond(U) allows, and a transform that
+    # keeps W M Wbar = M to u cond(W)^2 (several zero modes included).
+    # A failing seed is a defect.
     u = np.finfo(float).eps / 2
     kept, failures = [], []
     for seed in range(300):
@@ -887,5 +889,9 @@ def test_planted_normal_forms_get_their_planted_answer():
             bound = 64 * u * max(np.linalg.norm(form.generator, 2), 1.0) * cond
             if err > bound:
                 failures.append((seed, "frequencies", err, bound))
+            bt = qb.normalize_pairs(report)
+            bound = 256 * u * np.linalg.cond(bt.W) ** 2
+            if bt.metric_residual > bound:
+                failures.append((seed, "metric identity", bt.metric_residual, bound))
     assert failures == []
     assert len(kept) >= 250 and set(kept) == set(qb.StabilityClass)
