@@ -677,18 +677,19 @@ def _eigen_pairs(generator: np.ndarray, tol_eig: float):
                                   vecs[:, idx_b[k]], False) for k in range(count))
             continue
         if zero or abs(info_a.value.imag) <= branch_tol:
-            mark = len(warnings)
-            graded = _real_branch_pairs(vecs[:, idx_a], complex(info_a.value.real),
-                                        mdiag, warnings)
+            value, mark = complex(info_a.value.real), len(warnings)
+            graded = _real_branch_pairs(vecs[:, idx_a], value, mdiag, warnings)
             if zero:
                 # only the positive-norm directions are modes; each partner
                 # T w* is the conjugate image in the same eigenspace
                 graded = [(p, d) for p, d in graded if d >= 0]
+                # the eigensolve's own basis stays wherever it is isotropic,
+                # as it always is for one zero mode
                 if not _isotropic([p.w_plus for p, _ in graded], mdiag):
-                    del warnings[mark:]
+                    del warnings[mark:]  # only the second basis' warnings stay
                     graded = [(p, d) for p, d in _real_branch_pairs(
-                        _conjugation_fixed_basis(vecs[:, idx_a]), complex(info_a.value.real),
-                        mdiag, warnings) if d >= 0]
+                        _conjugation_fixed_basis(vecs[:, idx_a]), value, mdiag, warnings)
+                              if d >= 0]
                 if len(graded) != count:
                     raise PairingFailure(f"zero eigenspace has unbalanced M-signature "
                                          f"({len(graded)} of {2 * count})")
