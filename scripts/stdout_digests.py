@@ -18,7 +18,8 @@ non-default ``--tol-eig``, then the BCS model at a tiny and at a huge
 energy unit (a ``bcs`` point and ``sweep`` grids at epsilon = 1e-9 and
 1e200, and ``analyze`` of the Jordan point at 1e200), then ``analyze`` of
 a form file with a JSON boolean entry and of two zero modes in a mixed
-basis, and runs every op
+basis, then ``analyze`` of a non-hermitian A and of a non-symmetric B at
+the scale 1e-170, and runs every op
 in-process through ``perfbench/run.py``'s ``call`` (stdout captured;
 importing ``run`` pins BLAS to one thread).  Each line reads ``<exit code>
 <sha256 of stdout> <argv>``; fixture paths in the argv are printed
@@ -216,6 +217,19 @@ def boolean_and_zero_pair_argvs(root: str):
     yield ["analyze", form, "--emit-modes"]
 
 
+def tiny_asymmetry_argvs(root: str):
+    """``analyze`` of two form files written into ``root`` at the scale
+    1e-170, where Frobenius norms underflow to 0: A with A[0, 1] = 1e-170
+    and A[1, 0] = 0 (not hermitian), then A = 1e-170 I beside B with
+    B[0, 1] = -B[1, 0] = 1e-170 (not symmetric).  Both are refused."""
+    fx = workloads.Fixtures(root, 0)
+    tiny = np.array([[0.0, 1e-170], [0.0, 0.0]], dtype=complex)
+    yield ["analyze", fx.form("tiny_not_hermitian", tiny, np.zeros((2, 2), dtype=complex),
+                              "refused")]
+    yield ["analyze", fx.form("tiny_not_symmetric", 1e-170 * np.eye(2, dtype=complex),
+                              tiny - tiny.T, "refused")]
+
+
 def all_lines(seeds):
     """Yield every line :func:`main` prints for ``seeds``, in order."""
     yield from digest_lines(seeds)
@@ -237,6 +251,9 @@ def all_lines(seeds):
             yield digest_line(argv, root)
     with tempfile.TemporaryDirectory() as root:
         for argv in boolean_and_zero_pair_argvs(root):
+            yield digest_line(argv, root)
+    with tempfile.TemporaryDirectory() as root:
+        for argv in tiny_asymmetry_argvs(root):
             yield digest_line(argv, root)
 
 

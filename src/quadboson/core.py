@@ -17,6 +17,8 @@ functions, so values can be shared freely across workers.
 from __future__ import annotations
 
 import functools
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,19 +163,26 @@ def frobenius_norm(x: np.ndarray):
     return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
-def _defect(m: np.ndarray, image: np.ndarray):
+def _binary_unit(peak: float) -> float:
+    """The power of two 2^-e that brings ``peak`` into [0.5, 1), or, for a
+    peak below the smallest normal float, into [2^-53, 0.5), so that 2^-e is
+    itself a float.  Multiplying by it is exact wherever the product stays a
+    normal float."""
+    return 2.0 ** -math.frexp(max(peak, sys.float_info.min))[1]
+
+
+def _defect(m: np.ndarray, image_of):
     """Frobenius norms ||m - image|| and ||m|| for the relative structure
-    test, and the factor both were divided by: 1, or, when a norm overflows
-    (entries above about 1e154), the largest real or imaginary part of m,
-    so that the ratio stays meaningful.  Finite norms keep their bits.
+    test, both taken after m is multiplied by the :func:`_binary_unit` of
+    its largest real or imaginary part, and that unit.  ``image_of`` maps
+    the product to its image (a transpose, conjugated or not, which commutes
+    with the scaling).  The ratio of the two norms is then the unscaled one
+    at every scale: no norm overflows above about 1e154 or underflows to 0
+    below about 1e-154.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        defect, size = frobenius_norm(m - image), frobenius_norm(m)
-    if np.isfinite(defect) and np.isfinite(size):
-        return defect, size, 1.0
-    scale = float(np.abs(m.view(float)).max())
-    m, image = m / scale, image / scale
-    return frobenius_norm(m - image), frobenius_norm(m), scale
+    unit = _binary_unit(float(np.abs(m.ravel(order="K").view(float)).max()))
+    m = m * unit
+    return frobenius_norm(m - image_of(m)), frobenius_norm(m), unit
 
 
 def _symmetrized(A: np.ndarray, B: np.ndarray) -> tuple:
@@ -243,16 +252,16 @@ def build_form(A, B, tol_struct: float = DEFAULT_TOL_STRUCT) -> QuadraticForm:
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise StructureViolation("A and B must contain only finite entries")
 
-    herm_defect, herm_size, scale = _defect(A, A.conj().T)
-    if herm_defect > tol_struct * max(herm_size, 1e-300):
+    herm_defect, herm_size, unit = _defect(A, lambda x: x.conj().T)
+    if herm_defect > tol_struct * herm_size:
         raise StructureViolation(
-            f"A is not hermitian: ||A - A+|| = {float(herm_defect) * scale:.3e} "
+            f"A is not hermitian: ||A - A+|| = {float(herm_defect) / unit:.3e} "
             f"exceeds {tol_struct:.1e} * ||A||"
         )
-    sym_defect, sym_size, scale = _defect(B, B.T)
-    if sym_defect > tol_struct * max(sym_size, 1e-300):
+    sym_defect, sym_size, unit = _defect(B, np.transpose)
+    if sym_defect > tol_struct * sym_size:
         raise StructureViolation(
-            f"B is not symmetric: ||B - B^t|| = {float(sym_defect) * scale:.3e} "
+            f"B is not symmetric: ||B - B^t|| = {float(sym_defect) / unit:.3e} "
             f"exceeds {tol_struct:.1e} * ||B||"
         )
     with np.errstate(over="ignore", invalid="ignore"):

@@ -49,7 +49,8 @@ class Overflow(QuadBosonError):
 
 
 class StepTooLarge(QuadBosonError):
-    """The requested integration step cannot meet the accuracy target."""
+    """The RK4 iterate of ``ode_cross_check`` leaves the float range at the
+    requested step size."""
 
 
 class DimensionCap(QuadBosonError):

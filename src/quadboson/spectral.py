@@ -50,6 +50,7 @@ import numpy as np
 
 from .core import (
     QuadraticForm,
+    _binary_unit,
     _freeze,
     _generator,
     _hmat,
@@ -242,10 +243,6 @@ class BogoliubovTransform:
     def zero_point_energy(self) -> complex:
         """Ground-state offset sum_i lambda_i / 2."""
         return complex(self.report.mode_frequencies.sum() / 2.0)
-
-    def commutator_matrix(self) -> np.ndarray:
-        """Matrix of [b'_i, b'bar_j]; the identity when the transform is exact."""
-        return self.extract_b @ (metric_signs(self.n_modes)[:, None] * self.extract_bbar.T)
 
     def reconstruct_extended(self) -> np.ndarray:
         """Reassemble Hmat = sum_i lambda_i (K_i + K_ibar)."""
@@ -448,11 +445,11 @@ def _max_block(shifted: np.ndarray, sv: np.ndarray, algebraic: int) -> int:
     a defective direction is exactly zero in theory, so its computed
     singular values are roundoff noise relative to that scale, not to the
     (possibly collapsed) norm of the power itself.  Both are first scaled
-    by the power of two that brings ||A - value|| into [0.5, 1), which
-    leaves the nullities as they are and keeps ||A - value||^k in the float
-    range at every k.
+    by the ``_binary_unit`` of ||A - value||, the power of two that brings
+    it into [0.5, 1), which leaves the nullities as they are and keeps
+    ||A - value||^k in the float range at every k.
     """
-    unit = 2.0 ** -np.frexp(max(float(sv.max()), np.finfo(float).tiny))[1]
+    unit = _binary_unit(float(sv.max()))
     shifted, sv = shifted * unit, sv * unit
     base = float(sv.max())
     power = shifted

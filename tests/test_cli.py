@@ -1067,6 +1067,17 @@ def test_huge_non_hermitian_form_exits_4(capsys, tmp_path):
         assert "not hermitian" in err
 
 
+def test_tiny_non_hermitian_form_exits_4(capsys, tmp_path):
+    # below about 1e-154 the Frobenius norms underflow to 0; the structure
+    # test is relative at this scale too
+    path = tmp_path / "tiny_nonherm.json"
+    a = [[[0.0, 0.0], [1e-170, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    path.write_text(json.dumps({"n_modes": 2, "A": a, "B": [[[0.0, 0.0]] * 2] * 2}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (4, "")
+    assert "not hermitian" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("bcs", "--delta", "nan"), ("bcs", "--kappa", "inf"), ("bcs", "--delta", "inf"),
     ("bcs", "--kappa", "nan"), ("bcs", "--epsilon", "inf"),

@@ -85,7 +85,7 @@ def _matrices(draw, n):
 
 @st.composite
 def _form_text(draw):
-    """A form document, valid or malformed."""
+    """(kind of breakage or None, a form document valid or malformed that way)."""
     n = draw(st.integers(1, 3))
     a, b = draw(_matrices(n))
     n = a.shape[0]
@@ -93,7 +93,9 @@ def _form_text(draw):
                                                 "truncated", "huge_int", "deep", "bytes",
                                                 "not_hermitian", "boolean"]))
     if broken == "not_hermitian":
-        a = a + a[0, 0] * np.triu(np.ones((n, n)), 1) + 1.0
+        # at the form's own scale: an imaginary diagonal, so n = 1 is broken
+        # too, and a one-sided upper triangle
+        a = a + (np.abs(a).max() or 1.0) * (np.triu(np.ones((n, n)), 1) + 1j * np.eye(n))
     doc = {"n_modes": n, "A": [[[z.real, z.imag] for z in row] for row in a],
            "B": [[[z.real, z.imag] for z in row] for row in b]}
     if broken == "nan":
@@ -114,8 +116,8 @@ def _form_text(draw):
     elif broken == "deep":
         text = "[" * 100_000 + "]" * 100_000
     elif broken == "bytes":
-        return b"\xff\xfe" + text.encode()
-    return text.encode()
+        return broken, b"\xff\xfe" + text.encode()
+    return broken, text.encode()
 
 
 _tol = st.sampled_from([[], ["--tol-eig", "1e-3"], ["--tol-eig", "0"], ["--tol-eig", "nan"]])
@@ -171,7 +173,7 @@ def form_dir():
 @given(data=st.data())
 def test_fuzzed_argvs_exit_with_a_documented_code(form_dir, data):
     path = form_dir / "form.json"
-    form = data.draw(_form_text(), label="form")
+    broken, form = data.draw(_form_text(), label="form")
     path.write_bytes(form)
     argv = data.draw(_argv(str(path)), label="argv")
     code, out = run(argv)
@@ -181,6 +183,9 @@ def test_fuzzed_argvs_exit_with_a_documented_code(form_dir, data):
     if b"true" in form or b"false" in form:
         # a JSON boolean is no number: the form is refused
         assert run(["analyze", str(path)])[0] == 3
+    if broken == "not_hermitian":
+        # an asymmetry at the form's own scale is refused at every scale
+        assert run(["analyze", str(path)]) == (4, "")
     if argv[0] == "analyze":
         # a form analyze calls diagonalizable gets its diagonal form
         code, out = run(argv + ["--format", "doc"])

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -96,9 +97,16 @@ def test_rejects_entries_that_overflow_when_symmetrized():
     assert form.A[0, 0] == form.B[0, 0] == 8e307
 
 
+def _times_two_to(x, k):
+    """2^k x, rounded entry by entry like any float product."""
+    return np.ldexp(np.ascontiguousarray(x).view(float), k).view(complex)
+
+
 def test_rejects_asymmetry_whose_norms_overflow():
-    # above about 1e154 both Frobenius norms overflow to inf, and inf > tol * inf
-    # is false; the test then compares the matrices scaled by their largest entry
+    # above about 1e154 a Frobenius norm overflows to inf, and below about
+    # 1e-154 it underflows to 0, where inf > tol * inf and 0 > tol * 0 are
+    # false; the test compares the matrices scaled by the power of two that
+    # brings their largest entry into [0.5, 1)
     zeros = np.zeros((2, 2))
     with pytest.raises(StructureViolation, match="not hermitian"):
         qb.build_form([[1e200, 1e200], [0.0, 1e200]], zeros)
@@ -108,6 +116,23 @@ def test_rejects_asymmetry_whose_norms_overflow():
         qb.build_form([[1e308, 1.5e308], [-1.5e308, 1e308]], zeros)
     form = qb.build_form([[1e200, 1e200j], [-1e200j, 1e200]], [[0.0, 1e200], [1e200, 0.0]])
     assert form.A[0, 1] == 1e200j and form.B[1, 0] == 1e200
+    # every binary scale of the float range, subnormals included: a one-sided
+    # A and an antisymmetric B are refused, and a valid complex form is
+    # accepted with the bits of the unit-scale form times 2^k
+    a = np.array([[1.0, 0.5 + 0.25j], [0.5 - 0.25j, -0.75]])
+    b = np.array([[0.25j, 0.5 + 0.125j], [0.5 + 0.125j, -0.5]])
+    unit = qb.build_form(a, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-1074, 1023):
+            s = np.ldexp(1.0, k)
+            with pytest.raises(StructureViolation, match="not hermitian"):
+                qb.build_form([[0.0, s], [0.0, 0.0]], zeros)
+            with pytest.raises(StructureViolation, match="not symmetric"):
+                qb.build_form(s * np.eye(2), [[0.0, s], [-s, 0.0]])
+            form = qb.build_form(_times_two_to(a, k), _times_two_to(b, k))
+            assert np.array_equal(form.A, _times_two_to(unit.A, k))
+            assert np.array_equal(form.B, _times_two_to(unit.B, k))
 
 
 def test_form_arrays_are_frozen():

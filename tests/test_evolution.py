@@ -184,16 +184,6 @@ def test_ode_cross_check_validation():
         qb.ode_cross_check(form, 1.0, 0)
     with pytest.raises(ValueError):
         qb.ode_cross_check(form, 1.0 + 1.0j, 10)
-    with pytest.raises(StepTooLarge):
-        qb.ode_cross_check(form, 10.0, 3, target=1e-12)
-    # the growth estimate leaves the float range: refused, with no RuntimeWarning
-    unstable = qb.bcs_form(bcs(1.2))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(StepTooLarge, match="no step count"):
-            qb.ode_cross_check(unstable, 2000.0, 10, target=1e-6)
-    # generous budget passes the pre-check and integrates
-    assert qb.ode_cross_check(form, 1.0, 2000, target=1e-6) <= 1e-9
 
 
 def test_ode_cross_check_refuses_an_exact_u_without_a_correct_digit():

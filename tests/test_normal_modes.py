@@ -53,7 +53,7 @@ def test_commutation_and_reconstruction(seed, n, shift):
     rng = np.random.default_rng(seed)
     form = random_form(rng, n, shift=shift)
     bt = _pipeline(form)
-    assert np.abs(bt.commutator_matrix() - np.eye(n)).max() <= 1e-9
+    assert bt.metric_residual <= 1e-9
     # [b'_i, b'_j] = 0 and [b'bar_i, b'bar_j] = 0 on the extraction rows
     mt = metric(n) @ block_swap(n)
     same_kind = bt.extract_b @ mt @ bt.extract_b.T
@@ -63,6 +63,14 @@ def test_commutation_and_reconstruction(seed, n, shift):
     h = form.hmat
     assert np.abs(bt.reconstruct_extended() - h).max() <= 1e-8 * max(
         np.abs(h).max(), 1.0)
+    # b'_2 = b_2 + 0.3 b+_1, the other rows left as they are, and W their
+    # inverse: [b'_i, b'bar_j] alone reads exactly the identity, while the
+    # metric identity W M Wbar = M, which covers every block, fails by 0.3
+    rows = np.eye(4, dtype=complex)
+    rows[1, 2] = 0.3
+    skewed = qb.BogoliubovTransform(np.linalg.inv(rows), _pipeline(
+        qb.build_form(np.diag([1.0, 2.0]), np.zeros((2, 2)))).report)
+    assert skewed.metric_residual >= 0.1
 
 
 def test_adjoint_relation_real_modes_only():
